@@ -2,8 +2,9 @@
 
 Library layout:
 
-- ``manifolds``: sphere / Stiefel / oblique primitives (projection,
-  retraction, transport, retraction constants),
+- ``manifolds``: sphere / Stiefel / oblique primitives (ndarray kernels
+  for projection, retraction and transport, their validating typed
+  shells, retraction constants),
 - ``smoothing``: proximal operators, Moreau envelopes, the smoothed
   objective and its Riemannian gradient,
 - ``problems``: stochastic problem container plus two seeded synthetic
@@ -12,6 +13,8 @@ Library layout:
   stepsize for Lipschitz nonsmooth terms,
 - ``solver_indicator``: truncated-momentum quadratic-penalty solver for
   indicator constraints under an error bound condition,
+- ``driver``: the run loop both solvers share (tracing, diagnostics,
+  snapshots, renormalisation) and the certificate witness,
 - ``harness``: traces, certificates, rate fits, inequality checks, and
   CSV/JSON serialization,
 - ``cli``: the ``manismooth`` command (run / check / report).

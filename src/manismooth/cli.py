@@ -4,7 +4,8 @@ Subcommands:
 
 - ``manismooth run --config cfg.json [--seeds 1,2,3]``: execute a seeded
   experiment described by a JSON config, writing trace.csv and
-  summary.json into the configured output directory.
+  summary.json into the configured output directory; with ``--seeds``,
+  the seeds run one after another, each into its own ``seed_<s>/``.
 - ``manismooth check --suite all|manifold|smoothing|lemmas|solver``: run
   the named invariant battery; exit 0 iff every property passes.
 - ``manismooth report --trace t.csv --field norm_grad_Fmu --from 100 --to 20000``:
@@ -18,9 +19,9 @@ The environment variable MANISMOOTH_OUT overrides the output directory.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -58,18 +59,25 @@ def _require(cfg: dict, field: str, types, path: str):
     return value
 
 
-def _build_set_term(spec: dict):
+def _vector(spec: dict, field: str, types, m: int):
+    value = np.asarray(_require(spec, field, types, "problem.set."), dtype=float)
+    if value.shape not in ((), (m,)):
+        raise ConfigError(f"problem.set.{field}", f"expected {m} entries (problem.m), got shape {value.shape}")
+    return value
+
+
+def _build_set_term(spec: dict, m: int):
     kind = _require(spec, "kind", str, "problem.set.")
     if kind == "ball":
-        center = np.asarray(_require(spec, "center", (list, int, float), "problem.set."), dtype=float)
+        center = _vector(spec, "center", (list, int, float), m)
         radius = float(_require(spec, "radius", (int, float), "problem.set."))
         return IndicatorBall(center, radius)
     if kind == "box":
-        lower = np.asarray(_require(spec, "lower", list, "problem.set."), dtype=float)
-        upper = np.asarray(_require(spec, "upper", list, "problem.set."), dtype=float)
+        lower = _vector(spec, "lower", list, m)
+        upper = _vector(spec, "upper", list, m)
         return IndicatorBox(lower, upper)
     if kind == "singleton":
-        target = np.asarray(_require(spec, "target", (list, int, float), "problem.set."), dtype=float)
+        target = _vector(spec, "target", (list, int, float), m)
         return IndicatorSingleton(target)
     raise ConfigError("problem.set.kind", f"unknown set kind {kind!r}")
 
@@ -89,7 +97,7 @@ def build_problem(cfg: dict, seed: int):
         )
     set_spec = _require(cfg, "set", dict, "problem.")
     mdim = int(_require(cfg, "m", int, "problem."))
-    set_term = _build_set_term(set_spec)
+    set_term = _build_set_term(set_spec, mdim)
     return make_constrained_sphere(
         n=int(_require(cfg, "n", int, "problem.")),
         m=mdim,
@@ -111,12 +119,16 @@ def validate_config(cfg: dict) -> dict:
     max_iters = _require(cfg, "max_iters", int, "")
     if max_iters < 1:
         raise ConfigError("max_iters", "must be >= 1")
-    trace_every = int(cfg.get("trace_every", 1))
-    if trace_every < 1:
+    if "trace_every" in cfg and _require(cfg, "trace_every", int, "") < 1:
         raise ConfigError("trace_every", "must be >= 1")
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("solver", "must be an object")
+    for name in ("theta", "safety", "zeta", "c_tau", "c_a", "trunc_radius"):
+        if solver.get(name) is None:
+            continue
+        if not math.isfinite(_require(solver, name, (int, float), "solver.")):
+            raise ConfigError(f"solver.{name}", "must be finite")
     family = cfg["problem"].get("family")
     if algorithm == "indicator":
         if family != "constrained_sphere":
@@ -133,7 +145,7 @@ def _execute(cfg: dict, seed: int, out_dir: Path) -> None:
     problem = build_problem(cfg["problem"], seed)
     algorithm = cfg["algorithm"]
     K = cfg["max_iters"]
-    trace_every = int(cfg.get("trace_every", 1))
+    trace_every = cfg.get("trace_every", 1)
     diagnostics = bool(cfg.get("diagnostics", False))
     run_seed = derive_seed(seed, "sampling")
     t_start = time.monotonic()
@@ -202,18 +214,13 @@ def cmd_run(args) -> int:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s]
         except ValueError:
+            seeds = []
+        if not seeds:
             print("--seeds: expected comma-separated integers", file=sys.stderr)
             return 2
     try:
-        if len(seeds) == 1:
-            _execute(cfg, seeds[0], out_root)
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=min(4, len(seeds))) as pool:
-                futures = {
-                    pool.submit(_execute, cfg, s, out_root / f"seed_{s}"): s for s in seeds
-                }
-                for fut in concurrent.futures.as_completed(futures):
-                    fut.result()
+        for s in seeds:
+            _execute(cfg, s, out_root / f"seed_{s}" if args.seeds else out_root)
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, ParameterError, TraceFormatError
 from .manifolds import ManifoldPoint, estimate_retraction_constants, random_point, random_tangent, retract
-from .problems import estimate_constants
+from .problems import estimate_constants, retr_smooth_bound
 from .smoothing import smoothed_objective_grad
 
 SCHEMA_VERSION = "1"
@@ -56,7 +56,6 @@ class StepReport:
     tau: float
     a: float
     norm_G: float
-    env_value: float
     infeas: float
 
 
@@ -208,11 +207,6 @@ def retr_smooth_constant_check(
     rng = np.random.default_rng(seed)
     consts = problem.constants or estimate_constants(problem, max(100, samples), seed)
     rc = estimate_retraction_constants(problem.manifold, max(100, samples), seed + 1)
-    L = safety * consts.L_retr
-    L_c = safety * consts.L_c
-    L_gc = safety * consts.L_grad_c
-    alpha = safety * rc.alpha
-    beta = safety * rc.beta
 
     empirical = -math.inf
     max_dist = 0.0
@@ -230,8 +224,7 @@ def retr_smooth_constant_check(
         level = safety * max_dist
     else:
         level = problem.h.lipschitz_const
-    bound = L + alpha**2 * (L_c**2 + level * L_gc) + 2.0 * L_c * level * beta
-    return float(empirical), float(bound)
+    return float(empirical), float(retr_smooth_bound(consts, rc, level, safety))
 
 
 def _fmt(v) -> str:
@@ -248,20 +241,15 @@ def write_trace_csv(trace: Sequence[TraceRecord], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
         for rec in trace:
-            writer.writerow(
-                [
-                    rec.k,
-                    _fmt(rec.mu),
-                    _fmt(rec.tau),
-                    _fmt(rec.a),
-                    _fmt(rec.norm_G),
-                    _fmt(rec.obj_smooth),
-                    _fmt(rec.norm_grad_Fmu),
-                    _fmt(rec.infeas),
-                    _fmt(rec.norm_eps),
-                    rec.wall_ns,
-                ]
-            )
+            writer.writerow([_fmt(getattr(rec, column)) for column in TRACE_COLUMNS])
+
+
+def _parse(column: str, text: str):
+    if column in ("k", "wall_ns"):
+        return int(text)
+    if column in ("obj_smooth", "norm_grad_Fmu", "norm_eps") and not text:
+        return None
+    return float(text)
 
 
 def read_trace_csv(path) -> list[TraceRecord]:
@@ -281,20 +269,7 @@ def read_trace_csv(path) -> list[TraceRecord]:
             if len(row) != len(TRACE_COLUMNS):
                 raise TraceFormatError(f"expected {len(TRACE_COLUMNS)} fields, got {len(row)}", lineno)
             try:
-                records.append(
-                    TraceRecord(
-                        k=int(row[0]),
-                        mu=float(row[1]),
-                        tau=float(row[2]),
-                        a=float(row[3]),
-                        norm_G=float(row[4]),
-                        obj_smooth=float(row[5]) if row[5] else None,
-                        norm_grad_Fmu=float(row[6]) if row[6] else None,
-                        infeas=float(row[7]),
-                        norm_eps=float(row[8]) if row[8] else None,
-                        wall_ns=int(row[9]),
-                    )
-                )
+                records.append(TraceRecord(**{c: _parse(c, text) for c, text in zip(TRACE_COLUMNS, row)}))
             except ValueError as exc:
                 raise TraceFormatError(str(exc), lineno) from None
     return records

@@ -14,6 +14,10 @@ Lipschitz-type retraction constants
     ||R_x(u) - x||     <= alpha ||u||,
     ||R_x(u) - x - u|| <= beta  ||u||^2.
 
+Each formula exists once, as an ndarray kernel (``proj``, ``normalize``,
+``retr``) that the solver steps call directly; the typed functions are
+validating shells over the kernels.
+
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function of its inputs.
 """
@@ -83,10 +87,13 @@ def oblique(n: int, p: int) -> ManifoldDescriptor:
     return ManifoldDescriptor(OBLIQUE, n, p)
 
 
-def _as_matrix(desc: ManifoldDescriptor, data, what: str) -> np.ndarray:
+def _as_2d(data) -> np.ndarray:
     arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
+    return arr.reshape(-1, 1) if arr.ndim == 1 else arr
+
+
+def _as_matrix(desc: ManifoldDescriptor, data, what: str) -> np.ndarray:
+    arr = _as_2d(data)
     if arr.shape != desc.shape:
         raise ShapeMismatchError(f"{what}: expected shape {desc.shape}, got {arr.shape}")
     out = np.array(arr, copy=True)
@@ -176,23 +183,53 @@ class RetractionConstants:
             raise ParameterError("retraction constants must be positive")
 
 
+def proj(kind: str, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Tangent projection at X; ``proj(kind, Y, V)`` is also the vector transport into T_Y M."""
+    if kind == SPHERE:
+        return V - float(np.vdot(X, V)) * X
+    if kind == STIEFEL:
+        s = X.T @ V
+        return V - X @ ((s + s.T) / 2.0)
+    return V - X * np.sum(X * V, axis=0)
+
+
+def normalize(kind: str, Y: np.ndarray) -> np.ndarray:
+    """Map ambient Y onto the manifold: normalize / thin-QR Q with positive-diagonal R / column normalize.
+
+    Raises:
+        DegenerateRetractionError: the sphere target has zero norm, an
+            oblique column collapses, or Y is rank deficient.
+    """
+    if kind == SPHERE:
+        nrm = np.linalg.norm(Y)
+        if nrm < 1e-12:
+            raise DegenerateRetractionError("sphere target has zero norm")
+        return Y / nrm
+    if kind == STIEFEL:
+        q, r = np.linalg.qr(Y)
+        diag = np.diag(r)
+        if np.min(np.abs(diag)) < 1e-12:
+            raise DegenerateRetractionError("rank-deficient Stiefel target")
+        return q * np.where(diag < 0, -1.0, 1.0)
+    nrms = np.linalg.norm(Y, axis=0)
+    if np.min(nrms) < 1e-12:
+        raise DegenerateRetractionError("oblique target collapses a column")
+    return Y / nrms
+
+
+def retr(kind: str, X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """First-order retraction R_X(V) on raw arrays; X itself when V = 0."""
+    if not V.any():
+        return X
+    return normalize(kind, X + V)
+
+
 def tangent_project(x: ManifoldPoint, v) -> TangentVector:
     """Orthogonal projection of an ambient matrix onto the tangent space at x."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        v = v.reshape(-1, 1)
+    v = _as_2d(v)
     if v.shape != x.descriptor.shape:
         raise ShapeMismatchError(f"ambient vector shape {v.shape} != point shape {x.descriptor.shape}")
-    X = x.data
-    kind = x.descriptor.kind
-    if kind == SPHERE:
-        out = v - float(np.vdot(X, v)) * X
-    elif kind == STIEFEL:
-        s = X.T @ v
-        out = v - X @ ((s + s.T) / 2.0)
-    else:
-        out = v - X * np.sum(X * v, axis=0)
-    return TangentVector(x.descriptor, x, out)
+    return TangentVector(x.descriptor, x, proj(x.descriptor.kind, x.data, v))
 
 
 def riemannian_gradient(x: ManifoldPoint, euclid_grad) -> TangentVector:
@@ -208,37 +245,14 @@ def retract(x: ManifoldPoint, eta: TangentVector) -> ManifoldPoint:
     """First-order retraction of a tangent vector into the manifold.
 
     Sphere: normalize x + eta.  Stiefel: Q factor of the thin QR of
-    X + eta, with R forced to positive diagonal so the result is a
-    deterministic function of the input.  Oblique: column-wise
-    normalization.
-
-    Raises:
-        DegenerateRetractionError: the sphere target has zero norm, an
-            oblique column collapses, or X + eta is rank deficient.
+    X + eta with positive-diagonal R.  Oblique: column-wise
+    normalization.  See :func:`normalize` for the degenerate cases.
     """
     if eta.base is not x and eta.base.data is not x.data:
         if not np.array_equal(eta.base.data, x.data):
             raise ShapeMismatchError("tangent vector is not based at the given point")
-    if not eta.data.any():
-        return x
-    y = x.data + eta.data
-    kind = x.descriptor.kind
-    if kind == SPHERE:
-        nrm = np.linalg.norm(y)
-        if nrm < 1e-12:
-            raise DegenerateRetractionError("sphere retraction target has zero norm")
-        return ManifoldPoint(x.descriptor, y / nrm)
-    if kind == STIEFEL:
-        q, r = np.linalg.qr(y)
-        diag = np.diag(r)
-        if np.min(np.abs(diag)) < 1e-12:
-            raise DegenerateRetractionError("rank-deficient Stiefel retraction target")
-        signs = np.where(diag < 0, -1.0, 1.0)
-        return ManifoldPoint(x.descriptor, q * signs)
-    nrms = np.linalg.norm(y, axis=0)
-    if np.min(nrms) < 1e-12:
-        raise DegenerateRetractionError("oblique retraction collapses a column")
-    return ManifoldPoint(x.descriptor, y / nrms)
+    y = retr(x.descriptor.kind, x.data, eta.data)
+    return x if y is x.data else ManifoldPoint(x.descriptor, y)
 
 
 def vector_transport(x: ManifoldPoint, y: ManifoldPoint, xi: TangentVector) -> TangentVector:
@@ -255,17 +269,8 @@ def vector_transport(x: ManifoldPoint, y: ManifoldPoint, xi: TangentVector) -> T
 
 
 def project_point(desc: ManifoldDescriptor, data) -> ManifoldPoint:
-    """Map nearby ambient data back onto the manifold (normalize / QR)."""
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if desc.kind == SPHERE:
-        return ManifoldPoint(desc, arr / np.linalg.norm(arr))
-    if desc.kind == STIEFEL:
-        q, r = np.linalg.qr(arr)
-        signs = np.where(np.diag(r) < 0, -1.0, 1.0)
-        return ManifoldPoint(desc, q * signs)
-    return ManifoldPoint(desc, arr / np.linalg.norm(arr, axis=0))
+    """Map nearby ambient data back onto the manifold (see :func:`normalize`)."""
+    return ManifoldPoint(desc, normalize(desc.kind, _as_2d(data)))
 
 
 def random_point(desc: ManifoldDescriptor, rng: np.random.Generator) -> ManifoldPoint:

@@ -28,6 +28,7 @@ from .errors import ParameterError, ShapeMismatchError
 from .manifolds import (
     ManifoldDescriptor,
     ManifoldPoint,
+    RetractionConstants,
     TangentVector,
     random_point,
     random_tangent,
@@ -290,3 +291,16 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
     return ProblemConstants(
         L_f=L_f, L_c=L_c, L_grad_c=L_grad_c, L_tilde=L_tilde, sigma=sigma, L_retr=max(L_retr, 0.0)
     )
+
+
+def retr_smooth_bound(consts: ProblemConstants, rc: RetractionConstants, level: float, safety: float) -> float:
+    """mu times the retraction-smoothness constant of F_mu, from estimated constants inflated by ``safety``.
+
+    ``level`` is l_h for a Lipschitz h and a bound on dist(c(x), C) for an indicator h.
+    """
+    L = safety * consts.L_retr
+    L_c = safety * consts.L_c
+    L_gc = safety * consts.L_grad_c
+    alpha = safety * rc.alpha
+    beta = safety * rc.beta
+    return L + alpha**2 * (L_c**2 + level * L_gc) + 2.0 * L_c * level * beta

@@ -12,33 +12,31 @@ to a ball so it stays uniformly bounded:
 
 Iterations count from k = 0; the k = 0 smoothing level is clamped to 1
 so the penalty stays finite.
+
+``step`` works on raw arrays; the loop, tracing, snapshots and the
+certificate witness are the shared ones of :mod:`.driver`.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, NumericalFailureError, ParameterError, ProbeInconclusiveError
+from . import driver
+from .errors import NumericalFailureError, ParameterError, ProbeInconclusiveError
 from .harness import Certificate, StepReport, TraceRecord
 from .manifolds import (
     ManifoldPoint,
     TangentVector,
     estimate_retraction_constants,
-    project_point,
     random_point,
-    retract,
     tangent_project,
-    vector_transport,
 )
-from .problems import StochasticProblem, estimate_constants, sample_riemannian_grad
-from .smoothing import IndicatorTerm, smoothed_objective_grad
+from .problems import StochasticProblem, estimate_constants, retr_smooth_bound, sample_riemannian_grad
+from .smoothing import IndicatorTerm
 
-RENORM_EVERY = 1000
-SNAPSHOT_TARGET = 2000
 TRUNC_SLACK = 1e-12
 
 
@@ -69,6 +67,10 @@ class IndicatorConfig:
     def omega(self) -> float:
         return min(self.theta / (self.theta + 2.0), 0.5)
 
+    def mu(self, k: int) -> float:
+        """Smoothing level mu_k = max(k, 1)^{-omega}."""
+        return float(max(k, 1)) ** (-self.omega)
+
     @property
     def k_tilde(self) -> int:
         """Burn-in index after which the feasibility decay bound applies."""
@@ -76,19 +78,14 @@ class IndicatorConfig:
 
 
 @dataclass
-class IndicatorState:
-    """Mutable solver state; iteration counter starts at 0."""
+class IndicatorState(driver.SolverState):
+    """Solver state plus the constraint violation of every executed iterate; k starts at 0."""
 
-    k: int
-    x: ManifoldPoint
-    delta: TangentVector
-    rng: np.random.Generator
-    snapshots: list[tuple[int, ManifoldPoint]] = field(default_factory=list)
     feas_history: list[float] = field(default_factory=list)
 
 
-def _truncate(v: TangentVector, radius: float) -> TangentVector:
-    nrm = v.norm()
+def _truncate(v: np.ndarray, radius: float) -> np.ndarray:
+    nrm = float(np.linalg.norm(v))
     if nrm <= radius:
         return v
     return (radius / nrm) * v
@@ -99,13 +96,6 @@ def _penalty_residual(problem: StochasticProblem, xd: np.ndarray) -> tuple[np.nd
     y = problem.c_eval(xd)
     resid = y - problem.h.project(y)
     return resid, float(np.linalg.norm(resid))
-
-
-def distance_grad_norm(problem: StochasticProblem, x: ManifoldPoint) -> tuple[float, float]:
-    """(dist(c(x), C), ||grad of dist^2(c(x), C)/2||) at a point."""
-    resid, dist = _penalty_residual(problem, x.data)
-    g = tangent_project(x, problem.c_jac_t(x.data, resid))
-    return dist, g.norm()
 
 
 def default_config(
@@ -139,7 +129,6 @@ def default_config(
         x = random_point(problem.manifold, rng)
         max_dist = max(max_dist, problem.h.distance(problem.c_eval(x.data)))
 
-    L = safety * consts.L_retr
     L_c = safety * consts.L_c
     L_gc = safety * consts.L_grad_c
     L_t = max(safety * consts.L_tilde, 1e-12)
@@ -148,7 +137,7 @@ def default_config(
     C_r = safety * max_dist  # bound on ||c(x) - P_C(c(x))|| over the manifold
 
     L_g = alpha**2 * (L_c + C_r * L_gc) + 2.0 * L_c * C_r * beta
-    G_2 = L + alpha**2 * (L_c**2 + C_r * L_gc) + 2.0 * L_c * C_r * beta
+    G_2 = retr_smooth_bound(consts, rc, C_r, safety)
     c_tau = 1.0 / (safety * max(L_g, G_2))
     c_a = 0.75 * c_tau**2 + 1.0 / (32.0 * L_t**2)
     if zeta is None:
@@ -164,56 +153,36 @@ def default_config(
     )
 
 
-def init(problem: StochasticProblem, x0: ManifoldPoint, config: IndicatorConfig, seed: int) -> IndicatorState:
-    return _init(problem, x0, config, np.random.default_rng(seed))
-
-
-def _init(problem, x0, config, rng) -> IndicatorState:
+def init(
+    problem: StochasticProblem, x0: ManifoldPoint, config: IndicatorConfig, seed: int | np.random.Generator
+) -> IndicatorState:
+    """Initial state at x0: one truncated sample gradient drawn from ``default_rng(seed)``."""
     if not isinstance(problem.h, IndicatorTerm):
         raise ParameterError("this solver requires an indicator nonsmooth term")
     if x0.descriptor != problem.manifold:
         raise ParameterError("x0 does not live on the problem manifold")
-    xi = int(rng.integers(problem.num_samples))
-    delta = _truncate(sample_riemannian_grad(problem, x0, xi), config.trunc_radius)
+    rng = np.random.default_rng(seed)
+    g = sample_riemannian_grad(problem, x0, int(rng.integers(problem.num_samples)))
+    delta = TangentVector(x0.descriptor, x0, _truncate(g.data, config.trunc_radius))
     return IndicatorState(k=0, x=x0, delta=delta, rng=rng)
 
 
 def step(state: IndicatorState, problem: StochasticProblem, config: IndicatorConfig) -> StepReport:
     """Advance the state by exactly one iteration."""
     k = state.k
-    x = state.x
     omega = config.omega
-    mu = float(max(k, 1)) ** (-omega)
-    resid, dist = _penalty_residual(problem, x.data)
-    G = state.delta + tangent_project(x, problem.c_jac_t(x.data, resid / mu))
-    norm_G = G.norm()
-    if not math.isfinite(norm_G):
-        raise NumericalFailureError("non-finite search direction", k)
+    mu = config.mu(k)
+    resid, dist = _penalty_residual(problem, state.x.data)
+    G, norm_G = driver.direction(state, problem, resid / mu)
     tau = config.c_tau * float(k + 1) ** (-omega)
-    x_next = retract(x, (-tau) * G)
-
-    xi = int(state.rng.integers(problem.num_samples))
-    g_new = sample_riemannian_grad(problem, x_next, xi)
-    g_old = sample_riemannian_grad(problem, x, xi)
     a_next = min(1.0, config.c_a * float(k + 1) ** (-2.0 * omega))
-    delta_next = _truncate(
-        g_new + (1.0 - a_next) * vector_transport(x, x_next, state.delta - g_old),
-        config.trunc_radius,
-    )
-    if delta_next.norm() > config.trunc_radius + TRUNC_SLACK:
+    X_next, delta_next = driver.move(state, problem, G, tau, a_next)
+    delta_next = _truncate(delta_next, config.trunc_radius)
+    if np.linalg.norm(delta_next) > config.trunc_radius + TRUNC_SLACK:
         raise NumericalFailureError("momentum estimator escaped the truncation ball", k)
-
-    if k > 0 and k % RENORM_EVERY == 0:
-        x_next = project_point(x_next.descriptor, x_next.data)
-        delta_next = tangent_project(x_next, delta_next.data)
-
-    state.k = k + 1
-    state.x = x_next
-    state.delta = delta_next
+    driver.advance(state, X_next, delta_next)
     state.feas_history.append(dist)
-    return StepReport(
-        k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, env_value=dist * dist / (2.0 * mu), infeas=dist
-    )
+    return StepReport(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, infeas=dist)
 
 
 def run(
@@ -226,46 +195,15 @@ def run(
     diagnostics: bool = False,
     measure_time: bool = True,
 ) -> tuple[IndicatorState, list[TraceRecord]]:
-    """Execute K iterations (k = 0 .. K-1), tracing like the Lipschitz solver."""
-    if K < 1:
-        raise ParameterError("K must be >= 1")
-    if trace_every < 1:
-        raise ParameterError("trace_every must be >= 1")
-    rng = np.random.default_rng(seed)
-    if x0 is None:
-        x0 = random_point(problem.manifold, rng)
-    state = _init(problem, x0, config, rng)
-    snap_lo = K // 2
-    stride = max(1, K // SNAPSHOT_TARGET)
-    trace: list[TraceRecord] = []
-    t0 = time.monotonic_ns()
-    for _ in range(K):
-        k = state.k
-        traced = k % trace_every == 0 or k == K - 1
-        obj_smooth = norm_grad_Fmu = norm_eps = None
-        if traced and diagnostics:
-            mu = float(max(k, 1)) ** (-config.omega)
-            obj_smooth, rgrad, _ = smoothed_objective_grad(problem, state.x, mu)
-            norm_grad_Fmu = rgrad.norm()
-            norm_eps = (state.delta - tangent_project(state.x, problem.full_egrad(state.x.data))).norm()
-        if k >= snap_lo and (k - snap_lo) % stride == 0:
-            state.snapshots.append((k, state.x))
-        report = step(state, problem, config)
-        if traced:
-            trace.append(
-                TraceRecord(
-                    k=report.k,
-                    mu=report.mu,
-                    tau=report.tau,
-                    a=report.a,
-                    norm_G=report.norm_G,
-                    obj_smooth=obj_smooth,
-                    norm_grad_Fmu=norm_grad_Fmu,
-                    infeas=report.infeas,
-                    norm_eps=norm_eps,
-                    wall_ns=time.monotonic_ns() - t0 if measure_time else 0,
-                )
-            )
+    """Execute K iterations (k = 0 .. K-1) with :func:`driver.run`; x_K joins the snapshots."""
+    state, trace = driver.run(
+        problem, x0, seed, K,
+        init=lambda x, rng: init(problem, x, config, rng),
+        step=lambda state: step(state, problem, config),
+        mu=config.mu,
+        snap_lo=K // 2,
+        trace_every=trace_every, diagnostics=diagnostics, stop_tol=None, measure_time=measure_time,
+    )
     state.snapshots.append((state.k, state.x))
     return state, trace
 
@@ -282,28 +220,13 @@ def certificate(state: IndicatorState, problem: StochasticProblem, config: Indic
     The witness pair is y = P_C(c(x)), z = (c(x) - y) / mu_k at the
     selected snapshot, with a sampled normal-cone membership check.
     """
-    if not state.snapshots:
-        raise InsufficientDataError("no snapshots stored; call run() first")
-    ks = np.array([k for k, _ in state.snapshots], dtype=float)
-    weights = config.c_tau * (ks + 1.0) ** (-config.omega)
-    weights /= weights.sum()
-    j = int(state.rng.choice(len(state.snapshots), p=weights))
-    i_K, x = state.snapshots[j]
-    mu = float(max(i_K, 1)) ** (-config.omega)
-    c = problem.c_eval(x.data)
-    y = problem.h.project(c)
-    z = (c - y) / mu
-    resid = tangent_project(x, problem.full_egrad(x.data) + problem.c_jac_t(x.data, z))
-    ok = problem.h.in_subdifferential(y, z, tol=1e-8, rng=state.rng)
-    return Certificate(
-        i_K=i_K,
-        x=x,
-        y=y,
-        z=z,
-        grad_residual=resid.norm(),
-        feas_residual=float(np.linalg.norm(c - y)),
-        membership_ok=ok,
-    )
+
+    def pick(ks: np.ndarray) -> int:
+        weights = config.c_tau * (ks + 1.0) ** (-config.omega)
+        weights /= weights.sum()
+        return int(state.rng.choice(len(ks), p=weights))
+
+    return driver.certificate(state, problem, pick, config.mu)
 
 
 def error_bound_probe(problem: StochasticProblem, samples: int, seed: int) -> tuple[float, float]:
@@ -325,10 +248,10 @@ def error_bound_probe(problem: StochasticProblem, samples: int, seed: int) -> tu
     dists, gnorms = [], []
     for _ in range(samples):
         x = random_point(problem.manifold, rng)
-        dist, gn = distance_grad_norm(problem, x)
-        if dist > 1e-9:
+        resid, dist = _penalty_residual(problem, x.data)
+        if dist > 1e-9:  # the gradient of dist^2(c(x), C) / 2 is Dc(x)^T resid
             dists.append(dist)
-            gnorms.append(gn)
+            gnorms.append(tangent_project(x, problem.c_jac_t(x.data, resid)).norm())
     if not dists:
         raise ProbeInconclusiveError("all sampled points are feasible")
     dists = np.asarray(dists)

@@ -17,24 +17,23 @@ at the initial point (a_1 = 1 erases any momentum history).
 If the very first direction is exactly zero the accumulated energy is
 zero and the iterate is declared stationary for the current smoothing
 level: the step is skipped with tau = 0.
+
+``step`` works on raw arrays; the loop, tracing, snapshots and the
+certificate witness are the shared ones of :mod:`.driver`.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, NumericalFailureError, ParameterError
+from . import driver
+from .errors import NumericalFailureError, ParameterError
 from .harness import Certificate, StepReport, TraceRecord
-from .manifolds import ManifoldPoint, TangentVector, project_point, random_point, retract, tangent_project, vector_transport
+from .manifolds import ManifoldPoint
 from .problems import StochasticProblem, sample_riemannian_grad
-from .smoothing import moreau_eval, prox, smoothed_objective_grad
-
-RENORM_EVERY = 1000
-SNAPSHOT_TARGET = 2000
 
 
 @dataclass(frozen=True)
@@ -61,54 +60,36 @@ class LipschitzSchedule:
 
 
 @dataclass
-class LipschitzState:
-    """Mutable solver state; confined to one thread of execution."""
+class LipschitzState(driver.SolverState):
+    """Solver state plus the accumulated direction energy and the schedules."""
 
-    k: int
-    x: ManifoldPoint
-    delta: TangentVector
-    grad_sq_sum: float
-    rng: np.random.Generator
+    grad_sq_sum: float = 0.0
     schedule: LipschitzSchedule = LipschitzSchedule()
-    snapshots: list[tuple[int, ManifoldPoint]] = field(default_factory=list)
 
 
 def init(
     problem: StochasticProblem,
     x0: ManifoldPoint,
-    seed: int,
+    seed: int | np.random.Generator,
     schedule: LipschitzSchedule = LipschitzSchedule(),
 ) -> LipschitzState:
-    """Initial state at x0: one drawn sample seeds the momentum estimator."""
-    return _init(problem, x0, np.random.default_rng(seed), schedule)
-
-
-def _init(
-    problem: StochasticProblem,
-    x0: ManifoldPoint,
-    rng: np.random.Generator,
-    schedule: LipschitzSchedule = LipschitzSchedule(),
-) -> LipschitzState:
+    """Initial state at x0: one sample drawn from ``default_rng(seed)`` seeds the momentum estimator."""
     if problem.h.is_indicator:
         raise ParameterError("this solver requires a Lipschitz nonsmooth term, not an indicator")
     if x0.descriptor != problem.manifold:
         raise ParameterError("x0 does not live on the problem manifold")
-    xi = int(rng.integers(problem.num_samples))
-    delta = sample_riemannian_grad(problem, x0, xi)
-    return LipschitzState(k=1, x=x0, delta=delta, grad_sq_sum=0.0, rng=rng, schedule=schedule)
+    rng = np.random.default_rng(seed)
+    delta = sample_riemannian_grad(problem, x0, int(rng.integers(problem.num_samples)))
+    return LipschitzState(k=1, x=x0, delta=delta, rng=rng, schedule=schedule)
 
 
 def step(state: LipschitzState, problem: StochasticProblem) -> StepReport:
     """Advance the state by exactly one iteration."""
     k = state.k
-    x = state.x
     mu = state.schedule.mu(k)
-    y = problem.c_eval(x.data)
-    env = moreau_eval(problem.h, mu, y)
-    G = state.delta + tangent_project(x, problem.c_jac_t(x.data, env.grad))
-    norm_G = G.norm()
-    if not math.isfinite(norm_G):
-        raise NumericalFailureError("non-finite search direction", k)
+    y = problem.c_eval(state.x.data)
+    diff = y - problem.h.prox(mu, y)  # c(x) - prox_{mu h}(c(x)) = mu * grad h_mu(c(x))
+    G, norm_G = driver.direction(state, problem, diff / mu)
     state.grad_sq_sum += norm_G * norm_G
     a_next = state.schedule.a_next(k)
     if state.grad_sq_sum > 0.0:
@@ -117,23 +98,8 @@ def step(state: LipschitzState, problem: StochasticProblem) -> StepReport:
         tau = 0.0
     if not math.isfinite(tau):
         raise NumericalFailureError("non-finite stepsize", k)
-    x_next = retract(x, (-tau) * G)
-
-    xi = int(state.rng.integers(problem.num_samples))
-    g_new = sample_riemannian_grad(problem, x_next, xi)
-    g_old = sample_riemannian_grad(problem, x, xi)
-    delta_next = g_new + (1.0 - a_next) * vector_transport(x, x_next, state.delta - g_old)
-
-    if k % RENORM_EVERY == 0:
-        # arrest floating-point drift of the manifold equation
-        x_next = project_point(x_next.descriptor, x_next.data)
-        delta_next = tangent_project(x_next, delta_next.data)
-
-    infeas = float(np.linalg.norm(y - env.prox_point))
-    state.k = k + 1
-    state.x = x_next
-    state.delta = delta_next
-    return StepReport(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, env_value=env.value, infeas=infeas)
+    driver.advance(state, *driver.move(state, problem, G, tau, a_next))
+    return StepReport(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, infeas=float(np.linalg.norm(diff)))
 
 
 def run(
@@ -147,58 +113,15 @@ def run(
     measure_time: bool = True,
     schedule: LipschitzSchedule = LipschitzSchedule(),
 ) -> tuple[LipschitzState, list[TraceRecord]]:
-    """Execute K iterations, tracing every trace_every-th one plus the last.
-
-    Diagnostics add the full-gradient columns (obj_smooth,
-    norm_grad_Fmu, norm_eps) at traced iterations only; they cost a full
-    pass over the data and never feed back into the algorithm, except
-    through the optional early stop on norm_grad_Fmu <= stop_tol.
-    Back-half iterates are snapshotted for certificate extraction.
-    """
-    if K < 1:
-        raise ParameterError("K must be >= 1")
-    if trace_every < 1:
-        raise ParameterError("trace_every must be >= 1")
-    if stop_tol is not None and not diagnostics:
-        raise ParameterError("stop_tol requires diagnostics=True")
-    rng = np.random.default_rng(seed)
-    if x0 is None:
-        x0 = random_point(problem.manifold, rng)
-    state = _init(problem, x0, rng, schedule)
-    snap_lo = (K + 1) // 2
-    stride = max(1, K // SNAPSHOT_TARGET)
-    trace: list[TraceRecord] = []
-    t0 = time.monotonic_ns()
-    for _ in range(K):
-        k = state.k
-        traced = (k - 1) % trace_every == 0 or k == K
-        obj_smooth = norm_grad_Fmu = norm_eps = None
-        if traced and diagnostics:
-            mu = state.schedule.mu(k)
-            obj_smooth, rgrad, _ = smoothed_objective_grad(problem, state.x, mu)
-            norm_grad_Fmu = rgrad.norm()
-            norm_eps = (state.delta - tangent_project(state.x, problem.full_egrad(state.x.data))).norm()
-        if k >= snap_lo and (k - snap_lo) % stride == 0:
-            state.snapshots.append((k, state.x))
-        report = step(state, problem)
-        if traced:
-            trace.append(
-                TraceRecord(
-                    k=report.k,
-                    mu=report.mu,
-                    tau=report.tau,
-                    a=report.a,
-                    norm_G=report.norm_G,
-                    obj_smooth=obj_smooth,
-                    norm_grad_Fmu=norm_grad_Fmu,
-                    infeas=report.infeas,
-                    norm_eps=norm_eps,
-                    wall_ns=time.monotonic_ns() - t0 if measure_time else 0,
-                )
-            )
-        if stop_tol is not None and norm_grad_Fmu is not None and norm_grad_Fmu <= stop_tol:
-            break
-    return state, trace
+    """Execute K iterations (k = 1 .. K) with :func:`driver.run`; stop_tol stops early on norm_grad_Fmu."""
+    return driver.run(
+        problem, x0, seed, K,
+        init=lambda x, rng: init(problem, x, rng, schedule),
+        step=lambda state: step(state, problem),
+        mu=schedule.mu,
+        snap_lo=(K + 1) // 2,
+        trace_every=trace_every, diagnostics=diagnostics, stop_tol=stop_tol, measure_time=measure_time,
+    )
 
 
 def certificate(state: LipschitzState, problem: StochasticProblem) -> Certificate:
@@ -207,22 +130,4 @@ def certificate(state: LipschitzState, problem: StochasticProblem) -> Certificat
     The witness pair is y = prox_{mu h}(c(x)), z = (c(x) - y) / mu at the
     selected iterate, with a numerical subgradient membership check.
     """
-    if not state.snapshots:
-        raise InsufficientDataError("no snapshots stored; call run() first")
-    j = int(state.rng.integers(len(state.snapshots)))
-    i_K, x = state.snapshots[j]
-    mu = state.schedule.mu(i_K)
-    c = problem.c_eval(x.data)
-    y = prox(problem.h, mu, c)
-    z = (c - y) / mu
-    resid = tangent_project(x, problem.full_egrad(x.data) + problem.c_jac_t(x.data, z))
-    ok = problem.h.in_subdifferential(y, z, tol=1e-8, rng=state.rng)
-    return Certificate(
-        i_K=i_K,
-        x=x,
-        y=y,
-        z=z,
-        grad_residual=resid.norm(),
-        feas_residual=float(np.linalg.norm(c - y)),
-        membership_ok=ok,
-    )
+    return driver.certificate(state, problem, lambda ks: int(state.rng.integers(len(ks))), state.schedule.mu)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from manismooth.cli import main
 from manismooth.harness import TraceRecord, read_summary_json, read_trace_csv, write_trace_csv
 
@@ -106,6 +108,42 @@ def test_run_seed_list_creates_subdirectories(tmp_path, monkeypatch):
     assert main(["run", "--config", str(cfg_path), "--seeds", "1,2,3"]) == 0
     for s in (1, 2, 3):
         assert (tmp_path / "multi" / f"seed_{s}" / "trace.csv").exists()
+    monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "single"))
+    assert main(["run", "--config", str(cfg_path), "--seeds", "7"]) == 0
+    assert (tmp_path / "single" / "seed_7" / "trace.csv").exists()
+    assert not (tmp_path / "single" / "trace.csv").exists()
+
+
+def _set_field(cfg, path, value):
+    *parents, leaf = path.split(".")
+    for key in parents:
+        cfg = cfg[key]
+    cfg[leaf] = value
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("solver.theta", "one"),
+        ("solver.theta", float("nan")),
+        ("solver.zeta", "small"),
+        ("solver.c_tau", float("inf")),
+        ("problem.set.center", [0.3, 0.3, 0.3]),
+        ("problem.set.center", [[0.3, 0.3], [0.3, 0.3]]),
+        ("trace_every", "5"),
+        ("trace_every", "abc"),
+        ("trace_every", 2.5),
+        ("trace_every", 0),
+    ],
+)
+def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
+    cfg = sphere_config(tmp_path / "bad")
+    _set_field(cfg, field, value)
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
 
 
 def test_check_unknown_suite():
