@@ -1,9 +1,15 @@
 """Self-contained property suites behind the ``check`` CLI command.
 
 Each suite runs a battery of invariant checks with fixed internal seeds
-and reports one (name, passed, detail) triple per property.  The pytest
-suite exercises the same invariants independently and at larger sample
-counts; these batteries are sized to finish in seconds.
+and reports one (name, passed, detail) triple per property.  These
+batteries are the one implementation of the invariants the analysis
+rests on (prox and Moreau-envelope properties, the two sequence lemmas,
+retraction bounds, momentum tangency, truncation and the exact
+schedules); the pytest suite runs them through ``check --suite all``
+rather than re-implementing them.  The oracles the batteries share with
+worked-example tests (:func:`grid_argmin_1d`,
+:func:`largest_premise_solution`, :func:`random_terms`, ``DESCRIPTORS``)
+live here once.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .smoothing import (
 
 SUITES = ("all", "manifold", "smoothing", "lemmas", "solver")
 
-_DESCRIPTORS = (mf.sphere(5), mf.stiefel(6, 2), mf.oblique(4, 3))
+DESCRIPTORS = (mf.sphere(5), mf.stiefel(6, 2), mf.oblique(4, 3))
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,8 @@ def check_manifold() -> list[CheckResult]:
     results = []
 
     worst = 0.0
-    for desc in _DESCRIPTORS:
-        for _ in range(300):
+    for desc in DESCRIPTORS:
+        for _ in range(1000):
             x = mf.random_point(desc, rng)
             v = rng.standard_normal(desc.shape)
             p1 = mf.tangent_project(x, v)
@@ -61,17 +67,18 @@ def check_manifold() -> list[CheckResult]:
     results.append(_result("projection idempotence", worst <= 1e-12, f"max drift {worst:.2e}"))
 
     worst = 0.0
-    for desc in _DESCRIPTORS:
+    for desc in DESCRIPTORS:
         for _ in range(200):
             x = mf.random_point(desc, rng)
             v = rng.standard_normal(desc.shape)
             p = mf.tangent_project(x, v)
-            eta = mf.random_tangent(x, rng)
-            worst = max(worst, abs(float(np.sum((v - p.data) * eta.data))) / max(1.0, eta.norm()))
+            for _ in range(5):
+                eta = mf.random_tangent(x, rng, norm=1.0)
+                worst = max(worst, abs(float(np.sum((v - p.data) * eta.data))))
     results.append(_result("projection orthogonality", worst <= 1e-10, f"max inner {worst:.2e}"))
 
     worst = 0.0
-    for desc in _DESCRIPTORS:
+    for desc in DESCRIPTORS:
         for _ in range(100):
             x = mf.random_point(desc, rng)
             u = mf.random_tangent(x, rng, norm=1.0)
@@ -80,18 +87,29 @@ def check_manifold() -> list[CheckResult]:
             worst = max(worst, float(np.linalg.norm(y.data - x.data - t * u.data)) / t)
     results.append(_result("retraction first-order", worst <= 1e-3, f"max ratio {worst:.2e}"))
 
+    # the caps hold for the estimates and, with the same constant 2, on
+    # fresh samples the estimator never saw
     ok = True
     detail = ""
-    for desc in _DESCRIPTORS:
+    for desc in DESCRIPTORS:
         rc = mf.estimate_retraction_constants(desc, 500, 99)
         if rc.alpha > 2.0 or rc.beta > 2.0:
             ok = False
             detail = f"{desc.kind}: alpha={rc.alpha:.3f}, beta={rc.beta:.3f}"
+        for _ in range(200):
+            x = mf.random_point(desc, rng)
+            u = mf.random_tangent(x, rng, norm=float(rng.uniform(0.01, 1.0)))
+            y = mf.retract(x, u)
+            nu = u.norm()
+            if (np.linalg.norm(y.data - x.data) > 2.0 * nu * (1 + 1e-9)
+                    or np.linalg.norm(y.data - x.data - u.data) > 2.0 * nu**2 * (1 + 1e-9)):
+                ok = False
+                detail = f"{desc.kind}: fresh sample exceeds the cap 2 at ||u|| = {nu:.3f}"
     results.append(_result("retraction constant caps", ok, detail))
 
     worst = 0.0
     lin_err = 0.0
-    for desc in _DESCRIPTORS:
+    for desc in DESCRIPTORS:
         for _ in range(200):
             x = mf.random_point(desc, rng)
             y = mf.random_point(desc, rng)
@@ -107,7 +125,7 @@ def check_manifold() -> list[CheckResult]:
     results.append(_result("transport linear", lin_err <= 1e-12, f"max gap {lin_err:.2e}"))
 
     ok = True
-    for desc in _DESCRIPTORS:
+    for desc in DESCRIPTORS:
         x = mf.random_point(desc, rng)
         if not np.array_equal(mf.retract(x, mf.zero_tangent(x)).data, x.data):
             ok = False
@@ -118,13 +136,17 @@ def check_manifold() -> list[CheckResult]:
 # ---------------------------------------------------------------- smoothing
 
 
-def _grid_prox_1d(h, mu, y, lo, hi, res=1e-4):
+def grid_argmin_1d(h_value, mu, y, lo, hi, res=1e-4):
+    """Brute-force 1-D prox oracle: grid-minimize h(z) + (z-y)^2/(2 mu).
+
+    ``h_value`` maps the whole grid array to the array of h values.
+    """
     zs = np.arange(lo, hi + res, res)
-    vals = np.array([h.value(np.array([z])) for z in zs]) + (zs - y) ** 2 / (2 * mu)
-    return zs[int(np.argmin(vals))]
+    return zs[np.argmin(h_value(zs) + (zs - y) ** 2 / (2 * mu))]
 
 
-def _random_terms(rng, dim):
+def random_terms(rng, dim):
+    """One seeded instance of every nonsmooth-term variant on R^dim."""
     return [
         ScaledL1(float(rng.uniform(0.1, 2.0)), dim),
         ScaledL2(float(rng.uniform(0.1, 2.0))),
@@ -139,37 +161,36 @@ def check_smoothing() -> list[CheckResult]:
     results = []
 
     worst = 0.0
-    for _ in range(100):
+    for _ in range(300):
         lam = float(rng.uniform(0.1, 2.0))
-        mu = float(rng.uniform(0.1, 2.0))
+        mu = float(rng.uniform(0.05, 2.0))
         y = float(rng.uniform(-3, 3))
-        h = ScaledL1(lam, 1)
-        span = 3 * mu * h.lipschitz_const + 1
-        zstar = _grid_prox_1d(h, mu, np.array([y]), y - span, y + span)
-        worst = max(worst, abs(float(prox(h, mu, np.array([y]))[0]) - zstar))
+        span = 3 * mu * lam + 1
+        zstar = grid_argmin_1d(lambda z: lam * np.abs(z), mu, y, y - span, y + span)
+        worst = max(worst, abs(float(prox(ScaledL1(lam, 1), mu, np.array([y]))[0]) - zstar))
     results.append(_result("prox vs 1-D grid oracle", worst <= 1e-3, f"max gap {worst:.2e}"))
 
     ok = True
     for _ in range(200):
         dim = int(rng.integers(1, 6))
-        for h in _random_terms(rng, dim):
+        for h in random_terms(rng, dim):
             mu = float(rng.uniform(0.05, 2.0))
             y = 3 * rng.standard_normal(dim)
             z = prox(h, mu, y)
             base = h.value(z) + float(np.sum((z - y) ** 2)) / (2 * mu)
             for _ in range(20):
-                cand = z + 0.3 * rng.standard_normal(dim)
+                cand = z + 0.5 * rng.standard_normal(dim)
                 if h.value(cand) + float(np.sum((cand - y) ** 2)) / (2 * mu) < base - 1e-12:
                     ok = False
     results.append(_result("prox optimality", ok))
 
     ok = True
-    for _ in range(300):
-        dim = int(rng.integers(1, 6))
-        lam = float(rng.uniform(0.1, 2.0))
+    for _ in range(500):
+        dim = int(rng.integers(1, 8))
+        lam = float(rng.uniform(0.05, 3.0))
         h = ScaledL1(lam, dim) if rng.uniform() < 0.5 else ScaledL2(lam)
-        mu = float(rng.uniform(0.05, 2.0))
-        y = 3 * rng.standard_normal(dim)
+        mu = float(rng.uniform(0.01, 3.0))
+        y = 5 * rng.standard_normal(dim)
         e = moreau_eval(h, mu, y)
         if np.linalg.norm(e.grad) > h.lipschitz_const + 1e-10:
             ok = False
@@ -180,7 +201,7 @@ def check_smoothing() -> list[CheckResult]:
     ok = True
     for _ in range(300):
         dim = int(rng.integers(1, 6))
-        for h in _random_terms(rng, dim):
+        for h in random_terms(rng, dim):
             mu1 = float(rng.uniform(0.1, 2.0))
             mu2 = float(rng.uniform(0.01, 1.0)) * mu1
             y = 3 * rng.standard_normal(dim)
@@ -188,23 +209,23 @@ def check_smoothing() -> list[CheckResult]:
                 ok = False
     results.append(_result("envelope monotone in mu", ok))
 
-    worst = 0.0
+    worst = -np.inf
     for _ in range(300):
         dim = int(rng.integers(1, 6))
-        for h in _random_terms(rng, dim):
+        for h in random_terms(rng, dim):
             mu = float(rng.uniform(0.05, 2.0))
             y1 = 3 * rng.standard_normal(dim)
             y2 = 3 * rng.standard_normal(dim)
             g1 = moreau_eval(h, mu, y1).grad
             g2 = moreau_eval(h, mu, y2).grad
-            lip = float(np.linalg.norm(g1 - g2)) / max(1e-300, float(np.linalg.norm(y1 - y2)))
-            worst = max(worst, lip * mu)
-    results.append(_result("envelope gradient 1/mu-Lipschitz", worst <= 1.0 + 1e-10, f"max mu*lip {worst:.6f}"))
+            worst = max(worst, float(np.linalg.norm(g1 - g2) - np.linalg.norm(y1 - y2) / mu))
+    results.append(_result("envelope gradient 1/mu-Lipschitz", worst <= 1e-12,
+                           f"max ||g1 - g2|| - ||y1 - y2|| / mu = {worst:.2e}"))
 
     ok = True
     for _ in range(400):
         dim = int(rng.integers(1, 6))
-        for h in _random_terms(rng, dim):
+        for h in random_terms(rng, dim):
             mu1 = float(rng.uniform(0.05, 2.0))
             mu2 = float(rng.uniform(0.01, 1.0)) * mu1
             y = 3 * rng.standard_normal(dim)
@@ -215,6 +236,20 @@ def check_smoothing() -> list[CheckResult]:
 
 
 # ------------------------------------------------------------------ lemmas
+
+
+def largest_premise_solution(c, d, e, alpha, beta):
+    """Largest x >= 0 with x <= c x^alpha + d x^beta + e, by bisection."""
+    lo, hi = 0.0, 1.0
+    while c * hi**alpha + d * hi**beta + e >= hi:
+        hi *= 2.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if c * mid**alpha + d * mid**beta + e >= mid:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def check_lemmas() -> list[CheckResult]:
@@ -236,16 +271,7 @@ def check_lemmas() -> list[CheckResult]:
         e = float(rng.uniform(0.0, 5.0))
         al = float(rng.uniform(0.05, 0.95))
         be = float(rng.uniform(0.05, 0.95))
-        lo, hi = 0.0, 1.0
-        while c * hi**al + d * hi**be + e >= hi:
-            hi *= 2.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if c * mid**al + d * mid**be + e >= mid:
-                lo = mid
-            else:
-                hi = mid
-        if not lemma_implicit_bound_check(c, d, e, al, be, lo):
+        if not lemma_implicit_bound_check(c, d, e, al, be, largest_premise_solution(c, d, e, al, be)):
             bad += 1
     results.append(_result("implicit power bound", bad == 0, f"{bad} failures"))
     return results
@@ -257,15 +283,23 @@ def check_lemmas() -> list[CheckResult]:
 def check_solver() -> list[CheckResult]:
     results = []
     problem = make_sparse_pca(n=10, p=2, N=5, lam=0.05, seed=11)
-    state, trace = solver_lipschitz.run(problem, None, seed=3, K=400, trace_every=20, diagnostics=True)
 
-    taus = [r.tau for r in trace]
+    # per-step invariants of the Lipschitz solver: the momentum is tangent
+    # at the iterate after every step, and tau_k is positive and
+    # nonincreasing along the run
+    def tangency(s):
+        X, D = s.x.data, s.delta.data
+        return float(np.linalg.norm((X.T @ D) + (D.T @ X)))
+
+    state = solver_lipschitz.init(problem, mf.random_point(problem.manifold, np.random.default_rng(30)), seed=3)
+    taus = []
+    tang = [tangency(state)]
+    for _ in range(500):
+        taus.append(solver_lipschitz.step(state, problem).tau)
+        tang.append(tangency(state))
     results.append(_result("adaptive stepsize positive nonincreasing",
                            all(t > 0 for t in taus) and all(a >= b for a, b in zip(taus, taus[1:]))))
-
-    x, d = state.x, state.delta
-    tang = float(np.linalg.norm((x.data.T @ d.data) + (d.data.T @ x.data)))
-    results.append(_result("momentum tangent at iterate", tang <= 1e-8, f"violation {tang:.2e}"))
+    results.append(_result("momentum tangent at iterate", max(tang) <= 1e-8, f"max violation {max(tang):.2e}"))
 
     smooth = make_sparse_pca(n=10, p=1, N=1, lam=0.0, seed=13)
     _, tr = solver_lipschitz.run(smooth, None, seed=5, K=1500, trace_every=10, diagnostics=True)
@@ -276,22 +310,27 @@ def check_solver() -> list[CheckResult]:
     _, t2 = solver_lipschitz.run(problem, None, seed=8, K=200, trace_every=10, measure_time=False)
     results.append(_result("seeded rerun identical", t1 == t2))
 
+    # per-step invariants of the indicator solver: truncation after every
+    # step and the schedule formulas, exactly, at every k
     ball = IndicatorBall(np.full(4, 0.3), 0.8)
     cproblem = make_constrained_sphere(n=8, m=4, N=6, set_term=ball, seed=21)
     config = solver_indicator.default_config(cproblem, theta=1.0, safety=2.0, samples=120, seed=31)
-    cstate, ctrace = solver_indicator.run(cproblem, None, config, seed=9, K=600, trace_every=20)
-
+    cstate = solver_indicator.init(cproblem, mf.random_point(cproblem.manifold, np.random.default_rng(9)), config, 9)
     radius = config.trunc_radius
-    results.append(_result("truncation radius respected",
-                           all(d <= radius + 1e-12 for d in [cstate.delta.norm()])
-                           and max(r.norm_G for r in ctrace) < np.inf))
+    norms = [cstate.delta.norm()]
+    reports = []
+    for _ in range(600):
+        reports.append(solver_indicator.step(cstate, cproblem, config))
+        norms.append(cstate.delta.norm())
+    results.append(_result("truncation radius respected", max(norms) <= radius + 1e-12,
+                           f"max ||delta|| {max(norms):.6e} vs radius {radius:.6e}"))
 
     om = config.omega
     sched_ok = all(
         r.mu == float(max(r.k, 1)) ** (-om)
         and r.tau == config.c_tau * float(r.k + 1) ** (-om)
         and r.a == min(1.0, config.c_a * float(r.k + 1) ** (-2 * om))
-        for r in ctrace
+        for r in reports
     )
     results.append(_result("indicator schedules exact", sched_ok))
 

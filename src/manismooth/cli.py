@@ -46,6 +46,15 @@ from .smoothing import IndicatorBall, IndicatorBox, IndicatorSingleton
 
 ALGORITHMS = ("lipschitz", "indicator")
 FAMILIES = ("sparse_pca", "constrained_sphere")
+# optional solver numbers: (field, lower bound, bound excluded)
+SOLVER_NUMBERS = (
+    ("theta", 1, False),
+    ("safety", 1, False),
+    ("zeta", 0, True),
+    ("c_tau", 0, True),
+    ("c_a", 0, True),
+    ("trunc_radius", 0, True),
+)
 
 
 def _require(cfg: dict, field: str, types, path: str):
@@ -59,8 +68,22 @@ def _require(cfg: dict, field: str, types, path: str):
     return value
 
 
+def _number(cfg: dict, field: str, path: str, types=(int, float), low=-math.inf, strict: bool = False):
+    """A finite value that is >= low (> low when strict); otherwise ConfigError naming the field."""
+    value = _require(cfg, field, types, path)
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}{field}", "must be finite")
+    if value < low or (strict and value == low):
+        raise ConfigError(f"{path}{field}", f"must be {'>' if strict else '>='} {low}")
+    return value
+
+
 def _vector(spec: dict, field: str, types, m: int):
-    value = np.asarray(_require(spec, field, types, "problem.set."), dtype=float)
+    value = _require(spec, field, types, "problem.set.")
+    entries = value if isinstance(value, list) else [value]
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in entries):
+        raise ConfigError(f"problem.set.{field}", "entries must be finite numbers")
+    value = np.asarray(value, dtype=float)
     if value.shape not in ((), (m,)):
         raise ConfigError(f"problem.set.{field}", f"expected {m} entries (problem.m), got shape {value.shape}")
     return value
@@ -70,11 +93,13 @@ def _build_set_term(spec: dict, m: int):
     kind = _require(spec, "kind", str, "problem.set.")
     if kind == "ball":
         center = _vector(spec, "center", (list, int, float), m)
-        radius = float(_require(spec, "radius", (int, float), "problem.set."))
+        radius = _number(spec, "radius", "problem.set.", low=0, strict=True)
         return IndicatorBall(center, radius)
     if kind == "box":
         lower = _vector(spec, "lower", list, m)
         upper = _vector(spec, "upper", list, m)
+        if np.any(lower > upper):
+            raise ConfigError("problem.set.lower", "must not exceed problem.set.upper")
         return IndicatorBox(lower, upper)
     if kind == "singleton":
         target = _vector(spec, "target", (list, int, float), m)
@@ -87,24 +112,25 @@ def build_problem(cfg: dict, seed: int):
     if family not in FAMILIES:
         raise ConfigError("problem.family", f"unknown family {family!r}")
     data_seed = derive_seed(seed, "data")
+    N = _number(cfg, "N", "problem.", int, low=1)
     if family == "sparse_pca":
+        p = _number(cfg, "p", "problem.", int, low=1)
         return make_sparse_pca(
-            n=int(_require(cfg, "n", int, "problem.")),
-            p=int(_require(cfg, "p", int, "problem.")),
-            N=int(_require(cfg, "N", int, "problem.")),
-            lam=float(_require(cfg, "lambda", (int, float), "problem.")),
+            n=_number(cfg, "n", "problem.", int, low=p),
+            p=p,
+            N=N,
+            lam=_number(cfg, "lambda", "problem.", low=0),
             seed=data_seed,
         )
-    set_spec = _require(cfg, "set", dict, "problem.")
-    mdim = int(_require(cfg, "m", int, "problem."))
-    set_term = _build_set_term(set_spec, mdim)
+    mdim = _number(cfg, "m", "problem.", int, low=1)
+    set_term = _build_set_term(_require(cfg, "set", dict, "problem."), mdim)
     return make_constrained_sphere(
-        n=int(_require(cfg, "n", int, "problem.")),
+        n=_number(cfg, "n", "problem.", int, low=2),
         m=mdim,
-        N=int(_require(cfg, "N", int, "problem.")),
+        N=N,
         set_term=set_term,
         seed=data_seed,
-        quad_weight=float(cfg.get("quad_weight", 1.0)),
+        quad_weight=_number(cfg, "quad_weight", "problem.") if "quad_weight" in cfg else 1.0,
     )
 
 
@@ -121,14 +147,16 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("max_iters", "must be >= 1")
     if "trace_every" in cfg and _require(cfg, "trace_every", int, "") < 1:
         raise ConfigError("trace_every", "must be >= 1")
+    if "diagnostics" in cfg:
+        _require(cfg, "diagnostics", bool, "")
+    if "output_dir" in cfg:
+        _require(cfg, "output_dir", str, "")
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("solver", "must be an object")
-    for name in ("theta", "safety", "zeta", "c_tau", "c_a", "trunc_radius"):
-        if solver.get(name) is None:
-            continue
-        if not math.isfinite(_require(solver, name, (int, float), "solver.")):
-            raise ConfigError(f"solver.{name}", "must be finite")
+    for name, low, strict in SOLVER_NUMBERS:
+        if solver.get(name) is not None:
+            _number(solver, name, "solver.", low=low, strict=strict)
     family = cfg["problem"].get("family")
     if algorithm == "indicator":
         if family != "constrained_sphere":
@@ -146,7 +174,7 @@ def _execute(cfg: dict, seed: int, out_dir: Path) -> None:
     algorithm = cfg["algorithm"]
     K = cfg["max_iters"]
     trace_every = cfg.get("trace_every", 1)
-    diagnostics = bool(cfg.get("diagnostics", False))
+    diagnostics = cfg.get("diagnostics", False)
     run_seed = derive_seed(seed, "sampling")
     t_start = time.monotonic()
     solver_params: dict = {}
@@ -159,13 +187,13 @@ def _execute(cfg: dict, seed: int, out_dir: Path) -> None:
         scfg = cfg.get("solver", {})
         config = solver_indicator.default_config(
             problem,
-            theta=float(scfg["theta"]),
-            safety=float(scfg.get("safety", 2.0)),
+            theta=scfg["theta"],
+            safety=scfg.get("safety", 2.0),
             zeta=scfg.get("zeta"),
             seed=derive_seed(seed, "probe"),
         )
         overrides = {
-            k: float(scfg[k]) for k in ("c_tau", "c_a", "trunc_radius", "zeta") if scfg.get(k) is not None
+            k: scfg[k] for k in ("c_tau", "c_a", "trunc_radius", "zeta") if scfg.get(k) is not None
         }
         if overrides:
             config = dataclasses.replace(config, **overrides)

@@ -10,15 +10,8 @@ import zlib
 
 import numpy as np
 
-STREAMS = ("data", "sampling", "probe")
-
 
 def derive_seed(seed: int, stream: str) -> int:
     """Derive a child seed for a named stream from a master seed."""
     ss = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, zlib.crc32(stream.encode())])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def stream_rng(seed: int, stream: str) -> np.random.Generator:
-    """Generator for the named stream of a master seed."""
-    return np.random.default_rng(derive_seed(seed, stream))

@@ -36,42 +36,27 @@ from .manifolds import ManifoldPoint
 from .problems import StochasticProblem, sample_riemannian_grad
 
 
-@dataclass(frozen=True)
-class LipschitzSchedule:
-    """Smoothing/momentum schedules; strict mode has nothing to configure.
+def smoothing_level(k: int) -> float:
+    """mu_k = k^{-1/3}, in (0, 1] for k >= 1."""
+    return float(k) ** (-1.0 / 3.0)
 
-    The multipliers exist for ablation runs only; both schedules are
-    clamped into (0, 1], and the defaults reproduce the strict rules
-    mu_k = k^{-1/3} and a_{k+1} = k^{-2/3} exactly.
-    """
 
-    mu_scale: float = 1.0
-    a_scale: float = 1.0
-
-    def __post_init__(self):
-        if self.mu_scale <= 0 or self.a_scale <= 0:
-            raise ParameterError("schedule multipliers must be positive")
-
-    def mu(self, k: int) -> float:
-        return min(1.0, self.mu_scale * float(k) ** (-1.0 / 3.0))
-
-    def a_next(self, k: int) -> float:
-        return min(1.0, self.a_scale * float(k) ** (-2.0 / 3.0))
+def momentum_weight(k: int) -> float:
+    """a_{k+1} = k^{-2/3}, in (0, 1] for k >= 1."""
+    return float(k) ** (-2.0 / 3.0)
 
 
 @dataclass
 class LipschitzState(driver.SolverState):
-    """Solver state plus the accumulated direction energy and the schedules."""
+    """Solver state plus the accumulated direction energy."""
 
     grad_sq_sum: float = 0.0
-    schedule: LipschitzSchedule = LipschitzSchedule()
 
 
 def init(
     problem: StochasticProblem,
     x0: ManifoldPoint,
     seed: int | np.random.Generator,
-    schedule: LipschitzSchedule = LipschitzSchedule(),
 ) -> LipschitzState:
     """Initial state at x0: one sample drawn from ``default_rng(seed)`` seeds the momentum estimator."""
     if problem.h.is_indicator:
@@ -80,18 +65,18 @@ def init(
         raise ParameterError("x0 does not live on the problem manifold")
     rng = np.random.default_rng(seed)
     delta = sample_riemannian_grad(problem, x0, int(rng.integers(problem.num_samples)))
-    return LipschitzState(k=1, x=x0, delta=delta, rng=rng, schedule=schedule)
+    return LipschitzState(k=1, x=x0, delta=delta, rng=rng)
 
 
 def step(state: LipschitzState, problem: StochasticProblem) -> StepReport:
     """Advance the state by exactly one iteration."""
     k = state.k
-    mu = state.schedule.mu(k)
+    mu = smoothing_level(k)
     y = problem.c_eval(state.x.data)
     diff = y - problem.h.prox(mu, y)  # c(x) - prox_{mu h}(c(x)) = mu * grad h_mu(c(x))
     G, norm_G = driver.direction(state, problem, diff / mu)
     state.grad_sq_sum += norm_G * norm_G
-    a_next = state.schedule.a_next(k)
+    a_next = momentum_weight(k)
     if state.grad_sq_sum > 0.0:
         tau = (state.grad_sq_sum / a_next) ** (-1.0 / 3.0)
     else:
@@ -111,14 +96,13 @@ def run(
     diagnostics: bool = False,
     stop_tol: float | None = None,
     measure_time: bool = True,
-    schedule: LipschitzSchedule = LipschitzSchedule(),
 ) -> tuple[LipschitzState, list[TraceRecord]]:
     """Execute K iterations (k = 1 .. K) with :func:`driver.run`; stop_tol stops early on norm_grad_Fmu."""
     return driver.run(
         problem, x0, seed, K,
-        init=lambda x, rng: init(problem, x, rng, schedule),
+        init=lambda x, rng: init(problem, x, rng),
         step=lambda state: step(state, problem),
-        mu=schedule.mu,
+        mu=smoothing_level,
         snap_lo=(K + 1) // 2,
         trace_every=trace_every, diagnostics=diagnostics, stop_tol=stop_tol, measure_time=measure_time,
     )
@@ -130,4 +114,4 @@ def certificate(state: LipschitzState, problem: StochasticProblem) -> Certificat
     The witness pair is y = prox_{mu h}(c(x)), z = (c(x) - y) / mu at the
     selected iterate, with a numerical subgradient membership check.
     """
-    return driver.certificate(state, problem, lambda ks: int(state.rng.integers(len(ks))), state.schedule.mu)
+    return driver.certificate(state, problem, lambda ks: int(state.rng.integers(len(ks))), smoothing_level)

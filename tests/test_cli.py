@@ -134,10 +134,24 @@ def _set_field(cfg, path, value):
         ("trace_every", "abc"),
         ("trace_every", 2.5),
         ("trace_every", 0),
+        ("problem.quad_weight", "x"),
+        ("problem.quad_weight", float("nan")),
+        ("diagnostics", "yes"),
+        ("output_dir", 5),
+        ("solver.theta", 0.5),
+        ("solver.safety", 0.5),
+        ("solver.c_a", -1.0),
+        ("problem.set.radius", -1),
+        ("problem.set.center", ["a", 0.3, 0.3, 0.3]),
+        ("problem.set", {"kind": "box", "lower": [1, 1, 1, 1], "upper": [0, 0, 0, 0]}),
+        ("problem.N", 0),
+        ("problem.lambda", float("nan")),
+        ("problem.p", 0),
     ],
 )
 def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
-    cfg = sphere_config(tmp_path / "bad")
+    make = pca_config if field in ("problem.lambda", "problem.p") else sphere_config
+    cfg = make(tmp_path / "bad")
     _set_field(cfg, field, value)
     path = write_config(tmp_path, cfg)
     assert main(["run", "--config", str(path)]) == 2
@@ -157,10 +171,11 @@ def test_check_lemmas_passes(capsys):
 
 
 def test_check_all_passes(capsys):
-    # the property suites themselves are the oracle here
-    assert main(["check", "--suite", "all"]) == 0
+    # the batteries are the one implementation of these properties; a
+    # failure prints the report, which names the property
+    code = main(["check", "--suite", "all"])
     err = capsys.readouterr().err
-    assert "FAIL" not in err
+    assert code == 0 and "FAIL" not in err, err
 
 
 def test_report_synthetic_slope(tmp_path, capsys):

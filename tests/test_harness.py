@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import manismooth as ms
+from manismooth.checks import largest_premise_solution
 from manismooth.errors import InsufficientDataError, ParameterError, TraceFormatError
 from manismooth.harness import (
     TraceRecord,
@@ -77,28 +78,6 @@ def test_lemma_seq_bound_validates():
         lemma_seq_bound_check([1.0], 1.5)
 
 
-def test_lemma_seq_bound_randomized():
-    rng = np.random.default_rng(101)
-    for _ in range(10_000):
-        n = int(rng.integers(1, 40))
-        b = rng.uniform(0.0, 5.0, n)
-        b[0] = rng.uniform(0.01, 5.0)
-        assert lemma_seq_bound_check(b, float(rng.uniform(0.02, 0.98)))
-
-
-def largest_premise_solution(c, d, e, alpha, beta):
-    lo, hi = 0.0, 1.0
-    while c * hi**alpha + d * hi**beta + e >= hi:
-        hi *= 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if c * mid**alpha + d * mid**beta + e >= mid:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def test_lemma_implicit_bound_worked_example():
     # alpha = beta = 1/2, c = d = 1, e = 0: premise forces x <= 4, bound is 8
     x = largest_premise_solution(1.0, 1.0, 0.0, 0.5, 0.5)
@@ -110,18 +89,6 @@ def test_lemma_implicit_bound_worked_example():
 def test_lemma_implicit_bound_validates_premise():
     with pytest.raises(ParameterError):
         lemma_implicit_bound_check(0.1, 0.1, 0.0, 0.5, 0.5, 100.0)
-
-
-def test_lemma_implicit_bound_randomized():
-    rng = np.random.default_rng(102)
-    for _ in range(10_000):
-        c = float(rng.uniform(0.05, 5.0))
-        d = float(rng.uniform(0.05, 5.0))
-        e = float(rng.uniform(0.0, 5.0))
-        alpha = float(rng.uniform(0.05, 0.95))
-        beta = float(rng.uniform(0.05, 0.95))
-        x = largest_premise_solution(c, d, e, alpha, beta)
-        assert lemma_implicit_bound_check(c, d, e, alpha, beta, x)
 
 
 def test_retr_smooth_quadratic_on_sphere():

@@ -150,38 +150,10 @@ def test_trace_length_and_determinism(pca):
     assert t1 == t2
 
 
-def test_tau_positive_nonincreasing_and_tangency(pca):
-    x0 = ms.random_point(pca.manifold, np.random.default_rng(30))
-    state = sl.init(pca, x0, seed=12)
-    taus = []
-    for _ in range(500):
-        x, d = state.x, state.delta
-        s = x.data.T @ d.data
-        assert np.linalg.norm(s + s.T) <= 1e-8  # delta tangent at x_k
-        report = sl.step(state, pca)
-        taus.append(report.tau)
-    assert all(t > 0 for t in taus)
-    assert all(a >= b for a, b in zip(taus, taus[1:]))
-
-
 def test_run_single_iteration(pca):
     state, trace = sl.run(pca, None, seed=31, K=1, trace_every=1)
     assert len(trace) == 1 and trace[0].k == 1
     assert state.snapshots and state.snapshots[0][0] == 1
-
-
-def test_schedule_overrides_for_ablation(pca):
-    _, strict = sl.run(pca, None, seed=2, K=50, trace_every=10, measure_time=False)
-    _, default = sl.run(pca, None, seed=2, K=50, trace_every=10, measure_time=False,
-                        schedule=sl.LipschitzSchedule())
-    assert strict == default
-    scaled = sl.LipschitzSchedule(mu_scale=0.5, a_scale=2.0)
-    _, ablated = sl.run(pca, None, seed=2, K=50, trace_every=10, measure_time=False,
-                        schedule=scaled)
-    assert ablated != strict
-    assert all(0.0 < r.mu <= 1.0 and 0.0 < r.a <= 1.0 for r in ablated)
-    with pytest.raises(ParameterError):
-        sl.LipschitzSchedule(mu_scale=0.0)
 
 
 def test_certificate_membership_and_bound(pca):
