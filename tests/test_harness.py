@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import manismooth as ms
-from manismooth.checks import largest_premise_solution
+from manismooth.checks import check_lemmas, largest_premise_solution
 from manismooth.errors import InsufficientDataError, ParameterError, TraceFormatError
 from manismooth.harness import (
     TraceRecord,
@@ -16,6 +16,13 @@ from manismooth.harness import (
     write_summary_json,
     write_trace_csv,
 )
+
+
+@pytest.fixture(scope="module")
+def lemma_battery():
+    # the randomized lemma properties live once, in the `check` battery
+    # (10k draws each); these tests assert its verdict property by property
+    return {r.name: r for r in check_lemmas()}
 
 
 def synthetic_trace(values, wall=0):
@@ -78,6 +85,11 @@ def test_lemma_seq_bound_validates():
         lemma_seq_bound_check([1.0], 1.5)
 
 
+def test_lemma_seq_bound_randomized(lemma_battery):
+    result = lemma_battery["sequence partial-sum bound"]
+    assert result.passed, result.detail
+
+
 def test_lemma_implicit_bound_worked_example():
     # alpha = beta = 1/2, c = d = 1, e = 0: premise forces x <= 4, bound is 8
     x = largest_premise_solution(1.0, 1.0, 0.0, 0.5, 0.5)
@@ -89,6 +101,11 @@ def test_lemma_implicit_bound_worked_example():
 def test_lemma_implicit_bound_validates_premise():
     with pytest.raises(ParameterError):
         lemma_implicit_bound_check(0.1, 0.1, 0.0, 0.5, 0.5, 100.0)
+
+
+def test_lemma_implicit_bound_randomized(lemma_battery):
+    result = lemma_battery["implicit power bound"]
+    assert result.passed, result.detail
 
 
 def test_retr_smooth_quadratic_on_sphere():
