@@ -3,8 +3,10 @@
 Library layout:
 
 - ``manifolds``: sphere / Stiefel / oblique primitives (ndarray kernels
-  for projection, retraction and transport, their validating typed
-  shells, retraction constants),
+  for projection, retraction, transport and the point/tangent checks,
+  all accepting ``(..., n, p)`` stacks; their validating typed shells;
+  the blocked sampling the constant estimators share; retraction
+  constants),
 - ``smoothing``: proximal operators, Moreau envelopes, the smoothed
   objective and its Riemannian gradient,
 - ``problems``: stochastic problem container plus two seeded synthetic

@@ -14,6 +14,7 @@ live here once.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,6 +325,19 @@ def check_solver() -> list[CheckResult]:
         norms.append(cstate.delta.norm())
     results.append(_result("truncation radius respected", max(norms) <= radius + 1e-12,
                            f"max ||delta|| {max(norms):.6e} vs radius {radius:.6e}"))
+
+    # the run above never reaches its radius; at 0.1 the truncation binds,
+    # so it must both fire (a truncated delta has norm radius, to rounding)
+    # and hold after every step
+    tight = dataclasses.replace(config, trunc_radius=0.1)
+    tstate = solver_indicator.init(cproblem, mf.random_point(cproblem.manifold, np.random.default_rng(9)), tight, 9)
+    norms = [tstate.delta.norm()]
+    for _ in range(600):
+        solver_indicator.step(tstate, cproblem, tight)
+        norms.append(tstate.delta.norm())
+    fired = sum(abs(nrm - 0.1) <= 1e-12 for nrm in norms)
+    results.append(_result("truncation fires and holds at a binding radius", fired >= 1 and max(norms) <= 0.1 + 1e-12,
+                           f"bound at {fired} of {len(norms)} checks, max ||delta|| {max(norms):.6e} vs radius 0.1"))
 
     om = config.omega
     sched_ok = all(

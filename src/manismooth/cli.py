@@ -11,7 +11,9 @@ Subcommands:
 - ``manismooth report --trace t.csv --field norm_grad_Fmu --from 100 --to 20000``:
   print a power-law fit of the traced field as JSON on stdout.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure;
+with ``--seeds``, each failing seed is named and the rest still run, and
+the exit code is the worst one (3 over 2).
 stdout carries machine-readable output only; diagnostics go to stderr.
 The environment variable MANISMOOTH_OUT overrides the output directory.
 """
@@ -37,6 +39,7 @@ from .errors import (
     NumericalFailureError,
     ParameterError,
     ProbeInconclusiveError,
+    ShapeMismatchError,
     TraceFormatError,
 )
 from .harness import fit_rate, read_trace_csv, summary_dict, write_summary_json, write_trace_csv
@@ -86,7 +89,7 @@ def _vector(spec: dict, field: str, types, m: int):
     value = np.asarray(value, dtype=float)
     if value.shape not in ((), (m,)):
         raise ConfigError(f"problem.set.{field}", f"expected {m} entries (problem.m), got shape {value.shape}")
-    return value
+    return np.broadcast_to(value, (m,)).copy()
 
 
 def _build_set_term(spec: dict, m: int):
@@ -185,18 +188,23 @@ def _execute(cfg: dict, seed: int, out_dir: Path) -> None:
         cert = solver_lipschitz.certificate(state, problem)
     else:
         scfg = cfg.get("solver", {})
-        config = solver_indicator.default_config(
-            problem,
-            theta=scfg["theta"],
-            safety=scfg.get("safety", 2.0),
-            zeta=scfg.get("zeta"),
-            seed=derive_seed(seed, "probe"),
-        )
         overrides = {
             k: scfg[k] for k in ("c_tau", "c_a", "trunc_radius", "zeta") if scfg.get(k) is not None
         }
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+        try:
+            config = solver_indicator.default_config(
+                problem,
+                theta=scfg["theta"],
+                safety=scfg.get("safety", 2.0),
+                zeta=scfg.get("zeta"),
+                seed=derive_seed(seed, "probe"),
+            )
+            if overrides:
+                config = dataclasses.replace(config, **overrides)
+        except ParameterError as exc:
+            if exc.field is None:
+                raise
+            raise ConfigError(f"solver.{exc.field}", str(exc)) from None
         state, trace = solver_indicator.run(
             problem, None, config, run_seed, K, trace_every=trace_every, diagnostics=diagnostics, measure_time=False
         )
@@ -246,16 +254,19 @@ def cmd_run(args) -> int:
         if not seeds:
             print("--seeds: expected comma-separated integers", file=sys.stderr)
             return 2
-    try:
-        for s in seeds:
+    code = 0
+    for s in seeds:
+        # a failing seed is named and the remaining seeds still run
+        where = f"seed {s}: " if args.seeds else ""
+        try:
             _execute(cfg, s, out_root / f"seed_{s}" if args.seeds else out_root)
-    except NumericalFailureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (ConfigError, ParameterError, ProbeInconclusiveError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        except (ConfigError, ParameterError, ProbeInconclusiveError, ShapeMismatchError) as exc:
+            print(f"{where}config error: {exc}", file=sys.stderr)
+            code = max(code, 2)
+        except (NumericalFailureError, ArithmeticError) as exc:
+            print(f"{where}numerical failure: {exc}", file=sys.stderr)
+            code = 3
+    return code
 
 
 def cmd_check(args) -> int:

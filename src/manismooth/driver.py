@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientDataError, NumericalFailureError, ParameterError
+from .errors import DegenerateRetractionError, InsufficientDataError, NumericalFailureError, ParameterError
 from .harness import Certificate, StepReport, TraceRecord
 from .manifolds import ManifoldPoint, TangentVector, normalize, proj, random_point, retr, tangent_project
 from .problems import StochasticProblem
@@ -102,6 +102,11 @@ def run(
     back into the algorithm, except through the optional early stop on
     norm_grad_Fmu <= stop_tol.  Iterates from index ``snap_lo`` on are
     snapshotted at a stride that keeps about SNAPSHOT_TARGET of them.
+
+    Raises:
+        NumericalFailureError: a step produced a non-finite direction, a
+            degenerate retraction target or a value that fails its
+            point/tangent check; it names the iteration.
     """
     if K < 1:
         raise ParameterError("K must be >= 1")
@@ -125,7 +130,11 @@ def run(
             norm_eps = float(np.linalg.norm(state.delta.data - full))
         if k >= snap_lo and (k - snap_lo) % stride == 0:
             state.snapshots.append((k, x))
-        report = step(state)
+        try:
+            report = step(state)
+        except (ParameterError, DegenerateRetractionError) as exc:
+            # the inputs were validated before the loop, so the step's own arithmetic broke a check
+            raise NumericalFailureError(str(exc), k) from exc
         if traced:
             wall = time.monotonic_ns() - t0 if measure_time else 0
             trace.append(

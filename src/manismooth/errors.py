@@ -6,7 +6,15 @@ class ShapeMismatchError(ValueError):
 
 
 class ParameterError(ValueError):
-    """A scalar or structural parameter is out of its admissible range."""
+    """A scalar or structural parameter is out of its admissible range.
+
+    Attributes:
+        field: name of the offending parameter, when one is to blame.
+    """
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class DegenerateRetractionError(ArithmeticError):

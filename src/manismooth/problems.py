@@ -30,13 +30,17 @@ from .manifolds import (
     ManifoldPoint,
     RetractionConstants,
     TangentVector,
-    random_point,
-    random_tangent,
-    retract,
-    stiefel,
+    check_point,
+    check_tangent,
+    fro,
+    proj,
+    retr,
     sphere,
+    squares,
+    stiefel,
+    sup,
+    tangent_blocks,
     tangent_project,
-    vector_transport,
 )
 from .smoothing import IndicatorTerm, NonsmoothTerm, ScaledL1
 
@@ -72,6 +76,15 @@ class StochasticProblem:
 
     Evaluators take and return raw ndarrays shaped like point data;
     sample indices are 0-based ints in range(num_samples).
+
+    Every evaluator also accepts a stack of points ``(..., n, p)``: the
+    sample evaluators then take an index array of the stack's leading
+    shape, ``c_jac_t`` a ``(..., m)`` array of vectors, and each result
+    carries the leading axes (a result that does not depend on an
+    argument may broadcast against them instead): values ``(...)``,
+    gradients ``(..., n, p)``, ``c_eval`` ``(..., m)``.  Each slice of a
+    stacked result must equal the call on that slice alone, bit for bit;
+    the sampling estimators rely on it.
     """
 
     manifold: ManifoldDescriptor
@@ -140,23 +153,24 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
     cov = A.T @ A / N
 
     def sample_value(xd, i):
-        r = A[i] @ xd
-        return -0.5 * float(r @ r)
+        r = (A[i][..., None, :] @ xd)[..., 0, :]
+        return -0.5 * np.vecdot(r, r)
 
     def sample_egrad(xd, i):
-        return -np.outer(A[i], A[i] @ xd)
+        a = A[i][..., None, :]
+        return -(a.mT * (a @ xd))
 
     def full_value(xd):
-        return -0.5 * float(np.sum(xd * (cov @ xd)))
+        return -0.5 * np.sum(xd * (cov @ xd), axis=(-2, -1))
 
     def full_egrad(xd):
         return -cov @ xd
 
     def c_eval(xd):
-        return xd.ravel().copy()
+        return xd.reshape(*xd.shape[:-2], n * p).copy()
 
     def c_jac_t(xd, v):
-        return v.reshape(n, p)
+        return v.reshape(*v.shape[:-1], n, p)
 
     return StochasticProblem(
         manifold=stiefel(n, p),
@@ -203,29 +217,31 @@ def make_constrained_sphere(
         raise ShapeMismatchError(f"linear_map must have shape ({m}, {n})")
     W = quad_weight * rng.standard_normal((m, n)) / np.sqrt(n)
 
+    b_col = b[:, None]
+
+    def sample_resid(xd, i):
+        return np.vecdot(A[i], xd[..., 0]) - b[i]
+
     def sample_value(xd, i):
-        r = float(A[i] @ xd.ravel()) - b[i]
+        r = sample_resid(xd, i)
         return 0.5 * r * r
 
     def sample_egrad(xd, i):
-        r = float(A[i] @ xd.ravel()) - b[i]
-        return (r * A[i]).reshape(n, 1)
+        return (sample_resid(xd, i)[..., None] * A[i])[..., None]
 
     def full_value(xd):
-        r = A @ xd.ravel() - b
-        return 0.5 * float(r @ r) / N
+        r = (A @ xd)[..., 0] - b
+        return 0.5 * np.vecdot(r, r) / N
 
     def full_egrad(xd):
-        r = A @ xd.ravel() - b
-        return (A.T @ r / N).reshape(n, 1)
+        return A.T @ (A @ xd - b_col) / N
 
     def c_eval(xd):
-        x1 = xd.ravel()
-        return B @ x1 + W @ (x1 * x1)
+        return (B @ xd + W @ (xd * xd))[..., 0]
 
     def c_jac_t(xd, v):
-        x1 = xd.ravel()
-        return (B.T @ v + 2.0 * x1 * (W.T @ v)).reshape(n, 1)
+        v = v[..., None]
+        return B.T @ v + 2.0 * xd * (W.T @ v)
 
     return StochasticProblem(
         manifold=sphere(n),
@@ -243,10 +259,14 @@ def make_constrained_sphere(
     )
 
 
-def _jacobian(problem: StochasticProblem, xd: np.ndarray) -> np.ndarray:
-    """Dense Jacobian of c at a point, built from adjoint products."""
-    rows = [problem.c_jac_t(xd, e).ravel() for e in np.eye(problem.m)]
-    return np.array(rows)
+def _jacobian(problem: StochasticProblem, X: np.ndarray) -> np.ndarray:
+    """Dense Jacobian of c at each point of X, ``(..., m, n p)``: one adjoint product with the rows of eye(m)."""
+    J = problem.c_jac_t(X[..., None, :, :], np.eye(problem.m))
+    return J.reshape(*J.shape[:-2], -1)
+
+
+def _spectral_norm(J: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(J, compute_uv=False).max(axis=-1)
 
 
 def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> ProblemConstants:
@@ -254,40 +274,46 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
 
     Maximizes the relevant quotient over ``samples`` random points (and
     retracted pairs / sample indices where applicable).  Estimates are
-    lower bounds on the true suprema; multiply by a safety factor.
+    lower bounds on the true suprema; multiply by a safety factor.  The
+    samples are evaluated in stacked blocks (see
+    :func:`.manifolds.tangent_blocks`); every value equals that of the
+    one-sample-at-a-time loop.
     """
     if samples < 100:
         raise ParameterError("samples must be >= 100")
     rng = np.random.default_rng(seed)
-    desc = problem.manifold
+    kind = problem.manifold.kind
     L_f = sigma = L_tilde = L_c = L_grad_c = L_retr = 0.0
-    for _ in range(samples):
-        x = random_point(desc, rng)
-        g_full = problem.full_egrad(x.data)
-        L_f = max(L_f, float(np.linalg.norm(g_full)))
-        gr_full = tangent_project(x, g_full)
-        i = int(rng.integers(problem.num_samples))
-        gr_i = tangent_project(x, problem.sample_egrad(x.data, i))
-        sigma = max(sigma, (gr_i - gr_full).norm())
 
-        zeta = random_tangent(x, rng, norm=float(rng.uniform(0.05, 0.5)))
-        y = retract(x, zeta)
+    def draw(rng):
+        return rng.integers(problem.num_samples), rng.uniform(0.05, 0.5)
+
+    for X, Z, (idx, _) in tangent_blocks(problem.manifold, rng, samples, draw):
+        g_full = problem.full_egrad(X)
+        L_f = sup(L_f, fro(g_full))
+        gr_full = proj(kind, X, g_full)
+        gr_i = proj(kind, X, problem.sample_egrad(X, idx))
+        sigma = sup(sigma, fro(gr_i - gr_full))
+
+        Y = retr(kind, X, Z)
+        check_point(kind, Y)
         # average-smoothness quotient, transporting the far gradient back to x
-        gy_i = tangent_project(y, problem.sample_egrad(y.data, i))
-        moved = vector_transport(y, x, gy_i)
-        L_tilde = max(L_tilde, (gr_i - moved).norm() / zeta.norm())
+        gy_i = proj(kind, Y, problem.sample_egrad(Y, idx))
+        moved = proj(kind, X, gy_i)
+        for at, v in ((X, gr_full), (X, gr_i), (Y, gy_i), (X, moved)):
+            check_tangent(kind, at, v)
+        nz = fro(Z)
+        L_tilde = sup(L_tilde, fro(gr_i - moved) / nz)
         # retraction-smoothness quotient of f along the same pair
-        fy = problem.full_value(y.data)
-        fx = problem.full_value(x.data)
-        lin = float(np.sum(gr_full.data * zeta.data))
-        L_retr = max(L_retr, 2.0 * (fy - fx - lin) / zeta.norm() ** 2)
+        lin = np.sum(gr_full * Z, axis=(-2, -1))
+        L_retr = sup(L_retr, 2.0 * (problem.full_value(Y) - problem.full_value(X) - lin) / squares(nz))
 
-        Jx = _jacobian(problem, x.data)
-        Jy = _jacobian(problem, y.data)
-        L_c = max(L_c, float(np.linalg.norm(Jx, 2)))
-        step = float(np.linalg.norm(y.data - x.data))
-        if step > 1e-12:
-            L_grad_c = max(L_grad_c, float(np.linalg.norm(Jx - Jy, 2)) / step)
+        Jx = _jacobian(problem, X)
+        Jy = _jacobian(problem, Y)
+        L_c = sup(L_c, _spectral_norm(Jx))
+        step = fro(Y - X)
+        far = step > 1e-12
+        L_grad_c = sup(L_grad_c, np.broadcast_to(_spectral_norm(Jx - Jy), step.shape)[far] / step[far])
     return ProblemConstants(
         L_f=L_f, L_c=L_c, L_grad_c=L_grad_c, L_tilde=L_tilde, sigma=sigma, L_retr=max(L_retr, 0.0)
     )

@@ -24,6 +24,11 @@ from .errors import ParameterError, ShapeMismatchError
 from .manifolds import ManifoldPoint, tangent_project
 
 
+def _norm(y: np.ndarray):
+    """Euclidean norm over the last axis, one BLAS dot per row: a scalar for one vector."""
+    return np.sqrt(y.dot(y) if y.ndim == 1 else np.vecdot(y, y))
+
+
 class NonsmoothTerm:
     """Base class: a convex h with exact prox.
 
@@ -116,7 +121,12 @@ class ScaledL2(NonsmoothTerm):
 
 
 class IndicatorTerm(NonsmoothTerm):
-    """Indicator of a convex set C; prox is the projection onto C."""
+    """Indicator of a convex set C; prox is the projection onto C.
+
+    ``project``, ``residual`` and ``distance`` also accept a stack
+    ``(..., m)`` of vectors and act on each row; every row equals the
+    call on that row alone, bit for bit.
+    """
 
     is_indicator = True
 
@@ -136,9 +146,15 @@ class IndicatorTerm(NonsmoothTerm):
     def prox(self, mu, y):
         return self.project(np.asarray(y, dtype=float))
 
-    def distance(self, y) -> float:
+    def residual(self, y):
+        """y - P_C(y) and its norm dist(y, C): a float for one vector, an array for a stack."""
         y = np.asarray(y, dtype=float)
-        return float(np.linalg.norm(y - self.project(y)))
+        r = y - self.project(y)
+        return r, _norm(r)
+
+    def distance(self, y):
+        """dist(y, C): a float for one vector, an array for a stack."""
+        return self.residual(y)[1]
 
     def in_subdifferential(self, y, z, tol=1e-8, rng=None, samples=100):
         # dh(y) is the normal cone N_C(y): require <z, w - y> <= tol for
@@ -168,11 +184,17 @@ class IndicatorBall(IndicatorTerm):
             raise ParameterError("radius must be positive")
 
     def project(self, y):
-        d = np.asarray(y, dtype=float) - self.center
-        nrm = float(np.linalg.norm(d))
-        if nrm <= self.radius:
-            return np.array(y, dtype=float)
-        return self.center + (self.radius / nrm) * d
+        y = np.asarray(y, dtype=float)
+        d = y - self.center
+        nrm = _norm(d)
+        inside = nrm <= self.radius
+        n_inside = np.count_nonzero(inside)
+        if n_inside == inside.size:
+            return y.copy()
+        if n_inside:  # only an inside row can have a zero norm: keep it out of the division
+            nrm = np.where(inside, self.radius, nrm)
+        moved = self.center + (self.radius / nrm)[..., None] * d
+        return np.where(inside[..., None], y, moved) if n_inside else moved
 
     def sample_member(self, rng):
         m = self.center.size
@@ -216,7 +238,7 @@ class IndicatorSingleton(IndicatorTerm):
         object.__setattr__(self, "target", np.asarray(self.target, dtype=float).ravel())
 
     def project(self, y):
-        return self.target.copy()
+        return np.broadcast_to(self.target, np.shape(y)).copy()
 
     def sample_member(self, rng):
         return self.target.copy()

@@ -30,9 +30,12 @@ from .harness import Certificate, StepReport, TraceRecord
 from .manifolds import (
     ManifoldPoint,
     TangentVector,
+    check_tangent,
     estimate_retraction_constants,
-    random_point,
-    tangent_project,
+    fro,
+    point_blocks,
+    proj,
+    sup,
 )
 from .problems import StochasticProblem, estimate_constants, retr_smooth_bound, sample_riemannian_grad
 from .smoothing import IndicatorTerm
@@ -58,10 +61,18 @@ class IndicatorConfig:
 
     def __post_init__(self):
         if self.theta < 1:
-            raise ParameterError("theta must be >= 1")
+            raise ParameterError("theta must be >= 1", field="theta")
         for name in ("zeta", "c_tau", "c_a", "trunc_radius"):
             if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive")
+                raise ParameterError(f"{name} must be positive", field=name)
+        try:
+            self.k_tilde
+        except ArithmeticError:  # c_tau zeta^2 underflows to 0, or zeta^2 overflows
+            raise ParameterError(
+                f"c_tau = {self.c_tau:.3e} and zeta = {self.zeta:.3e} leave no finite burn-in index "
+                "k_tilde = ceil(8 omega / (c_tau zeta^2))",
+                field="zeta",
+            ) from None
 
     @property
     def omega(self) -> float:
@@ -91,11 +102,9 @@ def _truncate(v: np.ndarray, radius: float) -> np.ndarray:
     return (radius / nrm) * v
 
 
-def _penalty_residual(problem: StochasticProblem, xd: np.ndarray) -> tuple[np.ndarray, float]:
-    """c(x) - P_C(c(x)) and its norm (the constraint violation)."""
-    y = problem.c_eval(xd)
-    resid = y - problem.h.project(y)
-    return resid, float(np.linalg.norm(resid))
+def _penalty_residual(problem: StochasticProblem, xd: np.ndarray):
+    """c(x) - P_C(c(x)) and its norm (the constraint violation), per point of a stack."""
+    return problem.h.residual(problem.c_eval(xd))
 
 
 def default_config(
@@ -116,18 +125,17 @@ def default_config(
     bound probe unless supplied.
     """
     if theta < 1:
-        raise ParameterError("theta must be >= 1")
+        raise ParameterError("theta must be >= 1", field="theta")
     if safety < 1:
-        raise ParameterError("safety must be >= 1")
+        raise ParameterError("safety must be >= 1", field="safety")
     if not isinstance(problem.h, IndicatorTerm):
         raise ParameterError("problem.h must be an indicator variant")
     consts = problem.constants or estimate_constants(problem, max(100, samples), seed)
     rc = estimate_retraction_constants(problem.manifold, max(100, samples), seed + 1)
     rng = np.random.default_rng(seed + 2)
     max_dist = 0.0
-    for _ in range(max(100, samples)):
-        x = random_point(problem.manifold, rng)
-        max_dist = max(max_dist, problem.h.distance(problem.c_eval(x.data)))
+    for X in point_blocks(problem.manifold, rng, max(100, samples)):
+        max_dist = sup(max_dist, problem.h.distance(problem.c_eval(X)))
 
     L_c = safety * consts.L_c
     L_gc = safety * consts.L_grad_c
@@ -136,14 +144,26 @@ def default_config(
     beta = safety * rc.beta
     C_r = safety * max_dist  # bound on ||c(x) - P_C(c(x))|| over the manifold
 
-    L_g = alpha**2 * (L_c + C_r * L_gc) + 2.0 * L_c * C_r * beta
-    G_2 = retr_smooth_bound(consts, rc, C_r, safety)
-    c_tau = 1.0 / (safety * max(L_g, G_2))
-    c_a = 0.75 * c_tau**2 + 1.0 / (32.0 * L_t**2)
+    try:
+        L_g = alpha**2 * (L_c + C_r * L_gc) + 2.0 * L_c * C_r * beta
+        G_2 = retr_smooth_bound(consts, rc, C_r, safety)
+        c_tau = 1.0 / (safety * max(L_g, G_2))
+        c_a = 0.75 * c_tau**2 + 1.0 / (32.0 * L_t**2)
+    except ArithmeticError:  # a square overflows, or every constant is 0
+        c_tau = c_a = 0.0
+    if not (0.0 < c_tau < math.inf and 0.0 < c_a < math.inf):
+        raise ParameterError(
+            f"c_tau = 1 / (safety max(L_g, G)) = {c_tau:.3e} and c_a = {c_a:.3e} must be positive "
+            f"and finite; safety = {safety:.3g} inflates L_c = {consts.L_c:.3e}, L_grad_c = {consts.L_grad_c:.3e}, "
+            f"L_tilde = {consts.L_tilde:.3e}, L_retr = {consts.L_retr:.3e}, alpha = {rc.alpha:.3e}, "
+            f"beta = {rc.beta:.3e} and max dist(c(x), C) = {max_dist:.3e}; lower safety, rescale the instance "
+            "or supply c_tau and c_a",
+            field="c_tau",
+        )
     if zeta is None:
         zeta, _ = error_bound_probe(problem, max(100, samples), seed + 3)
         if zeta <= 0:
-            raise ParameterError("error bound probe returned zeta = 0; supply zeta explicitly")
+            raise ParameterError("error bound probe returned zeta = 0; supply zeta explicitly", field="zeta")
     return IndicatorConfig(
         theta=theta,
         zeta=zeta,
@@ -245,17 +265,20 @@ def error_bound_probe(problem: StochasticProblem, samples: int, seed: int) -> tu
     if not isinstance(problem.h, IndicatorTerm):
         raise ParameterError("error bound probe requires an indicator problem")
     rng = np.random.default_rng(seed)
+    kind = problem.manifold.kind
     dists, gnorms = [], []
-    for _ in range(samples):
-        x = random_point(problem.manifold, rng)
-        resid, dist = _penalty_residual(problem, x.data)
-        if dist > 1e-9:  # the gradient of dist^2(c(x), C) / 2 is Dc(x)^T resid
-            dists.append(dist)
-            gnorms.append(tangent_project(x, problem.c_jac_t(x.data, resid)).norm())
-    if not dists:
+    for X in point_blocks(problem.manifold, rng, samples):
+        resid, dist = _penalty_residual(problem, X)
+        infeasible = dist > 1e-9  # the gradient of dist^2(c(x), C) / 2 is Dc(x)^T resid
+        X = X[infeasible]
+        grad = proj(kind, X, problem.c_jac_t(X, resid[infeasible]))
+        check_tangent(kind, X, grad)
+        dists.append(dist[infeasible])
+        gnorms.append(fro(grad))
+    dists = np.concatenate(dists)
+    gnorms = np.concatenate(gnorms)
+    if not dists.size:
         raise ProbeInconclusiveError("all sampled points are feasible")
-    dists = np.asarray(dists)
-    gnorms = np.asarray(gnorms)
     mask = gnorms > 1e-15
     if mask.sum() < 2:
         raise ProbeInconclusiveError("penalty gradient vanishes at nearly all infeasible samples")

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from manismooth import cli
 from manismooth.cli import main
+from manismooth.errors import NumericalFailureError
 from manismooth.harness import TraceRecord, read_summary_json, read_trace_csv, write_trace_csv
 
 
@@ -147,6 +149,7 @@ def _set_field(cfg, path, value):
         ("problem.N", 0),
         ("problem.lambda", float("nan")),
         ("problem.p", 0),
+        ("solver.zeta", 1e-300),
     ],
 )
 def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
@@ -158,6 +161,46 @@ def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "field, value, code, names",
+    [
+        ("problem.set", {"kind": "singleton", "target": 0.0}, 0, None),
+        ("problem.quad_weight", 1e200, 2, "solver.c_tau"),
+        ("solver.safety", 1e300, 2, "solver.c_tau"),
+        ("solver.c_tau", 1e300, 3, "(iteration 0)"),
+    ],
+)
+def test_run_extreme_values_exit_cleanly(tmp_path, capsys, field, value, code, names):
+    # valid but extreme values: a scalar set vector runs; constants that cannot be
+    # derived name the derived field; a step that overflows names the iteration
+    cfg = sphere_config(tmp_path / "out")
+    _set_field(cfg, field, value)
+    path = write_config(tmp_path, cfg)
+    assert main(["run", "--config", str(path)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert read_summary_json(tmp_path / "out" / "summary.json")["certificate"]["membership_ok"] is True
+    else:
+        assert names in err
+
+
+def test_run_seed_list_isolates_a_failing_seed(tmp_path, monkeypatch, capsys):
+    def execute(cfg, seed, out_dir):
+        if seed == 2:
+            raise NumericalFailureError("non-finite search direction", 17)
+        real_execute(cfg, seed, out_dir)
+
+    real_execute = cli._execute
+    monkeypatch.setattr(cli, "_execute", execute)
+    cfg_path = write_config(tmp_path, pca_config("ignored"))
+    monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "multi"))
+    assert main(["run", "--config", str(cfg_path), "--seeds", "1,2,3"]) == 3
+    assert "seed 2: numerical failure: non-finite search direction (iteration 17)" in capsys.readouterr().err
+    for s in (1, 3):
+        assert (tmp_path / "multi" / f"seed_{s}" / "trace.csv").exists()
 
 
 def test_check_unknown_suite():

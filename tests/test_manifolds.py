@@ -4,6 +4,7 @@ import pytest
 import manismooth as ms
 from manismooth.checks import DESCRIPTORS
 from manismooth.errors import ParameterError, ShapeMismatchError
+from manismooth import manifolds as mf
 from manismooth.manifolds import project_point
 
 
@@ -143,3 +144,95 @@ def test_estimate_constants_deterministic():
     a = ms.estimate_retraction_constants(ms.stiefel(4, 2), 200, 77)
     b = ms.estimate_retraction_constants(ms.stiefel(4, 2), 200, 77)
     assert a == b
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS, ids=lambda d: d.kind)
+def test_stacked_kernels_equal_per_slice(desc):
+    # each slice of a stacked kernel call is bit-identical to the call on that slice alone
+    rng = np.random.default_rng(3)
+    X = mf.normalize(desc.kind, rng.standard_normal((9, *desc.shape)))
+    V = mf.proj(desc.kind, X, rng.standard_normal(X.shape))
+    V[4] = 0.0  # retr keeps X itself there
+    Y = mf.retr(desc.kind, X, V)
+    assert Y[4] is not X[4] and np.array_equal(Y[4], X[4])
+    W = rng.standard_normal(X.shape)
+    stacked = (mf.proj(desc.kind, X, W), mf.normalize(desc.kind, X + W), Y, mf.fro(V))
+    for s in range(len(X)):
+        single = (mf.proj(desc.kind, X[s], W[s]), mf.normalize(desc.kind, X[s] + W[s]),
+                  mf.retr(desc.kind, X[s], V[s]), mf.fro(V[s]))
+        for got, want in zip(stacked, single):
+            assert np.array_equal(got[s], want)
+    mf.check_point(desc.kind, X)
+    mf.check_tangent(desc.kind, X, V)
+    X[7] *= 1.1
+    with pytest.raises(ParameterError, match="violates manifold equation"):
+        mf.check_point(desc.kind, X)
+    V[2] += X[2]
+    with pytest.raises(ParameterError, match="not tangent"):
+        mf.check_tangent(desc.kind, X, V)
+
+
+def _one_at_a_time(desc, rng, samples, draw):
+    out = []
+    for _ in range(samples):
+        x = ms.random_point(desc, rng)
+        *extra, t = draw(rng)
+        out.append((x.data, ms.random_tangent(x, rng, norm=t).data, (*extra, t)))
+    return out
+
+
+def _blocked(desc, rng, samples, draw):
+    out = []
+    for X, U, drawn in mf.tangent_blocks(desc, rng, samples, draw):
+        out.extend((X[s], U[s], tuple(col[s] for col in drawn)) for s in range(len(X)))
+    return out
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS, ids=lambda d: d.kind)
+def test_tangent_blocks_follow_the_one_at_a_time_stream(desc):
+    def draw(rng):
+        return rng.integers(7), rng.uniform(0.05, 0.5)
+
+    samples = 2 * mf.SAMPLE_BLOCK + 5
+    want = _one_at_a_time(desc, np.random.default_rng(4), samples, draw)
+    got = _blocked(desc, np.random.default_rng(4), samples, draw)
+    assert len(got) == samples
+    for (gx, gu, gd), (wx, wu, wd) in zip(got, want):
+        assert np.array_equal(gx, wx) and np.array_equal(gu, wu) and gd == wd
+    points = np.concatenate(list(mf.point_blocks(desc, np.random.default_rng(4), samples)))
+    rng = np.random.default_rng(4)
+    assert np.array_equal(points, [ms.random_point(desc, rng).data for _ in range(samples)])
+
+
+class _ScriptedGenerator:
+    """A Generator stand-in: each standard_normal call returns the next scripted draw."""
+
+    def __init__(self, normals):
+        self.normals = normals
+        self.state = 0
+        self.bit_generator = self  # ``bit_generator.state`` is the stream position
+
+    def standard_normal(self, shape):
+        self.state += 1
+        return self.normals[self.state - 1].reshape(shape)
+
+    def uniform(self, low, high):
+        return 0.25
+
+
+def test_tangent_blocks_redraw_a_vanishing_tangent_like_random_tangent():
+    # the tangent draw of pair 3 is normal to the sphere, so random_tangent draws
+    # it again; the blocks must end there and consume the same stream
+    desc = ms.sphere(5)
+    normals = list(np.random.default_rng(6).standard_normal((10, 5, 1)))
+    normals.insert(7, 2.5 * normals[6])
+
+    def draw(rng):
+        return (rng.uniform(0.0, 1.0),)
+
+    want = _one_at_a_time(desc, _ScriptedGenerator(normals), 5, draw)
+    rng = _ScriptedGenerator(normals)
+    got = _blocked(desc, rng, 5, draw)
+    assert rng.state == 11
+    for (gx, gu, _), (wx, wu, _) in zip(got, want, strict=True):
+        assert np.array_equal(gx, wx) and np.array_equal(gu, wu)

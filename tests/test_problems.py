@@ -130,22 +130,27 @@ def test_estimate_constants_deterministic(csphere):
 
 
 def linear_objective_sphere(n, N, seed):
-    """Per-sample linear objective f_i(x) = a_i^T x on the sphere."""
+    """Per-sample linear objective f_i(x) = a_i^T x on the sphere.
+
+    The evaluators follow the stacked contract: point data ``(..., n, 1)``,
+    index arrays for the sample evaluators, one result per point.
+    """
     A = np.random.default_rng(seed).standard_normal((N, n))
+    a_mean = A.mean(axis=0)
 
     def c_eval(xd):
-        return xd.ravel().copy()
+        return xd[..., 0].copy()
 
     def c_jac_t(xd, v):
-        return v.reshape(n, 1)
+        return v[..., None]
 
     return A, ms.StochasticProblem(
         manifold=ms.sphere(n),
         num_samples=N,
-        sample_value=lambda xd, i: float(A[i] @ xd.ravel()),
-        sample_egrad=lambda xd, i: A[i].reshape(n, 1).copy(),
-        full_value=lambda xd: float(A.mean(axis=0) @ xd.ravel()),
-        full_egrad=lambda xd: A.mean(axis=0).reshape(n, 1),
+        sample_value=lambda xd, i: np.vecdot(A[i], xd[..., 0]),
+        sample_egrad=lambda xd, i: A[i][..., None].copy(),
+        full_value=lambda xd: np.vecdot(a_mean, xd[..., 0]),
+        full_egrad=lambda xd: np.broadcast_to(a_mean[:, None], xd.shape).copy(),
         c_eval=c_eval,
         c_jac_t=c_jac_t,
         m=n,
@@ -170,3 +175,20 @@ def test_average_smoothness_stable_across_seeds(which, request):
     b = ms.estimate_constants(p, 10_000, seed=22).L_tilde
     assert np.isfinite(a) and np.isfinite(b)
     assert abs(a - b) / max(a, b) < 0.2
+
+
+@pytest.mark.parametrize("which", ["pca", "csphere", "linear"])
+def test_stacked_evaluators_equal_per_point(which, request):
+    # the stacked-evaluator contract: each slice equals the one-point call, bit for bit
+    p = linear_objective_sphere(6, 20, seed=13)[1] if which == "linear" else request.getfixturevalue(which)
+    rng = np.random.default_rng(10)
+    X = np.array([ms.random_point(p.manifold, rng).data for _ in range(6)])
+    idx = rng.integers(p.num_samples, size=6)
+    V = rng.standard_normal((6, p.m))
+    stacked = [p.sample_value(X, idx), p.sample_egrad(X, idx), p.full_value(X), p.full_egrad(X),
+               p.c_eval(X), p.c_jac_t(X, V)]
+    for s in range(6):
+        single = [p.sample_value(X[s], int(idx[s])), p.sample_egrad(X[s], int(idx[s])), p.full_value(X[s]),
+                  p.full_egrad(X[s]), p.c_eval(X[s]), p.c_jac_t(X[s], V[s])]
+        for got, want in zip(stacked, single):
+            assert np.array_equal(got[s], want)

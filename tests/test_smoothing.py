@@ -129,3 +129,17 @@ def test_smoothed_objective_feasible_indicator():
     assert infeas == 0.0
     expected = ms.tangent_project(x, p.full_egrad(x.data))
     np.testing.assert_allclose(g.data, expected.data, atol=1e-13)
+
+
+def test_indicator_projection_of_a_stack_equals_per_row():
+    center = np.array([0.5, -0.2, 0.1])
+    sets = [ms.IndicatorBall(center, 0.7), ms.IndicatorBox(center - 0.3, center + 0.4),
+            ms.IndicatorSingleton(center)]
+    rows = np.random.default_rng(11).standard_normal((8, 3))
+    rows[2] = center  # at the ball's center: zero distance, inside
+    rows[5] = center + 0.01
+    for h in sets:
+        proj, dist = h.project(rows), h.distance(rows)
+        for s, y in enumerate(rows):
+            assert np.array_equal(proj[s], h.project(y))
+            assert dist[s] == h.distance(y)
