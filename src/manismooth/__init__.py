@@ -4,7 +4,8 @@ Library layout:
 
 - ``manifolds``: sphere / Stiefel / oblique primitives (ndarray kernels
   for projection, retraction, transport and the point/tangent checks,
-  all accepting ``(..., n, p)`` stacks; their validating typed shells;
+  which reject non-finite data, all accepting ``(..., n, p)`` stacks;
+  their validating typed shells;
   the blocked sampling the constant estimators share; retraction
   constants),
 - ``smoothing``: proximal operators, Moreau envelopes, the smoothed
@@ -16,7 +17,8 @@ Library layout:
 - ``solver_indicator``: truncated-momentum quadratic-penalty solver for
   indicator constraints under an error bound condition,
 - ``driver``: the run loop both solvers share (tracing, diagnostics,
-  snapshots, renormalisation) and the certificate witness,
+  snapshots, the per-step point/tangent checks) and the certificate
+  witness,
 - ``harness``: traces, certificates, rate fits, inequality checks, and
   CSV/JSON serialization,
 - ``cli``: the ``manismooth`` command (run / check / report).

@@ -350,7 +350,7 @@ def check_solver() -> list[CheckResult]:
 
     xs = cstate.x
     mu = 0.37
-    resid, _ = solver_indicator._penalty_residual(cproblem, xs.data)
+    resid, _ = cproblem.h.residual(cproblem.c_eval(xs.data))
     direct = mf.tangent_project(xs, cproblem.c_jac_t(xs.data, resid / mu))
     via_env = mf.tangent_project(xs, cproblem.c_jac_t(xs.data, moreau_eval(cproblem.h, mu, cproblem.c_eval(xs.data)).grad))
     gap = float(np.linalg.norm(direct.data - via_env.data))

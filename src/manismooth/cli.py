@@ -188,9 +188,6 @@ def _execute(cfg: dict, seed: int, out_dir: Path) -> None:
         cert = solver_lipschitz.certificate(state, problem)
     else:
         scfg = cfg.get("solver", {})
-        overrides = {
-            k: scfg[k] for k in ("c_tau", "c_a", "trunc_radius", "zeta") if scfg.get(k) is not None
-        }
         try:
             config = solver_indicator.default_config(
                 problem,
@@ -198,9 +195,10 @@ def _execute(cfg: dict, seed: int, out_dir: Path) -> None:
                 safety=scfg.get("safety", 2.0),
                 zeta=scfg.get("zeta"),
                 seed=derive_seed(seed, "probe"),
+                c_tau=scfg.get("c_tau"),
+                c_a=scfg.get("c_a"),
+                trunc_radius=scfg.get("trunc_radius"),
             )
-            if overrides:
-                config = dataclasses.replace(config, **overrides)
         except ParameterError as exc:
             if exc.field is None:
                 raise

@@ -6,6 +6,9 @@ back-half snapshots and a stationarity witness at one drawn snapshot.
 Steps work on raw ndarrays and share :func:`direction`, :func:`move`
 (the recursive-momentum estimator, one sample per iteration) and
 :func:`advance`, the one place the new iterate is wrapped as typed values.
+Nothing repairs an iterate: every retraction lands on the manifold, and
+:func:`advance` checks each new iterate and momentum, so one that has
+drifted off the manifold or lost tangency fails the run at that iteration.
 """
 
 from __future__ import annotations
@@ -19,11 +22,10 @@ import numpy as np
 
 from .errors import DegenerateRetractionError, InsufficientDataError, NumericalFailureError, ParameterError
 from .harness import Certificate, StepReport, TraceRecord
-from .manifolds import ManifoldPoint, TangentVector, normalize, proj, random_point, retr, tangent_project
+from .manifolds import ManifoldPoint, TangentVector, proj, random_point, retr
 from .problems import StochasticProblem
-from .smoothing import prox, smoothed_objective_grad
+from .smoothing import smoothed_grad
 
-RENORM_EVERY = 1000
 SNAPSHOT_TARGET = 2000
 
 
@@ -67,16 +69,17 @@ def move(
 
 
 def advance(state: SolverState, X_next: np.ndarray, delta_next: np.ndarray) -> None:
-    """Close step k: renormalise every RENORM_EVERY steps, then wrap (and so check) the new iterate."""
-    k = state.k
+    """Close step k: wrap, and so check, the new iterate and momentum.
+
+    Raises:
+        ParameterError: X_next is off the manifold or delta_next is not
+            tangent there, beyond the check tolerances, or either is not
+            finite.
+    """
     desc = state.x.descriptor
-    if k > 0 and k % RENORM_EVERY == 0:
-        # arrest floating-point drift of the manifold equation
-        X_next = normalize(desc.kind, X_next)
-        delta_next = proj(desc.kind, X_next, delta_next)
     state.x = ManifoldPoint(desc, X_next)
     state.delta = TangentVector(desc, state.x, delta_next)
-    state.k = k + 1
+    state.k += 1
 
 
 def run(
@@ -98,15 +101,17 @@ def run(
 
     Diagnostics add the full-gradient columns (obj_smooth,
     norm_grad_Fmu, norm_eps) at traced iterations only, at smoothing
-    level ``mu(k)``; they cost a full pass over the data and never feed
-    back into the algorithm, except through the optional early stop on
-    norm_grad_Fmu <= stop_tol.  Iterates from index ``snap_lo`` on are
-    snapshotted at a stride that keeps about SNAPSHOT_TARGET of them.
+    level ``mu(k)``; they cost one full gradient and one full value of f
+    (a pass over the data each) and never feed back into the algorithm,
+    except through the optional early stop on norm_grad_Fmu <= stop_tol.
+    Iterates from index ``snap_lo`` on are snapshotted at a stride that
+    keeps about SNAPSHOT_TARGET of them.
 
     Raises:
         NumericalFailureError: a step produced a non-finite direction, a
             degenerate retraction target or a value that fails its
-            point/tangent check; it names the iteration.
+            point/tangent check, or a diagnostics row met a non-finite
+            c(x); it names the iteration.
     """
     if K < 1:
         raise ParameterError("K must be >= 1")
@@ -123,17 +128,18 @@ def run(
         k, x = state.k, state.x
         traced = i % trace_every == 0 or i == K - 1
         obj_smooth = norm_grad_Fmu = norm_eps = None
-        if traced and diagnostics:
-            obj_smooth, rgrad, _ = smoothed_objective_grad(problem, x, mu(k))
-            norm_grad_Fmu = rgrad.norm()
-            full = proj(x.descriptor.kind, x.data, problem.full_egrad(x.data))
-            norm_eps = float(np.linalg.norm(state.delta.data - full))
         if k >= snap_lo and (k - snap_lo) % stride == 0:
             state.snapshots.append((k, x))
         try:
+            if traced and diagnostics:
+                egrad = problem.full_egrad(x.data)
+                _, env, rgrad = smoothed_grad(problem, x, mu(k), egrad)
+                obj_smooth = problem.full_value(x.data) + env.value
+                norm_grad_Fmu = rgrad.norm()
+                norm_eps = float(np.linalg.norm(state.delta.data - proj(x.descriptor.kind, x.data, egrad)))
             report = step(state)
         except (ParameterError, DegenerateRetractionError) as exc:
-            # the inputs were validated before the loop, so the step's own arithmetic broke a check
+            # the inputs were validated before the loop, so the row's own arithmetic broke a check
             raise NumericalFailureError(str(exc), k) from exc
         if traced:
             wall = time.monotonic_ns() - t0 if measure_time else 0
@@ -154,16 +160,17 @@ def certificate(
 
     The witness pair is y = prox_{mu h}(c(x)), z = (c(x) - y) / mu with
     mu = ``mu(i_K)``, with a numerical subgradient (for an indicator:
-    normal-cone) membership check.
+    normal-cone) membership check.  The residual is grad F_mu(x), the
+    diagnostics' evaluation.
+
+    Raises:
+        ParameterError: c(x) is not finite.
     """
     if not state.snapshots:
         raise InsufficientDataError("no snapshots stored; call run() first")
     i_K, x = state.snapshots[pick(np.array([k for k, _ in state.snapshots], dtype=float))]
-    mu_K = mu(i_K)
-    c = problem.c_eval(x.data)
-    y = prox(problem.h, mu_K, c)
-    z = (c - y) / mu_K
-    resid = tangent_project(x, problem.full_egrad(x.data) + problem.c_jac_t(x.data, z))
+    c, env, resid = smoothed_grad(problem, x, mu(i_K), problem.full_egrad(x.data))
+    y, z = env.prox_point, env.grad
     ok = problem.h.in_subdifferential(y, z, tol=1e-8, rng=state.rng)
     feas = float(np.linalg.norm(c - y))
     return Certificate(i_K=i_K, x=x, y=y, z=z, grad_residual=resid.norm(), feas_residual=feas, membership_ok=ok)

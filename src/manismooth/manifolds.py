@@ -20,11 +20,14 @@ the solver steps call directly; the typed functions are validating
 shells over the kernels.  Every kernel also accepts stacks: arrays of
 shape ``(..., n, p)`` hold one point or vector per leading index, and
 each result slice is bit-identical to the call on that slice alone, so a
-single point is just the stack with no leading axes.  The sampling
-estimators draw their points and tangents with :func:`point_blocks` and
-:func:`tangent_blocks`, which make the same generator calls in the same
-order as :func:`random_point`/:func:`random_tangent` and hand the draws
-back in stacks of at most ``SAMPLE_BLOCK``.
+single point is just the stack with no leading axes.  The checks reject
+NaN and infinite data, so a ``ManifoldPoint`` or ``TangentVector`` always
+holds finite values; nothing here repairs data that fails them.  The
+sampling estimators draw their points and tangents with
+:func:`point_blocks` and :func:`tangent_blocks`, which make the same
+generator calls in the same order as
+:func:`random_point`/:func:`random_tangent` and hand the draws back in
+stacks of at most ``SAMPLE_BLOCK``.
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function of its inputs.
@@ -47,8 +50,6 @@ _POINT_TOL_SPHERE = 1e-12
 _POINT_TOL_STIEFEL = 1e-10
 _POINT_TOL_OBLIQUE = 1e-12
 _TANGENT_TOL = 1e-10
-# random_tangent draws its Gaussian again (once) when the projection is shorter
-_REDRAW_BELOW = 1e-14
 # Points per stacked block of the sampling estimators.  Their maxima are
 # exact over any split, so results do not depend on it.  Larger blocks
 # amortize more per-call overhead but hold larger temporaries (the stacked
@@ -79,18 +80,6 @@ class ManifoldDescriptor:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.n, self.p)
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.n * self.p
-
-    def diameter(self) -> float:
-        """Extrinsic diameter max ||x - y|| over the manifold."""
-        if self.kind == SPHERE:
-            return 2.0
-        # Columns of both factors are unit vectors, so ||X - Y||_F <= 2 sqrt(p),
-        # attained at Y = -X.
-        return 2.0 * np.sqrt(self.p)
 
 
 def sphere(n: int) -> ManifoldDescriptor:
@@ -151,9 +140,6 @@ class TangentVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
-
-    def inner(self, other: "TangentVector") -> float:
-        return float(np.sum(self.data * other.data))
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
         return TangentVector(self.descriptor, self.base, self.data + other.data)
@@ -257,7 +243,8 @@ def check_point(kind: str, X: np.ndarray) -> None:
 
     Raises:
         ParameterError: a point violates it by more than the tolerance of
-            its manifold (1e-12 sphere/oblique, 1e-10 Stiefel, Frobenius).
+            its manifold (1e-12 sphere/oblique, 1e-10 Stiefel, Frobenius),
+            or has a NaN or infinite entry.
     """
     if kind == SPHERE:
         err = abs(fro(X) - 1.0)
@@ -268,16 +255,16 @@ def check_point(kind: str, X: np.ndarray) -> None:
     else:
         err = np.max(np.abs(_column_norms(X) - 1.0), axis=(-2, -1))
         tol = _POINT_TOL_OBLIQUE
-    bad = err > tol
+    bad = (err > tol) | (err != err)  # a NaN or infinite entry makes err NaN (!= itself) or inf
     if _any(bad):
         raise ParameterError(f"{kind} point violates manifold equation by {np.max(err, where=bad, initial=0.0):.3e}")
 
 
 def check_tangent(kind: str, X: np.ndarray, V: np.ndarray) -> None:
-    """Require every V to be tangent at its X, to 1e-10 relative to max(1, ||V||).
+    """Require every V to be finite and tangent at its X, to 1e-10 relative to max(1, ||V||).
 
     Raises:
-        ParameterError: some V is not tangent.
+        ParameterError: some V is not tangent, or its norm is NaN or infinite.
     """
     if kind == SPHERE:
         err = abs(_inner(X, V))
@@ -286,9 +273,16 @@ def check_tangent(kind: str, X: np.ndarray, V: np.ndarray) -> None:
         err = fro(s + s.mT)
     else:
         err = np.max(np.abs(np.sum(X * V, axis=-2)), axis=-1)
-    bad = (err > _TANGENT_TOL) & (err > _TANGENT_TOL * fro(V))  # err > tol max(1, ||V||)
+    nrm = fro(V)
+    # err > tol max(1, ||V||), or a NaN/infinite entry: a non-finite V has a NaN or
+    # infinite norm, a non-finite X an infinite or NaN err (NaN != NaN); comparisons
+    # keep the one-matrix check cheap, where np.isfinite or ~ on a scalar is not
+    bad = ((err > _TANGENT_TOL) & (err > _TANGENT_TOL * nrm)) | (err != err) | (nrm != nrm) | (nrm == np.inf)
     if _any(bad):
-        raise ParameterError(f"vector is not tangent (violation {np.max(err, where=bad, initial=0.0):.3e})")
+        raise ParameterError(
+            f"vector is not tangent (violation {np.max(err, where=bad, initial=0.0):.3e}, "
+            f"norm {np.max(nrm, where=bad, initial=0.0):.3e})"
+        )
 
 
 def tangent_project(x: ManifoldPoint, v) -> TangentVector:
@@ -346,17 +340,17 @@ def random_point(desc: ManifoldDescriptor, rng: np.random.Generator) -> Manifold
 
 
 def random_tangent(x: ManifoldPoint, rng: np.random.Generator, norm: float | None = None) -> TangentVector:
-    """Random tangent vector at x, optionally rescaled to a given norm."""
+    """Random tangent vector at x, optionally rescaled to a given norm.
+
+    Raises:
+        ParameterError: the rescaled draw fails the tangent check, which
+            happens only if the Gaussian draw is (nearly) normal to the
+            manifold, an event of probability about 1e-14.
+    """
     v = tangent_project(x, rng.standard_normal(x.descriptor.shape))
-    nrm = v.norm()
-    if nrm < _REDRAW_BELOW:
-        # Gaussian ambient data projects to zero with probability zero;
-        # retry once rather than loop.
-        v = tangent_project(x, rng.standard_normal(x.descriptor.shape))
-        nrm = v.norm()
     if norm is None:
         return v
-    return (norm / nrm) * v
+    return (norm / fro(v.data)) * v  # numpy division: a zero projection gives NaN, which the check rejects
 
 
 def sup(current: float, values) -> float:
@@ -385,15 +379,6 @@ def point_blocks(desc: ManifoldDescriptor, rng: np.random.Generator, samples: in
         yield X
 
 
-def _draw_pairs(shape, rng, count, draw):
-    points, values, tangents = [], [], []
-    for _ in range(count):
-        points.append(rng.standard_normal(shape))
-        values.append(draw(rng))
-        tangents.append(rng.standard_normal(shape))
-    return np.array(points), values, np.array(tangents)
-
-
 def tangent_blocks(desc: ManifoldDescriptor, rng: np.random.Generator, samples: int, draw):
     """Yield checked stacks ``(X, U, drawn)`` covering ``samples`` draws of
 
@@ -401,32 +386,25 @@ def tangent_blocks(desc: ManifoldDescriptor, rng: np.random.Generator, samples: 
 
     in that generator order.  ``draw(rng)`` returns a tuple whose last
     entry is the norm of u; ``drawn`` holds one array per entry.  A block
-    holds at most SAMPLE_BLOCK pairs and ends early at a pair whose
-    tangent needs :func:`random_tangent`'s redraw, so the stream stays
-    in step with the one-pair-at-a-time calls.
+    holds at most SAMPLE_BLOCK pairs.
+
+    Raises:
+        ParameterError: a rescaled tangent fails its check, as in
+            :func:`random_tangent`.
     """
     kind = desc.kind
-    done = 0
-    while done < samples:
-        count = min(SAMPLE_BLOCK, samples - done)
-        start = rng.bit_generator.state
-        P, values, T = _draw_pairs(desc.shape, rng, count, draw)
-        X = normalize(kind, P)
-        V = proj(kind, X, T)
-        nrm = fro(V)
-        short = np.flatnonzero(nrm < _REDRAW_BELOW)
-        if short.size:  # probability zero: replay up to that pair, then redraw its tangent once
-            count = int(short[0]) + 1
-            rng.bit_generator.state = start
-            _draw_pairs(desc.shape, rng, count, draw)
-            X, V, nrm, values = X[:count], V[:count], nrm[:count], values[:count]
-            V[-1] = proj(kind, X[-1], rng.standard_normal(desc.shape))
-            nrm[-1] = fro(V[-1])
+    for start in range(0, samples, SAMPLE_BLOCK):
+        points, values, tangents = [], [], []
+        for _ in range(min(SAMPLE_BLOCK, samples - start)):
+            points.append(rng.standard_normal(desc.shape))
+            values.append(draw(rng))
+            tangents.append(rng.standard_normal(desc.shape))
+        X = normalize(kind, np.array(points))
+        V = proj(kind, X, np.array(tangents))
         drawn = tuple(np.array(column) for column in zip(*values))
-        U = (drawn[-1] / nrm)[:, None, None] * V
+        U = (drawn[-1] / fro(V))[:, None, None] * V
         check_point(kind, X)
         check_tangent(kind, X, U)
-        done += count
         yield X, U, drawn
 
 

@@ -114,30 +114,6 @@ def sample_riemannian_grad(problem: StochasticProblem, x: ManifoldPoint, i: int)
     return tangent_project(x, problem.sample_egrad(x.data, i))
 
 
-def full_riemannian_grad(problem: StochasticProblem, x: ManifoldPoint) -> TangentVector:
-    """Riemannian gradient of the full smooth part at x (diagnostics)."""
-    return tangent_project(x, problem.full_egrad(x.data))
-
-
-def map_c_eval(problem: StochasticProblem, x: ManifoldPoint) -> np.ndarray:
-    """Constraint/composition map value c(x) in R^m."""
-    y = problem.c_eval(x.data)
-    if y.shape != (problem.m,):
-        raise ShapeMismatchError(f"c(x) has shape {y.shape}, expected ({problem.m},)")
-    return y
-
-
-def map_c_jac_t(problem: StochasticProblem, x: ManifoldPoint, v) -> np.ndarray:
-    """Adjoint Jacobian product Dc(x)^T v as an ambient matrix."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (problem.m,):
-        raise ShapeMismatchError(f"v has shape {v.shape}, expected ({problem.m},)")
-    out = problem.c_jac_t(x.data, v)
-    if out.shape != x.data.shape:
-        raise ShapeMismatchError("Jacobian-transpose product has wrong shape")
-    return out
-
-
 def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> StochasticProblem:
     """Sparse PCA on St(n, p): f_i(X) = -||a_i^T X||^2 / 2, h = lam ||.||_1.
 
@@ -164,7 +140,7 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
         return -0.5 * np.sum(xd * (cov @ xd), axis=(-2, -1))
 
     def full_egrad(xd):
-        return -cov @ xd
+        return -(cov @ xd)  # negating the product, not the n x n covariance
 
     def c_eval(xd):
         return xd.reshape(*xd.shape[:-2], n * p).copy()

@@ -307,6 +307,23 @@ def moreau_envelope_inequality_check(h: NonsmoothTerm, mu1: float, mu2: float, y
     return bool(ok)
 
 
+def smoothed_grad(problem, x: ManifoldPoint, mu: float, egrad: np.ndarray):
+    """c(x), the Moreau evaluation of h there and grad F_mu(x), given egrad = grad f(x).
+
+    The Riemannian gradient of F_mu = f + h_mu(c(.)) is the tangent
+    projection of egrad + Dc(x)^T grad h_mu(c(x)); callers that also need
+    egrad itself evaluate the full gradient once and pass it in.
+
+    Raises:
+        ParameterError: mu is not positive, or c(x) is not finite.
+    """
+    y = problem.c_eval(x.data)
+    if not np.all(np.isfinite(y)):
+        raise ParameterError("c(x) must be finite")
+    e = moreau_eval(problem.h, mu, y)
+    return y, e, tangent_project(x, egrad + problem.c_jac_t(x.data, e.grad))
+
+
 def smoothed_objective_grad(problem, x: ManifoldPoint, mu: float):
     """Value, Riemannian gradient, and infeasibility of the smoothed objective.
 
@@ -317,13 +334,10 @@ def smoothed_objective_grad(problem, x: ManifoldPoint, mu: float):
         (value, rgrad, infeas) where value = f(x) + h_mu(c(x)), rgrad is
         the tangent projection of grad f(x) + Dc(x)^T grad h_mu(c(x)),
         and infeas = ||c(x) - prox_{mu h}(c(x))||.
+
+    Raises:
+        ParameterError: mu is not positive, or c(x) is not finite.
     """
-    if mu <= 0:
-        raise ParameterError("mu must be positive")
-    y = problem.c_eval(x.data)
-    e = moreau_eval(problem.h, mu, y)
+    y, e, rgrad = smoothed_grad(problem, x, mu, problem.full_egrad(x.data))
     value = problem.full_value(x.data) + e.value
-    egrad = problem.full_egrad(x.data) + problem.c_jac_t(x.data, e.grad)
-    rgrad = tangent_project(x, egrad)
-    infeas = float(np.linalg.norm(y - e.prox_point))
-    return value, rgrad, infeas
+    return value, rgrad, float(np.linalg.norm(y - e.prox_point))

@@ -37,7 +37,7 @@ from .manifolds import (
     proj,
     sup,
 )
-from .problems import StochasticProblem, estimate_constants, retr_smooth_bound, sample_riemannian_grad
+from .problems import ProblemConstants, StochasticProblem, estimate_constants, retr_smooth_bound, sample_riemannian_grad
 from .smoothing import IndicatorTerm
 
 TRUNC_SLACK = 1e-12
@@ -102,11 +102,6 @@ def _truncate(v: np.ndarray, radius: float) -> np.ndarray:
     return (radius / nrm) * v
 
 
-def _penalty_residual(problem: StochasticProblem, xd: np.ndarray):
-    """c(x) - P_C(c(x)) and its norm (the constraint violation), per point of a stack."""
-    return problem.h.residual(problem.c_eval(xd))
-
-
 def default_config(
     problem: StochasticProblem,
     theta: float,
@@ -114,15 +109,22 @@ def default_config(
     zeta: float | None = None,
     samples: int = 200,
     seed: int = 2024,
+    c_tau: float | None = None,
+    c_a: float | None = None,
+    trunc_radius: float | None = None,
 ) -> IndicatorConfig:
-    """Assemble solver parameters from empirically estimated constants.
+    """Assemble solver parameters, estimating each one not supplied.
 
     The stepsize constant obeys c_tau <= 1 / max(L_g, G) where L_g is the
     retraction-smoothness constant of the squared-distance penalty and G
     the one of the smoothed objective (indicator form); the momentum
-    constant follows c_a = (3/4) c_tau^2 + 1/(32 Lt^2).  All estimated
-    constants are inflated by ``safety``.  zeta comes from the error
-    bound probe unless supplied.
+    constant follows c_a = (3/4) c_tau^2 + 1/(32 Lt^2) with the derived
+    c_tau, and trunc_radius is L_f.  All estimated constants are inflated
+    by ``safety``.  zeta comes from the error bound probe.  A supplied
+    value skips the sampling passes only it needs: the retraction
+    constants and the max-dist pass when both c_tau and c_a are given,
+    the problem constants when trunc_radius is given too, and the probe
+    when zeta is given.
     """
     if theta < 1:
         raise ParameterError("theta must be >= 1", field="theta")
@@ -130,7 +132,28 @@ def default_config(
         raise ParameterError("safety must be >= 1", field="safety")
     if not isinstance(problem.h, IndicatorTerm):
         raise ParameterError("problem.h must be an indicator variant")
-    consts = problem.constants or estimate_constants(problem, max(100, samples), seed)
+    if c_tau is None or c_a is None or trunc_radius is None:
+        consts = problem.constants or estimate_constants(problem, max(100, samples), seed)
+        if c_tau is None or c_a is None:
+            derived_tau, derived_a = _schedule_constants(problem, consts, safety, samples, seed)
+            c_tau = derived_tau if c_tau is None else c_tau
+            c_a = derived_a if c_a is None else c_a
+        if trunc_radius is None:
+            trunc_radius = safety * consts.L_f
+    if zeta is None:
+        try:
+            zeta, _ = error_bound_probe(problem, max(100, samples), seed + 3)
+        except ParameterError as exc:  # a sampled penalty gradient overflowed its check
+            raise ParameterError(f"error bound probe: {exc}; supply zeta explicitly", field="zeta") from None
+        if zeta <= 0:
+            raise ParameterError("error bound probe returned zeta = 0; supply zeta explicitly", field="zeta")
+    return IndicatorConfig(theta=theta, zeta=zeta, c_tau=c_tau, c_a=c_a, trunc_radius=trunc_radius)
+
+
+def _schedule_constants(
+    problem: StochasticProblem, consts: ProblemConstants, safety: float, samples: int, seed: int
+) -> tuple[float, float]:
+    """c_tau = 1 / (safety max(L_g, G)) and c_a from estimated constants (see :func:`default_config`)."""
     rc = estimate_retraction_constants(problem.manifold, max(100, samples), seed + 1)
     rng = np.random.default_rng(seed + 2)
     max_dist = 0.0
@@ -160,17 +183,7 @@ def default_config(
             "or supply c_tau and c_a",
             field="c_tau",
         )
-    if zeta is None:
-        zeta, _ = error_bound_probe(problem, max(100, samples), seed + 3)
-        if zeta <= 0:
-            raise ParameterError("error bound probe returned zeta = 0; supply zeta explicitly", field="zeta")
-    return IndicatorConfig(
-        theta=theta,
-        zeta=zeta,
-        c_tau=c_tau,
-        c_a=c_a,
-        trunc_radius=safety * consts.L_f,
-    )
+    return c_tau, c_a
 
 
 def init(
@@ -192,7 +205,7 @@ def step(state: IndicatorState, problem: StochasticProblem, config: IndicatorCon
     k = state.k
     omega = config.omega
     mu = config.mu(k)
-    resid, dist = _penalty_residual(problem, state.x.data)
+    resid, dist = problem.h.residual(problem.c_eval(state.x.data))
     G, norm_G = driver.direction(state, problem, resid / mu)
     tau = config.c_tau * float(k + 1) ** (-omega)
     a_next = min(1.0, config.c_a * float(k + 1) ** (-2.0 * omega))
@@ -268,7 +281,7 @@ def error_bound_probe(problem: StochasticProblem, samples: int, seed: int) -> tu
     kind = problem.manifold.kind
     dists, gnorms = [], []
     for X in point_blocks(problem.manifold, rng, samples):
-        resid, dist = _penalty_residual(problem, X)
+        resid, dist = problem.h.residual(problem.c_eval(X))
         infeasible = dist > 1e-9  # the gradient of dist^2(c(x), C) / 2 is Dc(x)^T resid
         X = X[infeasible]
         grad = proj(kind, X, problem.c_jac_t(X, resid[infeasible]))

@@ -44,6 +44,10 @@ def sphere_config(out_dir, **overrides):
     return cfg
 
 
+# for cases that overflow on purpose; any other RuntimeWarning fails the suite
+OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -167,14 +171,16 @@ def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
     "field, value, code, names",
     [
         ("problem.set", {"kind": "singleton", "target": 0.0}, 0, None),
-        ("problem.quad_weight", 1e200, 2, "solver.c_tau"),
+        pytest.param("problem.quad_weight", 1e200, 2, "solver.c_tau", marks=OVERFLOWS),
         ("solver.safety", 1e300, 2, "solver.c_tau"),
-        ("solver.c_tau", 1e300, 3, "(iteration 0)"),
+        pytest.param("solver.c_tau", 1e300, 3, "(iteration 0)", marks=OVERFLOWS),
+        ("solver", {"theta": 1, "safety": 1e300, "c_tau": 0.01, "c_a": 0.001}, 0, None),
     ],
 )
 def test_run_extreme_values_exit_cleanly(tmp_path, capsys, field, value, code, names):
     # valid but extreme values: a scalar set vector runs; constants that cannot be
-    # derived name the derived field; a step that overflows names the iteration
+    # derived name the derived field, and supplying them skips the derivation; a
+    # step that overflows names the iteration
     cfg = sphere_config(tmp_path / "out")
     _set_field(cfg, field, value)
     path = write_config(tmp_path, cfg)

@@ -1,9 +1,10 @@
 """Pinned golden traces for both solvers.
 
-Two short seeded runs with diagnostics on, one per solver, each long
-enough to cross one renormalisation step (k = 1000).  The recorded trace
-rows, certificate and (for the indicator solver) estimated configuration
-were produced before the solvers moved onto a shared ndarray driver; any
+Two short seeded runs with diagnostics on, one per solver, K = 1200.
+The recorded trace rows, certificate and (for the indicator solver)
+estimated configuration were produced before the solvers moved onto a
+shared ndarray driver, when the driver still renormalised the iterate at
+k = 1000; the runs now cross that index without it and still agree.  Any
 refactor of the solver code must reproduce them to 1e-10 relative.
 
 Regenerate only for an intended change of behaviour:

@@ -209,30 +209,65 @@ class _ScriptedGenerator:
 
     def __init__(self, normals):
         self.normals = normals
-        self.state = 0
-        self.bit_generator = self  # ``bit_generator.state`` is the stream position
+        self.calls = 0
 
     def standard_normal(self, shape):
-        self.state += 1
-        return self.normals[self.state - 1].reshape(shape)
+        self.calls += 1
+        return self.normals[self.calls - 1].reshape(shape)
 
     def uniform(self, low, high):
         return 0.25
 
 
-def test_tangent_blocks_redraw_a_vanishing_tangent_like_random_tangent():
-    # the tangent draw of pair 3 is normal to the sphere, so random_tangent draws
-    # it again; the blocks must end there and consume the same stream
+# rescaling the zero projection divides by zero on purpose
+_ZERO_STREAM = pytest.param("zero", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"))
+
+
+@pytest.mark.parametrize("stream", ["rounding", _ZERO_STREAM])
+@pytest.mark.parametrize("sampler", [_one_at_a_time, _blocked], ids=["random_tangent", "tangent_blocks"])
+def test_samplers_reject_a_vanishing_tangent(sampler, stream):
+    # the tangent draw of pair 3 is normal to the sphere: its projection is
+    # rounding noise, which fails the tangent check once rescaled to norm 0.25,
+    # or exactly zero, which rescales to NaN
     desc = ms.sphere(5)
     normals = list(np.random.default_rng(6).standard_normal((10, 5, 1)))
-    normals.insert(7, 2.5 * normals[6])
+    if stream == "rounding":
+        normals.insert(7, 2.5 * normals[6])
+    else:
+        e1 = np.eye(5)[:, :1]
+        normals[6] = 2.0 * e1
+        normals.insert(7, 3.0 * e1)
 
     def draw(rng):
         return (rng.uniform(0.0, 1.0),)
 
-    want = _one_at_a_time(desc, _ScriptedGenerator(normals), 5, draw)
-    rng = _ScriptedGenerator(normals)
-    got = _blocked(desc, rng, 5, draw)
-    assert rng.state == 11
-    for (gx, gu, _), (wx, wu, _) in zip(got, want, strict=True):
-        assert np.array_equal(gx, wx) and np.array_equal(gu, wu)
+    with pytest.raises(ParameterError, match="not tangent"):
+        sampler(desc, _ScriptedGenerator(normals), 5, draw)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the non-finite entries are on purpose
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("desc", DESCRIPTORS, ids=lambda d: d.kind)
+def test_checks_reject_non_finite_data(desc, bad):
+    rng = np.random.default_rng(5)
+    x = ms.random_point(desc, rng)
+    spoiled = x.data.copy()
+    spoiled[0, 0] = bad
+    with pytest.raises(ParameterError):
+        ms.ManifoldPoint(desc, spoiled)
+    with pytest.raises(ParameterError):
+        ms.TangentVector(desc, x, np.full(desc.shape, bad))
+    X = np.stack([ms.random_point(desc, rng).data for _ in range(4)])
+    V = mf.proj(desc.kind, X, rng.standard_normal(X.shape))
+    mf.check_point(desc.kind, X)
+    mf.check_tangent(desc.kind, X, V)
+    V[2, 0, 0] = bad
+    with pytest.raises(ParameterError):
+        mf.check_tangent(desc.kind, X, V)
+    X[2, 0, 0] = bad
+    with pytest.raises(ParameterError):
+        mf.check_point(desc.kind, X)
+    eta = mf.zero_tangent(x)
+    object.__setattr__(eta, "data", np.full(desc.shape, bad))  # skip the tangent check to reach retract's own
+    with pytest.raises(ParameterError):
+        ms.retract(x, eta)

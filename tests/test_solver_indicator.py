@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +45,23 @@ def test_default_config_momentum_constant(problem, config):
     lt = 2.0 * consts.L_tilde
     assert config.c_a == pytest.approx(0.75 * config.c_tau**2 + 1.0 / (32.0 * lt**2), rel=1e-12)
     assert config.trunc_radius == pytest.approx(2.0 * consts.L_f, rel=1e-12)
+
+
+@pytest.mark.parametrize("supplied", [{"c_tau": 0.5}, {"c_a": 0.25, "trunc_radius": 3.0},
+                                      {"c_tau": 0.5, "c_a": 0.25, "trunc_radius": 3.0, "zeta": 0.1}])
+def test_default_config_takes_supplied_constants(problem, config, supplied):
+    # a supplied value replaces its estimate; the others are derived as if none were supplied
+    got = si.default_config(problem, theta=1.0, safety=2.0, samples=120, seed=8, **supplied)
+    assert got == dataclasses.replace(config, **supplied)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the instance overflows on purpose
+def test_default_config_names_zeta_when_the_probe_overflows():
+    ball = ms.IndicatorBall(np.full(4, 0.35), 0.7)
+    huge = ms.make_constrained_sphere(10, 4, 12, ball, seed=3, quad_weight=1e200)
+    with pytest.raises(ParameterError, match="error bound probe") as exc:
+        si.default_config(huge, theta=1.0, c_tau=0.01, c_a=0.001, trunc_radius=1.0)
+    assert exc.value.field == "zeta"
 
 
 def test_default_config_rejects_lipschitz_problem():
