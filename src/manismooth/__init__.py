@@ -18,9 +18,13 @@ Library layout:
   indicator constraints under an error bound condition,
 - ``driver``: the run loop both solvers share (tracing, diagnostics,
   snapshots, the per-step point/tangent checks) and the certificate
-  witness,
-- ``harness``: traces, certificates, rate fits, inequality checks, and
-  CSV/JSON serialization,
+  witness; the solver state, the steps and the snapshots hold plain
+  ndarrays, and typed values are built only for the starting point, its
+  first sample and the certificate's point,
+- ``harness``: run records (steps, traces, certificates, rate fits),
+  rate fitting, and CSV/JSON serialization,
+- ``checks``: the property batteries behind ``check`` and the executable
+  inequality checks (the two sequence lemmas, retraction smoothness),
 - ``cli``: the ``manismooth`` command (run / check / report).
 """
 
@@ -35,7 +39,6 @@ from .manifolds import (
     random_point,
     random_tangent,
     retract,
-    riemannian_gradient,
     sphere,
     stiefel,
     tangent_project,
@@ -94,7 +97,6 @@ __all__ = [
     "random_point",
     "random_tangent",
     "retract",
-    "riemannian_gradient",
     "sample_riemannian_grad",
     "smoothed_objective_grad",
     "sphere",

@@ -9,20 +9,24 @@ schedules); the pytest suite runs them through ``check --suite all``
 rather than re-implementing them.  The oracles the batteries share with
 worked-example tests (:func:`grid_argmin_1d`,
 :func:`largest_premise_solution`, :func:`random_terms`, ``DESCRIPTORS``)
-live here once.
+live here once, as do the executable inequality checks: the two sequence
+lemmas, which hold for every admissible input, and
+:func:`retr_smooth_constant_check`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import manifolds as mf
 from . import solver_indicator, solver_lipschitz
-from .harness import lemma_implicit_bound_check, lemma_seq_bound_check
-from .problems import make_constrained_sphere, make_sparse_pca
+from .errors import ParameterError
+from .problems import estimate_constants, make_constrained_sphere, make_sparse_pca, retr_smooth_bound
 from .smoothing import (
     IndicatorBall,
     IndicatorBox,
@@ -32,6 +36,7 @@ from .smoothing import (
     moreau_envelope_inequality_check,
     moreau_eval,
     prox,
+    smoothed_objective_grad,
 )
 
 SUITES = ("all", "manifold", "smoothing", "lemmas", "solver")
@@ -128,7 +133,7 @@ def check_manifold() -> list[CheckResult]:
     ok = True
     for desc in DESCRIPTORS:
         x = mf.random_point(desc, rng)
-        if not np.array_equal(mf.retract(x, mf.zero_tangent(x)).data, x.data):
+        if not np.array_equal(mf.retract(x, mf.TangentVector(desc, x, np.zeros(desc.shape))).data, x.data):
             ok = False
     results.append(_result("retract at zero is identity", ok))
     return results
@@ -239,6 +244,47 @@ def check_smoothing() -> list[CheckResult]:
 # ------------------------------------------------------------------ lemmas
 
 
+def lemma_seq_bound_check(b: Sequence[float], p: float) -> bool:
+    """Check sum_k b_k / (sum_{i<=k} b_i)^p <= (sum b)^{1-p} / (1-p).
+
+    Holds for any b_1 > 0, b_i >= 0, p in (0, 1); slack 1e-12.
+    """
+    b = np.asarray(b, dtype=float)
+    if b.size == 0 or b[0] <= 0 or np.any(b < 0):
+        raise ParameterError("need b_1 > 0 and b_i >= 0")
+    if not 0 < p < 1:
+        raise ParameterError("need p in (0, 1)")
+    partial = np.cumsum(b)
+    lhs = float(np.sum(b / partial**p))
+    rhs = float(partial[-1] ** (1.0 - p) / (1.0 - p))
+    return lhs <= rhs + 1e-12
+
+
+def lemma_implicit_bound_check(c: float, d: float, e: float, alpha: float, beta: float, x: float) -> bool:
+    """Check the explicit bound implied by x <= c x^alpha + d x^beta + e.
+
+    Verifies x <= 2 (4 alpha)^{alpha/(1-alpha)} c^{1/(1-alpha)}
+               + 2 (4 beta)^{beta/(1-beta)} d^{1/(1-beta)} + 2 e
+    with slack 1e-12.  The premise is a precondition and is validated
+    (with a small tolerance for boundary solutions found numerically).
+    """
+    if not (c > 0 and d > 0):
+        raise ParameterError("need c, d > 0")
+    if not (0 < alpha < 1 and 0 < beta < 1):
+        raise ParameterError("need alpha, beta in (0, 1)")
+    if e < 0 or x < 0:
+        raise ParameterError("need e >= 0 and x >= 0")
+    premise_rhs = c * x**alpha + d * x**beta + e
+    if x > premise_rhs * (1.0 + 1e-9) + 1e-12:
+        raise ParameterError("x does not satisfy the premise inequality")
+    bound = (
+        2.0 * (4.0 * alpha) ** (alpha / (1.0 - alpha)) * c ** (1.0 / (1.0 - alpha))
+        + 2.0 * (4.0 * beta) ** (beta / (1.0 - beta)) * d ** (1.0 / (1.0 - beta))
+        + 2.0 * e
+    )
+    return x <= bound + 1e-12
+
+
 def largest_premise_solution(c, d, e, alpha, beta):
     """Largest x >= 0 with x <= c x^alpha + d x^beta + e, by bisection."""
     lo, hi = 0.0, 1.0
@@ -278,6 +324,48 @@ def check_lemmas() -> list[CheckResult]:
     return results
 
 
+# --------------------------------------------------- retraction smoothness
+
+
+def retr_smooth_constant_check(
+    problem, mu: float, samples: int, seed: int, safety: float = 2.0
+) -> tuple[float, float]:
+    """Empirical retraction-smoothness constant of F_mu vs its bound.
+
+    Maximizes 2 mu (F_mu(R_x(eta)) - F_mu(x) - <eta, grad F_mu(x)>) / ||eta||^2
+    over seeded (x, eta) with ||eta|| <= 1, and assembles the comparison
+    constant from estimated problem and retraction constants (inflated
+    by ``safety``), using the Lipschitz-h or indicator-h form of the
+    composite smoothness constant as appropriate.
+
+    Returns:
+        (empirical_constant, bound)
+    """
+    if samples < 100:
+        raise ParameterError("samples must be >= 100")
+    rng = np.random.default_rng(seed)
+    consts = problem.constants or estimate_constants(problem, max(100, samples), seed)
+    rc = mf.estimate_retraction_constants(problem.manifold, max(100, samples), seed + 1)
+
+    empirical = -math.inf
+    max_dist = 0.0
+    for _ in range(samples):
+        x = mf.random_point(problem.manifold, rng)
+        eta = mf.random_tangent(x, rng, norm=float(rng.uniform(0.05, 1.0)))
+        y = mf.retract(x, eta)
+        fx, gx, _ = smoothed_objective_grad(problem, x, mu)
+        fy, _, _ = smoothed_objective_grad(problem, y, mu)
+        lin = float(np.sum(gx.data * eta.data))
+        empirical = max(empirical, 2.0 * mu * (fy - fx - lin) / eta.norm() ** 2)
+        if problem.h.is_indicator:
+            max_dist = max(max_dist, problem.h.distance(problem.c_eval(x.data)))
+    if problem.h.is_indicator:
+        level = safety * max_dist
+    else:
+        level = problem.h.lipschitz_const
+    return float(empirical), float(retr_smooth_bound(consts, rc, level, safety))
+
+
 # ------------------------------------------------------------------ solver
 
 
@@ -289,7 +377,7 @@ def check_solver() -> list[CheckResult]:
     # at the iterate after every step, and tau_k is positive and
     # nonincreasing along the run
     def tangency(s):
-        X, D = s.x.data, s.delta.data
+        X, D = s.x, s.delta
         return float(np.linalg.norm((X.T @ D) + (D.T @ X)))
 
     state = solver_lipschitz.init(problem, mf.random_point(problem.manifold, np.random.default_rng(30)), seed=3)
@@ -318,11 +406,11 @@ def check_solver() -> list[CheckResult]:
     config = solver_indicator.default_config(cproblem, theta=1.0, safety=2.0, samples=120, seed=31)
     cstate = solver_indicator.init(cproblem, mf.random_point(cproblem.manifold, np.random.default_rng(9)), config, 9)
     radius = config.trunc_radius
-    norms = [cstate.delta.norm()]
+    norms = [np.linalg.norm(cstate.delta)]
     reports = []
     for _ in range(600):
         reports.append(solver_indicator.step(cstate, cproblem, config))
-        norms.append(cstate.delta.norm())
+        norms.append(np.linalg.norm(cstate.delta))
     results.append(_result("truncation radius respected", max(norms) <= radius + 1e-12,
                            f"max ||delta|| {max(norms):.6e} vs radius {radius:.6e}"))
 
@@ -331,10 +419,10 @@ def check_solver() -> list[CheckResult]:
     # and hold after every step
     tight = dataclasses.replace(config, trunc_radius=0.1)
     tstate = solver_indicator.init(cproblem, mf.random_point(cproblem.manifold, np.random.default_rng(9)), tight, 9)
-    norms = [tstate.delta.norm()]
+    norms = [np.linalg.norm(tstate.delta)]
     for _ in range(600):
         solver_indicator.step(tstate, cproblem, tight)
-        norms.append(tstate.delta.norm())
+        norms.append(np.linalg.norm(tstate.delta))
     fired = sum(abs(nrm - 0.1) <= 1e-12 for nrm in norms)
     results.append(_result("truncation fires and holds at a binding radius", fired >= 1 and max(norms) <= 0.1 + 1e-12,
                            f"bound at {fired} of {len(norms)} checks, max ||delta|| {max(norms):.6e} vs radius 0.1"))
@@ -348,7 +436,7 @@ def check_solver() -> list[CheckResult]:
     )
     results.append(_result("indicator schedules exact", sched_ok))
 
-    xs = cstate.x
+    xs = mf.ManifoldPoint(cproblem.manifold, cstate.x)
     mu = 0.37
     resid, _ = cproblem.h.residual(cproblem.c_eval(xs.data))
     direct = mf.tangent_project(xs, cproblem.c_jac_t(xs.data, resid / mu))

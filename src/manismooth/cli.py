@@ -118,23 +118,18 @@ def build_problem(cfg: dict, seed: int):
     N = _number(cfg, "N", "problem.", int, low=1)
     if family == "sparse_pca":
         p = _number(cfg, "p", "problem.", int, low=1)
-        return make_sparse_pca(
-            n=_number(cfg, "n", "problem.", int, low=p),
-            p=p,
-            N=N,
-            lam=_number(cfg, "lambda", "problem.", low=0),
-            seed=data_seed,
-        )
-    mdim = _number(cfg, "m", "problem.", int, low=1)
-    set_term = _build_set_term(_require(cfg, "set", dict, "problem."), mdim)
-    return make_constrained_sphere(
-        n=_number(cfg, "n", "problem.", int, low=2),
-        m=mdim,
-        N=N,
-        set_term=set_term,
-        seed=data_seed,
-        quad_weight=_number(cfg, "quad_weight", "problem.") if "quad_weight" in cfg else 1.0,
-    )
+        n = _number(cfg, "n", "problem.", int, low=p)
+        make, args = make_sparse_pca, dict(p=p, lam=_number(cfg, "lambda", "problem.", low=0))
+    else:
+        mdim = _number(cfg, "m", "problem.", int, low=1)
+        set_term = _build_set_term(_require(cfg, "set", dict, "problem."), mdim)
+        n = _number(cfg, "n", "problem.", int, low=2)
+        weight = _number(cfg, "quad_weight", "problem.") if "quad_weight" in cfg else 1.0
+        make, args = make_constrained_sphere, dict(m=mdim, set_term=set_term, quad_weight=weight)
+    try:
+        return make(n=n, N=N, seed=data_seed, **args)
+    except MemoryError as exc:  # numpy refuses an allocation beyond the machine at once
+        raise ConfigError("problem.N", f"the N x n = {N} x {n} instance does not fit in memory: {exc}") from None
 
 
 def validate_config(cfg: dict) -> dict:

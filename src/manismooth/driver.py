@@ -3,12 +3,12 @@
 Both algorithms run one skeleton: a step per iteration, a trace row
 every ``trace_every``-th iteration plus the last, optional diagnostics,
 back-half snapshots and a stationarity witness at one drawn snapshot.
-Steps work on raw ndarrays and share :func:`direction`, :func:`move`
-(the recursive-momentum estimator, one sample per iteration) and
-:func:`advance`, the one place the new iterate is wrapped as typed values.
-Nothing repairs an iterate: every retraction lands on the manifold, and
-:func:`advance` checks each new iterate and momentum, so one that has
-drifted off the manifold or lost tangency fails the run at that iteration.
+State, steps, snapshots and diagnostics are plain ndarrays: typed values
+are built only for x0 and its first sample (``init``) and the certificate's
+point.  Steps share :func:`direction`, :func:`move` (the recursive-momentum
+estimator, one sample per iteration) and :func:`advance`, which runs the
+typed constructors' checks on each new iterate and momentum.  Nothing
+repairs an iterate, so one off the manifold or not tangent fails the run.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateRetractionError, InsufficientDataError, NumericalFailureError, ParameterError
+from .errors import ShapeMismatchError
 from .harness import Certificate, StepReport, TraceRecord
-from .manifolds import ManifoldPoint, TangentVector, proj, random_point, retr
+from .manifolds import ManifoldPoint, check_point, check_tangent, proj, random_point, retr
 from .problems import StochasticProblem
 from .smoothing import smoothed_grad
 
@@ -31,19 +32,19 @@ SNAPSHOT_TARGET = 2000
 
 @dataclass
 class SolverState:
-    """Mutable solver state: iteration counter, iterate, momentum, sampling stream."""
+    """Mutable solver state: iteration counter, iterate and momentum (ndarrays), sampling stream."""
 
     k: int
-    x: ManifoldPoint
-    delta: TangentVector
+    x: np.ndarray
+    delta: np.ndarray
     rng: np.random.Generator
-    snapshots: list[tuple[int, ManifoldPoint]] = field(default_factory=list)
+    snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
 
 def direction(state: SolverState, problem: StochasticProblem, grad_h: np.ndarray) -> tuple[np.ndarray, float]:
     """Search direction G_k = delta_k + P_{T_x}(Dc(x)^T grad_h) and its norm."""
-    X = state.x.data
-    G = state.delta.data + proj(problem.manifold.kind, X, problem.c_jac_t(X, grad_h))
+    X = state.x
+    G = state.delta + proj(problem.manifold.kind, X, problem.c_jac_t(X, grad_h))
     norm_G = float(np.linalg.norm(G))
     if not math.isfinite(norm_G):
         raise NumericalFailureError("non-finite search direction", state.k)
@@ -60,25 +61,30 @@ def move(
     x_{k+1} is the tangent projection there.
     """
     kind = problem.manifold.kind
-    X = state.x.data
+    X = state.x
     X_next = retr(kind, X, (-tau) * G)
     xi = int(state.rng.integers(problem.num_samples))
     g_new = proj(kind, X_next, problem.sample_egrad(X_next, xi))
     g_old = proj(kind, X, problem.sample_egrad(X, xi))
-    return X_next, g_new + (1.0 - a_next) * proj(kind, X_next, state.delta.data - g_old)
+    return X_next, g_new + (1.0 - a_next) * proj(kind, X_next, state.delta - g_old)
 
 
-def advance(state: SolverState, X_next: np.ndarray, delta_next: np.ndarray) -> None:
-    """Close step k: wrap, and so check, the new iterate and momentum.
+def advance(state: SolverState, kind: str, X_next: np.ndarray, delta_next: np.ndarray) -> None:
+    """Close step k: check the new iterate and momentum, then take them as the state.
 
     Raises:
+        ShapeMismatchError: either array's shape differs from the iterate's.
         ParameterError: X_next is off the manifold or delta_next is not
             tangent there, beyond the check tolerances, or either is not
             finite.
     """
-    desc = state.x.descriptor
-    state.x = ManifoldPoint(desc, X_next)
-    state.delta = TangentVector(desc, state.x, delta_next)
+    shape = state.x.shape
+    if X_next.shape != shape or delta_next.shape != shape:
+        raise ShapeMismatchError(f"step: expected shape {shape}, got {X_next.shape} and {delta_next.shape}")
+    check_point(kind, X_next)
+    check_tangent(kind, X_next, delta_next)
+    state.x = X_next
+    state.delta = delta_next
     state.k += 1
 
 
@@ -121,22 +127,23 @@ def run(
         raise ParameterError("stop_tol requires diagnostics=True")
     rng = np.random.default_rng(seed)
     state = init(random_point(problem.manifold, rng) if x0 is None else x0, rng)
+    kind = problem.manifold.kind
     stride = max(1, K // SNAPSHOT_TARGET)
     trace: list[TraceRecord] = []
     t0 = time.monotonic_ns()
     for i in range(K):
-        k, x = state.k, state.x
+        k, X = state.k, state.x
         traced = i % trace_every == 0 or i == K - 1
         obj_smooth = norm_grad_Fmu = norm_eps = None
         if k >= snap_lo and (k - snap_lo) % stride == 0:
-            state.snapshots.append((k, x))
+            state.snapshots.append((k, X))
         try:
             if traced and diagnostics:
-                egrad = problem.full_egrad(x.data)
-                _, env, rgrad = smoothed_grad(problem, x, mu(k), egrad)
-                obj_smooth = problem.full_value(x.data) + env.value
-                norm_grad_Fmu = rgrad.norm()
-                norm_eps = float(np.linalg.norm(state.delta.data - proj(x.descriptor.kind, x.data, egrad)))
+                egrad = problem.full_egrad(X)
+                _, env, rgrad = smoothed_grad(problem, X, mu(k), egrad)
+                obj_smooth = problem.full_value(X) + env.value
+                norm_grad_Fmu = float(np.linalg.norm(rgrad))
+                norm_eps = float(np.linalg.norm(state.delta - proj(kind, X, egrad)))
             report = step(state)
         except (ParameterError, DegenerateRetractionError) as exc:
             # the inputs were validated before the loop, so the row's own arithmetic broke a check
@@ -168,9 +175,10 @@ def certificate(
     """
     if not state.snapshots:
         raise InsufficientDataError("no snapshots stored; call run() first")
-    i_K, x = state.snapshots[pick(np.array([k for k, _ in state.snapshots], dtype=float))]
-    c, env, resid = smoothed_grad(problem, x, mu(i_K), problem.full_egrad(x.data))
+    i_K, X = state.snapshots[pick(np.array([k for k, _ in state.snapshots], dtype=float))]
+    c, env, resid = smoothed_grad(problem, X, mu(i_K), problem.full_egrad(X))
     y, z = env.prox_point, env.grad
     ok = problem.h.in_subdifferential(y, z, tol=1e-8, rng=state.rng)
-    feas = float(np.linalg.norm(c - y))
-    return Certificate(i_K=i_K, x=x, y=y, z=z, grad_residual=resid.norm(), feas_residual=feas, membership_ok=ok)
+    feas, resid = float(np.linalg.norm(c - y)), float(np.linalg.norm(resid))
+    x = ManifoldPoint(problem.manifold, X)
+    return Certificate(i_K=i_K, x=x, y=y, z=z, grad_residual=resid, feas_residual=feas, membership_ok=ok)

@@ -1,10 +1,4 @@
-"""Metrics, traces, certificates, rate fitting, and inequality checks.
-
-The two sequence inequalities used by the solvers' analysis are exposed
-as executable checks; both hold for every admissible input, so any
-failure is an implementation bug.  ``retr_smooth_constant_check`` compares the
-empirical retraction-smoothness quotient of the smoothed objective
-against the constant assembled from estimated problem constants.
+"""Run records (steps, traces, certificates, rate fits), rate fitting, and trace/summary I/O.
 
 File formats:
 
@@ -20,16 +14,13 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InsufficientDataError, ParameterError, TraceFormatError
-from .manifolds import ManifoldPoint, estimate_retraction_constants, random_point, random_tangent, retract
-from .problems import estimate_constants, retr_smooth_bound
-from .smoothing import smoothed_objective_grad
+from .manifolds import ManifoldPoint
 
 SCHEMA_VERSION = "1"
 
@@ -145,86 +136,6 @@ def fit_rate(
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return RateFit(slope=float(slope), intercept=float(intercept), r_squared=max(0.0, min(1.0, r2)), window=(k_lo, k_hi))
-
-
-def lemma_seq_bound_check(b: Sequence[float], p: float) -> bool:
-    """Check sum_k b_k / (sum_{i<=k} b_i)^p <= (sum b)^{1-p} / (1-p).
-
-    Holds for any b_1 > 0, b_i >= 0, p in (0, 1); slack 1e-12.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.size == 0 or b[0] <= 0 or np.any(b < 0):
-        raise ParameterError("need b_1 > 0 and b_i >= 0")
-    if not 0 < p < 1:
-        raise ParameterError("need p in (0, 1)")
-    partial = np.cumsum(b)
-    lhs = float(np.sum(b / partial**p))
-    rhs = float(partial[-1] ** (1.0 - p) / (1.0 - p))
-    return lhs <= rhs + 1e-12
-
-
-def lemma_implicit_bound_check(c: float, d: float, e: float, alpha: float, beta: float, x: float) -> bool:
-    """Check the explicit bound implied by x <= c x^alpha + d x^beta + e.
-
-    Verifies x <= 2 (4 alpha)^{alpha/(1-alpha)} c^{1/(1-alpha)}
-               + 2 (4 beta)^{beta/(1-beta)} d^{1/(1-beta)} + 2 e
-    with slack 1e-12.  The premise is a precondition and is validated
-    (with a small tolerance for boundary solutions found numerically).
-    """
-    if not (c > 0 and d > 0):
-        raise ParameterError("need c, d > 0")
-    if not (0 < alpha < 1 and 0 < beta < 1):
-        raise ParameterError("need alpha, beta in (0, 1)")
-    if e < 0 or x < 0:
-        raise ParameterError("need e >= 0 and x >= 0")
-    premise_rhs = c * x**alpha + d * x**beta + e
-    if x > premise_rhs * (1.0 + 1e-9) + 1e-12:
-        raise ParameterError("x does not satisfy the premise inequality")
-    bound = (
-        2.0 * (4.0 * alpha) ** (alpha / (1.0 - alpha)) * c ** (1.0 / (1.0 - alpha))
-        + 2.0 * (4.0 * beta) ** (beta / (1.0 - beta)) * d ** (1.0 / (1.0 - beta))
-        + 2.0 * e
-    )
-    return x <= bound + 1e-12
-
-
-def retr_smooth_constant_check(
-    problem, mu: float, samples: int, seed: int, safety: float = 2.0
-) -> tuple[float, float]:
-    """Empirical retraction-smoothness constant of F_mu vs its bound.
-
-    Maximizes 2 mu (F_mu(R_x(eta)) - F_mu(x) - <eta, grad F_mu(x)>) / ||eta||^2
-    over seeded (x, eta) with ||eta|| <= 1, and assembles the comparison
-    constant from estimated problem and retraction constants (inflated
-    by ``safety``), using the Lipschitz-h or indicator-h form of the
-    composite smoothness constant as appropriate.
-
-    Returns:
-        (empirical_constant, bound)
-    """
-    if samples < 100:
-        raise ParameterError("samples must be >= 100")
-    rng = np.random.default_rng(seed)
-    consts = problem.constants or estimate_constants(problem, max(100, samples), seed)
-    rc = estimate_retraction_constants(problem.manifold, max(100, samples), seed + 1)
-
-    empirical = -math.inf
-    max_dist = 0.0
-    for _ in range(samples):
-        x = random_point(problem.manifold, rng)
-        eta = random_tangent(x, rng, norm=float(rng.uniform(0.05, 1.0)))
-        y = retract(x, eta)
-        fx, gx, _ = smoothed_objective_grad(problem, x, mu)
-        fy, _, _ = smoothed_objective_grad(problem, y, mu)
-        lin = float(np.sum(gx.data * eta.data))
-        empirical = max(empirical, 2.0 * mu * (fy - fx - lin) / eta.norm() ** 2)
-        if problem.h.is_indicator:
-            max_dist = max(max_dist, problem.h.distance(problem.c_eval(x.data)))
-    if problem.h.is_indicator:
-        level = safety * max_dist
-    else:
-        level = problem.h.lipschitz_const
-    return float(empirical), float(retr_smooth_bound(consts, rc, level, safety))
 
 
 def _fmt(v) -> str:

@@ -112,8 +112,8 @@ def _as_matrix(desc: ManifoldDescriptor, data, what: str) -> np.ndarray:
 class ManifoldPoint:
     """A point on a manifold, stored in its ambient embedding.
 
-    The constructor validates the defining equation of the manifold;
-    use :func:`project_point` to repair drifting data first if needed.
+    The constructor copies the data and validates the defining equation
+    of the manifold; data that fails it is rejected, never repaired.
     """
 
     descriptor: ManifoldDescriptor
@@ -293,15 +293,6 @@ def tangent_project(x: ManifoldPoint, v) -> TangentVector:
     return TangentVector(x.descriptor, x, proj(x.descriptor.kind, x.data, v))
 
 
-def riemannian_gradient(x: ManifoldPoint, euclid_grad) -> TangentVector:
-    """Riemannian gradient from a Euclidean one: projection onto the tangent space."""
-    return tangent_project(x, euclid_grad)
-
-
-def zero_tangent(x: ManifoldPoint) -> TangentVector:
-    return TangentVector(x.descriptor, x, np.zeros(x.descriptor.shape))
-
-
 def retract(x: ManifoldPoint, eta: TangentVector) -> ManifoldPoint:
     """First-order retraction of a tangent vector into the manifold.
 
@@ -329,14 +320,9 @@ def vector_transport(x: ManifoldPoint, y: ManifoldPoint, xi: TangentVector) -> T
     return tangent_project(y, xi.data)
 
 
-def project_point(desc: ManifoldDescriptor, data) -> ManifoldPoint:
-    """Map nearby ambient data back onto the manifold (see :func:`normalize`)."""
-    return ManifoldPoint(desc, normalize(desc.kind, _as_2d(data)))
-
-
 def random_point(desc: ManifoldDescriptor, rng: np.random.Generator) -> ManifoldPoint:
     """Random point obtained by projecting standard Gaussian ambient data."""
-    return project_point(desc, rng.standard_normal(desc.shape))
+    return ManifoldPoint(desc, normalize(desc.kind, rng.standard_normal(desc.shape)))
 
 
 def random_tangent(x: ManifoldPoint, rng: np.random.Generator, norm: float | None = None) -> TangentVector:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeMismatchError
-from .manifolds import ManifoldPoint, tangent_project
+from .manifolds import ManifoldPoint, TangentVector, check_tangent, proj
 
 
 def _norm(y: np.ndarray):
@@ -307,21 +307,26 @@ def moreau_envelope_inequality_check(h: NonsmoothTerm, mu1: float, mu2: float, y
     return bool(ok)
 
 
-def smoothed_grad(problem, x: ManifoldPoint, mu: float, egrad: np.ndarray):
-    """c(x), the Moreau evaluation of h there and grad F_mu(x), given egrad = grad f(x).
+def smoothed_grad(problem, X: np.ndarray, mu: float, egrad: np.ndarray):
+    """c(X), the Moreau evaluation of h there and grad F_mu(X), given point data X and egrad = grad f(X).
 
     The Riemannian gradient of F_mu = f + h_mu(c(.)) is the tangent
-    projection of egrad + Dc(x)^T grad h_mu(c(x)); callers that also need
-    egrad itself evaluate the full gradient once and pass it in.
+    projection of egrad + Dc(X)^T grad h_mu(c(X)), returned as an ndarray;
+    callers that also need egrad itself evaluate the full gradient once
+    and pass it in.
 
     Raises:
-        ParameterError: mu is not positive, or c(x) is not finite.
+        ParameterError: mu is not positive, c(X) is not finite, or the
+            gradient fails the tangent check (it is not finite).
     """
-    y = problem.c_eval(x.data)
+    y = problem.c_eval(X)
     if not np.all(np.isfinite(y)):
         raise ParameterError("c(x) must be finite")
     e = moreau_eval(problem.h, mu, y)
-    return y, e, tangent_project(x, egrad + problem.c_jac_t(x.data, e.grad))
+    kind = problem.manifold.kind
+    rgrad = proj(kind, X, egrad + problem.c_jac_t(X, e.grad))
+    check_tangent(kind, X, rgrad)
+    return y, e, rgrad
 
 
 def smoothed_objective_grad(problem, x: ManifoldPoint, mu: float):
@@ -338,6 +343,6 @@ def smoothed_objective_grad(problem, x: ManifoldPoint, mu: float):
     Raises:
         ParameterError: mu is not positive, or c(x) is not finite.
     """
-    y, e, rgrad = smoothed_grad(problem, x, mu, problem.full_egrad(x.data))
+    y, e, rgrad = smoothed_grad(problem, x.data, mu, problem.full_egrad(x.data))
     value = problem.full_value(x.data) + e.value
-    return value, rgrad, float(np.linalg.norm(y - e.prox_point))
+    return value, TangentVector(x.descriptor, x, rgrad), float(np.linalg.norm(y - e.prox_point))

@@ -13,8 +13,8 @@ to a ball so it stays uniformly bounded:
 Iterations count from k = 0; the k = 0 smoothing level is clamped to 1
 so the penalty stays finite.
 
-``step`` works on raw arrays; the loop, tracing, snapshots and the
-certificate witness are the shared ones of :mod:`.driver`.
+The state and ``step`` work on raw arrays; the loop, tracing, snapshots
+and the certificate witness are the shared ones of :mod:`.driver`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .errors import NumericalFailureError, ParameterError, ProbeInconclusiveErro
 from .harness import Certificate, StepReport, TraceRecord
 from .manifolds import (
     ManifoldPoint,
-    TangentVector,
     check_tangent,
     estimate_retraction_constants,
     fro,
@@ -118,13 +117,13 @@ def default_config(
     The stepsize constant obeys c_tau <= 1 / max(L_g, G) where L_g is the
     retraction-smoothness constant of the squared-distance penalty and G
     the one of the smoothed objective (indicator form); the momentum
-    constant follows c_a = (3/4) c_tau^2 + 1/(32 Lt^2) with the derived
-    c_tau, and trunc_radius is L_f.  All estimated constants are inflated
-    by ``safety``.  zeta comes from the error bound probe.  A supplied
-    value skips the sampling passes only it needs: the retraction
-    constants and the max-dist pass when both c_tau and c_a are given,
-    the problem constants when trunc_radius is given too, and the probe
-    when zeta is given.
+    constant follows c_a = (3/4) c_tau^2 + 1/(32 Lt^2) with c_tau as
+    supplied or derived, and trunc_radius is L_f.  All estimated
+    constants are inflated by ``safety``.  zeta comes from the error bound
+    probe.  A supplied value skips the sampling passes only it needs: the
+    retraction constants and the max-dist pass when c_tau is given, the
+    problem constants when c_a and trunc_radius are given too, and the
+    probe when zeta is given.
     """
     if theta < 1:
         raise ParameterError("theta must be >= 1", field="theta")
@@ -134,10 +133,14 @@ def default_config(
         raise ParameterError("problem.h must be an indicator variant")
     if c_tau is None or c_a is None or trunc_radius is None:
         consts = problem.constants or estimate_constants(problem, max(100, samples), seed)
-        if c_tau is None or c_a is None:
-            derived_tau, derived_a = _schedule_constants(problem, consts, safety, samples, seed)
-            c_tau = derived_tau if c_tau is None else c_tau
-            c_a = derived_a if c_a is None else c_a
+        if c_tau is None:
+            c_tau = _stepsize_constant(problem, consts, safety, samples, seed)
+        if c_a is None:
+            try:
+                c_a = 0.75 * c_tau**2 + 1.0 / (32.0 * max(safety * consts.L_tilde, 1e-12) ** 2)
+            except OverflowError:  # a square overflows
+                raise ParameterError(f"c_a = (3/4) c_tau^2 + 1/(32 Lt^2) overflows at c_tau = {c_tau:.3e}; "
+                                     "lower c_tau or supply c_a", field="c_tau") from None
         if trunc_radius is None:
             trunc_radius = safety * consts.L_f
     if zeta is None:
@@ -150,10 +153,10 @@ def default_config(
     return IndicatorConfig(theta=theta, zeta=zeta, c_tau=c_tau, c_a=c_a, trunc_radius=trunc_radius)
 
 
-def _schedule_constants(
+def _stepsize_constant(
     problem: StochasticProblem, consts: ProblemConstants, safety: float, samples: int, seed: int
-) -> tuple[float, float]:
-    """c_tau = 1 / (safety max(L_g, G)) and c_a from estimated constants (see :func:`default_config`)."""
+) -> float:
+    """c_tau = 1 / (safety max(L_g, G)) from estimated constants (see :func:`default_config`)."""
     rc = estimate_retraction_constants(problem.manifold, max(100, samples), seed + 1)
     rng = np.random.default_rng(seed + 2)
     max_dist = 0.0
@@ -162,7 +165,6 @@ def _schedule_constants(
 
     L_c = safety * consts.L_c
     L_gc = safety * consts.L_grad_c
-    L_t = max(safety * consts.L_tilde, 1e-12)
     alpha = safety * rc.alpha
     beta = safety * rc.beta
     C_r = safety * max_dist  # bound on ||c(x) - P_C(c(x))|| over the manifold
@@ -171,19 +173,16 @@ def _schedule_constants(
         L_g = alpha**2 * (L_c + C_r * L_gc) + 2.0 * L_c * C_r * beta
         G_2 = retr_smooth_bound(consts, rc, C_r, safety)
         c_tau = 1.0 / (safety * max(L_g, G_2))
-        c_a = 0.75 * c_tau**2 + 1.0 / (32.0 * L_t**2)
     except ArithmeticError:  # a square overflows, or every constant is 0
-        c_tau = c_a = 0.0
-    if not (0.0 < c_tau < math.inf and 0.0 < c_a < math.inf):
+        c_tau = 0.0
+    if not 0.0 < c_tau < math.inf:
         raise ParameterError(
-            f"c_tau = 1 / (safety max(L_g, G)) = {c_tau:.3e} and c_a = {c_a:.3e} must be positive "
-            f"and finite; safety = {safety:.3g} inflates L_c = {consts.L_c:.3e}, L_grad_c = {consts.L_grad_c:.3e}, "
-            f"L_tilde = {consts.L_tilde:.3e}, L_retr = {consts.L_retr:.3e}, alpha = {rc.alpha:.3e}, "
-            f"beta = {rc.beta:.3e} and max dist(c(x), C) = {max_dist:.3e}; lower safety, rescale the instance "
-            "or supply c_tau and c_a",
-            field="c_tau",
+            f"c_tau = 1 / (safety max(L_g, G)) = {c_tau:.3e} must be positive and finite; safety = {safety:.3g} "
+            f"inflates L_c = {consts.L_c:.3e}, L_grad_c = {consts.L_grad_c:.3e}, L_retr = {consts.L_retr:.3e}, "
+            f"alpha = {rc.alpha:.3e}, beta = {rc.beta:.3e} and max dist(c(x), C) = {max_dist:.3e}; lower safety, "
+            "rescale the instance or supply c_tau", field="c_tau",
         )
-    return c_tau, c_a
+    return c_tau
 
 
 def init(
@@ -196,8 +195,7 @@ def init(
         raise ParameterError("x0 does not live on the problem manifold")
     rng = np.random.default_rng(seed)
     g = sample_riemannian_grad(problem, x0, int(rng.integers(problem.num_samples)))
-    delta = TangentVector(x0.descriptor, x0, _truncate(g.data, config.trunc_radius))
-    return IndicatorState(k=0, x=x0, delta=delta, rng=rng)
+    return IndicatorState(k=0, x=x0.data, delta=_truncate(g.data, config.trunc_radius), rng=rng)
 
 
 def step(state: IndicatorState, problem: StochasticProblem, config: IndicatorConfig) -> StepReport:
@@ -205,7 +203,7 @@ def step(state: IndicatorState, problem: StochasticProblem, config: IndicatorCon
     k = state.k
     omega = config.omega
     mu = config.mu(k)
-    resid, dist = problem.h.residual(problem.c_eval(state.x.data))
+    resid, dist = problem.h.residual(problem.c_eval(state.x))
     G, norm_G = driver.direction(state, problem, resid / mu)
     tau = config.c_tau * float(k + 1) ** (-omega)
     a_next = min(1.0, config.c_a * float(k + 1) ** (-2.0 * omega))
@@ -213,7 +211,7 @@ def step(state: IndicatorState, problem: StochasticProblem, config: IndicatorCon
     delta_next = _truncate(delta_next, config.trunc_radius)
     if np.linalg.norm(delta_next) > config.trunc_radius + TRUNC_SLACK:
         raise NumericalFailureError("momentum estimator escaped the truncation ball", k)
-    driver.advance(state, X_next, delta_next)
+    driver.advance(state, problem.manifold.kind, X_next, delta_next)
     state.feas_history.append(dist)
     return StepReport(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, infeas=dist)
 

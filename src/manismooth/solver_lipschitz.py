@@ -18,8 +18,8 @@ If the very first direction is exactly zero the accumulated energy is
 zero and the iterate is declared stationary for the current smoothing
 level: the step is skipped with tau = 0.
 
-``step`` works on raw arrays; the loop, tracing, snapshots and the
-certificate witness are the shared ones of :mod:`.driver`.
+The state and ``step`` work on raw arrays; the loop, tracing, snapshots
+and the certificate witness are the shared ones of :mod:`.driver`.
 """
 
 from __future__ import annotations
@@ -65,14 +65,14 @@ def init(
         raise ParameterError("x0 does not live on the problem manifold")
     rng = np.random.default_rng(seed)
     delta = sample_riemannian_grad(problem, x0, int(rng.integers(problem.num_samples)))
-    return LipschitzState(k=1, x=x0, delta=delta, rng=rng)
+    return LipschitzState(k=1, x=x0.data, delta=delta.data, rng=rng)
 
 
 def step(state: LipschitzState, problem: StochasticProblem) -> StepReport:
     """Advance the state by exactly one iteration."""
     k = state.k
     mu = smoothing_level(k)
-    y = problem.c_eval(state.x.data)
+    y = problem.c_eval(state.x)
     diff = y - problem.h.prox(mu, y)  # c(x) - prox_{mu h}(c(x)) = mu * grad h_mu(c(x))
     G, norm_G = driver.direction(state, problem, diff / mu)
     state.grad_sq_sum += norm_G * norm_G
@@ -83,7 +83,7 @@ def step(state: LipschitzState, problem: StochasticProblem) -> StepReport:
         tau = 0.0
     if not math.isfinite(tau):
         raise NumericalFailureError("non-finite stepsize", k)
-    driver.advance(state, *driver.move(state, problem, G, tau, a_next))
+    driver.advance(state, problem.manifold.kind, *driver.move(state, problem, G, tau, a_next))
     return StepReport(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, infeas=float(np.linalg.norm(diff)))
 
 

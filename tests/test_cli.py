@@ -173,14 +173,17 @@ def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
         ("problem.set", {"kind": "singleton", "target": 0.0}, 0, None),
         pytest.param("problem.quad_weight", 1e200, 2, "solver.c_tau", marks=OVERFLOWS),
         ("solver.safety", 1e300, 2, "solver.c_tau"),
-        pytest.param("solver.c_tau", 1e300, 3, "(iteration 0)", marks=OVERFLOWS),
+        ("solver.c_tau", 1e300, 2, "solver.c_tau"),
         ("solver", {"theta": 1, "safety": 1e300, "c_tau": 0.01, "c_a": 0.001}, 0, None),
+        pytest.param("solver", {"theta": 1, "c_tau": 1e300, "c_a": 0.001}, 3, "(iteration 0)", marks=OVERFLOWS),
+        ("problem.N", 10**12, 2, "problem.N"),
     ],
 )
 def test_run_extreme_values_exit_cleanly(tmp_path, capsys, field, value, code, names):
     # valid but extreme values: a scalar set vector runs; constants that cannot be
-    # derived name the derived field, and supplying them skips the derivation; a
-    # step that overflows names the iteration
+    # derived name the derived field (c_a = 0.75 c_tau^2 + ... overflows from a huge
+    # c_tau), and supplying them skips the derivation; a step that overflows names the
+    # iteration; an instance too large to allocate names its size field
     cfg = sphere_config(tmp_path / "out")
     _set_field(cfg, field, value)
     path = write_config(tmp_path, cfg)

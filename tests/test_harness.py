@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 import manismooth as ms
-from manismooth.checks import check_lemmas, largest_premise_solution
+from manismooth.checks import (
+    check_lemmas,
+    largest_premise_solution,
+    lemma_implicit_bound_check,
+    lemma_seq_bound_check,
+    retr_smooth_constant_check,
+)
 from manismooth.errors import InsufficientDataError, ParameterError, TraceFormatError
 from manismooth.harness import (
     TraceRecord,
     fit_rate,
-    lemma_implicit_bound_check,
-    lemma_seq_bound_check,
     read_summary_json,
     read_trace_csv,
-    retr_smooth_constant_check,
     summary_dict,
     write_summary_json,
     write_trace_csv,

@@ -50,9 +50,14 @@ def test_default_config_momentum_constant(problem, config):
 @pytest.mark.parametrize("supplied", [{"c_tau": 0.5}, {"c_a": 0.25, "trunc_radius": 3.0},
                                       {"c_tau": 0.5, "c_a": 0.25, "trunc_radius": 3.0, "zeta": 0.1}])
 def test_default_config_takes_supplied_constants(problem, config, supplied):
-    # a supplied value replaces its estimate; the others are derived as if none were supplied
+    # a supplied value replaces its estimate; the others are derived as if none were
+    # supplied, except that c_a follows the c_tau in use, supplied or derived
     got = si.default_config(problem, theta=1.0, safety=2.0, samples=120, seed=8, **supplied)
-    assert got == dataclasses.replace(config, **supplied)
+    expected = dataclasses.replace(config, **supplied)
+    if "c_a" not in supplied:
+        lt = 2.0 * ms.estimate_constants(problem, 120, seed=8).L_tilde
+        expected = dataclasses.replace(expected, c_a=0.75 * expected.c_tau**2 + 1.0 / (32.0 * lt**2))
+    assert got == expected
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the instance overflows on purpose
@@ -74,12 +79,12 @@ def test_init_truncates(problem, config):
     x0 = ms.random_point(problem.manifold, np.random.default_rng(0))
     state = si.init(problem, x0, config, seed=5)
     assert state.k == 0
-    assert state.delta.norm() <= config.trunc_radius + 1e-12
+    assert np.linalg.norm(state.delta) <= config.trunc_radius + 1e-12
 
     tiny = si.IndicatorConfig(theta=1.0, zeta=config.zeta, c_tau=config.c_tau,
                               c_a=config.c_a, trunc_radius=1e-3)
     state2 = si.init(problem, x0, tiny, seed=5)
-    assert state2.delta.norm() == pytest.approx(1e-3, rel=1e-12)
+    assert np.linalg.norm(state2.delta) == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_schedule_examples():
@@ -99,8 +104,8 @@ def test_momentum_resets_when_a_hits_one(problem):
     report = si.step(state, problem, cfg)
     assert report.a == 1.0
     xi = int(probe.rng.integers(problem.num_samples))
-    fresh = ms.sample_riemannian_grad(problem, state.x, xi)
-    np.testing.assert_allclose(state.delta.data, fresh.data, atol=1e-12)
+    fresh = ms.sample_riemannian_grad(problem, ms.ManifoldPoint(problem.manifold, state.x), xi)
+    np.testing.assert_allclose(state.delta, fresh.data, atol=1e-12)
 
 
 def test_feasible_iterate_keeps_momentum_direction():
@@ -113,7 +118,7 @@ def test_feasible_iterate_keeps_momentum_direction():
     delta_before = state.delta
     report = si.step(state, p, cfg)
     assert report.infeas == 0.0
-    assert report.norm_G == pytest.approx(delta_before.norm(), abs=1e-14)
+    assert report.norm_G == pytest.approx(np.linalg.norm(delta_before), abs=1e-14)
 
 
 def test_first_iteration_mu_clamped(problem, config):
