@@ -19,8 +19,9 @@ Library layout:
 - ``driver``: the run loop both solvers share (tracing, diagnostics,
   snapshots, the per-step point/tangent checks) and the certificate
   witness; the solver state, the steps and the snapshots hold plain
-  ndarrays, and typed values are built only for the starting point, its
-  first sample and the certificate's point,
+  ndarrays, and typed values are built only to check each new iterate
+  and momentum, and for the starting point, its first sample and the
+  certificate's point,
 - ``harness``: run records (steps, traces, certificates, rate fits),
   rate fitting, and CSV/JSON serialization,
 - ``checks``: the property batteries behind ``check`` and the executable

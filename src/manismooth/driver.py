@@ -3,12 +3,13 @@
 Both algorithms run one skeleton: a step per iteration, a trace row
 every ``trace_every``-th iteration plus the last, optional diagnostics,
 back-half snapshots and a stationarity witness at one drawn snapshot.
-State, steps, snapshots and diagnostics are plain ndarrays: typed values
-are built only for x0 and its first sample (``init``) and the certificate's
-point.  Steps share :func:`direction`, :func:`move` (the recursive-momentum
-estimator, one sample per iteration) and :func:`advance`, which runs the
-typed constructors' checks on each new iterate and momentum.  Nothing
-repairs an iterate, so one off the manifold or not tangent fails the run.
+State, steps, snapshots and diagnostics are plain ndarrays.  Steps share
+:func:`direction`, :func:`move` (the recursive-momentum estimator, one
+sample per iteration) and :func:`advance`, which stores the read-only
+data of a ``ManifoldPoint``/``TangentVector`` built, and so checked, from
+each new iterate and momentum; other typed values are built only for x0,
+its first sample and the certificate's point.  Nothing repairs an
+iterate, so one off the manifold or not tangent fails the run.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateRetractionError, InsufficientDataError, NumericalFailureError, ParameterError
-from .errors import ShapeMismatchError
 from .harness import Certificate, StepReport, TraceRecord
-from .manifolds import ManifoldPoint, check_point, check_tangent, proj, random_point, retr
+from .manifolds import ManifoldDescriptor, ManifoldPoint, TangentVector, proj, random_point, retr
 from .problems import StochasticProblem
 from .smoothing import smoothed_grad
 
@@ -69,22 +69,18 @@ def move(
     return X_next, g_new + (1.0 - a_next) * proj(kind, X_next, state.delta - g_old)
 
 
-def advance(state: SolverState, kind: str, X_next: np.ndarray, delta_next: np.ndarray) -> None:
-    """Close step k: check the new iterate and momentum, then take them as the state.
+def advance(state: SolverState, desc: ManifoldDescriptor, X_next: np.ndarray, delta_next: np.ndarray) -> None:
+    """Close step k: wrap, and so check, the new iterate and momentum; keep their read-only data.
 
     Raises:
-        ShapeMismatchError: either array's shape differs from the iterate's.
+        ShapeMismatchError: either array's shape differs from ``desc``'s.
         ParameterError: X_next is off the manifold or delta_next is not
             tangent there, beyond the check tolerances, or either is not
             finite.
     """
-    shape = state.x.shape
-    if X_next.shape != shape or delta_next.shape != shape:
-        raise ShapeMismatchError(f"step: expected shape {shape}, got {X_next.shape} and {delta_next.shape}")
-    check_point(kind, X_next)
-    check_tangent(kind, X_next, delta_next)
-    state.x = X_next
-    state.delta = delta_next
+    x = ManifoldPoint(desc, X_next)
+    state.x = x.data
+    state.delta = TangentVector(desc, x, delta_next).data
     state.k += 1
 
 

@@ -136,11 +136,19 @@ def default_config(
         if c_tau is None:
             c_tau = _stepsize_constant(problem, consts, safety, samples, seed)
         if c_a is None:
+            L_t = float(max(safety * consts.L_tilde, 1e-12))
             try:
-                c_a = 0.75 * c_tau**2 + 1.0 / (32.0 * max(safety * consts.L_tilde, 1e-12) ** 2)
-            except OverflowError:  # a square overflows
-                raise ParameterError(f"c_a = (3/4) c_tau^2 + 1/(32 Lt^2) overflows at c_tau = {c_tau:.3e}; "
-                                     "lower c_tau or supply c_a", field="c_tau") from None
+                lt_term = 1.0 / (32.0 * L_t**2)
+            except OverflowError:
+                raise ParameterError(f"c_a: Lt = safety L_tilde = {L_t:.3e} overflows its square; lower safety, "
+                                     "rescale the instance or supply c_a", field="c_a") from None
+            try:
+                c_a = 0.75 * float(c_tau) ** 2 + lt_term
+            except OverflowError:
+                c_a = math.inf
+            if not 0.0 < c_a < math.inf:  # a c_tau too large (or NaN) to square
+                raise ParameterError(f"c_a = (3/4) c_tau^2 + 1/(32 Lt^2) = {c_a:.3e} must be positive and finite at "
+                                     f"c_tau = {c_tau:.3e}; lower c_tau or supply c_a", field="c_tau")
         if trunc_radius is None:
             trunc_radius = safety * consts.L_f
     if zeta is None:
@@ -211,7 +219,7 @@ def step(state: IndicatorState, problem: StochasticProblem, config: IndicatorCon
     delta_next = _truncate(delta_next, config.trunc_radius)
     if np.linalg.norm(delta_next) > config.trunc_radius + TRUNC_SLACK:
         raise NumericalFailureError("momentum estimator escaped the truncation ball", k)
-    driver.advance(state, problem.manifold.kind, X_next, delta_next)
+    driver.advance(state, problem.manifold, X_next, delta_next)
     state.feas_history.append(dist)
     return StepReport(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, infeas=dist)
 

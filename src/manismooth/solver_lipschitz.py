@@ -83,7 +83,7 @@ def step(state: LipschitzState, problem: StochasticProblem) -> StepReport:
         tau = 0.0
     if not math.isfinite(tau):
         raise NumericalFailureError("non-finite stepsize", k)
-    driver.advance(state, problem.manifold.kind, *driver.move(state, problem, G, tau, a_next))
+    driver.advance(state, problem.manifold, *driver.move(state, problem, G, tau, a_next))
     return StepReport(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, infeas=float(np.linalg.norm(diff)))
 
 

@@ -48,7 +48,8 @@ def test_default_config_momentum_constant(problem, config):
 
 
 @pytest.mark.parametrize("supplied", [{"c_tau": 0.5}, {"c_a": 0.25, "trunc_radius": 3.0},
-                                      {"c_tau": 0.5, "c_a": 0.25, "trunc_radius": 3.0, "zeta": 0.1}])
+                                      {"c_tau": 0.5, "c_a": 0.25, "trunc_radius": 3.0, "zeta": 0.1},
+                                      {"c_tau": np.float64(0.5)}])
 def test_default_config_takes_supplied_constants(problem, config, supplied):
     # a supplied value replaces its estimate; the others are derived as if none were
     # supplied, except that c_a follows the c_tau in use, supplied or derived
@@ -58,6 +59,16 @@ def test_default_config_takes_supplied_constants(problem, config, supplied):
         lt = 2.0 * ms.estimate_constants(problem, 120, seed=8).L_tilde
         expected = dataclasses.replace(expected, c_a=0.75 * expected.c_tau**2 + 1.0 / (32.0 * lt**2))
     assert got == expected
+
+
+@pytest.mark.parametrize("supplied,field", [({"c_tau": 1e300}, "c_tau"), ({"c_tau": np.float64(1e200)}, "c_tau"),
+                                            ({"c_tau": 0.5, "safety": 1e300}, "c_a")])
+def test_default_config_names_the_term_of_c_a_that_overflows(problem, supplied, field):
+    # c_a = (3/4) c_tau^2 + 1/(32 Lt^2): a huge c_tau, Python or numpy, names c_tau;
+    # Lt = safety L_tilde squared past the float range names c_a, which can be supplied
+    with pytest.raises(ParameterError, match="c_a") as exc:
+        si.default_config(problem, theta=1.0, samples=120, seed=8, **supplied)
+    assert exc.value.field == field
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the instance overflows on purpose
