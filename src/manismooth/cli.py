@@ -38,7 +38,6 @@ from .errors import (
     InsufficientDataError,
     NumericalFailureError,
     ParameterError,
-    ProbeInconclusiveError,
     ShapeMismatchError,
     TraceFormatError,
 )
@@ -48,7 +47,14 @@ from .rng import derive_seed
 from .smoothing import IndicatorBall, IndicatorBox, IndicatorSingleton
 
 ALGORITHMS = ("lipschitz", "indicator")
-FAMILIES = ("sparse_pca", "constrained_sphere")
+# the keys each object of a config may hold; any other key is a config error
+TOP_KEYS = ("algorithm", "problem", "seed", "max_iters", "trace_every", "diagnostics", "output_dir", "solver")
+PROBLEM_KEYS = {
+    "sparse_pca": ("family", "n", "p", "N", "lambda"),
+    "constrained_sphere": ("family", "n", "m", "N", "set", "quad_weight"),
+}
+SET_KEYS = {"ball": ("kind", "center", "radius"), "box": ("kind", "lower", "upper"), "singleton": ("kind", "target")}
+FAMILIES = tuple(PROBLEM_KEYS)
 # optional solver numbers: (field, lower bound, bound excluded)
 SOLVER_NUMBERS = (
     ("theta", 1, False),
@@ -58,6 +64,13 @@ SOLVER_NUMBERS = (
     ("c_a", 0, True),
     ("trunc_radius", 0, True),
 )
+
+
+def _known(cfg: dict, keys, path: str) -> None:
+    """Reject the first key of cfg that is not in keys, naming it at its dotted path."""
+    for key in cfg:
+        if key not in keys:
+            raise ConfigError(f"{path}{key}", f"unknown field; expected one of {', '.join(keys)}")
 
 
 def _require(cfg: dict, field: str, types, path: str):
@@ -94,6 +107,9 @@ def _vector(spec: dict, field: str, types, m: int):
 
 def _build_set_term(spec: dict, m: int):
     kind = _require(spec, "kind", str, "problem.set.")
+    if kind not in SET_KEYS:
+        raise ConfigError("problem.set.kind", f"unknown set kind {kind!r}")
+    _known(spec, SET_KEYS[kind], "problem.set.")
     if kind == "ball":
         center = _vector(spec, "center", (list, int, float), m)
         radius = _number(spec, "radius", "problem.set.", low=0, strict=True)
@@ -104,16 +120,15 @@ def _build_set_term(spec: dict, m: int):
         if np.any(lower > upper):
             raise ConfigError("problem.set.lower", "must not exceed problem.set.upper")
         return IndicatorBox(lower, upper)
-    if kind == "singleton":
-        target = _vector(spec, "target", (list, int, float), m)
-        return IndicatorSingleton(target)
-    raise ConfigError("problem.set.kind", f"unknown set kind {kind!r}")
+    target = _vector(spec, "target", (list, int, float), m)
+    return IndicatorSingleton(target)
 
 
 def build_problem(cfg: dict, seed: int):
     family = _require(cfg, "family", str, "problem.")
     if family not in FAMILIES:
         raise ConfigError("problem.family", f"unknown family {family!r}")
+    _known(cfg, PROBLEM_KEYS[family], "problem.")
     data_seed = derive_seed(seed, "data")
     N = _number(cfg, "N", "problem.", int, low=1)
     if family == "sparse_pca":
@@ -133,6 +148,9 @@ def build_problem(cfg: dict, seed: int):
 
 
 def validate_config(cfg: dict) -> dict:
+    if not isinstance(cfg, dict):
+        raise ConfigError("config", "must be a JSON object")
+    _known(cfg, TOP_KEYS, "")
     algorithm = _require(cfg, "algorithm", str, "")
     if algorithm not in ALGORITHMS:
         raise ConfigError("algorithm", f"must be one of {ALGORITHMS}")
@@ -147,11 +165,12 @@ def validate_config(cfg: dict) -> dict:
         raise ConfigError("trace_every", "must be >= 1")
     if "diagnostics" in cfg:
         _require(cfg, "diagnostics", bool, "")
-    if "output_dir" in cfg:
-        _require(cfg, "output_dir", str, "")
+    if "output_dir" in cfg and not _require(cfg, "output_dir", str, ""):
+        raise ConfigError("output_dir", "must not be empty; use \".\" for the working directory")
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("solver", "must be an object")
+    _known(solver, tuple(name for name, _, _ in SOLVER_NUMBERS), "solver.")
     for name, low, strict in SOLVER_NUMBERS:
         if solver.get(name) is not None:
             _number(solver, name, "solver.", low=low, strict=strict)
@@ -167,8 +186,8 @@ def validate_config(cfg: dict) -> dict:
 
 
 def _execute(cfg: dict, seed: int, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     problem = build_problem(cfg["problem"], seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     algorithm = cfg["algorithm"]
     K = cfg["max_iters"]
     trace_every = cfg.get("trace_every", 1)
@@ -253,7 +272,7 @@ def cmd_run(args) -> int:
         where = f"seed {s}: " if args.seeds else ""
         try:
             _execute(cfg, s, out_root / f"seed_{s}" if args.seeds else out_root)
-        except (ConfigError, ParameterError, ProbeInconclusiveError, ShapeMismatchError) as exc:
+        except (ConfigError, ParameterError, ShapeMismatchError) as exc:
             print(f"{where}config error: {exc}", file=sys.stderr)
             code = max(code, 2)
         except (NumericalFailureError, ArithmeticError) as exc:

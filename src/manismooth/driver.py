@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateRetractionError, InsufficientDataError, NumericalFailureError, ParameterError
 from .harness import Certificate, StepReport, TraceRecord
-from .manifolds import ManifoldDescriptor, ManifoldPoint, TangentVector, proj, random_point, retr
+from .manifolds import ManifoldDescriptor, ManifoldPoint, TangentVector, _norm, proj, random_point, retr
 from .problems import StochasticProblem
 from .smoothing import smoothed_grad
 
@@ -45,7 +45,7 @@ def direction(state: SolverState, problem: StochasticProblem, grad_h: np.ndarray
     """Search direction G_k = delta_k + P_{T_x}(Dc(x)^T grad_h) and its norm."""
     X = state.x
     G = state.delta + proj(problem.manifold.kind, X, problem.c_jac_t(X, grad_h))
-    norm_G = float(np.linalg.norm(G))
+    norm_G = _norm(G)
     if not math.isfinite(norm_G):
         raise NumericalFailureError("non-finite search direction", state.k)
     return G, norm_G

@@ -29,15 +29,33 @@ generator calls in the same order as
 :func:`random_point`/:func:`random_tangent` and hand the draws back in
 stacks of at most ``SAMPLE_BLOCK``.
 
+The Stiefel ``normalize`` calls the two LAPACK gufuncs that
+``np.linalg.qr`` wraps, ``qr_r_raw`` (geqrf) and ``qr_reduced`` (orgqr),
+on a float64 copy of its input, reads diag(R) from the factored copy and
+fixes the signs of Q in place.  That skips ``np.linalg.qr``'s type
+dispatch, its ``triu`` of R and one of its two ``errstate`` blocks, and
+gives the same Q bit for bit; on St(50, 3) the call drops from ~36 to
+~15 us (one CPU of a 2-CPU x86-64 host, numpy 2.4.6 / OpenBLAS).  The
+gufuncs live in numpy's private ``numpy.linalg._umath_linalg``, verified
+on numpy 2.4.6 only; ``test_normalize_stiefel_is_numpy_qr_with_sign_fix``
+in ``tests/test_manifolds.py`` pins ``normalize`` to ``np.linalg.qr`` plus
+the sign fix: a numpy release that renames them fails at import, and one
+that changes their results fails that test.  For one matrix, ``check_point`` and ``check_tangent``
+compare Python floats, cheaper than numpy-scalar comparisons; a stack
+takes the array path and fails with the same message.
+
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # private: the LAPACK QR gufuncs behind np.linalg.qr
 
 from .errors import DegenerateRetractionError, ParameterError, ShapeMismatchError
 
@@ -99,11 +117,17 @@ def _as_2d(data) -> np.ndarray:
     return arr.reshape(-1, 1) if arr.ndim == 1 else arr
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _as_matrix(desc: ManifoldDescriptor, data, what: str) -> np.ndarray:
-    arr = _as_2d(data)
-    if arr.shape != desc.shape:
-        raise ShapeMismatchError(f"{what}: expected shape {desc.shape}, got {arr.shape}")
-    out = np.array(arr, copy=True)
+    if type(data) is np.ndarray and data.dtype is _FLOAT64 and data.shape == desc.shape:
+        out = data.copy(order="K")  # the one copy the general path makes, without its conversions
+    else:
+        arr = _as_2d(data)
+        if arr.shape != desc.shape:
+            raise ShapeMismatchError(f"{what}: expected shape {desc.shape}, got {arr.shape}")
+        out = np.array(arr, copy=True)
     out.flags.writeable = False
     return out
 
@@ -133,7 +157,7 @@ class TangentVector:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.base.descriptor != self.descriptor:
+        if self.base.descriptor is not self.descriptor and self.base.descriptor != self.descriptor:
             raise ShapeMismatchError("tangent vector descriptor differs from base point's")
         object.__setattr__(self, "data", _as_matrix(self.descriptor, self.data, "tangent"))
         check_tangent(self.descriptor.kind, self.base.data, self.data)
@@ -188,6 +212,19 @@ def fro(V: np.ndarray) -> np.ndarray:
     return np.sqrt(_inner(V, V))
 
 
+def _norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))``: numpy's formula (sqrt of the 'K'-order raveled dot) without its dispatch."""
+    r = v.ravel(order="K")
+    return math.sqrt(r.dot(r))
+
+
+@cache
+def _identity(p: int) -> np.ndarray:
+    eye = np.eye(p)
+    eye.flags.writeable = False
+    return eye
+
+
 def _column_norms(Y: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(Y * Y, axis=-2, keepdims=True))
 
@@ -202,12 +239,18 @@ def proj(kind: str, X: np.ndarray, V: np.ndarray) -> np.ndarray:
     return V - X * np.sum(X * V, axis=-2, keepdims=True)
 
 
+def _lapack_failed(err: str, flag: int):
+    raise DegenerateRetractionError("LAPACK rejected the Stiefel target")
+
+
 def normalize(kind: str, Y: np.ndarray) -> np.ndarray:
     """Map ambient Y onto the manifold: normalize / thin-QR Q with positive-diagonal R / column normalize.
 
     Raises:
         DegenerateRetractionError: the sphere target has zero norm, an
-            oblique column collapses, or Y is rank deficient.
+            oblique column collapses, or Y is rank deficient or rejected
+            by LAPACK.  A NaN or infinite Y is not caught here: its
+            result is not finite, and the point check rejects it.
     """
     if kind == SPHERE:
         nrm = fro(Y)
@@ -215,11 +258,14 @@ def normalize(kind: str, Y: np.ndarray) -> np.ndarray:
             raise DegenerateRetractionError("sphere target has zero norm")
         return Y / _lift(nrm)
     if kind == STIEFEL:
-        q, r = np.linalg.qr(Y)
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        if _any(np.abs(diag) < 1e-12):
+        R = np.array(Y, dtype=np.float64)  # geqrf overwrites it with R above the diagonal, reflectors below
+        with np.errstate(call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            Q = _umath_linalg.qr_reduced(R, _umath_linalg.qr_r_raw(R))
+        diag = R.diagonal(axis1=-2, axis2=-1)
+        if any(abs(r) < 1e-12 for r in diag.ravel().tolist()):
             raise DegenerateRetractionError("rank-deficient Stiefel target")
-        return q * np.where(diag < 0, -1.0, 1.0)[..., None, :]
+        Q *= np.copysign(1.0, diag)[..., None, :]
+        return Q
     nrms = _column_norms(Y)
     if _any(nrms < 1e-12):
         raise DegenerateRetractionError("oblique target collapses a column")
@@ -250,11 +296,16 @@ def check_point(kind: str, X: np.ndarray) -> None:
         err = abs(fro(X) - 1.0)
         tol = _POINT_TOL_SPHERE
     elif kind == STIEFEL:
-        err = fro(X.mT @ X - np.eye(X.shape[-1]))
+        err = fro(X.mT @ X - _identity(X.shape[-1]))
         tol = _POINT_TOL_STIEFEL
     else:
         err = np.max(np.abs(_column_norms(X) - 1.0), axis=(-2, -1))
         tol = _POINT_TOL_OBLIQUE
+    if X.ndim == 2:  # one point: compare a Python float, cheaper than any numpy-scalar comparison
+        err = float(err)
+        if err > tol or err != err:
+            raise ParameterError(f"{kind} point violates manifold equation by {err:.3e}")
+        return
     bad = (err > tol) | (err != err)  # a NaN or infinite entry makes err NaN (!= itself) or inf
     if _any(bad):
         raise ParameterError(f"{kind} point violates manifold equation by {np.max(err, where=bad, initial=0.0):.3e}")
@@ -274,9 +325,13 @@ def check_tangent(kind: str, X: np.ndarray, V: np.ndarray) -> None:
     else:
         err = np.max(np.abs(np.sum(X * V, axis=-2)), axis=-1)
     nrm = fro(V)
+    if X.ndim == V.ndim == 2:  # one vector: the same test on Python floats
+        err, nrm = float(err), float(nrm)
+        if (err > _TANGENT_TOL and err > _TANGENT_TOL * nrm) or err != err or nrm != nrm or nrm == math.inf:
+            raise ParameterError(f"vector is not tangent (violation {err:.3e}, norm {nrm:.3e})")
+        return
     # err > tol max(1, ||V||), or a NaN/infinite entry: a non-finite V has a NaN or
-    # infinite norm, a non-finite X an infinite or NaN err (NaN != NaN); comparisons
-    # keep the one-matrix check cheap, where np.isfinite or ~ on a scalar is not
+    # infinite norm, a non-finite X an infinite or NaN err (NaN != NaN)
     bad = ((err > _TANGENT_TOL) & (err > _TANGENT_TOL * nrm)) | (err != err) | (nrm != nrm) | (nrm == np.inf)
     if _any(bad):
         raise ParameterError(

@@ -29,6 +29,7 @@ from .errors import NumericalFailureError, ParameterError, ProbeInconclusiveErro
 from .harness import Certificate, StepReport, TraceRecord
 from .manifolds import (
     ManifoldPoint,
+    _norm,
     check_tangent,
     estimate_retraction_constants,
     fro,
@@ -95,7 +96,7 @@ class IndicatorState(driver.SolverState):
 
 
 def _truncate(v: np.ndarray, radius: float) -> np.ndarray:
-    nrm = float(np.linalg.norm(v))
+    nrm = _norm(v)
     if nrm <= radius:
         return v
     return (radius / nrm) * v
@@ -124,6 +125,11 @@ def default_config(
     retraction constants and the max-dist pass when c_tau is given, the
     problem constants when c_a and trunc_radius are given too, and the
     probe when zeta is given.
+
+    Raises:
+        ParameterError: a constant cannot be derived; ``field`` names the
+            argument to supply or change (the probe's failures, an
+            all-feasible sample included, name ``zeta``).
     """
     if theta < 1:
         raise ParameterError("theta must be >= 1", field="theta")
@@ -154,7 +160,7 @@ def default_config(
     if zeta is None:
         try:
             zeta, _ = error_bound_probe(problem, max(100, samples), seed + 3)
-        except ParameterError as exc:  # a sampled penalty gradient overflowed its check
+        except (ParameterError, ProbeInconclusiveError) as exc:  # an overflowed check, or nothing to fit
             raise ParameterError(f"error bound probe: {exc}; supply zeta explicitly", field="zeta") from None
         if zeta <= 0:
             raise ParameterError("error bound probe returned zeta = 0; supply zeta explicitly", field="zeta")
@@ -217,7 +223,7 @@ def step(state: IndicatorState, problem: StochasticProblem, config: IndicatorCon
     a_next = min(1.0, config.c_a * float(k + 1) ** (-2.0 * omega))
     X_next, delta_next = driver.move(state, problem, G, tau, a_next)
     delta_next = _truncate(delta_next, config.trunc_radius)
-    if np.linalg.norm(delta_next) > config.trunc_radius + TRUNC_SLACK:
+    if _norm(delta_next) > config.trunc_radius + TRUNC_SLACK:
         raise NumericalFailureError("momentum estimator escaped the truncation ball", k)
     driver.advance(state, problem.manifold, X_next, delta_next)
     state.feas_history.append(dist)

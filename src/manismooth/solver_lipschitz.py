@@ -32,7 +32,7 @@ import numpy as np
 from . import driver
 from .errors import NumericalFailureError, ParameterError
 from .harness import Certificate, StepReport, TraceRecord
-from .manifolds import ManifoldPoint
+from .manifolds import ManifoldPoint, _norm
 from .problems import StochasticProblem, sample_riemannian_grad
 
 
@@ -84,7 +84,7 @@ def step(state: LipschitzState, problem: StochasticProblem) -> StepReport:
     if not math.isfinite(tau):
         raise NumericalFailureError("non-finite stepsize", k)
     driver.advance(state, problem.manifold, *driver.move(state, problem, G, tau, a_next))
-    return StepReport(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, infeas=float(np.linalg.norm(diff)))
+    return StepReport(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, infeas=_norm(diff))
 
 
 def run(

@@ -154,6 +154,7 @@ def _set_field(cfg, path, value):
         ("problem.lambda", float("nan")),
         ("problem.p", 0),
         ("solver.zeta", 1e-300),
+        ("output_dir", ""),
     ],
 )
 def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
@@ -177,6 +178,7 @@ def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
         ("solver", {"theta": 1, "safety": 1e300, "c_tau": 0.01, "c_a": 0.001}, 0, None),
         pytest.param("solver", {"theta": 1, "c_tau": 1e300, "c_a": 0.001}, 3, "(iteration 0)", marks=OVERFLOWS),
         ("problem.N", 10**12, 2, "problem.N"),
+        ("problem.set.radius", 1e6, 2, "solver.zeta: error bound probe: all sampled points are feasible; supply zeta"),
     ],
 )
 def test_run_extreme_values_exit_cleanly(tmp_path, capsys, field, value, code, names):
@@ -194,6 +196,32 @@ def test_run_extreme_values_exit_cleanly(tmp_path, capsys, field, value, code, n
         assert read_summary_json(tmp_path / "out" / "summary.json")["certificate"]["membership_ok"] is True
     else:
         assert names in err
+
+
+@pytest.mark.parametrize(
+    "make, path, value, names",
+    [
+        (pca_config, "trace_evry", 5, "trace_evry: unknown field; expected one of algorithm, problem,"),
+        (pca_config, "problem.lamda", 0.2, "problem.lamda: unknown field; expected one of family, n, p, N, lambda"),
+        (sphere_config, "problem.lambda", 0.1, "problem.lambda: unknown field; expected one of family, n, m,"),
+        (sphere_config, "problem.set.radus", 2.0, "problem.set.radus: unknown field; expected one of kind, center,"),
+        (sphere_config, "problem.set.target", 0.0, "problem.set.target: unknown field"),
+        (sphere_config, "solver.c_tua", 0.01, "solver.c_tua: unknown field; expected one of theta, safety, zeta,"),
+    ],
+)
+def test_run_unknown_key_names_its_path(tmp_path, capsys, make, path, value, names):
+    # a misspelt or foreign key at any level would otherwise run with the default
+    cfg = make(tmp_path / "out")
+    _set_field(cfg, path, value)
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {names}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_config_that_is_not_an_object(tmp_path, capsys):
+    assert main(["run", "--config", str(write_config(tmp_path, [1, 2]))]) == 2
+    assert "config: must be a JSON object" in capsys.readouterr().err
 
 
 def test_run_seed_list_isolates_a_failing_seed(tmp_path, monkeypatch, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 import manismooth as ms
 from manismooth.checks import DESCRIPTORS
-from manismooth.errors import ParameterError, ShapeMismatchError
+from manismooth.errors import DegenerateRetractionError, ParameterError, ShapeMismatchError
 from manismooth import manifolds as mf
 
 
@@ -263,3 +263,95 @@ def test_checks_reject_non_finite_data(desc, bad):
     object.__setattr__(eta, "data", np.full(desc.shape, bad))  # skip the tangent check to reach retract's own
     with pytest.raises(ParameterError):
         ms.retract(x, eta)
+
+
+@pytest.mark.parametrize("shape", [(50, 3), (1000, 10), (6, 2), (32, 50, 3)], ids=lambda s: "x".join(map(str, s)))
+def test_normalize_stiefel_is_numpy_qr_with_sign_fix(shape):
+    # normalize calls numpy's private LAPACK QR gufuncs directly; this pins it to
+    # np.linalg.qr followed by the sign fix, bit for bit, and fails loudly if a
+    # numpy release renames or changes those gufuncs
+    Y = np.random.default_rng(11).standard_normal(shape)
+    given = Y.copy()
+    q, r = np.linalg.qr(Y)
+    want = q * np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0, -1.0, 1.0)[..., None, :]
+    got = mf.normalize(mf.STIEFEL, Y)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert Y.tobytes() == given.tobytes()  # LAPACK factors a copy, never the caller's array
+    assert mf.normalize(mf.STIEFEL, np.asfortranarray(Y)).tobytes() == want.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the non-finite entries are on purpose
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_normalize_stiefel_hands_a_non_finite_target_to_the_point_check(bad):
+    # numpy 2.4's QR gufuncs factor a non-finite matrix without error; the result is
+    # non-finite and the point check rejects it, as for the sphere and oblique kernels
+    Y = np.random.default_rng(12).standard_normal((50, 3))
+    Y[3, 1] = bad
+    Q = mf.normalize(mf.STIEFEL, Y)
+    assert not np.isfinite(Q).all()
+    with pytest.raises(ParameterError, match="stiefel point violates manifold equation by nan"):
+        mf.check_point(mf.STIEFEL, Q)
+    Y[:, 1] = Y[:, 0]  # rank deficiency is still caught before the check
+    Y[3, 1] = Y[3, 0] = 1.0
+    with pytest.raises(DegenerateRetractionError, match="rank-deficient"):
+        mf.normalize(mf.STIEFEL, Y)
+
+
+def _spoiled(desc, how, rng):
+    """A point and a tangent at it, one of them spoiled as ``how`` says."""
+    x = ms.random_point(desc, rng).data
+    v = mf.proj(desc.kind, x, rng.standard_normal(desc.shape))
+    x, v = x.copy(), v.copy()
+    if how == "off_point":
+        x *= 1.0 + 1e-6
+    elif how == "off_tangent":
+        v += 1e-6 * x
+    elif how == "nan_point":
+        x[0, 0] = np.nan
+    elif how == "inf_point":
+        x[0, 0] = np.inf
+    elif how == "nan_tangent":
+        v[0, 0] = np.nan
+    else:
+        v[0, 0] = np.inf
+    return x, v
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the non-finite entries are on purpose
+@pytest.mark.parametrize("how", ["off_point", "nan_point", "inf_point", "off_tangent", "nan_tangent", "inf_tangent"])
+@pytest.mark.parametrize("desc", DESCRIPTORS, ids=lambda d: d.kind)
+def test_one_matrix_checks_reject_what_the_stacked_checks_reject(desc, how):
+    # one matrix takes the Python-float fast path; a stack holding the same matrix
+    # between two valid ones takes the array path; both reject it with one message
+    rng = np.random.default_rng(13)
+    x, v = _spoiled(desc, how, rng)
+    a, b = (ms.random_point(desc, rng).data for _ in range(2))
+    zero = np.zeros(desc.shape)
+    if how.endswith("point"):
+        prefix = f"{desc.kind} point violates manifold equation by "
+        one, many = (x,), (np.stack([a, x, b]),)
+        check = mf.check_point
+    else:
+        prefix = "vector is not tangent (violation "
+        one, many = (x, v), (np.stack([a, x, b]), np.stack([zero, v, zero]))
+        check = mf.check_tangent
+    with pytest.raises(ParameterError) as single:
+        check(desc.kind, *one)
+    with pytest.raises(ParameterError) as stacked:
+        check(desc.kind, *many)
+    assert str(single.value).startswith(prefix)
+    assert str(single.value) == str(stacked.value)
+
+
+def test_as_matrix_copies_float64_data_once_keeping_its_layout():
+    desc = ms.stiefel(6, 2)
+    x = ms.random_point(desc, np.random.default_rng(14)).data
+    src = np.asfortranarray(x)
+    pt = ms.ManifoldPoint(desc, src)
+    assert pt.data is not src and not np.shares_memory(pt.data, src)
+    assert pt.data.flags.f_contiguous and not pt.data.flags.writeable and src.flags.writeable
+    assert np.array_equal(pt.data, x)
+    assert np.array_equal(ms.ManifoldPoint(desc, x.tolist()).data, x)  # other inputs take the general path
+    with pytest.raises(ShapeMismatchError):
+        ms.ManifoldPoint(desc, x.T.copy())

@@ -80,6 +80,15 @@ def test_default_config_names_zeta_when_the_probe_overflows():
     assert exc.value.field == "zeta"
 
 
+@pytest.mark.parametrize("supplied", [{}, {"c_tau": 0.01, "c_a": 0.001, "trunc_radius": 1.0}])
+def test_default_config_names_zeta_when_every_probed_point_is_feasible(supplied):
+    ball = ms.IndicatorBall(np.zeros(4), 3.0)
+    p = ms.make_constrained_sphere(4, 4, 3, ball, seed=35, quad_weight=0.0, linear_map=np.eye(4))
+    with pytest.raises(ParameterError, match="all sampled points are feasible; supply zeta") as exc:
+        si.default_config(p, theta=1.0, samples=100, **supplied)
+    assert exc.value.field == "zeta"
+
+
 def test_default_config_rejects_lipschitz_problem():
     p = ms.make_sparse_pca(6, 2, 5, 0.1, seed=1)
     with pytest.raises(ParameterError):
