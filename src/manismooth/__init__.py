@@ -16,11 +16,13 @@ Library layout:
   stepsize for Lipschitz nonsmooth terms,
 - ``solver_indicator``: truncated-momentum quadratic-penalty solver for
   indicator constraints under an error bound condition,
-- ``driver``: the run loop both solvers share (tracing, diagnostics,
-  snapshots, the per-step point/tangent checks) and the certificate
-  witness; the solver state, the steps and the snapshots hold plain
-  ndarrays, and typed values are built only to check each new iterate
-  and momentum, and for the starting point, its first sample and the
+- ``driver``: the iteration both solvers share, written once (the
+  smoothing direction, retraction, one-sample momentum recursion,
+  optional truncation and the check of each new iterate and momentum),
+  its first sample, the run loop (tracing, diagnostics, snapshots) and
+  the certificate witness; a solver hands in only its schedules.  State
+  and snapshots are plain ndarrays; typed values are built only to check
+  each new iterate and momentum, and for x0, its first sample and the
   certificate's point,
 - ``harness``: run records (steps, traces, certificates, rate fits),
   rate fitting, and CSV/JSON serialization,

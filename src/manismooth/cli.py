@@ -11,9 +11,10 @@ Subcommands:
 - ``manismooth report --trace t.csv --field norm_grad_Fmu --from 100 --to 20000``:
   print a power-law fit of the traced field as JSON on stdout.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure;
-with ``--seeds``, each failing seed is named and the rest still run, and
-the exit code is the worst one (3 over 2).
+Exit codes: 0 success, 2 configuration/usage error (an out-of-range seed
+or an unwritable output directory included), 3 numerical failure; with
+``--seeds``, each failing seed is named and the rest still run, and the
+exit code is the worst one (3 over 2).
 stdout carries machine-readable output only; diagnostics go to stderr.
 The environment variable MANISMOOTH_OUT overrides the output directory.
 """
@@ -55,6 +56,7 @@ PROBLEM_KEYS = {
 }
 SET_KEYS = {"ball": ("kind", "center", "radius"), "box": ("kind", "lower", "upper"), "singleton": ("kind", "target")}
 FAMILIES = tuple(PROBLEM_KEYS)
+SEED_END = 2**64  # seeds are the 64-bit words the random streams are derived from
 # optional solver numbers: (field, lower bound, bound excluded)
 SOLVER_NUMBERS = (
     ("theta", 1, False),
@@ -124,27 +126,32 @@ def _build_set_term(spec: dict, m: int):
     return IndicatorSingleton(target)
 
 
-def build_problem(cfg: dict, seed: int):
+def _problem_maker(cfg: dict):
+    """The checked problem fields: the family's constructor and its arguments other than the data seed."""
     family = _require(cfg, "family", str, "problem.")
     if family not in FAMILIES:
         raise ConfigError("problem.family", f"unknown family {family!r}")
     _known(cfg, PROBLEM_KEYS[family], "problem.")
-    data_seed = derive_seed(seed, "data")
     N = _number(cfg, "N", "problem.", int, low=1)
     if family == "sparse_pca":
         p = _number(cfg, "p", "problem.", int, low=1)
         n = _number(cfg, "n", "problem.", int, low=p)
-        make, args = make_sparse_pca, dict(p=p, lam=_number(cfg, "lambda", "problem.", low=0))
-    else:
-        mdim = _number(cfg, "m", "problem.", int, low=1)
-        set_term = _build_set_term(_require(cfg, "set", dict, "problem."), mdim)
-        n = _number(cfg, "n", "problem.", int, low=2)
-        weight = _number(cfg, "quad_weight", "problem.") if "quad_weight" in cfg else 1.0
-        make, args = make_constrained_sphere, dict(m=mdim, set_term=set_term, quad_weight=weight)
+        return make_sparse_pca, dict(n=n, N=N, p=p, lam=_number(cfg, "lambda", "problem.", low=0))
+    mdim = _number(cfg, "m", "problem.", int, low=1)
+    set_term = _build_set_term(_require(cfg, "set", dict, "problem."), mdim)
+    n = _number(cfg, "n", "problem.", int, low=2)
+    weight = _number(cfg, "quad_weight", "problem.") if "quad_weight" in cfg else 1.0
+    return make_constrained_sphere, dict(n=n, N=N, m=mdim, set_term=set_term, quad_weight=weight)
+
+
+def build_problem(cfg: dict, seed: int):
+    make, args = _problem_maker(cfg)
     try:
-        return make(n=n, N=N, seed=data_seed, **args)
+        return make(seed=derive_seed(seed, "data"), **args)
     except MemoryError as exc:  # numpy refuses an allocation beyond the machine at once
-        raise ConfigError("problem.N", f"the N x n = {N} x {n} instance does not fit in memory: {exc}") from None
+        raise ConfigError(
+            "problem.N", f"the N x n = {args['N']} x {args['n']} instance does not fit in memory: {exc}"
+        ) from None
 
 
 def validate_config(cfg: dict) -> dict:
@@ -154,10 +161,9 @@ def validate_config(cfg: dict) -> dict:
     algorithm = _require(cfg, "algorithm", str, "")
     if algorithm not in ALGORITHMS:
         raise ConfigError("algorithm", f"must be one of {ALGORITHMS}")
-    _require(cfg, "problem", dict, "")
-    seed = _require(cfg, "seed", int, "")
-    if seed < 0:
-        raise ConfigError("seed", "must be a nonnegative integer")
+    _problem_maker(_require(cfg, "problem", dict, ""))
+    if not 0 <= _require(cfg, "seed", int, "") < SEED_END:
+        raise ConfigError("seed", "must be an integer in [0, 2**64)")
     max_iters = _require(cfg, "max_iters", int, "")
     if max_iters < 1:
         raise ConfigError("max_iters", "must be >= 1")
@@ -174,14 +180,16 @@ def validate_config(cfg: dict) -> dict:
     for name, low, strict in SOLVER_NUMBERS:
         if solver.get(name) is not None:
             _number(solver, name, "solver.", low=low, strict=strict)
-    family = cfg["problem"].get("family")
+    family = cfg["problem"]["family"]
     if algorithm == "indicator":
         if family != "constrained_sphere":
             raise ConfigError("problem.family", "algorithm 'indicator' requires an indicator-h problem")
         if "theta" not in solver or solver["theta"] is None:
             raise ConfigError("solver.theta", "required for algorithm 'indicator'")
-    if algorithm == "lipschitz" and family == "constrained_sphere":
+    elif family == "constrained_sphere":
         raise ConfigError("problem.family", "algorithm 'lipschitz' requires a Lipschitz-h problem")
+    elif solver:  # the Lipschitz solver has no parameters: a solver field would be silently ignored
+        raise ConfigError(f"solver.{next(iter(solver))}", "applies to algorithm 'indicator' only")
     return cfg
 
 
@@ -256,6 +264,7 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    out_field = "MANISMOOTH_OUT" if os.environ.get("MANISMOOTH_OUT") else "output_dir"
     out_root = Path(os.environ.get("MANISMOOTH_OUT") or cfg.get("output_dir", "."))
     seeds = [cfg["seed"]]
     if args.seeds:
@@ -263,8 +272,8 @@ def cmd_run(args) -> int:
             seeds = [int(s) for s in args.seeds.split(",") if s]
         except ValueError:
             seeds = []
-        if not seeds:
-            print("--seeds: expected comma-separated integers", file=sys.stderr)
+        if not seeds or not all(0 <= s < SEED_END for s in seeds):
+            print("--seeds: expected comma-separated integers in [0, 2**64)", file=sys.stderr)
             return 2
     code = 0
     for s in seeds:
@@ -274,6 +283,9 @@ def cmd_run(args) -> int:
             _execute(cfg, s, out_root / f"seed_{s}" if args.seeds else out_root)
         except (ConfigError, ParameterError, ShapeMismatchError) as exc:
             print(f"{where}config error: {exc}", file=sys.stderr)
+            code = max(code, 2)
+        except OSError as exc:  # creating the output directory or writing into it
+            print(f"{where}config error: {out_field}: {exc}", file=sys.stderr)
             code = max(code, 2)
         except (NumericalFailureError, ArithmeticError) as exc:
             print(f"{where}numerical failure: {exc}", file=sys.stderr)

@@ -1,14 +1,17 @@
-"""The single-loop driver both solvers share.
+"""The single-loop iteration and run loop both solvers share.
 
-Both algorithms run one skeleton: a step per iteration, a trace row
-every ``trace_every``-th iteration plus the last, optional diagnostics,
-back-half snapshots and a stationarity witness at one drawn snapshot.
-State, steps, snapshots and diagnostics are plain ndarrays.  Steps share
-:func:`direction`, :func:`move` (the recursive-momentum estimator, one
-sample per iteration) and :func:`advance`, which stores the read-only
-data of a ``ManifoldPoint``/``TangentVector`` built, and so checked, from
-each new iterate and momentum; other typed values are built only for x0,
-its first sample and the certificate's point.  Nothing repairs an
+Both algorithms run one iteration, :func:`step`: the dynamic-smoothing
+direction, the retraction, the one-sample recursive-momentum update, the
+optional truncation of the momentum and the check of the new iterate and
+momentum, which are wrapped as a ``ManifoldPoint``/``TangentVector`` and
+stored as read-only data.  A solver supplies only its schedules (mu_k,
+tau_k, a_{k+1}), the truncation radius if any, and its own bookkeeping;
+:func:`start` checks x0 and draws the first sample.  :func:`run` is the
+loop: a trace row every ``trace_every``-th iteration plus the last,
+optional diagnostics, back-half snapshots, and :func:`certificate` a
+stationarity witness at one drawn snapshot.  State, snapshots and
+diagnostics are plain ndarrays; other typed values are built only for
+x0, its first sample and the certificate's point.  Nothing repairs an
 iterate, so one off the manifold or not tangent fails the run.
 """
 
@@ -23,11 +26,12 @@ import numpy as np
 
 from .errors import DegenerateRetractionError, InsufficientDataError, NumericalFailureError, ParameterError
 from .harness import Certificate, StepReport, TraceRecord
-from .manifolds import ManifoldDescriptor, ManifoldPoint, TangentVector, _norm, proj, random_point, retr
-from .problems import StochasticProblem
+from .manifolds import ManifoldPoint, TangentVector, _norm, proj, random_point, retr
+from .problems import StochasticProblem, sample_riemannian_grad
 from .smoothing import smoothed_grad
 
 SNAPSHOT_TARGET = 2000
+TRUNC_SLACK = 1e-12  # rounding allowance of the truncated momentum's norm over the radius
 
 
 @dataclass
@@ -41,47 +45,72 @@ class SolverState:
     snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
 
 
-def direction(state: SolverState, problem: StochasticProblem, grad_h: np.ndarray) -> tuple[np.ndarray, float]:
-    """Search direction G_k = delta_k + P_{T_x}(Dc(x)^T grad_h) and its norm."""
-    X = state.x
-    G = state.delta + proj(problem.manifold.kind, X, problem.c_jac_t(X, grad_h))
+def _truncate(v: np.ndarray, radius: float | None) -> np.ndarray:
+    """v scaled back onto the ball of ``radius`` when it lies outside it; v itself when radius is None."""
+    if radius is None or (nrm := _norm(v)) <= radius:
+        return v
+    return (radius / nrm) * v
+
+
+def start(cls: type, problem: StochasticProblem, x0: ManifoldPoint, seed, k: int, radius: float | None = None):
+    """A ``cls`` state at x0 and iteration k whose momentum is one sample drawn from ``default_rng(seed)``.
+
+    The sample gradient is truncated to ``radius`` when one is given.
+    """
+    if x0.descriptor != problem.manifold:
+        raise ParameterError("x0 does not live on the problem manifold")
+    rng = np.random.default_rng(seed)
+    delta = sample_riemannian_grad(problem, x0, int(rng.integers(problem.num_samples))).data
+    return cls(k=k, x=x0.data, delta=_truncate(delta, radius), rng=rng)
+
+
+def step(
+    state: SolverState, problem: StochasticProblem, mu: float, schedule: Callable[[float], tuple[float, float]],
+    radius: float | None = None,
+) -> StepReport:
+    """Advance the state by one iteration at smoothing level mu; ``schedule(||G_k||)`` gives (tau_k, a_{k+1}).
+
+        G_k         = delta_k + P_{T_{x_k}}( Dc(x_k)^T (c(x_k) - prox_{mu h}(c(x_k))) / mu )
+        x_{k+1}     = R_{x_k}(-tau_k G_k)
+        delta_{k+1} = grad f_xi(x_{k+1}) + (1 - a_{k+1}) T_{x_k -> x_{k+1}}( delta_k - grad f_xi(x_k) )
+
+    with one fresh sample xi for both gradients; the transport to x_{k+1}
+    is the tangent projection there.  For an indicator the residual
+    c(x) - prox_{mu h}(c(x)) is c(x) - P_C(c(x)).  With a ``radius``,
+    delta_{k+1} is scaled back onto that ball.  The new iterate and
+    momentum are wrapped, and so checked, as one ``ManifoldPoint`` and one
+    ``TangentVector``; the state keeps their read-only data.  The report's
+    ``infeas`` is the residual's norm.
+
+    Raises:
+        NumericalFailureError: G_k or tau_k is not finite, or the
+            truncated momentum lies outside the ball.
+        DegenerateRetractionError: the retraction target is degenerate.
+        ParameterError: x_{k+1} or delta_{k+1} fails its check.
+    """
+    k, X, desc = state.k, state.x, problem.manifold
+    kind = desc.kind
+    y = problem.c_eval(X)
+    diff = y - problem.h.prox(mu, y)  # = mu * grad h_mu(c(x))
+    G = state.delta + proj(kind, X, problem.c_jac_t(X, diff / mu))
     norm_G = _norm(G)
     if not math.isfinite(norm_G):
-        raise NumericalFailureError("non-finite search direction", state.k)
-    return G, norm_G
-
-
-def move(
-    state: SolverState, problem: StochasticProblem, G: np.ndarray, tau: float, a_next: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """x_{k+1} = R_x(-tau G) and the recursive-momentum estimate there.
-
-    delta_{k+1} = grad f_xi(x_{k+1}) + (1 - a_{k+1}) T(delta_k - grad f_xi(x_k))
-    with one fresh sample xi for both gradients; the transport to
-    x_{k+1} is the tangent projection there.
-    """
-    kind = problem.manifold.kind
-    X = state.x
+        raise NumericalFailureError("non-finite search direction", k)
+    tau, a_next = schedule(norm_G)
+    if not math.isfinite(tau):
+        raise NumericalFailureError("non-finite stepsize", k)
     X_next = retr(kind, X, (-tau) * G)
     xi = int(state.rng.integers(problem.num_samples))
     g_new = proj(kind, X_next, problem.sample_egrad(X_next, xi))
     g_old = proj(kind, X, problem.sample_egrad(X, xi))
-    return X_next, g_new + (1.0 - a_next) * proj(kind, X_next, state.delta - g_old)
-
-
-def advance(state: SolverState, desc: ManifoldDescriptor, X_next: np.ndarray, delta_next: np.ndarray) -> None:
-    """Close step k: wrap, and so check, the new iterate and momentum; keep their read-only data.
-
-    Raises:
-        ShapeMismatchError: either array's shape differs from ``desc``'s.
-        ParameterError: X_next is off the manifold or delta_next is not
-            tangent there, beyond the check tolerances, or either is not
-            finite.
-    """
+    delta_next = _truncate(g_new + (1.0 - a_next) * proj(kind, X_next, state.delta - g_old), radius)
+    if radius is not None and _norm(delta_next) > radius + TRUNC_SLACK:
+        raise NumericalFailureError("momentum estimator escaped the truncation ball", k)
     x = ManifoldPoint(desc, X_next)
     state.x = x.data
     state.delta = TangentVector(desc, x, delta_next).data
     state.k += 1
+    return StepReport(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, infeas=_norm(diff))
 
 
 def run(

@@ -4,17 +4,19 @@ Handles an indicator-of-convex-set nonsmooth term under an error bound
 condition with exponent theta >= 1.  The smoothed term is the scaled
 squared distance dist^2(c(x), C) / (2 mu_k), i.e. a quadratic penalty
 with parameter 1/mu_k, and the momentum estimator is radially truncated
-to a ball so it stays uniformly bounded:
+to a ball of radius ``trunc_radius`` so it stays uniformly bounded.  One
+iteration is the shared :func:`.driver.step` at the schedules
 
-    mu_k  = max(k, 1)^{-omega}          omega = min(theta/(theta+2), 1/2)
-    tau_k = c_tau (k+1)^{-omega}
-    a_k   = min(1, c_a k^{-2 omega})
+    mu_k      = max(k, 1)^{-omega}          omega = min(theta/(theta+2), 1/2)
+    tau_k     = c_tau (k+1)^{-omega}
+    a_{k+1}   = min(1, c_a (k+1)^{-2 omega})
 
 Iterations count from k = 0; the k = 0 smoothing level is clamped to 1
 so the penalty stays finite.
 
-The state and ``step`` work on raw arrays; the loop, tracing, snapshots
-and the certificate witness are the shared ones of :mod:`.driver`.
+This module holds these schedules, the constraint-violation history and
+the parameter assembly; the iteration, the loop, tracing, snapshots and
+the certificate witness are the shared ones of :mod:`.driver`.
 """
 
 from __future__ import annotations
@@ -25,22 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import driver
-from .errors import NumericalFailureError, ParameterError, ProbeInconclusiveError
+from .errors import ParameterError, ProbeInconclusiveError
 from .harness import Certificate, StepReport, TraceRecord
-from .manifolds import (
-    ManifoldPoint,
-    _norm,
-    check_tangent,
-    estimate_retraction_constants,
-    fro,
-    point_blocks,
-    proj,
-    sup,
-)
-from .problems import ProblemConstants, StochasticProblem, estimate_constants, retr_smooth_bound, sample_riemannian_grad
+from .manifolds import ManifoldPoint, check_tangent, estimate_retraction_constants, fro, point_blocks, proj, sup
+from .problems import ProblemConstants, StochasticProblem, estimate_constants, retr_smooth_bound
 from .smoothing import IndicatorTerm
-
-TRUNC_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,13 +84,6 @@ class IndicatorState(driver.SolverState):
     """Solver state plus the constraint violation of every executed iterate; k starts at 0."""
 
     feas_history: list[float] = field(default_factory=list)
-
-
-def _truncate(v: np.ndarray, radius: float) -> np.ndarray:
-    nrm = _norm(v)
-    if nrm <= radius:
-        return v
-    return (radius / nrm) * v
 
 
 def default_config(
@@ -205,29 +189,17 @@ def init(
     """Initial state at x0: one truncated sample gradient drawn from ``default_rng(seed)``."""
     if not isinstance(problem.h, IndicatorTerm):
         raise ParameterError("this solver requires an indicator nonsmooth term")
-    if x0.descriptor != problem.manifold:
-        raise ParameterError("x0 does not live on the problem manifold")
-    rng = np.random.default_rng(seed)
-    g = sample_riemannian_grad(problem, x0, int(rng.integers(problem.num_samples)))
-    return IndicatorState(k=0, x=x0.data, delta=_truncate(g.data, config.trunc_radius), rng=rng)
+    return driver.start(IndicatorState, problem, x0, seed, k=0, radius=config.trunc_radius)
 
 
 def step(state: IndicatorState, problem: StochasticProblem, config: IndicatorConfig) -> StepReport:
-    """Advance the state by exactly one iteration."""
+    """Advance the state by exactly one iteration of :func:`driver.step`; record dist(c(x_k), C)."""
     k = state.k
-    omega = config.omega
-    mu = config.mu(k)
-    resid, dist = problem.h.residual(problem.c_eval(state.x))
-    G, norm_G = driver.direction(state, problem, resid / mu)
-    tau = config.c_tau * float(k + 1) ** (-omega)
-    a_next = min(1.0, config.c_a * float(k + 1) ** (-2.0 * omega))
-    X_next, delta_next = driver.move(state, problem, G, tau, a_next)
-    delta_next = _truncate(delta_next, config.trunc_radius)
-    if _norm(delta_next) > config.trunc_radius + TRUNC_SLACK:
-        raise NumericalFailureError("momentum estimator escaped the truncation ball", k)
-    driver.advance(state, problem.manifold, X_next, delta_next)
-    state.feas_history.append(dist)
-    return StepReport(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, infeas=dist)
+    tau = config.c_tau * float(k + 1) ** (-config.omega)
+    a_next = min(1.0, config.c_a * float(k + 1) ** (-2.0 * config.omega))
+    report = driver.step(state, problem, config.mu(k), lambda _: (tau, a_next), config.trunc_radius)
+    state.feas_history.append(report.infeas)
+    return report
 
 
 def run(

@@ -1,15 +1,13 @@
 """Stochastic smoothing solver with recursive momentum and adaptive stepsize.
 
-Handles a Lipschitz-continuous nonsmooth term h.  One iteration, at
-smoothing level mu_k = k^{-1/3}:
+Handles a Lipschitz-continuous nonsmooth term h.  One iteration is the
+shared :func:`.driver.step` (direction G_k, retraction, one-sample
+recursive momentum) at the schedules
 
-    G_k      = delta_k + P_{T_{x_k}}( Dc(x_k)^T grad h_{mu_k}(c(x_k)) )
-    tau_k    = ( sum_{i<=k} ||G_i||^2 / a_{k+1} )^{-1/3},   a_{k+1} = k^{-2/3}
-    x_{k+1}  = R_{x_k}(-tau_k G_k)
-    delta_{k+1} = grad f_{xi}(x_{k+1})
-                  + (1 - a_{k+1}) T_{x_k -> x_{k+1}}( delta_k - grad f_{xi}(x_k) )
+    mu_k     = k^{-1/3}
+    tau_k    = ( sum_{i<=k} ||G_i||^2 / a_{k+1} )^{-1/3}
+    a_{k+1}  = k^{-2/3}
 
-with one fresh sample xi per iteration used in both sample gradients.
 The stepsize divides the whole accumulated energy by the current
 a_{k+1}, not by per-term a_{i+1}.  delta_1 is a single sample gradient
 at the initial point (a_1 = 1 erases any momentum history).
@@ -18,22 +16,22 @@ If the very first direction is exactly zero the accumulated energy is
 zero and the iterate is declared stationary for the current smoothing
 level: the step is skipped with tau = 0.
 
-The state and ``step`` work on raw arrays; the loop, tracing, snapshots
-and the certificate witness are the shared ones of :mod:`.driver`.
+This module holds only these schedules and the energy sum; the
+iteration, the loop, tracing, snapshots and the certificate witness are
+the shared ones of :mod:`.driver`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import driver
-from .errors import NumericalFailureError, ParameterError
+from .errors import ParameterError
 from .harness import Certificate, StepReport, TraceRecord
-from .manifolds import ManifoldPoint, _norm
-from .problems import StochasticProblem, sample_riemannian_grad
+from .manifolds import ManifoldPoint
+from .problems import StochasticProblem
 
 
 def smoothing_level(k: int) -> float:
@@ -53,38 +51,23 @@ class LipschitzState(driver.SolverState):
     grad_sq_sum: float = 0.0
 
 
-def init(
-    problem: StochasticProblem,
-    x0: ManifoldPoint,
-    seed: int | np.random.Generator,
-) -> LipschitzState:
+def init(problem: StochasticProblem, x0: ManifoldPoint, seed: int | np.random.Generator) -> LipschitzState:
     """Initial state at x0: one sample drawn from ``default_rng(seed)`` seeds the momentum estimator."""
     if problem.h.is_indicator:
         raise ParameterError("this solver requires a Lipschitz nonsmooth term, not an indicator")
-    if x0.descriptor != problem.manifold:
-        raise ParameterError("x0 does not live on the problem manifold")
-    rng = np.random.default_rng(seed)
-    delta = sample_riemannian_grad(problem, x0, int(rng.integers(problem.num_samples)))
-    return LipschitzState(k=1, x=x0.data, delta=delta.data, rng=rng)
+    return driver.start(LipschitzState, problem, x0, seed, k=1)
 
 
 def step(state: LipschitzState, problem: StochasticProblem) -> StepReport:
-    """Advance the state by exactly one iteration."""
+    """Advance the state by exactly one iteration of :func:`driver.step`."""
     k = state.k
-    mu = smoothing_level(k)
-    y = problem.c_eval(state.x)
-    diff = y - problem.h.prox(mu, y)  # c(x) - prox_{mu h}(c(x)) = mu * grad h_mu(c(x))
-    G, norm_G = driver.direction(state, problem, diff / mu)
-    state.grad_sq_sum += norm_G * norm_G
     a_next = momentum_weight(k)
-    if state.grad_sq_sum > 0.0:
-        tau = (state.grad_sq_sum / a_next) ** (-1.0 / 3.0)
-    else:
-        tau = 0.0
-    if not math.isfinite(tau):
-        raise NumericalFailureError("non-finite stepsize", k)
-    driver.advance(state, problem.manifold, *driver.move(state, problem, G, tau, a_next))
-    return StepReport(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, infeas=_norm(diff))
+
+    def schedule(norm_G: float) -> tuple[float, float]:
+        state.grad_sq_sum += norm_G * norm_G
+        return (state.grad_sq_sum / a_next) ** (-1.0 / 3.0) if state.grad_sq_sum > 0.0 else 0.0, a_next
+
+    return driver.step(state, problem, smoothing_level(k), schedule)
 
 
 def run(

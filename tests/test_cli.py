@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +156,7 @@ def _set_field(cfg, path, value):
         ("problem.p", 0),
         ("solver.zeta", 1e-300),
         ("output_dir", ""),
+        pytest.param("output_dir", str(Path(__file__) / "out"), id="output_dir-under-a-file"),
     ],
 )
 def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
@@ -216,6 +218,57 @@ def test_run_unknown_key_names_its_path(tmp_path, capsys, make, path, value, nam
     assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
     err = capsys.readouterr().err
     assert f"config error: {names}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_unwritable_output_names_its_setting(tmp_path, monkeypatch, capsys):
+    # the directory cannot be created under a file, and a directory in the
+    # place of trace.csv cannot be written; each exits 2 naming the setting
+    cfg_path = write_config(tmp_path, pca_config(tmp_path / "out"))
+    (tmp_path / "out" / "trace.csv").mkdir(parents=True)
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: output_dir: " in err and "Traceback" not in err
+    monkeypatch.setenv("MANISMOOTH_OUT", str(cfg_path / "out"))
+    assert main(["run", "--config", str(cfg_path), "--seeds", "1,2"]) == 2
+    err = capsys.readouterr().err
+    assert "seed 1: config error: MANISMOOTH_OUT: " in err and "seed 2: config error: MANISMOOTH_OUT: " in err
+
+
+@pytest.mark.parametrize("solver", [{"c_tau": 0.5, "theta": 3}, {"theta": None}])
+def test_run_lipschitz_rejects_solver_fields(tmp_path, capsys, solver):
+    # the Lipschitz solver reads no solver field, so any one would be silently ignored
+    cfg = pca_config(tmp_path / "out", solver=solver)
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: solver.{next(iter(solver))}: applies to algorithm 'indicator' only" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_problem_error_is_reported_once(tmp_path, monkeypatch, capsys):
+    cfg = pca_config("ignored")
+    cfg["problem"]["lamda"] = 0.2
+    monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "multi"))
+    assert main(["run", "--config", str(write_config(tmp_path, cfg)), "--seeds", "1,2,3"]) == 2
+    assert capsys.readouterr().err.count("problem.lamda: unknown field") == 1
+    assert not (tmp_path / "multi").exists()
+
+
+@pytest.mark.parametrize(
+    "seed, seeds, names",
+    [
+        (-1, None, "config error: seed: "),
+        (2**64, None, "config error: seed: "),
+        (5, "-1,2", "--seeds: "),
+        (5, f"1,{2**64 + 1}", "--seeds: "),  # would alias seed 1 if masked to 64 bits
+    ],
+)
+def test_run_seed_out_of_range_names_it(tmp_path, monkeypatch, capsys, seed, seeds, names):
+    monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "out"))
+    args = ["run", "--config", str(write_config(tmp_path, pca_config("ignored", seed=seed)))]
+    assert main(args + ([f"--seeds={seeds}"] if seeds else [])) == 2
+    err = capsys.readouterr().err
+    assert names in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,25 @@ def test_typed_values_are_built_only_by_advance_and_at_the_edges(monkeypatch, so
         solve(K)
         built.append(dict(counts))
     assert {cls: built[1][cls] - built[0][cls] for cls in counts} == dict.fromkeys(counts, 200 - 50)
+
+
+@pytest.mark.parametrize("solver", [sl, si], ids=["lipschitz", "indicator"])
+def test_each_step_draws_one_sample_for_both_gradients(solver):
+    # O(1) samples per iteration: one at init, then per step one index xi
+    # shared by grad f_xi(x_{k+1}) and grad f_xi(x_k)
+    if solver is sl:
+        p = ms.make_sparse_pca(10, 2, 8, 0.15, seed=5)
+        args = ()
+    else:
+        p = ms.make_constrained_sphere(10, 4, 12, ms.IndicatorBall(np.full(4, 0.35), 0.7), seed=3)
+        args = (si.IndicatorConfig(theta=1.0, zeta=1.0, c_tau=0.01, c_a=0.5, trunc_radius=10.0),)
+    drawn = []
+
+    def sample_egrad(xd, i, original=p.sample_egrad):
+        drawn.append(i)
+        return original(xd, i)
+
+    K = 40
+    solver.run(dataclasses.replace(p, sample_egrad=sample_egrad), None, *args, seed=1, K=K, diagnostics=True)
+    assert len(drawn) == 1 + 2 * K
+    assert drawn[1::2] == drawn[2::2]
