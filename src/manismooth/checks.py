@@ -31,6 +31,7 @@ from .smoothing import (
     IndicatorBall,
     IndicatorBox,
     IndicatorSingleton,
+    IndicatorTerm,
     ScaledL1,
     ScaledL2,
     moreau_envelope_inequality_check,
@@ -344,7 +345,7 @@ def retr_smooth_constant_check(
     if samples < 100:
         raise ParameterError("samples must be >= 100")
     rng = np.random.default_rng(seed)
-    consts = problem.constants or estimate_constants(problem, max(100, samples), seed)
+    consts = estimate_constants(problem, max(100, samples), seed)
     rc = mf.estimate_retraction_constants(problem.manifold, max(100, samples), seed + 1)
 
     empirical = -math.inf
@@ -357,9 +358,9 @@ def retr_smooth_constant_check(
         fy, _, _ = smoothed_objective_grad(problem, y, mu)
         lin = float(np.sum(gx.data * eta.data))
         empirical = max(empirical, 2.0 * mu * (fy - fx - lin) / eta.norm() ** 2)
-        if problem.h.is_indicator:
+        if isinstance(problem.h, IndicatorTerm):
             max_dist = max(max_dist, problem.h.distance(problem.c_eval(x.data)))
-    if problem.h.is_indicator:
+    if isinstance(problem.h, IndicatorTerm):
         level = safety * max_dist
     else:
         level = problem.h.lipschitz_const

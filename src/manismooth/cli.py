@@ -13,8 +13,9 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration/usage error (an out-of-range seed
 or an unwritable output directory included), 3 numerical failure; with
-``--seeds``, each failing seed is named and the rest still run, and the
-exit code is the worst one (3 over 2).
+``--seeds``, an unwritable output root is reported once before any seed,
+each failing seed is named and the rest still run, and the exit code is
+the worst one (3 over 2).
 stdout carries machine-readable output only; diagnostics go to stderr.
 The environment variable MANISMOOTH_OUT overrides the output directory.
 """
@@ -209,7 +210,8 @@ def _execute(cfg: dict, seed: int, out_dir: Path) -> None:
         )
         cert = solver_lipschitz.certificate(state, problem)
     else:
-        scfg = cfg.get("solver", {})
+        # a null solver number means "not supplied": derived, or the default safety
+        scfg = {k: v for k, v in cfg.get("solver", {}).items() if v is not None}
         try:
             config = solver_indicator.default_config(
                 problem,
@@ -275,6 +277,11 @@ def cmd_run(args) -> int:
         if not seeds or not all(0 <= s < SEED_END for s in seeds):
             print("--seeds: expected comma-separated integers in [0, 2**64)", file=sys.stderr)
             return 2
+        try:  # one message for an unwritable root, before any seed runs
+            out_root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"config error: {out_field}: {exc}", file=sys.stderr)
+            return 2
     code = 0
     for s in seeds:
         # a failing seed is named and the remaining seeds still run
@@ -287,7 +294,8 @@ def cmd_run(args) -> int:
         except OSError as exc:  # creating the output directory or writing into it
             print(f"{where}config error: {out_field}: {exc}", file=sys.stderr)
             code = max(code, 2)
-        except (NumericalFailureError, ArithmeticError) as exc:
+        except (NumericalFailureError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            # LinAlgError: an estimator's SVD met a non-finite Jacobian of c
             print(f"{where}numerical failure: {exc}", file=sys.stderr)
             code = 3
     return code

@@ -31,7 +31,7 @@ from .problems import StochasticProblem, sample_riemannian_grad
 from .smoothing import smoothed_grad
 
 SNAPSHOT_TARGET = 2000
-TRUNC_SLACK = 1e-12  # rounding allowance of the truncated momentum's norm over the radius
+TRUNC_SLACK = 1e-12  # relative rounding allowance of the truncated momentum's norm over the radius
 
 
 @dataclass
@@ -104,7 +104,7 @@ def step(
     g_new = proj(kind, X_next, problem.sample_egrad(X_next, xi))
     g_old = proj(kind, X, problem.sample_egrad(X, xi))
     delta_next = _truncate(g_new + (1.0 - a_next) * proj(kind, X_next, state.delta - g_old), radius)
-    if radius is not None and _norm(delta_next) > radius + TRUNC_SLACK:
+    if radius is not None and _norm(delta_next) > radius * (1.0 + TRUNC_SLACK):
         raise NumericalFailureError("momentum estimator escaped the truncation ball", k)
     x = ManifoldPoint(desc, X_next)
     state.x = x.data

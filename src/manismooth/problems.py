@@ -19,7 +19,7 @@ Both fix data only; they solve nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -47,7 +47,8 @@ from .smoothing import IndicatorTerm, NonsmoothTerm, ScaledL1
 
 @dataclass(frozen=True)
 class ProblemConstants:
-    """Empirical problem constants; lower bounds on the true suprema.
+    """Empirical problem constants, all six estimated together by
+    :func:`estimate_constants`; lower bounds on the true suprema.
 
     ``L_f``: max gradient norm of f.  ``L_c`` / ``L_grad_c``: Lipschitz
     moduli of c and of its Jacobian.  ``L_tilde``: average-smoothness
@@ -56,17 +57,16 @@ class ProblemConstants:
     retraction-smoothness constant of f.
     """
 
-    L_f: float | None = None
-    L_c: float | None = None
-    L_grad_c: float | None = None
-    L_tilde: float | None = None
-    sigma: float | None = None
-    L_retr: float | None = None
+    L_f: float
+    L_c: float
+    L_grad_c: float
+    L_tilde: float
+    sigma: float
+    L_retr: float
 
     def __post_init__(self):
         for name in ("L_f", "L_c", "L_grad_c", "L_tilde", "sigma", "L_retr"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
+            if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be nonnegative")
 
 
@@ -74,22 +74,24 @@ class ProblemConstants:
 class StochasticProblem:
     """Finite-sum smooth part + nonlinear map + nonsmooth term.
 
-    Evaluators take and return raw ndarrays shaped like point data;
-    sample indices are 0-based ints in range(num_samples).
+    Five evaluators: the stochastic gradient oracle ``sample_egrad`` (the
+    only per-sample evaluator; no step asks for a sample value), the full
+    ``full_value``/``full_egrad`` of diagnostics and estimators, and
+    ``c_eval``/``c_jac_t``.  They take and return raw ndarrays shaped
+    like point data; sample indices are 0-based ints in range(num_samples).
 
-    Every evaluator also accepts a stack of points ``(..., n, p)``: the
-    sample evaluators then take an index array of the stack's leading
+    Every evaluator also accepts a stack of points ``(..., n, p)``:
+    ``sample_egrad`` then takes an index array of the stack's leading
     shape, ``c_jac_t`` a ``(..., m)`` array of vectors, and each result
     carries the leading axes (a result that does not depend on an
-    argument may broadcast against them instead): values ``(...)``,
-    gradients ``(..., n, p)``, ``c_eval`` ``(..., m)``.  Each slice of a
-    stacked result must equal the call on that slice alone, bit for bit;
-    the sampling estimators rely on it.
+    argument may broadcast against them instead): ``full_value``
+    ``(...)``, gradients ``(..., n, p)``, ``c_eval`` ``(..., m)``.  Each
+    slice of a stacked result must equal the call on that slice alone,
+    bit for bit; the sampling estimators rely on it.
     """
 
     manifold: ManifoldDescriptor
     num_samples: int
-    sample_value: Callable[[np.ndarray, int], float]
     sample_egrad: Callable[[np.ndarray, int], np.ndarray]
     full_value: Callable[[np.ndarray], float]
     full_egrad: Callable[[np.ndarray], np.ndarray]
@@ -98,8 +100,6 @@ class StochasticProblem:
     m: int
     h: NonsmoothTerm
     name: str = "custom"
-    params: dict = field(default_factory=dict)
-    constants: ProblemConstants | None = None
 
     def check_index(self, i: int) -> None:
         if not 0 <= i < self.num_samples:
@@ -128,10 +128,6 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
     A = rng.standard_normal((N, n))
     cov = A.T @ A / N
 
-    def sample_value(xd, i):
-        r = (A[i][..., None, :] @ xd)[..., 0, :]
-        return -0.5 * np.vecdot(r, r)
-
     def sample_egrad(xd, i):
         a = A[i][..., None, :]
         return -(a.mT * (a @ xd))
@@ -151,7 +147,6 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
     return StochasticProblem(
         manifold=stiefel(n, p),
         num_samples=N,
-        sample_value=sample_value,
         sample_egrad=sample_egrad,
         full_value=full_value,
         full_egrad=full_egrad,
@@ -160,7 +155,6 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
         m=n * p,
         h=ScaledL1(lam, n * p),
         name="sparse_pca",
-        params={"n": n, "p": p, "N": N, "lambda": lam, "seed": seed},
     )
 
 
@@ -195,15 +189,8 @@ def make_constrained_sphere(
 
     b_col = b[:, None]
 
-    def sample_resid(xd, i):
-        return np.vecdot(A[i], xd[..., 0]) - b[i]
-
-    def sample_value(xd, i):
-        r = sample_resid(xd, i)
-        return 0.5 * r * r
-
     def sample_egrad(xd, i):
-        return (sample_resid(xd, i)[..., None] * A[i])[..., None]
+        return ((np.vecdot(A[i], xd[..., 0]) - b[i])[..., None] * A[i])[..., None]
 
     def full_value(xd):
         r = (A @ xd)[..., 0] - b
@@ -222,7 +209,6 @@ def make_constrained_sphere(
     return StochasticProblem(
         manifold=sphere(n),
         num_samples=N,
-        sample_value=sample_value,
         sample_egrad=sample_egrad,
         full_value=full_value,
         full_egrad=full_egrad,
@@ -231,7 +217,6 @@ def make_constrained_sphere(
         m=m,
         h=set_term,
         name="constrained_sphere",
-        params={"n": n, "m": m, "N": N, "seed": seed, "quad_weight": quad_weight},
     )
 
 

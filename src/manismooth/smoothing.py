@@ -32,11 +32,10 @@ def _norm(y: np.ndarray):
 class NonsmoothTerm:
     """Base class: a convex h with exact prox.
 
-    Subclasses implement ``value`` and ``prox``; indicator subclasses
-    also expose set projection/sampling used by certificate checks.
+    Subclasses implement ``value``, ``prox`` and ``in_subdifferential``;
+    the indicator of a set is an :class:`IndicatorTerm`, which also
+    exposes the set projection/sampling the indicator solver uses.
     """
-
-    is_indicator = False
 
     @property
     def lipschitz_const(self) -> float:
@@ -49,7 +48,7 @@ class NonsmoothTerm:
     def prox(self, mu: float, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def in_subdifferential(self, y, z, tol: float = 1e-8, rng=None, samples: int = 100) -> bool:
+    def in_subdifferential(self, y, z, tol: float = 1e-8, rng=None) -> bool:
         """Numerical membership test z in dh(y)."""
         raise NotImplementedError
 
@@ -79,7 +78,7 @@ class ScaledL1(NonsmoothTerm):
         t = mu * self.lam
         return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
 
-    def in_subdifferential(self, y, z, tol=1e-8, rng=None, samples=100):
+    def in_subdifferential(self, y, z, tol=1e-8, rng=None):
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
         if np.any(np.abs(z) > self.lam + tol):
@@ -112,7 +111,7 @@ class ScaledL2(NonsmoothTerm):
             return np.zeros_like(np.asarray(y, dtype=float))
         return (1.0 - t / nrm) * np.asarray(y, dtype=float)
 
-    def in_subdifferential(self, y, z, tol=1e-8, rng=None, samples=100):
+    def in_subdifferential(self, y, z, tol=1e-8, rng=None):
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
         if np.linalg.norm(y) > tol:
@@ -127,8 +126,6 @@ class IndicatorTerm(NonsmoothTerm):
     ``(..., m)`` of vectors and act on each row; every row equals the
     call on that row alone, bit for bit.
     """
-
-    is_indicator = True
 
     def project(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -156,15 +153,15 @@ class IndicatorTerm(NonsmoothTerm):
         """dist(y, C): a float for one vector, an array for a stack."""
         return self.residual(y)[1]
 
-    def in_subdifferential(self, y, z, tol=1e-8, rng=None, samples=100):
+    def in_subdifferential(self, y, z, tol=1e-8, rng=None):
         # dh(y) is the normal cone N_C(y): require <z, w - y> <= tol for
-        # sampled members w of C.
+        # 100 sampled members w of C.
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
         if not self.contains(y, tol=tol):
             return False
         rng = np.random.default_rng(0) if rng is None else rng
-        for _ in range(samples):
+        for _ in range(100):
             w = self.sample_member(rng)
             if float(np.dot(z, w - y)) > tol:
                 return False
@@ -251,7 +248,6 @@ class MoreauEval:
     value: float
     grad: np.ndarray
     prox_point: np.ndarray
-    mu: float
 
 
 def prox(h: NonsmoothTerm, mu: float, y) -> np.ndarray:
@@ -271,11 +267,11 @@ def moreau_eval(h: NonsmoothTerm, mu: float, y) -> MoreauEval:
     y = np.asarray(y, dtype=float)
     p = h.prox(mu, y)
     diff = y - p
-    if h.is_indicator:
+    if isinstance(h, IndicatorTerm):
         value = float(diff @ diff) / (2.0 * mu)
     else:
         value = h.value(p) + float(diff @ diff) / (2.0 * mu)
-    return MoreauEval(value=value, grad=diff / mu, prox_point=p, mu=mu)
+    return MoreauEval(value=value, grad=diff / mu, prox_point=p)
 
 
 def moreau_envelope_inequality_check(h: NonsmoothTerm, mu1: float, mu2: float, y) -> bool:
@@ -297,7 +293,7 @@ def moreau_envelope_inequality_check(h: NonsmoothTerm, mu1: float, mu2: float, y
     g1_sq = float(e1.grad @ e1.grad)
     rhs = e1.value + 0.5 * ((mu1 - mu2) / mu2) * mu1 * g1_sq
     ok = e2.value <= rhs + slack
-    if h.is_indicator:
+    if isinstance(h, IndicatorTerm):
         dist_sq = float(np.sum((np.asarray(y, dtype=float) - e1.prox_point) ** 2))
         rhs_ind = e1.value + 0.5 * (1.0 / mu2 - 1.0 / mu1) * dist_sq
         ok = ok and e2.value <= rhs_ind + slack

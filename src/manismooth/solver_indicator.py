@@ -122,7 +122,7 @@ def default_config(
     if not isinstance(problem.h, IndicatorTerm):
         raise ParameterError("problem.h must be an indicator variant")
     if c_tau is None or c_a is None or trunc_radius is None:
-        consts = problem.constants or estimate_constants(problem, max(100, samples), seed)
+        consts = estimate_constants(problem, max(100, samples), seed)
         if c_tau is None:
             c_tau = _stepsize_constant(problem, consts, safety, samples, seed)
         if c_a is None:

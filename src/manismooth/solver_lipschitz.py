@@ -32,6 +32,7 @@ from .errors import ParameterError
 from .harness import Certificate, StepReport, TraceRecord
 from .manifolds import ManifoldPoint
 from .problems import StochasticProblem
+from .smoothing import IndicatorTerm
 
 
 def smoothing_level(k: int) -> float:
@@ -53,7 +54,7 @@ class LipschitzState(driver.SolverState):
 
 def init(problem: StochasticProblem, x0: ManifoldPoint, seed: int | np.random.Generator) -> LipschitzState:
     """Initial state at x0: one sample drawn from ``default_rng(seed)`` seeds the momentum estimator."""
-    if problem.h.is_indicator:
+    if isinstance(problem.h, IndicatorTerm):
         raise ParameterError("this solver requires a Lipschitz nonsmooth term, not an indicator")
     return driver.start(LipschitzState, problem, x0, seed, k=1)
 

@@ -16,7 +16,7 @@ from manismooth import solver_lipschitz as sl
 from manismooth.cli import main as cli_main
 from manismooth.checks import lemma_implicit_bound_check, lemma_seq_bound_check, retr_smooth_constant_check
 from manismooth.harness import fit_rate
-from manismooth.smoothing import smoothed_objective_grad
+from manismooth.smoothing import IndicatorTerm, smoothed_objective_grad
 
 
 def verdict(num, ok, detail):
@@ -167,7 +167,7 @@ def test_criterion_02_moreau_machinery():
         y = 3.0 * rng.standard_normal(dim)
         if not ms.moreau_envelope_inequality_check(h, mu1, mu2, y):
             ineq_ok = False
-        if not h.is_indicator:
+        if not isinstance(h, IndicatorTerm):
             e = ms.moreau_eval(h, mu2, y)
             if np.linalg.norm(e.grad) > h.lipschitz_const + 1e-10:
                 bound_ok = False

@@ -181,6 +181,7 @@ def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
         pytest.param("solver", {"theta": 1, "c_tau": 1e300, "c_a": 0.001}, 3, "(iteration 0)", marks=OVERFLOWS),
         ("problem.N", 10**12, 2, "problem.N"),
         ("problem.set.radius", 1e6, 2, "solver.zeta: error bound probe: all sampled points are feasible; supply zeta"),
+        ("solver.safety", None, 0, None),  # null means not supplied, as for the derived constants
     ],
 )
 def test_run_extreme_values_exit_cleanly(tmp_path, capsys, field, value, code, names):
@@ -223,16 +224,17 @@ def test_run_unknown_key_names_its_path(tmp_path, capsys, make, path, value, nam
 
 def test_run_unwritable_output_names_its_setting(tmp_path, monkeypatch, capsys):
     # the directory cannot be created under a file, and a directory in the
-    # place of trace.csv cannot be written; each exits 2 naming the setting
+    # place of trace.csv cannot be written; each exits 2 naming the setting,
+    # and with --seeds an unwritable root is reported once, before any seed runs
     cfg_path = write_config(tmp_path, pca_config(tmp_path / "out"))
     (tmp_path / "out" / "trace.csv").mkdir(parents=True)
     assert main(["run", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert "config error: output_dir: " in err and "Traceback" not in err
     monkeypatch.setenv("MANISMOOTH_OUT", str(cfg_path / "out"))
-    assert main(["run", "--config", str(cfg_path), "--seeds", "1,2"]) == 2
+    assert main(["run", "--config", str(cfg_path), "--seeds", "1,2,3"]) == 2
     err = capsys.readouterr().err
-    assert "seed 1: config error: MANISMOOTH_OUT: " in err and "seed 2: config error: MANISMOOTH_OUT: " in err
+    assert err.count("config error: MANISMOOTH_OUT: ") == 1 and "seed " not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("solver", [{"c_tau": 0.5, "theta": 3}, {"theta": None}])

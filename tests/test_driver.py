@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import manismooth as ms
+from manismooth import driver
 from manismooth import solver_indicator as si
 from manismooth import solver_lipschitz as sl
 
@@ -62,3 +63,20 @@ def test_each_step_draws_one_sample_for_both_gradients(solver):
     solver.run(dataclasses.replace(p, sample_egrad=sample_egrad), None, *args, seed=1, K=K, diagnostics=True)
     assert len(drawn) == 1 + 2 * K
     assert drawn[1::2] == drawn[2::2]
+
+
+def test_truncation_check_allows_rounding_relative_to_the_radius():
+    # at radius 1e5 the rounding of (radius / ||v||) v alone can exceed
+    # radius + 1e-12, so an absolute slack failed this run at iteration 1;
+    # the escape check must still hold every momentum to the radius
+    p = ms.make_constrained_sphere(8, 4, 12, ms.IndicatorBall(np.full(4, 0.35), 0.7), seed=3)
+    A = 1e7 * np.random.default_rng(0).standard_normal((12, 8))
+    p = dataclasses.replace(p, sample_egrad=lambda xd, i: A[i][..., None].copy())
+    config = si.IndicatorConfig(theta=1.0, zeta=1.0, c_tau=1e-9, c_a=0.5, trunc_radius=1e5)
+    state = si.init(p, ms.random_point(p.manifold, np.random.default_rng(1)), config, seed=2)
+    norms = []
+    for _ in range(200):
+        si.step(state, p, config)
+        norms.append(np.linalg.norm(state.delta))
+    assert max(norms) <= 1e5 * (1.0 + driver.TRUNC_SLACK)
+    assert min(norms) >= 1e5 * (1.0 - 1e-12)  # every step truncates

@@ -24,8 +24,6 @@ def test_unbiasedness_finite_sum(which, request):
         x = ms.random_point(p.manifold, rng)
         mean = np.mean([p.sample_egrad(x.data, i) for i in range(p.num_samples)], axis=0)
         assert np.linalg.norm(mean - p.full_egrad(x.data)) <= 1e-10 * p.num_samples
-        mean_val = np.mean([p.sample_value(x.data, i) for i in range(p.num_samples)])
-        assert abs(mean_val - p.full_value(x.data)) <= 1e-10 * p.num_samples
 
 
 def test_sample_riemannian_grad_single_sample():
@@ -130,7 +128,7 @@ def linear_objective_sphere(n, N, seed):
     """Per-sample linear objective f_i(x) = a_i^T x on the sphere.
 
     The evaluators follow the stacked contract: point data ``(..., n, 1)``,
-    index arrays for the sample evaluators, one result per point.
+    an index array for ``sample_egrad``, one result per point.
     """
     A = np.random.default_rng(seed).standard_normal((N, n))
     a_mean = A.mean(axis=0)
@@ -144,7 +142,6 @@ def linear_objective_sphere(n, N, seed):
     return A, ms.StochasticProblem(
         manifold=ms.sphere(n),
         num_samples=N,
-        sample_value=lambda xd, i: np.vecdot(A[i], xd[..., 0]),
         sample_egrad=lambda xd, i: A[i][..., None].copy(),
         full_value=lambda xd: np.vecdot(a_mean, xd[..., 0]),
         full_egrad=lambda xd: np.broadcast_to(a_mean[:, None], xd.shape).copy(),
@@ -182,10 +179,9 @@ def test_stacked_evaluators_equal_per_point(which, request):
     X = np.array([ms.random_point(p.manifold, rng).data for _ in range(6)])
     idx = rng.integers(p.num_samples, size=6)
     V = rng.standard_normal((6, p.m))
-    stacked = [p.sample_value(X, idx), p.sample_egrad(X, idx), p.full_value(X), p.full_egrad(X),
-               p.c_eval(X), p.c_jac_t(X, V)]
+    stacked = [p.sample_egrad(X, idx), p.full_value(X), p.full_egrad(X), p.c_eval(X), p.c_jac_t(X, V)]
     for s in range(6):
-        single = [p.sample_value(X[s], int(idx[s])), p.sample_egrad(X[s], int(idx[s])), p.full_value(X[s]),
-                  p.full_egrad(X[s]), p.c_eval(X[s]), p.c_jac_t(X[s], V[s])]
+        single = [p.sample_egrad(X[s], int(idx[s])), p.full_value(X[s]), p.full_egrad(X[s]), p.c_eval(X[s]),
+                  p.c_jac_t(X[s], V[s])]
         for got, want in zip(stacked, single):
             assert np.array_equal(got[s], want)

@@ -64,7 +64,6 @@ def test_zero_direction_takes_zero_step():
     p = ms.StochasticProblem(
         manifold=ms.sphere(4),
         num_samples=1,
-        sample_value=lambda xd, i: 0.0,
         sample_egrad=lambda xd, i: np.zeros((4, 1)),
         full_value=lambda xd: 0.0,
         full_egrad=lambda xd: np.zeros((4, 1)),
