@@ -206,34 +206,23 @@ def _execute(cfg: dict, seed: int, out_dir: Path) -> None:
     solver_params: dict = {}
     if algorithm == "lipschitz":
         state, trace = solver_lipschitz.run(
-            problem, None, run_seed, K, trace_every=trace_every, diagnostics=diagnostics, measure_time=False
+            problem, None, run_seed, K, trace_every=trace_every, diagnostics=diagnostics
         )
         cert = solver_lipschitz.certificate(state, problem)
     else:
-        # a null solver number means "not supplied": derived, or the default safety
+        # the SOLVER_NUMBERS are default_config's keywords; a null one means "not supplied"
         scfg = {k: v for k, v in cfg.get("solver", {}).items() if v is not None}
         try:
-            config = solver_indicator.default_config(
-                problem,
-                theta=scfg["theta"],
-                safety=scfg.get("safety", 2.0),
-                zeta=scfg.get("zeta"),
-                seed=derive_seed(seed, "probe"),
-                c_tau=scfg.get("c_tau"),
-                c_a=scfg.get("c_a"),
-                trunc_radius=scfg.get("trunc_radius"),
-            )
+            config = solver_indicator.default_config(problem, seed=derive_seed(seed, "probe"), **scfg)
         except ParameterError as exc:
             if exc.field is None:
                 raise
             raise ConfigError(f"solver.{exc.field}", str(exc)) from None
         state, trace = solver_indicator.run(
-            problem, None, config, run_seed, K, trace_every=trace_every, diagnostics=diagnostics, measure_time=False
+            problem, None, config, run_seed, K, trace_every=trace_every, diagnostics=diagnostics
         )
         cert = solver_indicator.certificate(state, problem, config)
-        solver_params = dataclasses.asdict(config)
-        solver_params["omega"] = config.omega
-        solver_params["k_tilde"] = config.k_tilde
+        solver_params = {**dataclasses.asdict(config), "omega": config.omega, "k_tilde": config.k_tilde}
     fits = []
     for field in ("norm_G", "norm_grad_Fmu"):
         try:
@@ -258,7 +247,7 @@ def cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
         print(f"config: {exc}", file=sys.stderr)
         return 2
     try:
@@ -332,19 +321,7 @@ def cmd_report(args) -> int:
     except (InsufficientDataError, ParameterError, AttributeError) as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return 2
-    print(
-        json.dumps(
-            {
-                "field": args.field,
-                "slope": fit.slope,
-                "intercept": fit.intercept,
-                "r_squared": fit.r_squared,
-                "k_lo": fit.window[0],
-                "k_hi": fit.window[1],
-                "mode": args.mode,
-            }
-        )
-    )
+    print(json.dumps({"field": args.field, **fit.as_dict(), "mode": args.mode}))
     return 0
 
 

@@ -7,18 +7,18 @@ momentum, which are wrapped as a ``ManifoldPoint``/``TangentVector`` and
 stored as read-only data.  A solver supplies only its schedules (mu_k,
 tau_k, a_{k+1}), the truncation radius if any, and its own bookkeeping;
 :func:`start` checks x0 and draws the first sample.  :func:`run` is the
-loop: a trace row every ``trace_every``-th iteration plus the last,
-optional diagnostics, back-half snapshots, and :func:`certificate` a
-stationarity witness at one drawn snapshot.  State, snapshots and
-diagnostics are plain ndarrays; other typed values are built only for
-x0, its first sample and the certificate's point.  Nothing repairs an
-iterate, so one off the manifold or not tangent fails the run.
+loop: a trace row every ``trace_every``-th iteration plus the last (its
+``wall_ns`` is 0: the loop reads no clock), optional diagnostics,
+back-half snapshots, and :func:`certificate` a stationarity witness at
+one drawn snapshot.  State, snapshots and diagnostics are plain
+ndarrays; other typed values are built only for x0, its first sample
+and the certificate's point.  Nothing repairs an iterate, so one off
+the manifold or not tangent fails the run.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -126,7 +126,6 @@ def run(
     trace_every: int,
     diagnostics: bool,
     stop_tol: float | None,
-    measure_time: bool,
 ) -> tuple[SolverState, list[TraceRecord]]:
     """Execute K steps from ``init(x0, rng)``; trace every trace_every-th one plus the last.
 
@@ -155,7 +154,6 @@ def run(
     kind = problem.manifold.kind
     stride = max(1, K // SNAPSHOT_TARGET)
     trace: list[TraceRecord] = []
-    t0 = time.monotonic_ns()
     for i in range(K):
         k, X = state.k, state.x
         traced = i % trace_every == 0 or i == K - 1
@@ -174,10 +172,9 @@ def run(
             # the inputs were validated before the loop, so the row's own arithmetic broke a check
             raise NumericalFailureError(str(exc), k) from exc
         if traced:
-            wall = time.monotonic_ns() - t0 if measure_time else 0
             trace.append(
                 TraceRecord(
-                    **vars(report), obj_smooth=obj_smooth, norm_grad_Fmu=norm_grad_Fmu, norm_eps=norm_eps, wall_ns=wall
+                    **vars(report), obj_smooth=obj_smooth, norm_grad_Fmu=norm_grad_Fmu, norm_eps=norm_eps, wall_ns=0
                 )
             )
         if stop_tol is not None and norm_grad_Fmu is not None and norm_grad_Fmu <= stop_tol:

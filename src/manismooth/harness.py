@@ -2,10 +2,11 @@
 
 File formats:
 
-- trace CSV columns, in order:
+- trace CSV columns: the ``TraceRecord`` fields in order,
   k, mu, tau, a, norm_G, obj_smooth, norm_grad_Fmu, infeas, norm_eps, wall_ns.
   Missing diagnostics are serialized as empty fields; floats use the
-  shortest round-trip decimal representation.
+  shortest round-trip decimal representation.  ``wall_ns`` is always 0;
+  the column is kept so that existing trace files still parse.
 - summary JSON keys: schema_version, algorithm, problem, seed, K,
   config, certificate, rate_fits, wall_seconds.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -23,20 +24,6 @@ from .errors import InsufficientDataError, ParameterError, TraceFormatError
 from .manifolds import ManifoldPoint
 
 SCHEMA_VERSION = "1"
-
-TRACE_COLUMNS = (
-    "k",
-    "mu",
-    "tau",
-    "a",
-    "norm_G",
-    "obj_smooth",
-    "norm_grad_Fmu",
-    "infeas",
-    "norm_eps",
-    "wall_ns",
-)
-
 
 @dataclass(frozen=True)
 class StepReport:
@@ -66,6 +53,9 @@ class TraceRecord:
     wall_ns: int
 
 
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Stationarity witness (y, z) at a randomly selected iterate."""
@@ -91,6 +81,11 @@ class RateFit:
     def __post_init__(self):
         if not self.window[0] < self.window[1]:
             raise ParameterError("window requires k_lo < k_hi")
+
+    def as_dict(self) -> dict:
+        """The fit as the JSON object ``summary.json`` and ``report`` write."""
+        return dict(slope=self.slope, intercept=self.intercept, r_squared=self.r_squared,
+                    k_lo=self.window[0], k_hi=self.window[1])
 
 
 def fit_rate(
@@ -164,25 +159,31 @@ def _parse(column: str, text: str):
 
 
 def read_trace_csv(path) -> list[TraceRecord]:
-    """Parse a trace CSV; raises TraceFormatError with the offending line."""
+    """Parse a trace CSV; raises TraceFormatError with the offending line.
+
+    A byte that is not UTF-8 is read as a lone surrogate, so the field
+    holding it fails to parse and names its line.
+    """
     records: list[TraceRecord] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceFormatError("missing header row", 1) from None
-        if tuple(header) != TRACE_COLUMNS:
-            raise TraceFormatError(f"bad header {header!r}", 1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TRACE_COLUMNS):
-                raise TraceFormatError(f"expected {len(TRACE_COLUMNS)} fields, got {len(row)}", lineno)
-            try:
-                records.append(TraceRecord(**{c: _parse(c, text) for c, text in zip(TRACE_COLUMNS, row)}))
-            except ValueError as exc:
-                raise TraceFormatError(str(exc), lineno) from None
+            header = next(reader, None)
+            if header is None:
+                raise TraceFormatError("missing header row", 1)
+            if tuple(header) != TRACE_COLUMNS:
+                raise TraceFormatError(f"bad header {header!r}", 1)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(TRACE_COLUMNS):
+                    raise TraceFormatError(f"expected {len(TRACE_COLUMNS)} fields, got {len(row)}", lineno)
+                try:
+                    records.append(TraceRecord(**{c: _parse(c, text) for c, text in zip(TRACE_COLUMNS, row)}))
+                except ValueError as exc:
+                    raise TraceFormatError(str(exc), lineno) from None
+        except csv.Error as exc:  # a field over the csv module's size limit, say
+            raise TraceFormatError(str(exc), reader.line_num) from None
     return records
 
 
@@ -193,18 +194,10 @@ def summary_dict(
     seed: int,
     K: int,
     config: dict,
-    certificate: Certificate | None,
+    certificate: Certificate,
     rate_fits: Sequence[RateFit],
     wall_seconds: float,
 ) -> dict:
-    cert = None
-    if certificate is not None:
-        cert = {
-            "i_K": certificate.i_K,
-            "grad_residual": float(certificate.grad_residual),
-            "feas_residual": float(certificate.feas_residual),
-            "membership_ok": bool(certificate.membership_ok),
-        }
     return {
         "schema_version": SCHEMA_VERSION,
         "algorithm": algorithm,
@@ -212,17 +205,13 @@ def summary_dict(
         "seed": int(seed),
         "K": int(K),
         "config": config,
-        "certificate": cert,
-        "rate_fits": [
-            {
-                "slope": f.slope,
-                "intercept": f.intercept,
-                "r_squared": f.r_squared,
-                "k_lo": f.window[0],
-                "k_hi": f.window[1],
-            }
-            for f in rate_fits
-        ],
+        "certificate": {
+            "i_K": certificate.i_K,
+            "grad_residual": float(certificate.grad_residual),
+            "feas_residual": float(certificate.feas_residual),
+            "membership_ok": bool(certificate.membership_ok),
+        },
+        "rate_fits": [f.as_dict() for f in rate_fits],
         "wall_seconds": float(wall_seconds),
     }
 

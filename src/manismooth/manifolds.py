@@ -33,16 +33,19 @@ The Stiefel ``normalize`` calls the two LAPACK gufuncs that
 ``np.linalg.qr`` wraps, ``qr_r_raw`` (geqrf) and ``qr_reduced`` (orgqr),
 on a float64 copy of its input, reads diag(R) from the factored copy and
 fixes the signs of Q in place.  That skips ``np.linalg.qr``'s type
-dispatch, its ``triu`` of R and one of its two ``errstate`` blocks, and
-gives the same Q bit for bit; on St(50, 3) the call drops from ~36 to
-~15 us (one CPU of a 2-CPU x86-64 host, numpy 2.4.6 / OpenBLAS).  The
-gufuncs live in numpy's private ``numpy.linalg._umath_linalg``, verified
-on numpy 2.4.6 only; ``test_normalize_stiefel_is_numpy_qr_with_sign_fix``
-in ``tests/test_manifolds.py`` pins ``normalize`` to ``np.linalg.qr`` plus
+dispatch, its ``triu`` of R and both of its ``errstate`` blocks (on
+numpy 2.4.6 the gufuncs raise nothing for a NaN, infinite, huge,
+subnormal, zero or rank-one target), and gives the same Q bit for bit;
+on St(50, 3) the call drops from ~36 to ~15 us (one CPU of a 2-CPU
+x86-64 host, numpy 2.4.6 / OpenBLAS).  The gufuncs live in numpy's
+private ``numpy.linalg._umath_linalg``, verified on numpy 2.4.6 only;
+``test_normalize_stiefel_is_numpy_qr_with_sign_fix`` in
+``tests/test_manifolds.py`` pins ``normalize`` to ``np.linalg.qr`` plus
 the sign fix: a numpy release that renames them fails at import, and one
-that changes their results fails that test.  For one matrix, ``check_point`` and ``check_tangent``
-compare Python floats, cheaper than numpy-scalar comparisons; a stack
-takes the array path and fails with the same message.
+that changes their results fails that test.  For one matrix,
+``check_point`` and ``check_tangent`` compare Python floats, cheaper
+than numpy-scalar comparisons; a stack takes the array path and fails
+with the same message.
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function of its inputs.
@@ -239,18 +242,14 @@ def proj(kind: str, X: np.ndarray, V: np.ndarray) -> np.ndarray:
     return V - X * np.sum(X * V, axis=-2, keepdims=True)
 
 
-def _lapack_failed(err: str, flag: int):
-    raise DegenerateRetractionError("LAPACK rejected the Stiefel target")
-
-
 def normalize(kind: str, Y: np.ndarray) -> np.ndarray:
     """Map ambient Y onto the manifold: normalize / thin-QR Q with positive-diagonal R / column normalize.
 
     Raises:
         DegenerateRetractionError: the sphere target has zero norm, an
-            oblique column collapses, or Y is rank deficient or rejected
-            by LAPACK.  A NaN or infinite Y is not caught here: its
-            result is not finite, and the point check rejects it.
+            oblique column collapses, or Y is rank deficient.  A NaN or
+            infinite Y is not caught here: its result is not finite, and
+            the point check rejects it.
     """
     if kind == SPHERE:
         nrm = fro(Y)
@@ -259,8 +258,7 @@ def normalize(kind: str, Y: np.ndarray) -> np.ndarray:
         return Y / _lift(nrm)
     if kind == STIEFEL:
         R = np.array(Y, dtype=np.float64)  # geqrf overwrites it with R above the diagonal, reflectors below
-        with np.errstate(call=_lapack_failed, invalid="call", over="ignore", divide="ignore", under="ignore"):
-            Q = _umath_linalg.qr_reduced(R, _umath_linalg.qr_r_raw(R))
+        Q = _umath_linalg.qr_reduced(R, _umath_linalg.qr_r_raw(R))
         diag = R.diagonal(axis1=-2, axis2=-1)
         if any(abs(r) < 1e-12 for r in diag.ravel().tolist()):
             raise DegenerateRetractionError("rank-deficient Stiefel target")

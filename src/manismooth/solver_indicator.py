@@ -108,13 +108,14 @@ def default_config(
     probe.  A supplied value skips the sampling passes only it needs: the
     retraction constants and the max-dist pass when c_tau is given, the
     problem constants when c_a and trunc_radius are given too, and the
-    probe when zeta is given.
+    probe when zeta is given.  Each pass draws max(100, samples) points.
 
     Raises:
         ParameterError: a constant cannot be derived; ``field`` names the
             argument to supply or change (the probe's failures, an
             all-feasible sample included, name ``zeta``).
     """
+    samples = max(100, samples)
     if theta < 1:
         raise ParameterError("theta must be >= 1", field="theta")
     if safety < 1:
@@ -122,7 +123,7 @@ def default_config(
     if not isinstance(problem.h, IndicatorTerm):
         raise ParameterError("problem.h must be an indicator variant")
     if c_tau is None or c_a is None or trunc_radius is None:
-        consts = estimate_constants(problem, max(100, samples), seed)
+        consts = estimate_constants(problem, samples, seed)
         if c_tau is None:
             c_tau = _stepsize_constant(problem, consts, safety, samples, seed)
         if c_a is None:
@@ -143,7 +144,7 @@ def default_config(
             trunc_radius = safety * consts.L_f
     if zeta is None:
         try:
-            zeta, _ = error_bound_probe(problem, max(100, samples), seed + 3)
+            zeta, _ = error_bound_probe(problem, samples, seed + 3)
         except (ParameterError, ProbeInconclusiveError) as exc:  # an overflowed check, or nothing to fit
             raise ParameterError(f"error bound probe: {exc}; supply zeta explicitly", field="zeta") from None
         if zeta <= 0:
@@ -155,10 +156,10 @@ def _stepsize_constant(
     problem: StochasticProblem, consts: ProblemConstants, safety: float, samples: int, seed: int
 ) -> float:
     """c_tau = 1 / (safety max(L_g, G)) from estimated constants (see :func:`default_config`)."""
-    rc = estimate_retraction_constants(problem.manifold, max(100, samples), seed + 1)
+    rc = estimate_retraction_constants(problem.manifold, samples, seed + 1)
     rng = np.random.default_rng(seed + 2)
     max_dist = 0.0
-    for X in point_blocks(problem.manifold, rng, max(100, samples)):
+    for X in point_blocks(problem.manifold, rng, samples):
         max_dist = sup(max_dist, problem.h.distance(problem.c_eval(X)))
 
     L_c = safety * consts.L_c
@@ -210,7 +211,6 @@ def run(
     K: int,
     trace_every: int = 1,
     diagnostics: bool = False,
-    measure_time: bool = True,
 ) -> tuple[IndicatorState, list[TraceRecord]]:
     """Execute K iterations (k = 0 .. K-1) with :func:`driver.run`; x_K joins the snapshots."""
     state, trace = driver.run(
@@ -219,7 +219,7 @@ def run(
         step=lambda state: step(state, problem, config),
         mu=config.mu,
         snap_lo=K // 2,
-        trace_every=trace_every, diagnostics=diagnostics, stop_tol=None, measure_time=measure_time,
+        trace_every=trace_every, diagnostics=diagnostics, stop_tol=None,
     )
     state.snapshots.append((state.k, state.x))
     return state, trace

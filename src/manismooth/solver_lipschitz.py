@@ -79,7 +79,6 @@ def run(
     trace_every: int = 1,
     diagnostics: bool = False,
     stop_tol: float | None = None,
-    measure_time: bool = True,
 ) -> tuple[LipschitzState, list[TraceRecord]]:
     """Execute K iterations (k = 1 .. K) with :func:`driver.run`; stop_tol stops early on norm_grad_Fmu."""
     return driver.run(
@@ -88,7 +87,7 @@ def run(
         step=lambda state: step(state, problem),
         mu=smoothing_level,
         snap_lo=(K + 1) // 2,
-        trace_every=trace_every, diagnostics=diagnostics, stop_tol=stop_tol, measure_time=measure_time,
+        trace_every=trace_every, diagnostics=diagnostics, stop_tol=stop_tol,
     )
 
 

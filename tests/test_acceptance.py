@@ -78,7 +78,7 @@ def binding_sphere():
 def rate_runs(pca_rate):
     t0 = time.monotonic()
     runs = [
-        sl.run(pca_rate, None, seed=s, K=20_000, trace_every=20, diagnostics=True, measure_time=False)
+        sl.run(pca_rate, None, seed=s, K=20_000, trace_every=20, diagnostics=True)
         for s in range(5)
     ]
     return runs, time.monotonic() - t0
@@ -212,8 +212,7 @@ def test_criterion_03_analysis_lemmas():
 
 def test_criterion_04_deterministic_sanity(pca_small):
     t0 = time.monotonic()
-    state, trace = sl.run(pca_small, None, seed=1, K=5000, trace_every=1, diagnostics=True,
-                          measure_time=False)
+    state, trace = sl.run(pca_small, None, seed=1, K=5000, trace_every=1, diagnostics=True)
     best = min(r.norm_grad_Fmu for r in trace)
     # eigendecomposition oracle: recover the covariance through the public
     # full-gradient evaluator at identity-block points, then diagonalize

@@ -1,9 +1,10 @@
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
-from manismooth import cli
+from manismooth import cli, solver_indicator
 from manismooth.cli import main
 from manismooth.errors import NumericalFailureError
 from manismooth.harness import TraceRecord, read_summary_json, read_trace_csv, write_trace_csv
@@ -98,6 +99,25 @@ def test_run_rejects_malformed_json(tmp_path):
     assert main(["run", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b'{"seed": 5, "algorithm": "lipschitz\xff"}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+def test_run_unreadable_config_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config: ") and "Traceback" not in err
+
+
+def test_solver_numbers_are_default_config_keywords():
+    # _execute hands the non-null solver fields to default_config by name
+    keywords = set(inspect.signature(solver_indicator.default_config).parameters) - {"problem", "samples", "seed"}
+    assert {name for name, _, _ in cli.SOLVER_NUMBERS} == keywords
+
+
 def test_run_byte_identical_traces(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, pca_config("ignored"))
     monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "a"))
@@ -182,6 +202,7 @@ def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
         ("problem.N", 10**12, 2, "problem.N"),
         ("problem.set.radius", 1e6, 2, "solver.zeta: error bound probe: all sampled points are feasible; supply zeta"),
         ("solver.safety", None, 0, None),  # null means not supplied, as for the derived constants
+        ("algorithm", "lipschitz", 2, "problem.family"),
     ],
 )
 def test_run_extreme_values_exit_cleanly(tmp_path, capsys, field, value, code, names):
@@ -263,6 +284,7 @@ def test_run_problem_error_is_reported_once(tmp_path, monkeypatch, capsys):
         (2**64, None, "config error: seed: "),
         (5, "-1,2", "--seeds: "),
         (5, f"1,{2**64 + 1}", "--seeds: "),  # would alias seed 1 if masked to 64 bits
+        (5, "1,x", "--seeds: "),
     ],
 )
 def test_run_seed_out_of_range_names_it(tmp_path, monkeypatch, capsys, seed, seeds, names):
@@ -346,6 +368,19 @@ def test_report_malformed_csv_names_line(tmp_path, capsys):
     assert main(["report", "--trace", str(path), "--field", "norm_G",
                  "--from", "1", "--to", "10"]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row",
+    [b"1,0.5\xff,0.1,1,1,,,0,,0\n", b"1," + b"9" * 200_000 + b",0.1,1,1,,,0,,0\n"],
+    ids=["not-utf8", "field-over-csv-limit"],
+)
+def test_report_unreadable_trace_exits_2_naming_the_line(tmp_path, capsys, row):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"k,mu,tau,a,norm_G,obj_smooth,norm_grad_Fmu,infeas,norm_eps,wall_ns\n" + row)
+    assert main(["report", "--trace", str(path), "--field", "norm_G", "--from", "1", "--to", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace format error: line 2: ") and "Traceback" not in err
 
 
 def test_report_missing_file():

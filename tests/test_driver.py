@@ -23,8 +23,8 @@ def indicator_run(K):
 
 
 @pytest.mark.parametrize("solve", [lipschitz_run, indicator_run])
-def test_typed_values_are_built_only_by_advance_and_at_the_edges(monkeypatch, solve):
-    # each step wraps its new iterate and momentum once (driver.advance); the
+def test_typed_values_are_built_only_by_step_and_at_the_edges(monkeypatch, solve):
+    # each step wraps its new iterate and momentum once (driver.step); the
     # diagnostics rows and the certificate run on ndarrays, so the other typed
     # values (start, first sample, certificate point) do not grow with K
     counts = {ms.ManifoldPoint: 0, ms.TangentVector: 0}

@@ -37,7 +37,7 @@ def _cert(cert):
 
 def lipschitz_run() -> dict:
     problem = ms.make_sparse_pca(10, 2, 8, 0.15, seed=5)
-    state, trace = sl.run(problem, None, seed=13, K=1200, trace_every=50, diagnostics=True, measure_time=False)
+    state, trace = sl.run(problem, None, seed=13, K=1200, trace_every=50, diagnostics=True)
     return {"trace": _rows(trace), "certificate": _cert(sl.certificate(state, problem))}
 
 
@@ -45,8 +45,7 @@ def indicator_run() -> dict:
     ball = ms.IndicatorBall(np.full(4, 0.35), 0.7)
     problem = ms.make_constrained_sphere(10, 4, 12, ball, seed=3)
     config = si.default_config(problem, theta=1.0, safety=2.0, samples=120, seed=8)
-    state, trace = si.run(problem, None, config, seed=15, K=1200, trace_every=50, diagnostics=True,
-                          measure_time=False)
+    state, trace = si.run(problem, None, config, seed=15, K=1200, trace_every=50, diagnostics=True)
     return {
         "config": dataclasses.asdict(config),
         "trace": _rows(trace),

@@ -298,6 +298,19 @@ def test_normalize_stiefel_hands_a_non_finite_target_to_the_point_check(bad):
         mf.normalize(mf.STIEFEL, Y)
 
 
+@pytest.mark.parametrize(
+    "kind, Y, match",
+    [
+        (mf.SPHERE, np.zeros((5, 1)), "sphere target has zero norm"),
+        (mf.OBLIQUE, np.array([[1.0, 0.0, 1.0], [1.0, 0.0, -1.0]]), "oblique target collapses a column"),
+    ],
+    ids=["sphere", "oblique"],
+)
+def test_normalize_rejects_a_degenerate_target(kind, Y, match):
+    with pytest.raises(DegenerateRetractionError, match=match):
+        mf.normalize(kind, Y)
+
+
 def _spoiled(desc, how, rng):
     """A point and a tangent at it, one of them spoiled as ``how`` says."""
     x = ms.random_point(desc, rng).data

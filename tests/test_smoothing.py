@@ -85,6 +85,14 @@ def test_subgradient_membership_scaled_l1():
     assert not h.in_subdifferential(y, np.array([-0.7, 0.0, -0.7]))
 
 
+def test_subgradient_membership_scaled_l2():
+    # away from 0 the subdifferential is lam y / ||y||; at 0 it is the ball of radius lam
+    h = ms.ScaledL2(0.5)
+    assert h.in_subdifferential(np.array([3.0, 4.0]), np.array([0.3, 0.4]))
+    assert h.in_subdifferential(np.zeros(2), np.array([0.3, 0.4]))
+    assert not h.in_subdifferential(np.zeros(2), np.array([0.3, 0.5]))
+
+
 def test_normal_cone_membership_ball():
     rng = np.random.default_rng(3)
     ball = ms.IndicatorBall(np.zeros(3), 1.0)

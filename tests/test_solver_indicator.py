@@ -157,8 +157,8 @@ def test_truncation_consistency_deterministic():
     big = si.IndicatorConfig(theta=1.0, zeta=base.zeta, c_tau=base.c_tau, c_a=base.c_a,
                              trunc_radius=1e9)
     assert base.trunc_radius >= consts.L_f
-    _, t1 = si.run(p, None, base, seed=4, K=200, trace_every=1, measure_time=False)
-    _, t2 = si.run(p, None, big, seed=4, K=200, trace_every=1, measure_time=False)
+    _, t1 = si.run(p, None, base, seed=4, K=200, trace_every=1)
+    _, t2 = si.run(p, None, big, seed=4, K=200, trace_every=1)
     assert t1 == t2
 
 
@@ -172,9 +172,9 @@ def test_feasibility_series_zero_for_feasible_problem():
 
 
 def test_run_trace_shape_and_determinism(problem, config):
-    _, t1 = si.run(problem, None, config, seed=6, K=100, trace_every=10, measure_time=False)
+    _, t1 = si.run(problem, None, config, seed=6, K=100, trace_every=10)
     assert len(t1) == 100 // 10 + 1
-    _, t2 = si.run(problem, None, config, seed=6, K=100, trace_every=10, measure_time=False)
+    _, t2 = si.run(problem, None, config, seed=6, K=100, trace_every=10)
     assert t1 == t2
 
 

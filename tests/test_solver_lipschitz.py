@@ -141,11 +141,17 @@ def test_run_rejects_bad_arguments(pca):
         sl.run(pca, None, seed=0, K=10, trace_every=0)
 
 
+def test_run_rejects_x0_on_another_manifold(pca):
+    x0 = ms.random_point(ms.stiefel(7, 2), np.random.default_rng(0))  # the problem lives on St(10, 2)
+    with pytest.raises(ParameterError, match="x0 does not live on the problem manifold"):
+        sl.run(pca, x0, seed=0, K=5)
+
+
 def test_trace_length_and_determinism(pca):
-    _, t1 = sl.run(pca, None, seed=3, K=100, trace_every=10, measure_time=False)
+    _, t1 = sl.run(pca, None, seed=3, K=100, trace_every=10)
     assert len(t1) == 100 // 10 + 1
     assert [r.k for r in t1] == sorted({r.k for r in t1})
-    _, t2 = sl.run(pca, None, seed=3, K=100, trace_every=10, measure_time=False)
+    _, t2 = sl.run(pca, None, seed=3, K=100, trace_every=10)
     assert t1 == t2
 
 
