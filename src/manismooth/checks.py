@@ -12,6 +12,14 @@ worked-example tests (:func:`grid_argmin_1d`,
 live here once, as do the executable inequality checks: the two sequence
 lemmas, which hold for every admissible input, and
 :func:`retr_smooth_constant_check`.
+
+The manifold, prox-optimality and lemma properties evaluate their
+samples as stacks, one kernel call per stack of at most 1000 rows.  Each
+draws with the generator calls of its one-sample loop, in the same
+order (:func:`normal_stacks`, :func:`.manifolds.tangent_blocks`), so its
+samples, and its worst value, are that loop's bit for bit; only the
+bisection of :func:`largest_premise_solution` rounds differently (numpy's
+``pow`` is not C's), which leaves the verdicts unchanged.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .smoothing import (
     IndicatorTerm,
     ScaledL1,
     ScaledL2,
+    _rows,
     moreau_envelope_inequality_check,
     moreau_eval,
     prox,
@@ -57,75 +66,82 @@ def _result(name, passed, detail=""):
 # ---------------------------------------------------------------- manifold
 
 
+def normal_stacks(rng: np.random.Generator, count: int, *shapes) -> list[np.ndarray]:
+    """``count`` rounds of ``rng.standard_normal(shape)``, shape by shape, as one ``(count, *shape)`` array each.
+
+    One flat draw carved per round: the same values as the one-at-a-time calls.
+    """
+    cuts = np.cumsum([0, *(math.prod(shape) for shape in shapes)])
+    flat = rng.standard_normal((count, cuts[-1]))
+    return [np.ascontiguousarray(flat[:, a:b]).reshape(count, *shape) for a, b, shape in zip(cuts, cuts[1:], shapes)]
+
+
 def check_manifold() -> list[CheckResult]:
+    # each property draws its samples as stacks with the generator calls of
+    # the typed one-at-a-time loop, in its order, and checks them as its typed
+    # values did, so every sample and every worst value is that loop's, bit for bit
     rng = np.random.default_rng(12345)
     results = []
 
     worst = 0.0
     for desc in DESCRIPTORS:
-        for _ in range(1000):
-            x = mf.random_point(desc, rng)
-            v = rng.standard_normal(desc.shape)
-            p1 = mf.tangent_project(x, v)
-            p2 = mf.tangent_project(x, p1.data)
-            worst = max(worst, float(np.linalg.norm(p1.data - p2.data)))
+        raw_x, v = normal_stacks(rng, 1000, desc.shape, desc.shape)
+        X = mf.points_from(desc.kind, raw_x)
+        p1 = mf.tangents_from(desc.kind, X, v)
+        worst = mf.sup(worst, mf.fro(p1 - mf.tangents_from(desc.kind, X, p1)))
     results.append(_result("projection idempotence", worst <= 1e-12, f"max drift {worst:.2e}"))
 
     worst = 0.0
-    for desc in DESCRIPTORS:
-        for _ in range(200):
-            x = mf.random_point(desc, rng)
-            v = rng.standard_normal(desc.shape)
-            p = mf.tangent_project(x, v)
-            for _ in range(5):
-                eta = mf.random_tangent(x, rng, norm=1.0)
-                worst = max(worst, abs(float(np.sum((v - p.data) * eta.data))))
+    for desc in DESCRIPTORS:  # five unit tangents per point
+        raw_x, v, raw_eta = normal_stacks(rng, 200, desc.shape, desc.shape, (5, *desc.shape))
+        X = mf.points_from(desc.kind, raw_x)
+        normal = np.repeat(v - mf.tangents_from(desc.kind, X, v), 5, axis=0)
+        eta = mf.tangents_from(desc.kind, np.repeat(X, 5, axis=0), raw_eta.reshape(-1, *desc.shape), 1.0)
+        worst = mf.sup(worst, np.abs(np.sum(normal * eta, axis=(-2, -1))))
     results.append(_result("projection orthogonality", worst <= 1e-10, f"max inner {worst:.2e}"))
 
     worst = 0.0
     for desc in DESCRIPTORS:
-        for _ in range(100):
-            x = mf.random_point(desc, rng)
-            u = mf.random_tangent(x, rng, norm=1.0)
-            t = 1e-4
-            y = mf.retract(x, t * u)
-            worst = max(worst, float(np.linalg.norm(y.data - x.data - t * u.data)) / t)
+        raw_x, raw_u = normal_stacks(rng, 100, desc.shape, desc.shape)
+        X = mf.points_from(desc.kind, raw_x)
+        step = 1e-4 * mf.tangents_from(desc.kind, X, raw_u, 1.0)
+        Y = mf.retr(desc.kind, X, step)
+        mf.check_point(desc.kind, Y)
+        worst = mf.sup(worst, mf.fro(Y - X - step) / 1e-4)
     results.append(_result("retraction first-order", worst <= 1e-3, f"max ratio {worst:.2e}"))
 
     # the caps hold for the estimates and, with the same constant 2, on
-    # fresh samples the estimator never saw
-    ok = True
-    detail = ""
+    # fresh samples the estimator never saw; a failure names the first
+    # manifold over a cap and its largest ratios
+    failures = []
     for desc in DESCRIPTORS:
         rc = mf.estimate_retraction_constants(desc, 500, 99)
         if rc.alpha > 2.0 or rc.beta > 2.0:
-            ok = False
-            detail = f"{desc.kind}: alpha={rc.alpha:.3f}, beta={rc.beta:.3f}"
-        for _ in range(200):
-            x = mf.random_point(desc, rng)
-            u = mf.random_tangent(x, rng, norm=float(rng.uniform(0.01, 1.0)))
-            y = mf.retract(x, u)
-            nu = u.norm()
-            if (np.linalg.norm(y.data - x.data) > 2.0 * nu * (1 + 1e-9)
-                    or np.linalg.norm(y.data - x.data - u.data) > 2.0 * nu**2 * (1 + 1e-9)):
-                ok = False
-                detail = f"{desc.kind}: fresh sample exceeds the cap 2 at ||u|| = {nu:.3f}"
-    results.append(_result("retraction constant caps", ok, detail))
+            failures.append(f"{desc.kind}: estimated alpha={rc.alpha:.3f}, beta={rc.beta:.3f}")
+        over, alpha, beta = False, 0.0, 0.0
+        for X, U, _ in mf.tangent_blocks(desc, rng, 200, lambda rng: (rng.uniform(0.01, 1.0),)):
+            Y = mf.retr(desc.kind, X, U)
+            mf.check_point(desc.kind, Y)
+            nu = mf.fro(U)
+            first, second, nu2 = mf.fro(Y - X), mf.fro(Y - X - U), mf.squares(nu)
+            over |= bool(np.any((first > 2.0 * nu * (1 + 1e-9)) | (second > 2.0 * nu2 * (1 + 1e-9))))
+            alpha, beta = mf.sup(alpha, first / nu), mf.sup(beta, second / nu2)
+        if over:
+            failures.append(f"{desc.kind}: fresh samples reach alpha={alpha:.3f}, beta={beta:.3f}")
+    results.append(_result("retraction constant caps", not failures, failures[0] if failures else ""))
 
     worst = 0.0
     lin_err = 0.0
     for desc in DESCRIPTORS:
-        for _ in range(200):
-            x = mf.random_point(desc, rng)
-            y = mf.random_point(desc, rng)
-            xi = mf.random_tangent(x, rng)
-            tau = mf.random_tangent(x, rng)
-            moved = mf.vector_transport(x, y, xi)
-            worst = max(worst, moved.norm() - xi.norm())
-            a, b = rng.standard_normal(2)
-            combo = mf.vector_transport(x, y, a * xi + b * tau)
-            split = a * mf.vector_transport(x, y, xi) + b * mf.vector_transport(x, y, tau)
-            lin_err = max(lin_err, float(np.linalg.norm(combo.data - split.data)))
+        kind = desc.kind
+        raw_x, raw_y, raw_xi, raw_tau, ab = normal_stacks(rng, 200, *[desc.shape] * 4, (2,))
+        X, Y = mf.points_from(kind, raw_x), mf.points_from(kind, raw_y)
+        xi, tau = mf.tangents_from(kind, X, raw_xi), mf.tangents_from(kind, X, raw_tau)
+        a, b = ab[:, 0, None, None], ab[:, 1, None, None]
+        moved = mf.tangents_from(kind, Y, xi)
+        worst = mf.sup(worst, mf.fro(moved) - mf.fro(xi))
+        split = a * moved + b * mf.tangents_from(kind, Y, tau)
+        lin_err = mf.sup(lin_err, mf.fro(mf.tangents_from(kind, Y, a * xi + b * tau) - split))
     results.append(_result("transport nonexpansive", worst <= 1e-12, f"max excess {worst:.2e}"))
     results.append(_result("transport linear", lin_err <= 1e-12, f"max gap {lin_err:.2e}"))
 
@@ -183,10 +199,8 @@ def check_smoothing() -> list[CheckResult]:
             y = 3 * rng.standard_normal(dim)
             z = prox(h, mu, y)
             base = h.value(z) + float(np.sum((z - y) ** 2)) / (2 * mu)
-            for _ in range(20):
-                cand = z + 0.5 * rng.standard_normal(dim)
-                if h.value(cand) + float(np.sum((cand - y) ** 2)) / (2 * mu) < base - 1e-12:
-                    ok = False
+            cand = z + 0.5 * rng.standard_normal((20, dim))  # the 20 candidates as one stack
+            ok &= not np.any(h.value(cand) + np.sum((cand - y) ** 2, axis=-1) / (2 * mu) < base - 1e-12)
     results.append(_result("prox optimality", ok))
 
     ok = True
@@ -243,82 +257,90 @@ def check_smoothing() -> list[CheckResult]:
 # ------------------------------------------------------------------ lemmas
 
 
-def lemma_seq_bound_check(b: Sequence[float], p: float) -> bool:
+# rows per stacked lemma evaluation: a zero-padded 1000 x 39 block of the
+# sequence bound is 312 kB per temporary
+LEMMA_ROWS = 1000
+
+
+def lemma_seq_bound_check(b: Sequence[float], p: float):
     """Check sum_k b_k / (sum_{i<=k} b_i)^p <= (sum b)^{1-p} / (1-p).
 
-    Holds for any b_1 > 0, b_i >= 0, p in (0, 1); slack 1e-12.
+    Holds for any b_1 > 0, b_i >= 0, p in (0, 1); slack 1e-12.  ``b`` may
+    also be a stack ``(..., L)`` of rows, zero-padded (a trailing zero adds
+    nothing to either side), with one ``p`` per row; the result is then one
+    verdict per row.
     """
     b = np.asarray(b, dtype=float)
-    if b.size == 0 or b[0] <= 0 or np.any(b < 0):
+    if b.shape[-1] == 0 or np.any(b[..., 0] <= 0) or np.any(b < 0):
         raise ParameterError("need b_1 > 0 and b_i >= 0")
-    if not 0 < p < 1:
+    if not np.all((0 < p) & (p < 1)):
         raise ParameterError("need p in (0, 1)")
-    partial = np.cumsum(b)
-    lhs = float(np.sum(b / partial**p))
-    rhs = float(partial[-1] ** (1.0 - p) / (1.0 - p))
-    return lhs <= rhs + 1e-12
+    partial = np.cumsum(b, axis=-1)
+    lhs = np.sum(b / partial ** (np.expand_dims(p, -1) if b.ndim > 1 else p), axis=-1)
+    rhs = partial[..., -1] ** (1.0 - p) / (1.0 - p)
+    return _rows(lhs <= rhs + 1e-12)
 
 
-def lemma_implicit_bound_check(c: float, d: float, e: float, alpha: float, beta: float, x: float) -> bool:
+def lemma_implicit_bound_check(c, d, e, alpha, beta, x):
     """Check the explicit bound implied by x <= c x^alpha + d x^beta + e.
 
     Verifies x <= 2 (4 alpha)^{alpha/(1-alpha)} c^{1/(1-alpha)}
                + 2 (4 beta)^{beta/(1-beta)} d^{1/(1-beta)} + 2 e
     with slack 1e-12.  The premise is a precondition and is validated
     (with a small tolerance for boundary solutions found numerically).
+    Array arguments are checked row by row and give one verdict each.
     """
-    if not (c > 0 and d > 0):
-        raise ParameterError("need c, d > 0")
-    if not (0 < alpha < 1 and 0 < beta < 1):
-        raise ParameterError("need alpha, beta in (0, 1)")
-    if e < 0 or x < 0:
-        raise ParameterError("need e >= 0 and x >= 0")
-    premise_rhs = c * x**alpha + d * x**beta + e
-    if x > premise_rhs * (1.0 + 1e-9) + 1e-12:
+    if not np.all((c > 0) & (d > 0) & (0 < alpha) & (alpha < 1) & (0 < beta) & (beta < 1) & (e >= 0) & (x >= 0)):
+        raise ParameterError("need c, d > 0, alpha, beta in (0, 1), e >= 0 and x >= 0")
+    if np.any(x > (c * x**alpha + d * x**beta + e) * (1.0 + 1e-9) + 1e-12):
         raise ParameterError("x does not satisfy the premise inequality")
     bound = (
         2.0 * (4.0 * alpha) ** (alpha / (1.0 - alpha)) * c ** (1.0 / (1.0 - alpha))
         + 2.0 * (4.0 * beta) ** (beta / (1.0 - beta)) * d ** (1.0 / (1.0 - beta))
         + 2.0 * e
     )
-    return x <= bound + 1e-12
+    return _rows(np.less_equal(x, bound + 1e-12))
 
 
 def largest_premise_solution(c, d, e, alpha, beta):
-    """Largest x >= 0 with x <= c x^alpha + d x^beta + e, by bisection."""
-    lo, hi = 0.0, 1.0
-    while c * hi**alpha + d * hi**beta + e >= hi:
-        hi *= 2.0
+    """Largest x >= 0 with x <= c x^alpha + d x^beta + e, by bisection; one per row for arrays."""
+    c, d, e, alpha, beta = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (c, d, e, alpha, beta)))
+
+    def holds(x):
+        return c * x**alpha + d * x**beta + e >= x
+
+    lo, hi = np.zeros(c.shape), np.ones(c.shape)
+    while np.any(grow := holds(hi)):
+        hi = np.where(grow, 2.0 * hi, hi)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if c * mid**alpha + d * mid**beta + e >= mid:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        below = holds(mid)
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return _rows(lo)
 
 
 def check_lemmas() -> list[CheckResult]:
+    # the draws stay one row at a time, in the generator order of the scalar
+    # loop; each block of LEMMA_ROWS rows is then checked in one stacked call
     rng = np.random.default_rng(7)
     bad = 0
-    for _ in range(10_000):
-        n = int(rng.integers(1, 40))
-        b = rng.uniform(0.0, 5.0, n)
-        b[0] = rng.uniform(0.01, 5.0)
-        p = float(rng.uniform(0.02, 0.98))
-        if not lemma_seq_bound_check(b, p):
-            bad += 1
+    for _ in range(10_000 // LEMMA_ROWS):
+        b, p = np.zeros((LEMMA_ROWS, 39)), np.empty(LEMMA_ROWS)
+        for row in range(LEMMA_ROWS):
+            n = int(rng.integers(1, 40))
+            b[row, :n] = rng.uniform(0.0, 5.0, n)
+            b[row, 0] = rng.uniform(0.01, 5.0)
+            p[row] = rng.uniform(0.02, 0.98)
+        bad += int(np.count_nonzero(~lemma_seq_bound_check(b, p)))
     results = [_result("sequence partial-sum bound", bad == 0, f"{bad} failures")]
 
+    # one uniform(lo, hi, (rows, 5)) draw is the rows' five scalar uniforms, in order
     bad = 0
-    for _ in range(10_000):
-        c = float(rng.uniform(0.05, 5.0))
-        d = float(rng.uniform(0.05, 5.0))
-        e = float(rng.uniform(0.0, 5.0))
-        al = float(rng.uniform(0.05, 0.95))
-        be = float(rng.uniform(0.05, 0.95))
-        if not lemma_implicit_bound_check(c, d, e, al, be, largest_premise_solution(c, d, e, al, be)):
-            bad += 1
+    lo, hi = [0.05, 0.05, 0.0, 0.05, 0.05], [5.0, 5.0, 5.0, 0.95, 0.95]
+    for _ in range(10_000 // LEMMA_ROWS):
+        c, d, e, al, be = rng.uniform(lo, hi, (LEMMA_ROWS, 5)).T
+        x = largest_premise_solution(c, d, e, al, be)
+        bad += int(np.count_nonzero(~lemma_implicit_bound_check(c, d, e, al, be, x)))
     results.append(_result("implicit power bound", bad == 0, f"{bad} failures"))
     return results
 

@@ -105,7 +105,10 @@ def _vector(spec: dict, field: str, types, m: int):
     value = np.asarray(value, dtype=float)
     if value.shape not in ((), (m,)):
         raise ConfigError(f"problem.set.{field}", f"expected {m} entries (problem.m), got shape {value.shape}")
-    return np.broadcast_to(value, (m,)).copy()
+    try:
+        return np.broadcast_to(value, (m,)).copy()
+    except MemoryError as exc:  # a scalar spread over more entries than the machine holds
+        raise ConfigError("problem.m", f"{m} entries of problem.set.{field} do not fit in memory: {exc}") from None
 
 
 def _build_set_term(spec: dict, m: int):
@@ -127,6 +130,16 @@ def _build_set_term(spec: dict, m: int):
     return IndicatorSingleton(target)
 
 
+def _indexable(**dims) -> None:
+    """Reject dimensions whose arrays could pass numpy's index range, naming the largest.
+
+    numpy raises ValueError for such an array, not MemoryError.
+    """
+    (field, first), (_, second) = sorted(dims.items(), key=lambda item: -item[1])[:2]
+    if first * second > np.iinfo(np.intp).max // 8:
+        raise ConfigError(f"problem.{field}", f"{first} is too large: the instance's arrays exceed numpy's size limit")
+
+
 def _problem_maker(cfg: dict):
     """The checked problem fields: the family's constructor and its arguments other than the data seed."""
     family = _require(cfg, "family", str, "problem.")
@@ -137,10 +150,12 @@ def _problem_maker(cfg: dict):
     if family == "sparse_pca":
         p = _number(cfg, "p", "problem.", int, low=1)
         n = _number(cfg, "n", "problem.", int, low=p)
+        _indexable(N=N, n=n)
         return make_sparse_pca, dict(n=n, N=N, p=p, lam=_number(cfg, "lambda", "problem.", low=0))
     mdim = _number(cfg, "m", "problem.", int, low=1)
-    set_term = _build_set_term(_require(cfg, "set", dict, "problem."), mdim)
     n = _number(cfg, "n", "problem.", int, low=2)
+    _indexable(N=N, n=n, m=mdim)
+    set_term = _build_set_term(_require(cfg, "set", dict, "problem."), mdim)
     weight = _number(cfg, "quad_weight", "problem.") if "quad_weight" in cfg else 1.0
     return make_constrained_sphere, dict(n=n, N=N, m=mdim, set_term=set_term, quad_weight=weight)
 
@@ -151,7 +166,8 @@ def build_problem(cfg: dict, seed: int):
         return make(seed=derive_seed(seed, "data"), **args)
     except MemoryError as exc:  # numpy refuses an allocation beyond the machine at once
         raise ConfigError(
-            "problem.N", f"the N x n = {args['N']} x {args['n']} instance does not fit in memory: {exc}"
+            f"problem.{'N' if args['N'] >= args['n'] else 'n'}",
+            f"the N x n = {args['N']} x {args['n']} instance does not fit in memory: {exc}",
         ) from None
 
 

@@ -27,7 +27,8 @@ sampling estimators draw their points and tangents with
 :func:`point_blocks` and :func:`tangent_blocks`, which make the same
 generator calls in the same order as
 :func:`random_point`/:func:`random_tangent` and hand the draws back in
-stacks of at most ``SAMPLE_BLOCK``.
+stacks of at most ``SAMPLE_BLOCK``; :func:`points_from` and
+:func:`tangents_from` turn a stack of Gaussian draws into checked samples.
 
 The Stiefel ``normalize`` calls the two LAPACK gufuncs that
 ``np.linalg.qr`` wraps, ``qr_r_raw`` (geqrf) and ``qr_reduced`` (orgqr),
@@ -406,6 +407,25 @@ def squares(values: np.ndarray) -> np.ndarray:
     return np.array([float(v) ** 2 for v in values])
 
 
+def points_from(kind: str, G: np.ndarray) -> np.ndarray:
+    """The :func:`random_point` of each Gaussian draw of the stack G ``(b, n, p)``, checked."""
+    X = normalize(kind, G)
+    check_point(kind, X)
+    return X
+
+
+def tangents_from(kind: str, X: np.ndarray, G: np.ndarray, norm=None) -> np.ndarray:
+    """The projection at each point of X of its Gaussian draw in G, rescaled to ``norm`` if given, checked.
+
+    With a norm (one, or one per draw) this is :func:`random_tangent` per draw.
+    """
+    V = proj(kind, X, G)
+    if norm is not None:
+        V = (norm / fro(V))[:, None, None] * V  # a zero projection gives NaN, which the check rejects
+    check_tangent(kind, X, V)
+    return V
+
+
 def point_blocks(desc: ManifoldDescriptor, rng: np.random.Generator, samples: int):
     """Yield the points of ``samples`` :func:`random_point` calls as checked stacks ``(b, n, p)``, b <= SAMPLE_BLOCK.
 
@@ -413,9 +433,7 @@ def point_blocks(desc: ManifoldDescriptor, rng: np.random.Generator, samples: in
     calls of ``standard_normal((n, p))``.
     """
     for start in range(0, samples, SAMPLE_BLOCK):
-        X = normalize(desc.kind, rng.standard_normal((min(SAMPLE_BLOCK, samples - start), *desc.shape)))
-        check_point(desc.kind, X)
-        yield X
+        yield points_from(desc.kind, rng.standard_normal((min(SAMPLE_BLOCK, samples - start), *desc.shape)))
 
 
 def tangent_blocks(desc: ManifoldDescriptor, rng: np.random.Generator, samples: int, draw):
@@ -438,13 +456,9 @@ def tangent_blocks(desc: ManifoldDescriptor, rng: np.random.Generator, samples: 
             points.append(rng.standard_normal(desc.shape))
             values.append(draw(rng))
             tangents.append(rng.standard_normal(desc.shape))
-        X = normalize(kind, np.array(points))
-        V = proj(kind, X, np.array(tangents))
+        X = points_from(kind, np.array(points))
         drawn = tuple(np.array(column) for column in zip(*values))
-        U = (drawn[-1] / fro(V))[:, None, None] * V
-        check_point(kind, X)
-        check_tangent(kind, X, U)
-        yield X, U, drawn
+        yield X, tangents_from(kind, X, np.array(tangents), drawn[-1]), drawn
 
 
 def estimate_retraction_constants(

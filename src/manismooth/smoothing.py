@@ -29,12 +29,20 @@ def _norm(y: np.ndarray):
     return np.sqrt(y.dot(y) if y.ndim == 1 else np.vecdot(y, y))
 
 
+def _rows(values):
+    """Per-row results as they are for a stack; one vector's 0-d result as a Python scalar."""
+    return values.item() if values.ndim == 0 else values
+
+
 class NonsmoothTerm:
     """Base class: a convex h with exact prox.
 
     Subclasses implement ``value``, ``prox`` and ``in_subdifferential``;
     the indicator of a set is an :class:`IndicatorTerm`, which also
     exposes the set projection/sampling the indicator solver uses.
+    ``value`` also accepts a stack ``(..., m)`` of vectors and returns one
+    value per row, each equal to the call on that row alone, bit for bit;
+    one vector gives a Python float.
     """
 
     @property
@@ -72,7 +80,7 @@ class ScaledL1(NonsmoothTerm):
         return self.lam * np.sqrt(self.dim)
 
     def value(self, y):
-        return self.lam * float(np.sum(np.abs(y)))
+        return _rows(self.lam * np.sum(np.abs(y), axis=-1))
 
     def prox(self, mu, y):
         t = mu * self.lam
@@ -102,7 +110,7 @@ class ScaledL2(NonsmoothTerm):
         return self.lam
 
     def value(self, y):
-        return self.lam * float(np.linalg.norm(y))
+        return _rows(self.lam * _norm(np.asarray(y, dtype=float)))
 
     def prox(self, mu, y):
         nrm = float(np.linalg.norm(y))
@@ -122,23 +130,24 @@ class ScaledL2(NonsmoothTerm):
 class IndicatorTerm(NonsmoothTerm):
     """Indicator of a convex set C; prox is the projection onto C.
 
-    ``project``, ``residual`` and ``distance`` also accept a stack
-    ``(..., m)`` of vectors and act on each row; every row equals the
-    call on that row alone, bit for bit.
+    ``project``, ``residual``, ``distance``, ``contains`` and ``value``
+    also accept a stack ``(..., m)`` of vectors and act on each row; every
+    row equals the call on that row alone, bit for bit.
     """
 
     def project(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def contains(self, y, tol: float = 1e-9) -> bool:
+    def contains(self, y, tol: float = 1e-9):
+        """Whether y lies in C, to tol relative to 1 + ||y||: a bool for one vector, a bool array for a stack."""
         y = np.asarray(y, dtype=float)
-        return bool(np.linalg.norm(y - self.project(y)) <= tol * (1.0 + np.linalg.norm(y)))
+        return _rows(_norm(y - self.project(y)) <= tol * (1.0 + _norm(y)))
 
     def sample_member(self, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
     def value(self, y):
-        return 0.0 if self.contains(y) else np.inf
+        return _rows(np.where(self.contains(y), 0.0, np.inf))
 
     def prox(self, mu, y):
         return self.project(np.asarray(y, dtype=float))

@@ -243,6 +243,28 @@ def test_run_unknown_key_names_its_path(tmp_path, capsys, make, path, value, nam
     assert not (tmp_path / "out").exists()
 
 
+HUGE_FIELDS = [(pca_config, "problem.N"), (pca_config, "problem.n"), (sphere_config, "problem.N"),
+               (sphere_config, "problem.n"), (sphere_config, "problem.m")]
+
+
+@pytest.mark.parametrize(
+    "make, field, value",
+    [(make, field, value) for make, field in HUGE_FIELDS for value in (2**62, 10**30)]
+    + [(pca_config, "problem.n", 10**12), (sphere_config, "problem.n", 10**12), (sphere_config, "problem.m", 10**12)],
+)
+def test_run_huge_dimension_names_its_field(tmp_path, capsys, make, field, value):
+    # past its index range numpy raises ValueError, not MemoryError; 10**12
+    # raises MemoryError, which names n when n > N; the singleton's scalar
+    # target is broadcast to m entries
+    cfg = make(tmp_path / "out")
+    _set_field(cfg, field, value)
+    if field == "problem.m":
+        cfg["problem"]["set"] = {"kind": "singleton", "target": 0.0}
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {field}: " in err and "Traceback" not in err
+
+
 def test_run_unwritable_output_names_its_setting(tmp_path, monkeypatch, capsys):
     # the directory cannot be created under a file, and a directory in the
     # place of trace.csv cannot be written; each exits 2 naming the setting,

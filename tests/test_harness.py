@@ -101,6 +101,39 @@ def test_lemma_implicit_bound_worked_example():
     assert lemma_implicit_bound_check(1.0, 1.0, 0.0, 0.5, 0.5, 0.0)
 
 
+def test_stacked_lemma_checks_agree_with_per_row_calls():
+    # zero-padded rows of the sequence bound, and rows of the implicit bound
+    # with their bisected premise solutions: the same verdicts as one call per
+    # row, and the solutions within 1e-12 of a Python-float bisection
+    rng = np.random.default_rng(17)
+    lengths = rng.integers(1, 12, 200)
+    b = np.zeros((200, 11))
+    for row, n in enumerate(lengths):
+        b[row, :n] = rng.uniform(0.0, 5.0, n)
+    b[:, 0] += 0.01
+    p = rng.uniform(0.02, 0.98, 200)
+    verdicts = lemma_seq_bound_check(b, p)
+    assert verdicts.shape == (200,)
+    assert verdicts.tolist() == [lemma_seq_bound_check(row[:n], q) for row, n, q in zip(b, lengths, p)]
+    c, d, e, al, be = rng.uniform([0.05, 0.05, 0.0, 0.05, 0.05], [5.0, 5.0, 5.0, 0.95, 0.95], (200, 5)).T
+    x = largest_premise_solution(c, d, e, al, be)
+    for row in range(200):
+        args = (float(c[row]), float(d[row]), float(e[row]), float(al[row]), float(be[row]))
+        lo, hi = 0.0, 1.0
+        while args[0] * hi ** args[3] + args[1] * hi ** args[4] + args[2] >= hi:
+            hi *= 2.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if args[0] * mid ** args[3] + args[1] * mid ** args[4] + args[2] >= mid else (lo, mid)
+        assert x[row] == pytest.approx(lo, rel=1e-12, abs=0.0)
+    assert largest_premise_solution(*(v[3] for v in (c, d, e, al, be))) == x[3]
+    verdicts = lemma_implicit_bound_check(c, d, e, al, be, x)
+    assert verdicts.tolist() == [lemma_implicit_bound_check(*args, xr) for *args, xr in zip(c, d, e, al, be, x)]
+    b[7, 0] = 0.0  # one bad row rejects the stack
+    with pytest.raises(ParameterError):
+        lemma_seq_bound_check(b, p)
+
+
 def test_lemma_implicit_bound_validates_premise():
     with pytest.raises(ParameterError):
         lemma_implicit_bound_check(0.1, 0.1, 0.0, 0.5, 0.5, 100.0)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import manismooth as ms
-from manismooth.checks import grid_argmin_1d
+from manismooth.checks import grid_argmin_1d, random_terms
 from manismooth.errors import ParameterError
+from manismooth.smoothing import IndicatorTerm
 
 
 def test_prox_soft_threshold_example():
@@ -148,6 +149,25 @@ def test_indicator_projection_of_a_stack_equals_per_row():
     rows[5] = center + 0.01
     for h in sets:
         proj, dist = h.project(rows), h.distance(rows)
+        inside, value = h.contains(rows), h.value(rows)
         for s, y in enumerate(rows):
             assert np.array_equal(proj[s], h.project(y))
             assert dist[s] == h.distance(y)
+            assert inside[s] == h.contains(y) and value[s] == h.value(y)
+        assert inside.any() and not inside.all()  # the center row is in every set
+
+
+def test_value_of_a_stack_equals_per_row():
+    # every term, at member and non-member rows, and a one-row stack: each
+    # row is the one-vector call bit for bit, and one vector gives a Python scalar
+    rng = np.random.default_rng(12)
+    for dim in (1, 3, 5):
+        for h in random_terms(rng, dim):
+            rows = 2 * rng.standard_normal((7, dim))
+            if isinstance(h, IndicatorTerm):
+                rows[:3] = [h.sample_member(rng) for _ in range(3)]
+                assert type(h.contains(rows[0])) is bool and np.array_equal(h.contains(rows[:1]), [True])
+            values = h.value(rows)
+            assert values.shape == (7,) and np.array_equal(h.value(rows[:1]), values[:1])
+            for y, got in zip(rows, values):
+                assert type(h.value(y)) is float and got == h.value(y)
