@@ -24,14 +24,14 @@ Library layout:
   and snapshots are plain ndarrays; typed values are built only to check
   each new iterate and momentum, and for x0, its first sample and the
   certificate's point,
-- ``harness``: run records (steps, traces, certificates, rate fits),
+- ``harness``: run records (iterations, certificates, rate fits),
   rate fitting, and CSV/JSON serialization,
 - ``checks``: the property batteries behind ``check`` and the executable
   inequality checks (the two sequence lemmas, retraction smoothness),
 - ``cli``: the ``manismooth`` command (run / check / report).
 """
 
-from .harness import Certificate, RateFit, StepReport, TraceRecord
+from .harness import Certificate, RateFit, TraceRecord
 from .manifolds import (
     ManifoldDescriptor,
     ManifoldPoint,
@@ -85,7 +85,6 @@ __all__ = [
     "RetractionConstants",
     "ScaledL1",
     "ScaledL2",
-    "StepReport",
     "StochasticProblem",
     "TangentVector",
     "TraceRecord",

@@ -43,7 +43,7 @@ from .errors import (
     ShapeMismatchError,
     TraceFormatError,
 )
-from .harness import fit_rate, read_trace_csv, summary_dict, write_summary_json, write_trace_csv
+from .harness import TRACE_COLUMNS, fit_rate, read_trace_csv, summary_dict, write_summary_json, write_trace_csv
 from .problems import make_constrained_sphere, make_sparse_pca
 from .rng import derive_seed
 from .smoothing import IndicatorBall, IndicatorBox, IndicatorSingleton
@@ -334,10 +334,10 @@ def cmd_report(args) -> int:
         return 2
     try:
         fit = fit_rate(trace, args.field, (args.k_lo, args.k_hi), mode=args.mode)
-    except (InsufficientDataError, ParameterError, AttributeError) as exc:
+    except (InsufficientDataError, ParameterError) as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return 2
-    print(json.dumps({"field": args.field, **fit.as_dict(), "mode": args.mode}))
+    print(json.dumps(fit.as_dict()))
     return 0
 
 
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="fit a decay rate from an existing trace")
     p_rep.add_argument("--trace", required=True, help="path to trace.csv")
-    p_rep.add_argument("--field", required=True, help="trace column to fit")
+    p_rep.add_argument("--field", required=True, choices=TRACE_COLUMNS, help="trace column to fit")
     p_rep.add_argument("--from", dest="k_lo", type=int, required=True, help="window start (iteration)")
     p_rep.add_argument("--to", dest="k_hi", type=int, required=True, help="window end (iteration)")
     p_rep.add_argument("--mode", default="mean_sq", choices=("mean_sq", "raw"))

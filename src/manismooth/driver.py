@@ -7,10 +7,10 @@ momentum, which are wrapped as a ``ManifoldPoint``/``TangentVector`` and
 stored as read-only data.  A solver supplies only its schedules (mu_k,
 tau_k, a_{k+1}), the truncation radius if any, and its own bookkeeping;
 :func:`start` checks x0 and draws the first sample.  :func:`run` is the
-loop: a trace row every ``trace_every``-th iteration plus the last (its
-``wall_ns`` is 0: the loop reads no clock), optional diagnostics,
-back-half snapshots, and :func:`certificate` a stationarity witness at
-one drawn snapshot.  State, snapshots and diagnostics are plain
+loop of exactly K steps: the step's own ``TraceRecord`` every
+``trace_every``-th iteration plus the last, optional diagnostics on
+those rows, back-half snapshots, and :func:`certificate` a stationarity
+witness at one drawn snapshot.  State, snapshots and diagnostics are plain
 ndarrays; other typed values are built only for x0, its first sample
 and the certificate's point.  Nothing repairs an iterate, so one off
 the manifold or not tangent fails the run.
@@ -19,13 +19,13 @@ the manifold or not tangent fails the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateRetractionError, InsufficientDataError, NumericalFailureError, ParameterError
-from .harness import Certificate, StepReport, TraceRecord
+from .harness import Certificate, TraceRecord
 from .manifolds import ManifoldPoint, TangentVector, _norm, proj, random_point, retr
 from .problems import StochasticProblem, sample_riemannian_grad
 from .smoothing import smoothed_grad
@@ -67,7 +67,7 @@ def start(cls: type, problem: StochasticProblem, x0: ManifoldPoint, seed, k: int
 def step(
     state: SolverState, problem: StochasticProblem, mu: float, schedule: Callable[[float], tuple[float, float]],
     radius: float | None = None,
-) -> StepReport:
+) -> TraceRecord:
     """Advance the state by one iteration at smoothing level mu; ``schedule(||G_k||)`` gives (tau_k, a_{k+1}).
 
         G_k         = delta_k + P_{T_{x_k}}( Dc(x_k)^T (c(x_k) - prox_{mu h}(c(x_k))) / mu )
@@ -79,8 +79,8 @@ def step(
     c(x) - prox_{mu h}(c(x)) is c(x) - P_C(c(x)).  With a ``radius``,
     delta_{k+1} is scaled back onto that ball.  The new iterate and
     momentum are wrapped, and so checked, as one ``ManifoldPoint`` and one
-    ``TangentVector``; the state keeps their read-only data.  The report's
-    ``infeas`` is the residual's norm.
+    ``TangentVector``; the state keeps their read-only data.  The returned
+    record carries no diagnostics; its ``infeas`` is the residual's norm.
 
     Raises:
         NumericalFailureError: G_k or tau_k is not finite, or the
@@ -110,7 +110,7 @@ def step(
     state.x = x.data
     state.delta = TangentVector(desc, x, delta_next).data
     state.k += 1
-    return StepReport(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, infeas=_norm(diff))
+    return TraceRecord(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, infeas=_norm(diff))
 
 
 def run(
@@ -120,20 +120,18 @@ def run(
     K: int,
     *,
     init: Callable[[ManifoldPoint, np.random.Generator], SolverState],
-    step: Callable[[SolverState], StepReport],
+    step: Callable[[SolverState], TraceRecord],
     mu: Callable[[int], float],
     snap_lo: int,
     trace_every: int,
     diagnostics: bool,
-    stop_tol: float | None,
 ) -> tuple[SolverState, list[TraceRecord]]:
-    """Execute K steps from ``init(x0, rng)``; trace every trace_every-th one plus the last.
+    """Execute exactly K steps from ``init(x0, rng)``; keep the record of every trace_every-th one plus the last.
 
-    Diagnostics add the full-gradient columns (obj_smooth,
-    norm_grad_Fmu, norm_eps) at traced iterations only, at smoothing
+    Diagnostics fill the full-gradient fields (obj_smooth,
+    norm_grad_Fmu, norm_eps) of the kept records only, at smoothing
     level ``mu(k)``; they cost one full gradient and one full value of f
-    (a pass over the data each) and never feed back into the algorithm,
-    except through the optional early stop on norm_grad_Fmu <= stop_tol.
+    (a pass over the data each) and never feed back into the algorithm.
     Iterates from index ``snap_lo`` on are snapshotted at a stride that
     keeps about SNAPSHOT_TARGET of them.
 
@@ -147,8 +145,6 @@ def run(
         raise ParameterError("K must be >= 1")
     if trace_every < 1:
         raise ParameterError("trace_every must be >= 1")
-    if stop_tol is not None and not diagnostics:
-        raise ParameterError("stop_tol requires diagnostics=True")
     rng = np.random.default_rng(seed)
     state = init(random_point(problem.manifold, rng) if x0 is None else x0, rng)
     kind = problem.manifold.kind
@@ -157,28 +153,20 @@ def run(
     for i in range(K):
         k, X = state.k, state.x
         traced = i % trace_every == 0 or i == K - 1
-        obj_smooth = norm_grad_Fmu = norm_eps = None
         if k >= snap_lo and (k - snap_lo) % stride == 0:
             state.snapshots.append((k, X))
         try:
             if traced and diagnostics:
                 egrad = problem.full_egrad(X)
                 _, env, rgrad = smoothed_grad(problem, X, mu(k), egrad)
-                obj_smooth = problem.full_value(X) + env.value
-                norm_grad_Fmu = float(np.linalg.norm(rgrad))
-                norm_eps = float(np.linalg.norm(state.delta - proj(kind, X, egrad)))
-            report = step(state)
+                diag = dict(obj_smooth=problem.full_value(X) + env.value, norm_grad_Fmu=float(np.linalg.norm(rgrad)),
+                            norm_eps=float(np.linalg.norm(state.delta - proj(kind, X, egrad))))
+            record = step(state)
         except (ParameterError, DegenerateRetractionError) as exc:
             # the inputs were validated before the loop, so the row's own arithmetic broke a check
             raise NumericalFailureError(str(exc), k) from exc
         if traced:
-            trace.append(
-                TraceRecord(
-                    **vars(report), obj_smooth=obj_smooth, norm_grad_Fmu=norm_grad_Fmu, norm_eps=norm_eps, wall_ns=0
-                )
-            )
-        if stop_tol is not None and norm_grad_Fmu is not None and norm_grad_Fmu <= stop_tol:
-            break
+            trace.append(replace(record, **diag) if diagnostics else record)
     return state, trace
 
 

@@ -1,12 +1,10 @@
-"""Run records (steps, traces, certificates, rate fits), rate fitting, and trace/summary I/O.
+"""Run records (iterations, certificates, rate fits), rate fitting, and trace/summary I/O.
 
-File formats:
+File formats (schema ``SCHEMA_VERSION``):
 
-- trace CSV columns: the ``TraceRecord`` fields in order,
-  k, mu, tau, a, norm_G, obj_smooth, norm_grad_Fmu, infeas, norm_eps, wall_ns.
+- trace CSV columns: the ``TraceRecord`` fields in order (``TRACE_COLUMNS``).
   Missing diagnostics are serialized as empty fields; floats use the
-  shortest round-trip decimal representation.  ``wall_ns`` is always 0;
-  the column is kept so that existing trace files still parse.
+  shortest round-trip decimal representation.
 - summary JSON keys: schema_version, algorithm, problem, seed, K,
   config, certificate, rate_fits, wall_seconds.
 """
@@ -15,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -23,34 +22,22 @@ import numpy as np
 from .errors import InsufficientDataError, ParameterError, TraceFormatError
 from .manifolds import ManifoldPoint
 
-SCHEMA_VERSION = "1"
-
-@dataclass(frozen=True)
-class StepReport:
-    """Per-iteration quantities produced by one solver step."""
-
-    k: int
-    mu: float
-    tau: float
-    a: float
-    norm_G: float
-    infeas: float
+SCHEMA_VERSION = "2"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TraceRecord:
-    """One monitored iteration; diagnostic fields are None when disabled."""
+    """One iteration as its step reports it; the diagnostic fields stay None unless a diagnostics row fills them."""
 
     k: int
     mu: float
     tau: float
     a: float
     norm_G: float
-    obj_smooth: float | None
-    norm_grad_Fmu: float | None
+    obj_smooth: float | None = None
+    norm_grad_Fmu: float | None = None
     infeas: float
-    norm_eps: float | None
-    wall_ns: int
+    norm_eps: float | None = None
 
 
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
@@ -71,12 +58,14 @@ class Certificate:
 
 @dataclass(frozen=True)
 class RateFit:
-    """Least-squares power-law fit over a window of iteration indices."""
+    """Least-squares power-law fit of one trace field, in one mode, over a window of iteration indices."""
 
+    field: str
     slope: float
     intercept: float
     r_squared: float
     window: tuple[int, int]
+    mode: str
 
     def __post_init__(self):
         if not self.window[0] < self.window[1]:
@@ -84,8 +73,8 @@ class RateFit:
 
     def as_dict(self) -> dict:
         """The fit as the JSON object ``summary.json`` and ``report`` write."""
-        return dict(slope=self.slope, intercept=self.intercept, r_squared=self.r_squared,
-                    k_lo=self.window[0], k_hi=self.window[1])
+        return dict(field=self.field, slope=self.slope, intercept=self.intercept, r_squared=self.r_squared,
+                    k_lo=self.window[0], k_hi=self.window[1], mode=self.mode)
 
 
 def fit_rate(
@@ -99,11 +88,15 @@ def fit_rate(
     mode "mean_sq" (default) fits the running mean of the squared field
     values, accumulated from the start of the trace; mode "raw" fits the
     field values themselves.  Needs at least 10 in-window records with
-    the field present.
+    the field present, and every in-window value of the fitted series
+    finite; otherwise InsufficientDataError names the field (and the
+    first non-finite k).
     """
     if mode not in ("mean_sq", "raw"):
         raise ParameterError(f"unknown fit mode {mode!r}")
     k_lo, k_hi = window
+    if k_lo < 1:  # the fit takes log(k)
+        raise ParameterError(f"window start {k_lo} must be >= 1")
     ks, ys = [], []
     acc = 0.0
     count = 0
@@ -117,7 +110,12 @@ def fit_rate(
             val = acc / count
         else:
             val = v
-        if k_lo <= rec.k <= k_hi and val > 0:
+        if not k_lo <= rec.k <= k_hi:
+            continue
+        if not math.isfinite(val):
+            series = "running mean of squares" if mode == "mean_sq" else "value"
+            raise InsufficientDataError(f"field {field!r}: the {series} at k = {rec.k} is {val}, not finite")
+        if val > 0:
             ks.append(rec.k)
             ys.append(val)
     if len(ks) < 10:
@@ -130,7 +128,8 @@ def fit_rate(
     resid = ly - (slope * lx + intercept)
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return RateFit(slope=float(slope), intercept=float(intercept), r_squared=max(0.0, min(1.0, r2)), window=(k_lo, k_hi))
+    return RateFit(field=field, slope=float(slope), intercept=float(intercept), r_squared=max(0.0, min(1.0, r2)),
+                   window=(k_lo, k_hi), mode=mode)
 
 
 def _fmt(v) -> str:
@@ -151,7 +150,7 @@ def write_trace_csv(trace: Sequence[TraceRecord], path) -> None:
 
 
 def _parse(column: str, text: str):
-    if column in ("k", "wall_ns"):
+    if column == "k":
         return int(text)
     if column in ("obj_smooth", "norm_grad_Fmu", "norm_eps") and not text:
         return None
@@ -172,7 +171,8 @@ def read_trace_csv(path) -> list[TraceRecord]:
             if header is None:
                 raise TraceFormatError("missing header row", 1)
             if tuple(header) != TRACE_COLUMNS:
-                raise TraceFormatError(f"bad header {header!r}", 1)
+                expected = ",".join(TRACE_COLUMNS)
+                raise TraceFormatError(f"bad header {header!r}; schema {SCHEMA_VERSION} expects {expected}", 1)
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue

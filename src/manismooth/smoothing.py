@@ -40,9 +40,9 @@ class NonsmoothTerm:
     Subclasses implement ``value``, ``prox`` and ``in_subdifferential``;
     the indicator of a set is an :class:`IndicatorTerm`, which also
     exposes the set projection/sampling the indicator solver uses.
-    ``value`` also accepts a stack ``(..., m)`` of vectors and returns one
-    value per row, each equal to the call on that row alone, bit for bit;
-    one vector gives a Python float.
+    ``value`` and ``prox`` also accept a stack ``(..., m)`` of vectors and
+    act on each row, each result equal to the call on that row alone, bit
+    for bit; one vector's ``value`` is a Python float.
     """
 
     @property
@@ -113,11 +113,11 @@ class ScaledL2(NonsmoothTerm):
         return _rows(self.lam * _norm(np.asarray(y, dtype=float)))
 
     def prox(self, mu, y):
-        nrm = float(np.linalg.norm(y))
+        y = np.asarray(y, dtype=float)
         t = mu * self.lam
-        if nrm <= t:
-            return np.zeros_like(np.asarray(y, dtype=float))
-        return (1.0 - t / nrm) * np.asarray(y, dtype=float)
+        nrm = _norm(y)
+        shrunk = nrm > t  # a row no longer than t, a zero row among them, maps to 0 and is never divided by
+        return np.where(shrunk[..., None], (1.0 - t / np.where(shrunk, nrm, 1.0))[..., None] * y, 0.0)
 
     def in_subdifferential(self, y, z, tol=1e-8, rng=None):
         y = np.asarray(y, dtype=float)

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import driver
 from .errors import ParameterError, ProbeInconclusiveError
-from .harness import Certificate, StepReport, TraceRecord
+from .harness import Certificate, TraceRecord
 from .manifolds import ManifoldPoint, check_tangent, estimate_retraction_constants, fro, point_blocks, proj, sup
 from .problems import ProblemConstants, StochasticProblem, estimate_constants, retr_smooth_bound
 from .smoothing import IndicatorTerm
@@ -193,14 +193,14 @@ def init(
     return driver.start(IndicatorState, problem, x0, seed, k=0, radius=config.trunc_radius)
 
 
-def step(state: IndicatorState, problem: StochasticProblem, config: IndicatorConfig) -> StepReport:
+def step(state: IndicatorState, problem: StochasticProblem, config: IndicatorConfig) -> TraceRecord:
     """Advance the state by exactly one iteration of :func:`driver.step`; record dist(c(x_k), C)."""
     k = state.k
     tau = config.c_tau * float(k + 1) ** (-config.omega)
     a_next = min(1.0, config.c_a * float(k + 1) ** (-2.0 * config.omega))
-    report = driver.step(state, problem, config.mu(k), lambda _: (tau, a_next), config.trunc_radius)
-    state.feas_history.append(report.infeas)
-    return report
+    record = driver.step(state, problem, config.mu(k), lambda _: (tau, a_next), config.trunc_radius)
+    state.feas_history.append(record.infeas)
+    return record
 
 
 def run(
@@ -219,7 +219,7 @@ def run(
         step=lambda state: step(state, problem, config),
         mu=config.mu,
         snap_lo=K // 2,
-        trace_every=trace_every, diagnostics=diagnostics, stop_tol=None,
+        trace_every=trace_every, diagnostics=diagnostics,
     )
     state.snapshots.append((state.k, state.x))
     return state, trace

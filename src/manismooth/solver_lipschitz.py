@@ -29,7 +29,7 @@ import numpy as np
 
 from . import driver
 from .errors import ParameterError
-from .harness import Certificate, StepReport, TraceRecord
+from .harness import Certificate, TraceRecord
 from .manifolds import ManifoldPoint
 from .problems import StochasticProblem
 from .smoothing import IndicatorTerm
@@ -59,7 +59,7 @@ def init(problem: StochasticProblem, x0: ManifoldPoint, seed: int | np.random.Ge
     return driver.start(LipschitzState, problem, x0, seed, k=1)
 
 
-def step(state: LipschitzState, problem: StochasticProblem) -> StepReport:
+def step(state: LipschitzState, problem: StochasticProblem) -> TraceRecord:
     """Advance the state by exactly one iteration of :func:`driver.step`."""
     k = state.k
     a_next = momentum_weight(k)
@@ -78,16 +78,15 @@ def run(
     K: int,
     trace_every: int = 1,
     diagnostics: bool = False,
-    stop_tol: float | None = None,
 ) -> tuple[LipschitzState, list[TraceRecord]]:
-    """Execute K iterations (k = 1 .. K) with :func:`driver.run`; stop_tol stops early on norm_grad_Fmu."""
+    """Execute exactly K iterations (k = 1 .. K) with :func:`driver.run`."""
     return driver.run(
         problem, x0, seed, K,
         init=lambda x, rng: init(problem, x, rng),
         step=lambda state: step(state, problem),
         mu=smoothing_level,
         snap_lo=(K + 1) // 2,
-        trace_every=trace_every, diagnostics=diagnostics, stop_tol=stop_tol,
+        trace_every=trace_every, diagnostics=diagnostics,
     )
 
 

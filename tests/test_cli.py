@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -63,9 +64,17 @@ def test_run_lipschitz_writes_outputs(tmp_path):
     trace = read_trace_csv(out / "trace.csv")
     assert len(trace) == 100 // 10 + 1
     summary = read_summary_json(out / "summary.json")
-    assert summary["schema_version"] == "1"
+    assert summary["schema_version"] == "2"
     assert summary["algorithm"] == "lipschitz"
     assert summary["certificate"]["membership_ok"] is True
+
+
+def test_run_rate_fits_name_their_field_and_mode(tmp_path):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, pca_config(out, max_iters=300, trace_every=1, diagnostics=True))
+    assert main(["run", "--config", str(path)]) == 0
+    fits = read_summary_json(out / "summary.json")["rate_fits"]
+    assert [(f["field"], f["mode"]) for f in fits] == [("norm_G", "mean_sq"), ("norm_grad_Fmu", "mean_sq")]
 
 
 def test_run_indicator_writes_outputs(tmp_path):
@@ -359,8 +368,7 @@ def test_check_all_passes(capsys):
 
 def test_report_synthetic_slope(tmp_path, capsys):
     trace = [
-        TraceRecord(k=k, mu=1.0, tau=0.1, a=0.5, norm_G=1.0, obj_smooth=None,
-                    norm_grad_Fmu=float(k) ** (-1.0 / 3.0), infeas=0.0, norm_eps=None, wall_ns=0)
+        TraceRecord(k=k, mu=1.0, tau=0.1, a=0.5, norm_G=1.0, norm_grad_Fmu=float(k) ** (-1.0 / 3.0), infeas=0.0)
         for k in range(1, 2001)
     ]
     path = tmp_path / "trace.csv"
@@ -368,14 +376,59 @@ def test_report_synthetic_slope(tmp_path, capsys):
     assert main(["report", "--trace", str(path), "--field", "norm_grad_Fmu",
                  "--from", "100", "--to", "2000"]) == 0
     out = json.loads(capsys.readouterr().out)
+    assert list(out) == ["field", "slope", "intercept", "r_squared", "k_lo", "k_hi", "mode"]
+    assert out["field"] == "norm_grad_Fmu" and out["mode"] == "mean_sq"
     assert abs(out["slope"] + 2.0 / 3.0) <= 0.06
     assert out["r_squared"] > 0.99
 
 
+@pytest.mark.parametrize("field", ["__doc__", "__class__", "__init__"])
+def test_report_field_that_is_not_a_column_exits_2(tmp_path, capsys, field):
+    path = tmp_path / "trace.csv"
+    write_trace_csv([TraceRecord(k=k, mu=1.0, tau=0.1, a=0.5, norm_G=1.0, infeas=0.0) for k in range(1, 40)], path)
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--trace", str(path), "--field", field, "--from", "1", "--to", "39"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "--field" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "value, mode",
+    [(math.inf, "mean_sq"), (1e308, "mean_sq"), (math.nan, "raw")],
+    ids=["inf", "square-overflows", "nan"],
+)
+def test_report_non_finite_series_exits_2_naming_field_and_k(tmp_path, capsys, value, mode):
+    # 1e308 is finite, but its square overflows the running mean of squares
+    trace = [TraceRecord(k=k, mu=1.0, tau=0.1, a=0.5, norm_G=value if k == 20 else 1.0 / k, infeas=0.0)
+             for k in range(1, 40)]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    assert main(["report", "--trace", str(path), "--field", "norm_G", "--from", "1", "--to", "39", "--mode", mode]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "'norm_G'" in err and "k = 20" in err
+
+
+@pytest.mark.parametrize("k_lo", ["0", "-5"])
+def test_report_window_from_below_1_exits_2(tmp_path, capsys, k_lo):
+    # an indicator trace starts at k = 0, where log(k) is not finite
+    path = tmp_path / "trace.csv"
+    trace = [TraceRecord(k=k, mu=1.0, tau=0.1, a=0.5, norm_G=1.0 / (k + 1), infeas=0.0) for k in range(40)]
+    write_trace_csv(trace, path)
+    assert main(["report", "--trace", str(path), "--field", "norm_G", "--from", k_lo, "--to", "39"]) == 2
+    assert "window start" in capsys.readouterr().err
+
+
+def test_report_schema_1_trace_exits_2_naming_schema_2(tmp_path, capsys):
+    path = tmp_path / "trace.csv"
+    path.write_text("k,mu,tau,a,norm_G,obj_smooth,norm_grad_Fmu,infeas,norm_eps,wall_ns\n1,1.0,0.1,1,1,,,0,,0\n")
+    assert main(["report", "--trace", str(path), "--field", "norm_G", "--from", "1", "--to", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace format error: line 1: bad header") and "schema 2" in err
+
+
 def test_report_window_too_small(tmp_path):
     trace = [
-        TraceRecord(k=k, mu=1.0, tau=0.1, a=0.5, norm_G=1.0, obj_smooth=None,
-                    norm_grad_Fmu=1.0, infeas=0.0, norm_eps=None, wall_ns=0)
+        TraceRecord(k=k, mu=1.0, tau=0.1, a=0.5, norm_G=1.0, norm_grad_Fmu=1.0, infeas=0.0)
         for k in range(1, 30)
     ]
     path = tmp_path / "trace.csv"
@@ -386,7 +439,7 @@ def test_report_window_too_small(tmp_path):
 
 def test_report_malformed_csv_names_line(tmp_path, capsys):
     path = tmp_path / "bad.csv"
-    path.write_text("k,mu,tau,a,norm_G,obj_smooth,norm_grad_Fmu,infeas,norm_eps,wall_ns\n1,oops,0.1,1,1,,,0,,0\n")
+    path.write_text("k,mu,tau,a,norm_G,obj_smooth,norm_grad_Fmu,infeas,norm_eps\n1,oops,0.1,1,1,,,0,\n")
     assert main(["report", "--trace", str(path), "--field", "norm_G",
                  "--from", "1", "--to", "10"]) == 2
     assert "line 2" in capsys.readouterr().err
@@ -394,12 +447,12 @@ def test_report_malformed_csv_names_line(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "row",
-    [b"1,0.5\xff,0.1,1,1,,,0,,0\n", b"1," + b"9" * 200_000 + b",0.1,1,1,,,0,,0\n"],
+    [b"1,0.5\xff,0.1,1,1,,,0,\n", b"1," + b"9" * 200_000 + b",0.1,1,1,,,0,\n"],
     ids=["not-utf8", "field-over-csv-limit"],
 )
 def test_report_unreadable_trace_exits_2_naming_the_line(tmp_path, capsys, row):
     path = tmp_path / "trace.csv"
-    path.write_bytes(b"k,mu,tau,a,norm_G,obj_smooth,norm_grad_Fmu,infeas,norm_eps,wall_ns\n" + row)
+    path.write_bytes(b"k,mu,tau,a,norm_G,obj_smooth,norm_grad_Fmu,infeas,norm_eps\n" + row)
     assert main(["report", "--trace", str(path), "--field", "norm_G", "--from", "1", "--to", "10"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("trace format error: line 2: ") and "Traceback" not in err

@@ -28,7 +28,7 @@ REL_TOL = 1e-10
 
 
 def _rows(trace):
-    return [[v for k, v in dataclasses.asdict(r).items() if k != "wall_ns"] for r in trace]
+    return [list(dataclasses.astuple(r)) for r in trace]
 
 
 def _cert(cert):

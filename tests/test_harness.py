@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from manismooth.checks import (
 )
 from manismooth.errors import InsufficientDataError, ParameterError, TraceFormatError
 from manismooth.harness import (
+    TRACE_COLUMNS,
     TraceRecord,
     fit_rate,
     read_summary_json,
@@ -28,12 +32,8 @@ def lemma_battery():
     return {r.name: r for r in check_lemmas()}
 
 
-def synthetic_trace(values, wall=0):
-    return [
-        TraceRecord(k=k, mu=1.0, tau=0.1, a=0.5, norm_G=v, obj_smooth=None,
-                    norm_grad_Fmu=v, infeas=0.0, norm_eps=None, wall_ns=wall)
-        for k, v in values
-    ]
+def synthetic_trace(values):
+    return [TraceRecord(k=k, mu=1.0, tau=0.1, a=0.5, norm_G=v, norm_grad_Fmu=v, infeas=0.0) for k, v in values]
 
 
 def test_fit_rate_exact_power_law_raw():
@@ -153,9 +153,9 @@ def test_retr_smooth_quadratic_on_sphere():
 def test_trace_csv_roundtrip(tmp_path):
     trace = [
         TraceRecord(k=1, mu=1.0, tau=0.5, a=1.0, norm_G=0.123456789012345678,
-                    obj_smooth=None, norm_grad_Fmu=None, infeas=1e-300, norm_eps=None, wall_ns=17),
+                    obj_smooth=None, norm_grad_Fmu=None, infeas=1e-300, norm_eps=None),
         TraceRecord(k=10, mu=10.0 ** (-1 / 3), tau=0.3, a=0.25, norm_G=2.0,
-                    obj_smooth=-1.5, norm_grad_Fmu=0.7, infeas=0.0, norm_eps=0.1, wall_ns=42),
+                    obj_smooth=-1.5, norm_grad_Fmu=0.7, infeas=0.0, norm_eps=0.1),
     ]
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
@@ -163,18 +163,24 @@ def test_trace_csv_roundtrip(tmp_path):
     assert back == trace
 
 
+def test_readme_lists_the_trace_columns():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    columns = re.search(r"`trace\.csv` has the fixed columns\s+`([^`]*)`", readme)
+    assert columns and columns.group(1) == ", ".join(TRACE_COLUMNS)
+
+
 def test_trace_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_trace_csv([], path)
-    assert path.read_text().strip() == "k,mu,tau,a,norm_G,obj_smooth,norm_grad_Fmu,infeas,norm_eps,wall_ns"
+    assert path.read_text().strip() == "k,mu,tau,a,norm_G,obj_smooth,norm_grad_Fmu,infeas,norm_eps"
     assert read_trace_csv(path) == []
 
 
 def test_trace_csv_malformed_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
-    write_trace_csv([TraceRecord(1, 1.0, 0.1, 1.0, 1.0, None, None, 0.0, None, 0)], path)
+    write_trace_csv([TraceRecord(k=1, mu=1.0, tau=0.1, a=1.0, norm_G=1.0, infeas=0.0)], path)
     with open(path, "a") as fh:
-        fh.write("2,nope,0.1,1.0,1.0,,,0.0,,0\n")
+        fh.write("2,nope,0.1,1.0,1.0,,,0.0,\n")
     with pytest.raises(TraceFormatError) as err:
         read_trace_csv(path)
     assert err.value.line == 3
@@ -183,7 +189,7 @@ def test_trace_csv_malformed_reports_line(tmp_path):
 def test_summary_json_roundtrip(tmp_path):
     cert = ms.Certificate(i_K=7, x=None, y=np.zeros(2), z=np.zeros(2),
                           grad_residual=0.125, feas_residual=1e-17, membership_ok=True)
-    fit = ms.RateFit(slope=-0.66, intercept=1.0, r_squared=0.99, window=(100, 1000))
+    fit = ms.RateFit(field="norm_G", slope=-0.66, intercept=1.0, r_squared=0.99, window=(100, 1000), mode="raw")
     summary = summary_dict(
         algorithm="lipschitz", problem_name="sparse_pca", seed=3, K=100,
         config={"trace_every": 10}, certificate=cert, rate_fits=[fit], wall_seconds=0.5,
@@ -192,5 +198,7 @@ def test_summary_json_roundtrip(tmp_path):
     write_summary_json(summary, path)
     back = read_summary_json(path)
     assert back == summary
-    assert back["schema_version"] == "1"
+    assert back["schema_version"] == "2"
+    assert back["rate_fits"] == [{"field": "norm_G", "slope": -0.66, "intercept": 1.0, "r_squared": 0.99,
+                                  "k_lo": 100, "k_hi": 1000, "mode": "raw"}]
     assert back["certificate"]["feas_residual"] == 1e-17

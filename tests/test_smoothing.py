@@ -158,16 +158,23 @@ def test_indicator_projection_of_a_stack_equals_per_row():
 
 
 def test_value_of_a_stack_equals_per_row():
-    # every term, at member and non-member rows, and a one-row stack: each
-    # row is the one-vector call bit for bit, and one vector gives a Python scalar
+    # every term (and l2 at lam = 0), at member and non-member rows, a zero
+    # row, a row the l2 prox maps to 0, and a one-row stack: each row of
+    # value and prox is the one-vector call bit for bit, and one vector's
+    # value is a Python scalar
     rng = np.random.default_rng(12)
+    mu = 0.7
     for dim in (1, 3, 5):
-        for h in random_terms(rng, dim):
+        for h in [*random_terms(rng, dim), ms.ScaledL2(0.0)]:
             rows = 2 * rng.standard_normal((7, dim))
+            rows[3] = 0.0
+            rows[4] *= 1e-3
             if isinstance(h, IndicatorTerm):
                 rows[:3] = [h.sample_member(rng) for _ in range(3)]
                 assert type(h.contains(rows[0])) is bool and np.array_equal(h.contains(rows[:1]), [True])
-            values = h.value(rows)
+            values, proxes = h.value(rows), h.prox(mu, rows)
             assert values.shape == (7,) and np.array_equal(h.value(rows[:1]), values[:1])
-            for y, got in zip(rows, values):
+            assert proxes.shape == rows.shape and np.array_equal(h.prox(mu, rows[:1]), proxes[:1])
+            for y, got, prox_row in zip(rows, values, proxes):
                 assert type(h.value(y)) is float and got == h.value(y)
+                assert np.array_equal(prox_row, h.prox(mu, y))

@@ -206,14 +206,3 @@ def test_unregularized_pca_finds_top_eigenvector():
     cos = abs(float(top @ state.x.ravel()))
     assert cos >= 0.99
 
-
-def test_early_stop_requires_diagnostics(pca):
-    with pytest.raises(ParameterError):
-        sl.run(pca, None, seed=0, K=10, stop_tol=1e-3)
-
-
-def test_early_stop_breaks_run():
-    p = ms.make_sparse_pca(8, 1, 1, 0.0, seed=19)
-    state, trace = sl.run(p, None, seed=3, K=5000, trace_every=10, diagnostics=True, stop_tol=1e-4)
-    assert state.k < 5000
-    assert trace[-1].norm_grad_Fmu <= 1e-4
