@@ -159,8 +159,8 @@ def run(
             if traced and diagnostics:
                 egrad = problem.full_egrad(X)
                 _, env, rgrad = smoothed_grad(problem, X, mu(k), egrad)
-                diag = dict(obj_smooth=problem.full_value(X) + env.value, norm_grad_Fmu=float(np.linalg.norm(rgrad)),
-                            norm_eps=float(np.linalg.norm(state.delta - proj(kind, X, egrad))))
+                diag = dict(obj_smooth=problem.full_value(X) + env.value, norm_grad_Fmu=_norm(rgrad),
+                            norm_eps=_norm(state.delta - proj(kind, X, egrad)))
             record = step(state)
         except (ParameterError, DegenerateRetractionError) as exc:
             # the inputs were validated before the loop, so the row's own arithmetic broke a check

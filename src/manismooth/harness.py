@@ -25,7 +25,7 @@ from .manifolds import ManifoldPoint
 SCHEMA_VERSION = "2"
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, slots=True)
 class TraceRecord:
     """One iteration as its step reports it; the diagnostic fields stay None unless a diagnostics row fills them."""
 
@@ -97,6 +97,8 @@ def fit_rate(
     k_lo, k_hi = window
     if k_lo < 1:  # the fit takes log(k)
         raise ParameterError(f"window start {k_lo} must be >= 1")
+    if k_lo >= k_hi:
+        raise ParameterError(f"window [{k_lo}, {k_hi}] is reversed or one iteration wide; need start < end")
     ks, ys = [], []
     acc = 0.0
     count = 0

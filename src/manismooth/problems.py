@@ -30,6 +30,9 @@ from .manifolds import (
     ManifoldPoint,
     RetractionConstants,
     TangentVector,
+    _inner,
+    _lift,
+    _mm,
     check_point,
     check_tangent,
     fro,
@@ -87,7 +90,12 @@ class StochasticProblem:
     argument may broadcast against them instead): ``full_value``
     ``(...)``, gradients ``(..., n, p)``, ``c_eval`` ``(..., m)``.  Each
     slice of a stacked result must equal the call on that slice alone,
-    bit for bit; the sampling estimators rely on it.
+    bit for bit; the sampling estimators rely on it.  The built-in
+    families keep it by the one-matrix rule of :mod:`.manifolds`: each
+    product is written once, and a one-point call computes it with
+    ``ndarray.dot`` where a stack uses ``@`` (or ``np.vecdot``), with the
+    same bits.  ``test_stacked_evaluators_equal_per_point`` in
+    ``tests/test_problems.py`` pins it at the benchmark's instances.
     """
 
     manifold: ManifoldDescriptor
@@ -129,14 +137,14 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
     cov = A.T @ A / N
 
     def sample_egrad(xd, i):
-        a = A[i][..., None, :]
-        return -(a.mT * (a @ xd))
+        a = A[i][..., None]
+        return -a * _mm(a.mT, xd)
 
     def full_value(xd):
-        return -0.5 * np.sum(xd * (cov @ xd), axis=(-2, -1))
+        return -0.5 * np.sum(xd * _mm(cov, xd), axis=(-2, -1))
 
     def full_egrad(xd):
-        return -(cov @ xd)  # negating the product, not the n x n covariance
+        return -_mm(cov, xd)  # negating the product, not the n x n covariance
 
     def c_eval(xd):
         return xd.reshape(*xd.shape[:-2], n * p).copy()
@@ -190,21 +198,22 @@ def make_constrained_sphere(
     b_col = b[:, None]
 
     def sample_egrad(xd, i):
-        return ((np.vecdot(A[i], xd[..., 0]) - b[i])[..., None] * A[i])[..., None]
+        a = A[i][..., None]
+        return _lift(_inner(a, xd) - b[i]) * a
 
     def full_value(xd):
-        r = (A @ xd)[..., 0] - b
+        r = _mm(A, xd)[..., 0] - b
         return 0.5 * np.vecdot(r, r) / N
 
     def full_egrad(xd):
-        return A.T @ (A @ xd - b_col) / N
+        return _mm(A.T, _mm(A, xd) - b_col) / N
 
     def c_eval(xd):
-        return (B @ xd + W @ (xd * xd))[..., 0]
+        return (_mm(B, xd) + _mm(W, xd * xd))[..., 0]
 
     def c_jac_t(xd, v):
         v = v[..., None]
-        return B.T @ v + 2.0 * xd * (W.T @ v)
+        return _mm(B.T, v) + 2.0 * xd * _mm(W.T, v)
 
     return StochasticProblem(
         manifold=sphere(n),

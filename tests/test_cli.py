@@ -1,6 +1,9 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,6 +70,7 @@ def test_run_lipschitz_writes_outputs(tmp_path):
     assert summary["schema_version"] == "2"
     assert summary["algorithm"] == "lipschitz"
     assert summary["certificate"]["membership_ok"] is True
+    assert summary["rate_fits"] == []  # K = 100 leaves the fit window [100, K] without width
 
 
 def test_run_rate_fits_name_their_field_and_mode(tmp_path):
@@ -348,8 +352,16 @@ def test_run_seed_list_isolates_a_failing_seed(tmp_path, monkeypatch, capsys):
         assert (tmp_path / "multi" / f"seed_{s}" / "trace.csv").exists()
 
 
-def test_check_unknown_suite():
+def test_check_unknown_suite(capsys):
     assert main(["check", "--suite", "nope"]) == 2
+    assert "choose from all, manifold, smoothing, lemmas, solver" in capsys.readouterr().err
+
+
+def test_run_and_report_do_not_import_the_check_batteries():
+    # only ``check`` needs them; a fresh interpreter shows what the other subcommands load
+    code = "import sys, manismooth.cli; sys.exit('manismooth.checks' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}).returncode == 0
 
 
 def test_check_lemmas_passes(capsys):
@@ -416,6 +428,16 @@ def test_report_window_from_below_1_exits_2(tmp_path, capsys, k_lo):
     write_trace_csv(trace, path)
     assert main(["report", "--trace", str(path), "--field", "norm_G", "--from", k_lo, "--to", "39"]) == 2
     assert "window start" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k_lo, k_hi", [("100", "50"), ("100", "100")])
+def test_report_reversed_window_exits_2_naming_both_ends(tmp_path, capsys, k_lo, k_hi):
+    # the trace has enough records on either side; the window itself is the fault
+    path = tmp_path / "trace.csv"
+    write_trace_csv([TraceRecord(k=k, mu=1.0, tau=0.1, a=0.5, norm_G=1.0 / k, infeas=0.0) for k in range(1, 201)], path)
+    assert main(["report", "--trace", str(path), "--field", "norm_G", "--from", k_lo, "--to", k_hi]) == 2
+    err = capsys.readouterr().err
+    assert f"window [{k_lo}, {k_hi}] is reversed" in err and "need >= 10 records" not in err
 
 
 def test_report_schema_1_trace_exits_2_naming_schema_2(tmp_path, capsys):

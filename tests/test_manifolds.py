@@ -138,9 +138,27 @@ def test_estimate_constants_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("desc", DESCRIPTORS, ids=lambda d: d.kind)
+# The benchmark's shapes: BLAS may pick another kernel at another size, so
+# the one-matrix paths are pinned here as well as at the small DESCRIPTORS.
+BENCH_DESCRIPTORS = (mf.stiefel(50, 3), mf.stiefel(1000, 10), mf.sphere(50), mf.oblique(50, 3))
+
+
+def _desc_id(desc):
+    return desc.kind if desc in DESCRIPTORS else f"{desc.kind}-{desc.n}x{desc.p}"
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except ParameterError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("desc", DESCRIPTORS + BENCH_DESCRIPTORS, ids=_desc_id)
 def test_stacked_kernels_equal_per_slice(desc):
-    # each slice of a stacked kernel call is bit-identical to the call on that slice alone
+    # each slice of a stacked kernel call is bit-identical to the call on that slice alone,
+    # and each check gives the stack's verdict on that slice
     rng = np.random.default_rng(3)
     X = mf.normalize(desc.kind, rng.standard_normal((9, *desc.shape)))
     V = mf.proj(desc.kind, X, rng.standard_normal(X.shape))
@@ -162,6 +180,37 @@ def test_stacked_kernels_equal_per_slice(desc):
     V[2] += X[2]
     with pytest.raises(ParameterError, match="not tangent"):
         mf.check_tangent(desc.kind, X, V)
+    for s in range(len(X)):
+        assert _verdict(mf.check_point, desc.kind, X[s]) == (s != 7)
+        assert _verdict(mf.check_tangent, desc.kind, X[s], V[s]) == (s != 2)  # scaling X[7] keeps V[7] tangent
+
+
+@pytest.mark.parametrize("desc", BENCH_DESCRIPTORS, ids=_desc_id)
+def test_one_matrix_products_equal_matmul(desc):
+    # the one-matrix paths take ndarray.dot where the stack path takes @; each product and
+    # each kernel built on them must equal its @ formula bit for bit, on the layouts they meet
+    rng = np.random.default_rng(8)
+    data = rng.standard_normal((1000, desc.n))  # the problems' sample rows, and (first 10) constraint maps
+    cov = data.T @ data / 1000
+    for _ in range(20):
+        X = mf.normalize(desc.kind, rng.standard_normal(desc.shape))
+        V = mf.proj(desc.kind, X, rng.standard_normal(desc.shape))
+        S = rng.standard_normal((desc.p, desc.p))
+        a = data[int(rng.integers(1000))][:, None]
+        x = X[:, :1].copy()
+        v = rng.standard_normal((10, 1))
+        pairs = [(X.mT, V), (X.mT, X), (X, S), (a.mT, X), (cov, X), (data, x), (data.T, data.dot(x) - 0.5),
+                 (data[:10], x), (data[:10], x * x), (data[:10].T, v)]
+        for A, B in pairs:
+            assert np.array_equal(mf._mm(A, B), A @ B)
+        s = X.mT @ V
+        if desc.kind == mf.STIEFEL:
+            assert np.array_equal(mf.proj(desc.kind, X, V), V - X @ ((s + s.mT) / 2.0))
+        assert mf._inner(X, V) == np.vecdot(X.ravel(), V.ravel())
+        assert mf._norm(V) == float(np.linalg.norm(V))
+        assert _verdict(mf.check_point, desc.kind, X) and _verdict(mf.check_tangent, desc.kind, X, V)
+        assert not _verdict(mf.check_point, desc.kind, 1.1 * X)
+        assert not _verdict(mf.check_tangent, desc.kind, X, V + X)
 
 
 def _one_at_a_time(desc, rng, samples, draw):
