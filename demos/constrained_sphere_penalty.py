@@ -29,7 +29,7 @@ print(f"config: c_tau = {config.c_tau:.4g}, c_a = {config.c_a:.4g}, "
 state, trace = si.run(problem, x0=None, config=config, seed=2, K=15_000, trace_every=500)
 
 print("\n    k     dist(c(x), C)    dist^2 * k^(2w/theta)")
-series = dict(si.feasibility_decay_series(state, config))
+series = dict(si.feasibility_decay_series(trace, config))
 for rec in trace[::4]:
     if rec.k >= 1:
         print(f"{rec.k:6d}   {rec.infeas:12.5f}    {series[rec.k]:12.5f}")

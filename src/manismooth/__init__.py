@@ -15,9 +15,9 @@ Library layout:
 - ``solver_lipschitz``: recursive-momentum solver with adaptive
   stepsize for Lipschitz nonsmooth terms,
 - ``solver_indicator``: truncated-momentum quadratic-penalty solver for
-  indicator constraints under an error bound condition,
-- ``driver``: the iteration both solvers share, written once (the
-  smoothing direction, retraction, one-sample momentum recursion,
+  indicator constraints under an error bound condition, and its bounds,
+- ``driver``: the state and iteration both solvers share, written once
+  (the smoothing direction, retraction, one-sample momentum recursion,
   optional truncation and the check of each new iterate and momentum),
   its first sample, the run loop (tracing, diagnostics, snapshots) and
   the certificate witness; a solver hands in only its schedules.  State

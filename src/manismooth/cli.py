@@ -57,15 +57,6 @@ PROBLEM_KEYS = {
 SET_KEYS = {"ball": ("kind", "center", "radius"), "box": ("kind", "lower", "upper"), "singleton": ("kind", "target")}
 FAMILIES = tuple(PROBLEM_KEYS)
 SEED_END = 2**64  # seeds are the 64-bit words the random streams are derived from
-# optional solver numbers: (field, lower bound, bound excluded)
-SOLVER_NUMBERS = (
-    ("theta", 1, False),
-    ("safety", 1, False),
-    ("zeta", 0, True),
-    ("c_tau", 0, True),
-    ("c_a", 0, True),
-    ("trunc_radius", 0, True),
-)
 
 
 def _known(cfg: dict, keys, path: str) -> None:
@@ -192,8 +183,8 @@ def validate_config(cfg: dict) -> dict:
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("solver", "must be an object")
-    _known(solver, tuple(name for name, _, _ in SOLVER_NUMBERS), "solver.")
-    for name, low, strict in SOLVER_NUMBERS:
+    _known(solver, tuple(solver_indicator.BOUNDS), "solver.")
+    for name, (low, strict) in solver_indicator.BOUNDS.items():
         if solver.get(name) is not None:
             _number(solver, name, "solver.", low=low, strict=strict)
     family = cfg["problem"]["family"]
@@ -225,7 +216,7 @@ def _execute(cfg: dict, seed: int, out_dir: Path) -> None:
         )
         cert = solver_lipschitz.certificate(state, problem)
     else:
-        # the SOLVER_NUMBERS are default_config's keywords; a null one means "not supplied"
+        # the solver_indicator.BOUNDS fields are default_config's keywords; a null one means "not supplied"
         scfg = {k: v for k, v in cfg.get("solver", {}).items() if v is not None}
         try:
             config = solver_indicator.default_config(problem, seed=derive_seed(seed, "probe"), **scfg)

@@ -9,11 +9,12 @@ tau_k, a_{k+1}), the truncation radius if any, and its own bookkeeping;
 :func:`start` checks x0 and draws the first sample.  :func:`run` is the
 loop of exactly K steps: the step's own ``TraceRecord`` every
 ``trace_every``-th iteration plus the last, optional diagnostics on
-those rows, back-half snapshots, and :func:`certificate` a stationarity
-witness at one drawn snapshot.  State, snapshots and diagnostics are plain
-ndarrays; other typed values are built only for x0, its first sample
-and the certificate's point.  Nothing repairs an iterate, so one off
-the manifold or not tangent fails the run.
+those rows at the record's mu, back-half snapshots, and
+:func:`certificate` a stationarity witness at one drawn snapshot.
+State, snapshots and diagnostics are plain ndarrays; other typed values
+are built only for x0, its first sample and the certificate's point.
+Nothing repairs an iterate, so one off the manifold or not tangent fails
+the run.
 """
 
 from __future__ import annotations
@@ -121,7 +122,6 @@ def run(
     *,
     init: Callable[[ManifoldPoint, np.random.Generator], SolverState],
     step: Callable[[SolverState], TraceRecord],
-    mu: Callable[[int], float],
     snap_lo: int,
     trace_every: int,
     diagnostics: bool,
@@ -129,11 +129,11 @@ def run(
     """Execute exactly K steps from ``init(x0, rng)``; keep the record of every trace_every-th one plus the last.
 
     Diagnostics fill the full-gradient fields (obj_smooth,
-    norm_grad_Fmu, norm_eps) of the kept records only, at smoothing
-    level ``mu(k)``; they cost one full gradient and one full value of f
-    (a pass over the data each) and never feed back into the algorithm.
-    Iterates from index ``snap_lo`` on are snapshotted at a stride that
-    keeps about SNAPSHOT_TARGET of them.
+    norm_grad_Fmu, norm_eps) of the kept records only, at the iterate and
+    momentum the step started from and the record's ``mu``; they cost one
+    full gradient and one full value of f (a pass over the data each) and
+    never feed back into the algorithm.  Iterates from index ``snap_lo``
+    on are snapshotted at a stride that keeps about SNAPSHOT_TARGET of them.
 
     Raises:
         NumericalFailureError: a step produced a non-finite direction, a
@@ -151,22 +151,21 @@ def run(
     stride = max(1, K // SNAPSHOT_TARGET)
     trace: list[TraceRecord] = []
     for i in range(K):
-        k, X = state.k, state.x
-        traced = i % trace_every == 0 or i == K - 1
+        k, X, delta = state.k, state.x, state.delta  # a step rebinds, never mutates, x and delta
         if k >= snap_lo and (k - snap_lo) % stride == 0:
             state.snapshots.append((k, X))
         try:
-            if traced and diagnostics:
-                egrad = problem.full_egrad(X)
-                _, env, rgrad = smoothed_grad(problem, X, mu(k), egrad)
-                diag = dict(obj_smooth=problem.full_value(X) + env.value, norm_grad_Fmu=_norm(rgrad),
-                            norm_eps=_norm(state.delta - proj(kind, X, egrad)))
             record = step(state)
+            if i % trace_every == 0 or i == K - 1:
+                if diagnostics:
+                    egrad = problem.full_egrad(X)
+                    _, env, rgrad = smoothed_grad(problem, X, record.mu, egrad)
+                    record = replace(record, obj_smooth=problem.full_value(X) + env.value,
+                                     norm_grad_Fmu=_norm(rgrad), norm_eps=_norm(delta - proj(kind, X, egrad)))
+                trace.append(record)
         except (ParameterError, DegenerateRetractionError) as exc:
             # the inputs were validated before the loop, so the row's own arithmetic broke a check
             raise NumericalFailureError(str(exc), k) from exc
-        if traced:
-            trace.append(replace(record, **diag) if diagnostics else record)
     return state, trace
 
 

@@ -14,15 +14,16 @@ iteration is the shared :func:`.driver.step` at the schedules
 Iterations count from k = 0; the k = 0 smoothing level is clamped to 1
 so the penalty stays finite.
 
-This module holds these schedules, the constraint-violation history and
-the parameter assembly; the iteration, the loop, tracing, snapshots and
-the certificate witness are the shared ones of :mod:`.driver`.
+This module holds these schedules, the one table of the solver numbers'
+bounds (:data:`BOUNDS`) and the parameter assembly; the state, iteration,
+loop, tracing, snapshots and certificate witness are :mod:`.driver`'s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,23 @@ from .harness import Certificate, TraceRecord
 from .manifolds import ManifoldPoint, check_tangent, estimate_retraction_constants, fro, point_blocks, proj, sup
 from .problems import ProblemConstants, StochasticProblem, estimate_constants, retr_smooth_bound
 from .smoothing import IndicatorTerm
+
+# each solver number's bound: field -> (lower bound, bound excluded); every value must also be finite
+BOUNDS = {
+    "theta": (1, False),
+    "safety": (1, False),
+    "zeta": (0, True),
+    "c_tau": (0, True),
+    "c_a": (0, True),
+    "trunc_radius": (0, True),
+}
+
+
+def _check_bound(name: str, value: float) -> None:
+    """Raise ParameterError naming ``name`` unless value is finite and within its :data:`BOUNDS` entry."""
+    low, strict = BOUNDS[name]
+    if not math.isfinite(value) or value < low or (strict and value == low):
+        raise ParameterError(f"{name} must be finite and {'>' if strict else '>='} {low}", field=name)
 
 
 @dataclass(frozen=True)
@@ -51,11 +69,8 @@ class IndicatorConfig:
     trunc_radius: float
 
     def __post_init__(self):
-        if self.theta < 1:
-            raise ParameterError("theta must be >= 1", field="theta")
-        for name in ("zeta", "c_tau", "c_a", "trunc_radius"):
-            if getattr(self, name) <= 0:
-                raise ParameterError(f"{name} must be positive", field=name)
+        for name in ("theta", "zeta", "c_tau", "c_a", "trunc_radius"):
+            _check_bound(name, getattr(self, name))
         try:
             self.k_tilde
         except ArithmeticError:  # c_tau zeta^2 underflows to 0, or zeta^2 overflows
@@ -65,7 +80,7 @@ class IndicatorConfig:
                 field="zeta",
             ) from None
 
-    @property
+    @cached_property  # not a field: dataclasses.asdict(config) stays the five numbers
     def omega(self) -> float:
         return min(self.theta / (self.theta + 2.0), 0.5)
 
@@ -77,13 +92,6 @@ class IndicatorConfig:
     def k_tilde(self) -> int:
         """Burn-in index after which the feasibility decay bound applies."""
         return math.ceil(8.0 * self.omega / (self.c_tau * self.zeta**2))
-
-
-@dataclass
-class IndicatorState(driver.SolverState):
-    """Solver state plus the constraint violation of every executed iterate; k starts at 0."""
-
-    feas_history: list[float] = field(default_factory=list)
 
 
 def default_config(
@@ -111,15 +119,15 @@ def default_config(
     probe when zeta is given.  Each pass draws max(100, samples) points.
 
     Raises:
-        ParameterError: a constant cannot be derived; ``field`` names the
-            argument to supply or change (the probe's failures, an
-            all-feasible sample included, name ``zeta``).
+        ParameterError: a given number is outside its :data:`BOUNDS` (checked
+            before any pass) or a constant cannot be derived; ``field`` names
+            the argument to supply or change (the probe's failures name ``zeta``).
     """
+    given = dict(theta=theta, safety=safety, zeta=zeta, c_tau=c_tau, c_a=c_a, trunc_radius=trunc_radius)
+    for name, value in given.items():
+        if value is not None:
+            _check_bound(name, value)
     samples = max(100, samples)
-    if theta < 1:
-        raise ParameterError("theta must be >= 1", field="theta")
-    if safety < 1:
-        raise ParameterError("safety must be >= 1", field="safety")
     if not isinstance(problem.h, IndicatorTerm):
         raise ParameterError("problem.h must be an indicator variant")
     if c_tau is None or c_a is None or trunc_radius is None:
@@ -145,10 +153,9 @@ def default_config(
     if zeta is None:
         try:
             zeta, _ = error_bound_probe(problem, samples, seed + 3)
-        except (ParameterError, ProbeInconclusiveError) as exc:  # an overflowed check, or nothing to fit
+            _check_bound("zeta", zeta)
+        except (ParameterError, ProbeInconclusiveError) as exc:  # an overflowed check, nothing to fit, or zeta = 0
             raise ParameterError(f"error bound probe: {exc}; supply zeta explicitly", field="zeta") from None
-        if zeta <= 0:
-            raise ParameterError("error bound probe returned zeta = 0; supply zeta explicitly", field="zeta")
     return IndicatorConfig(theta=theta, zeta=zeta, c_tau=c_tau, c_a=c_a, trunc_radius=trunc_radius)
 
 
@@ -186,21 +193,19 @@ def _stepsize_constant(
 
 def init(
     problem: StochasticProblem, x0: ManifoldPoint, config: IndicatorConfig, seed: int | np.random.Generator
-) -> IndicatorState:
+) -> driver.SolverState:
     """Initial state at x0: one truncated sample gradient drawn from ``default_rng(seed)``."""
     if not isinstance(problem.h, IndicatorTerm):
         raise ParameterError("this solver requires an indicator nonsmooth term")
-    return driver.start(IndicatorState, problem, x0, seed, k=0, radius=config.trunc_radius)
+    return driver.start(driver.SolverState, problem, x0, seed, k=0, radius=config.trunc_radius)
 
 
-def step(state: IndicatorState, problem: StochasticProblem, config: IndicatorConfig) -> TraceRecord:
-    """Advance the state by exactly one iteration of :func:`driver.step`; record dist(c(x_k), C)."""
-    k = state.k
-    tau = config.c_tau * float(k + 1) ** (-config.omega)
-    a_next = min(1.0, config.c_a * float(k + 1) ** (-2.0 * config.omega))
-    record = driver.step(state, problem, config.mu(k), lambda _: (tau, a_next), config.trunc_radius)
-    state.feas_history.append(record.infeas)
-    return record
+def step(state: driver.SolverState, problem: StochasticProblem, config: IndicatorConfig) -> TraceRecord:
+    """Advance the state by exactly one iteration of :func:`driver.step`; its record carries dist(c(x_k), C)."""
+    k, omega = state.k, config.omega
+    tau = config.c_tau * float(k + 1) ** (-omega)
+    a_next = min(1.0, config.c_a * float(k + 1) ** (-2.0 * omega))
+    return driver.step(state, problem, config.mu(k), lambda _: (tau, a_next), config.trunc_radius)
 
 
 def run(
@@ -211,13 +216,12 @@ def run(
     K: int,
     trace_every: int = 1,
     diagnostics: bool = False,
-) -> tuple[IndicatorState, list[TraceRecord]]:
+) -> tuple[driver.SolverState, list[TraceRecord]]:
     """Execute K iterations (k = 0 .. K-1) with :func:`driver.run`; x_K joins the snapshots."""
     state, trace = driver.run(
         problem, x0, seed, K,
         init=lambda x, rng: init(problem, x, config, rng),
         step=lambda state: step(state, problem, config),
-        mu=config.mu,
         snap_lo=K // 2,
         trace_every=trace_every, diagnostics=diagnostics,
     )
@@ -225,13 +229,13 @@ def run(
     return state, trace
 
 
-def feasibility_decay_series(state: IndicatorState, config: IndicatorConfig) -> list[tuple[int, float]]:
-    """dist^2(c(x_k), C) * k^{2 omega / theta} for every executed k >= 1."""
+def feasibility_decay_series(trace: list[TraceRecord], config: IndicatorConfig) -> list[tuple[int, float]]:
+    """dist^2(c(x_k), C) * k^{2 omega / theta} for every traced row with k >= 1."""
     expo = 2.0 * config.omega / config.theta
-    return [(k, d * d * float(k) ** expo) for k, d in enumerate(state.feas_history) if k >= 1]
+    return [(r.k, r.infeas * r.infeas * float(r.k) ** expo) for r in trace if r.k >= 1]
 
 
-def certificate(state: IndicatorState, problem: StochasticProblem, config: IndicatorConfig) -> Certificate:
+def certificate(state: driver.SolverState, problem: StochasticProblem, config: IndicatorConfig) -> Certificate:
     """Witness at an index sampled with probability proportional to tau_k.
 
     The witness pair is y = P_C(c(x)), z = (c(x) - y) / mu_k at the
@@ -256,11 +260,14 @@ def error_bound_probe(problem: StochasticProblem, samples: int, seed: int) -> tu
     yields a zero modulus.
 
     Raises:
+        ParameterError: ``samples`` is below 100.
         ProbeInconclusiveError: all sampled points are feasible, or too
             few have a nonvanishing penalty gradient to fit a line.
     """
     if not isinstance(problem.h, IndicatorTerm):
         raise ParameterError("error bound probe requires an indicator problem")
+    if samples < 100:
+        raise ParameterError("samples must be >= 100")
     rng = np.random.default_rng(seed)
     kind = problem.manifold.kind
     dists, gnorms = [], []

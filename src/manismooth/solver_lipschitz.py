@@ -84,7 +84,6 @@ def run(
         problem, x0, seed, K,
         init=lambda x, rng: init(problem, x, rng),
         step=lambda state: step(state, problem),
-        mu=smoothing_level,
         snap_lo=(K + 1) // 2,
         trace_every=trace_every, diagnostics=diagnostics,
     )

@@ -14,7 +14,12 @@ import manismooth as ms
 from manismooth import solver_indicator as si
 from manismooth import solver_lipschitz as sl
 from manismooth.cli import main as cli_main
-from manismooth.checks import lemma_implicit_bound_check, lemma_seq_bound_check, retr_smooth_constant_check
+from manismooth.checks import (
+    grid_argmin_1d,
+    lemma_implicit_bound_check,
+    lemma_seq_bound_check,
+    retr_smooth_constant_check,
+)
 from manismooth.harness import fit_rate
 from manismooth.smoothing import IndicatorTerm, smoothed_objective_grad
 
@@ -88,7 +93,7 @@ def rate_runs(pca_rate):
 def decay_runs(binding_sphere):
     problem, config = binding_sphere
     t0 = time.monotonic()
-    runs = [si.run(problem, None, config, seed=s, K=20_000, trace_every=1000) for s in range(5)]
+    runs = [si.run(problem, None, config, seed=s, K=20_000, trace_every=1) for s in range(5)]
     return runs, time.monotonic() - t0
 
 
@@ -120,10 +125,6 @@ def test_criterion_02_moreau_machinery():
     t0 = time.monotonic()
     rng = np.random.default_rng(202)
 
-    def grid_argmin(h_value, mu, y, lo, hi, res=1e-4):
-        zs = np.arange(lo, hi + res, res)
-        return zs[np.argmin(h_value(zs) + (zs - y) ** 2 / (2 * mu))]
-
     worst_prox = 0.0
     for _ in range(1000):
         lam = float(rng.uniform(0.1, 2.0))
@@ -147,7 +148,7 @@ def test_criterion_02_moreau_machinery():
             h = ms.IndicatorBall(np.array([c0]), r0)
             h_value = lambda z: np.where(np.abs(z - c0) <= r0, 0.0, np.inf)
         span = 3.0 * mu * max(lam, 1e-3) + 1.0
-        oracle = grid_argmin(h_value, mu, y, y - span, y + span)
+        oracle = grid_argmin_1d(h_value, mu, y, y - span, y + span)
         got = float(ms.prox(h, mu, np.array([y]))[0])
         worst_prox = max(worst_prox, abs(got - oracle))
 
@@ -276,8 +277,8 @@ def test_criterion_07_feasibility_decay(binding_sphere, decay_runs):
     kt = config.k_tilde
     worst_ratio = 0.0
     worst_final = 0.0
-    for state, trace in runs:
-        series = dict(si.feasibility_decay_series(state, config))
+    for _, trace in runs:
+        series = dict(si.feasibility_decay_series(trace, config))
         tail = [v for k, v in series.items() if k >= kt]
         worst_ratio = max(worst_ratio, max(tail) / max(series[kt], 1e-12))
         worst_final = max(worst_final, trace[-1].infeas)

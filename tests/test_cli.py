@@ -128,7 +128,7 @@ def test_run_unreadable_config_file_exits_2(tmp_path, capsys, content):
 def test_solver_numbers_are_default_config_keywords():
     # _execute hands the non-null solver fields to default_config by name
     keywords = set(inspect.signature(solver_indicator.default_config).parameters) - {"problem", "samples", "seed"}
-    assert {name for name, _, _ in cli.SOLVER_NUMBERS} == keywords
+    assert set(solver_indicator.BOUNDS) == keywords
 
 
 def test_run_byte_identical_traces(tmp_path, monkeypatch):

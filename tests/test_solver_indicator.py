@@ -39,6 +39,30 @@ def test_config_validation():
         si.IndicatorConfig(theta=1.0, zeta=-1.0, c_tau=1.0, c_a=1.0, trunc_radius=1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("name", list(si.BOUNDS))
+def test_non_finite_solver_number_names_its_field(problem, monkeypatch, name, value):
+    # IndicatorConfig rejects it, and default_config does so before any sampling pass
+    def sampled(*args, **kwargs):
+        raise AssertionError("a sampling pass ran")
+
+    for estimator in ("estimate_constants", "estimate_retraction_constants", "error_bound_probe"):
+        monkeypatch.setattr(si, estimator, sampled)
+    if name != "safety":
+        with pytest.raises(ParameterError, match=f"{name} must be finite") as exc:
+            si.IndicatorConfig(**{**dict(theta=1.0, zeta=1.0, c_tau=1.0, c_a=1.0, trunc_radius=1.0), name: value})
+        assert exc.value.field == name
+    with pytest.raises(ParameterError, match=f"{name} must be finite") as exc:
+        si.default_config(problem, **{"theta": 1.0, name: value})
+    assert exc.value.field == name
+
+
+def test_omega_is_computed_once_per_config():
+    cfg = si.IndicatorConfig(theta=1.5, zeta=1.0, c_tau=1.0, c_a=1.0, trunc_radius=1.0)
+    assert cfg.omega is cfg.omega == 1.5 / 3.5
+    assert dataclasses.asdict(cfg) == dict(theta=1.5, zeta=1.0, c_tau=1.0, c_a=1.0, trunc_radius=1.0)
+
+
 def test_default_config_momentum_constant(problem, config):
     # c_a = (3/4) c_tau^2 + 1/(32 Lt^2) with the safety-scaled smoothness estimate
     consts = ms.estimate_constants(problem, 120, seed=8)
@@ -166,9 +190,27 @@ def test_feasibility_series_zero_for_feasible_problem():
     ball = ms.IndicatorBall(np.zeros(4), 3.0)
     p = ms.make_constrained_sphere(4, 4, 3, ball, seed=25, quad_weight=0.0, linear_map=np.eye(4))
     cfg = si.IndicatorConfig(theta=1.0, zeta=0.5, c_tau=0.05, c_a=0.5, trunc_radius=10.0)
-    state, trace = si.run(p, None, cfg, seed=5, K=100, trace_every=10)
+    _, trace = si.run(p, None, cfg, seed=5, K=100, trace_every=10)
     assert all(r.infeas == 0.0 for r in trace)
-    assert all(v == 0.0 for _, v in si.feasibility_decay_series(state, cfg))
+    assert all(v == 0.0 for _, v in si.feasibility_decay_series(trace, cfg))
+
+
+def test_feasibility_series_reads_the_traced_rows(problem, config):
+    # the series of a trace_every=1 run is the one of a hand-stepped loop from the same start
+    x0 = ms.random_point(problem.manifold, np.random.default_rng(41))
+    _, trace = si.run(problem, x0, config, seed=42, K=60, trace_every=1)
+    state = si.init(problem, x0, config, np.random.default_rng(42))
+    records = [si.step(state, problem, config) for _ in range(60)]
+    assert records == trace
+    expo = 2.0 * config.omega / config.theta
+    by_hand = [(k, r.infeas * r.infeas * float(k) ** expo) for k, r in enumerate(records) if k >= 1]
+    series = si.feasibility_decay_series(trace, config)
+    assert series == by_hand and len(series) == 59
+    # a thinned trace gives exactly its kept rows, at the same values
+    _, thinned = si.run(problem, x0, config, seed=42, K=60, trace_every=10)
+    kept = si.feasibility_decay_series(thinned, config)
+    assert [k for k, _ in kept] == [r.k for r in thinned if r.k >= 1] == [10, 20, 30, 40, 50, 59]
+    assert kept == [(k, dict(series)[k]) for k, _ in kept]
 
 
 def test_run_trace_shape_and_determinism(problem, config):
@@ -233,6 +275,12 @@ def test_error_bound_probe_feasible_everywhere():
     p = ms.make_constrained_sphere(4, 4, 3, ball, seed=35, quad_weight=0.0, linear_map=np.eye(4))
     with pytest.raises(ProbeInconclusiveError):
         si.error_bound_probe(p, 100, seed=10)
+
+
+@pytest.mark.parametrize("samples", [0, 99])
+def test_error_bound_probe_rejects_fewer_than_100_samples(problem, samples):
+    with pytest.raises(ParameterError, match="samples must be >= 100"):
+        si.error_bound_probe(problem, samples, seed=12)
 
 
 def test_probe_on_generated_family(problem):
