@@ -16,11 +16,12 @@ Library layout:
   stepsize for Lipschitz nonsmooth terms,
 - ``solver_indicator``: truncated-momentum quadratic-penalty solver for
   indicator constraints under an error bound condition, and its bounds,
-- ``driver``: the state and iteration both solvers share, written once
-  (the smoothing direction, retraction, one-sample momentum recursion,
-  optional truncation and the check of each new iterate and momentum),
-  its first sample, the run loop (tracing, diagnostics, snapshots) and
-  the certificate witness; a solver hands in only its schedules.  State
+- ``driver``: the one state (with the direction energy) and the one
+  iteration both solvers share (the smoothing direction, retraction,
+  one-sample momentum recursion, optional truncation and the check of
+  each new iterate and momentum), its first sample, the run loop
+  (tracing, diagnostics, snapshots) and the certificate witness; a
+  solver hands in only its schedules and truncation radius.  State
   and snapshots are plain ndarrays; typed values are built only to check
   each new iterate and momentum, and for x0, its first sample and the
   certificate's point,

@@ -1,13 +1,14 @@
-"""The single-loop iteration and run loop both solvers share.
+"""The state, single-loop iteration and run loop both solvers share.
 
 Both algorithms run one iteration, :func:`step`: the dynamic-smoothing
 direction, the retraction, the one-sample recursive-momentum update, the
 optional truncation of the momentum and the check of the new iterate and
 momentum, which are wrapped as a ``ManifoldPoint``/``TangentVector`` and
-stored as read-only data.  A solver supplies only its schedules (mu_k,
-tau_k, a_{k+1}), the truncation radius if any, and its own bookkeeping;
-:func:`start` checks x0 and draws the first sample.  :func:`run` is the
-loop of exactly K steps: the step's own ``TraceRecord`` every
+stored as read-only data.  Both solvers run on one :class:`SolverState`,
+which also keeps the direction energy sum_i ||G_i||^2; a solver supplies
+only its schedules (mu_k, tau_k, a_{k+1}) and the truncation radius if
+any.  :func:`start` checks x0 and draws the first sample.  :func:`run` is
+the loop of exactly K steps: the step's own ``TraceRecord`` every
 ``trace_every``-th iteration plus the last, optional diagnostics on
 those rows at the record's mu, back-half snapshots, and
 :func:`certificate` a stationarity witness at one drawn snapshot.
@@ -37,24 +38,31 @@ TRUNC_SLACK = 1e-12  # relative rounding allowance of the truncated momentum's n
 
 @dataclass
 class SolverState:
-    """Mutable solver state: iteration counter, iterate and momentum (ndarrays), sampling stream."""
+    """Mutable solver state: counter k, iterate and momentum (ndarrays), sampling stream, energy sum_i ||G_i||^2."""
 
     k: int
     x: np.ndarray
     delta: np.ndarray
     rng: np.random.Generator
     snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    energy: float = 0.0
 
 
-def _truncate(v: np.ndarray, radius: float | None) -> np.ndarray:
-    """v scaled back onto the ball of ``radius`` when it lies outside it; v itself when radius is None."""
+def _truncate(v: np.ndarray, radius: float | None, k: int) -> np.ndarray:
+    """v scaled back onto the ball of ``radius`` when it lies outside it; v itself when radius is None.
+
+    Raises NumericalFailureError naming iteration k if the scaled v exceeds the radius by more than TRUNC_SLACK.
+    """
     if radius is None or (nrm := _norm(v)) <= radius:
         return v
-    return (radius / nrm) * v
+    v = (radius / nrm) * v
+    if _norm(v) > radius * (1.0 + TRUNC_SLACK):
+        raise NumericalFailureError("momentum estimator escaped the truncation ball", k)
+    return v
 
 
-def start(cls: type, problem: StochasticProblem, x0: ManifoldPoint, seed, k: int, radius: float | None = None):
-    """A ``cls`` state at x0 and iteration k whose momentum is one sample drawn from ``default_rng(seed)``.
+def start(problem: StochasticProblem, x0: ManifoldPoint, seed, k: int, radius: float | None = None) -> SolverState:
+    """A state at x0 and iteration k whose momentum is one sample drawn from ``default_rng(seed)``.
 
     The sample gradient is truncated to ``radius`` when one is given.
     """
@@ -62,14 +70,14 @@ def start(cls: type, problem: StochasticProblem, x0: ManifoldPoint, seed, k: int
         raise ParameterError("x0 does not live on the problem manifold")
     rng = np.random.default_rng(seed)
     delta = sample_riemannian_grad(problem, x0, int(rng.integers(problem.num_samples))).data
-    return cls(k=k, x=x0.data, delta=_truncate(delta, radius), rng=rng)
+    return SolverState(k=k, x=x0.data, delta=_truncate(delta, radius, k), rng=rng)
 
 
 def step(
-    state: SolverState, problem: StochasticProblem, mu: float, schedule: Callable[[float], tuple[float, float]],
+    state: SolverState, problem: StochasticProblem, mu: float, schedule: Callable[[], tuple[float, float]],
     radius: float | None = None,
 ) -> TraceRecord:
-    """Advance the state by one iteration at smoothing level mu; ``schedule(||G_k||)`` gives (tau_k, a_{k+1}).
+    """Advance the state by one iteration at smoothing level mu; ``schedule()`` gives (tau_k, a_{k+1}).
 
         G_k         = delta_k + P_{T_{x_k}}( Dc(x_k)^T (c(x_k) - prox_{mu h}(c(x_k))) / mu )
         x_{k+1}     = R_{x_k}(-tau_k G_k)
@@ -77,7 +85,8 @@ def step(
 
     with one fresh sample xi for both gradients; the transport to x_{k+1}
     is the tangent projection there.  For an indicator the residual
-    c(x) - prox_{mu h}(c(x)) is c(x) - P_C(c(x)).  With a ``radius``,
+    c(x) - prox_{mu h}(c(x)) is c(x) - P_C(c(x)).  ||G_k||^2 is added to
+    ``state.energy`` before ``schedule`` is called.  With a ``radius``,
     delta_{k+1} is scaled back onto that ball.  The new iterate and
     momentum are wrapped, and so checked, as one ``ManifoldPoint`` and one
     ``TangentVector``; the state keeps their read-only data.  The returned
@@ -97,16 +106,15 @@ def step(
     norm_G = _norm(G)
     if not math.isfinite(norm_G):
         raise NumericalFailureError("non-finite search direction", k)
-    tau, a_next = schedule(norm_G)
+    state.energy += norm_G * norm_G
+    tau, a_next = schedule()
     if not math.isfinite(tau):
         raise NumericalFailureError("non-finite stepsize", k)
     X_next = retr(kind, X, (-tau) * G)
     xi = int(state.rng.integers(problem.num_samples))
     g_new = proj(kind, X_next, problem.sample_egrad(X_next, xi))
     g_old = proj(kind, X, problem.sample_egrad(X, xi))
-    delta_next = _truncate(g_new + (1.0 - a_next) * proj(kind, X_next, state.delta - g_old), radius)
-    if radius is not None and _norm(delta_next) > radius * (1.0 + TRUNC_SLACK):
-        raise NumericalFailureError("momentum estimator escaped the truncation ball", k)
+    delta_next = _truncate(g_new + (1.0 - a_next) * proj(kind, X_next, state.delta - g_old), radius, k)
     x = ManifoldPoint(desc, X_next)
     state.x = x.data
     state.delta = TangentVector(desc, x, delta_next).data

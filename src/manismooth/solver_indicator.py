@@ -73,11 +73,13 @@ class IndicatorConfig:
             _check_bound(name, getattr(self, name))
         try:
             self.k_tilde
-        except ArithmeticError:  # c_tau zeta^2 underflows to 0, or zeta^2 overflows
+        except ArithmeticError:  # zeta^2 or c_tau zeta^2 leaves the float range, or 8 omega / (c_tau zeta^2) overflows
+            zeta_sq = self.zeta * self.zeta
+            name = "zeta" if zeta_sq in (0.0, math.inf) else "c_tau"
             raise ParameterError(
                 f"c_tau = {self.c_tau:.3e} and zeta = {self.zeta:.3e} leave no finite burn-in index "
-                "k_tilde = ceil(8 omega / (c_tau zeta^2))",
-                field="zeta",
+                f"k_tilde = ceil(8 omega / (c_tau zeta^2)); {'lower' if zeta_sq == math.inf else 'raise'} {name}",
+                field=name,
             ) from None
 
     @cached_property  # not a field: dataclasses.asdict(config) stays the five numbers
@@ -197,7 +199,7 @@ def init(
     """Initial state at x0: one truncated sample gradient drawn from ``default_rng(seed)``."""
     if not isinstance(problem.h, IndicatorTerm):
         raise ParameterError("this solver requires an indicator nonsmooth term")
-    return driver.start(driver.SolverState, problem, x0, seed, k=0, radius=config.trunc_radius)
+    return driver.start(problem, x0, seed, k=0, radius=config.trunc_radius)
 
 
 def step(state: driver.SolverState, problem: StochasticProblem, config: IndicatorConfig) -> TraceRecord:
@@ -205,7 +207,7 @@ def step(state: driver.SolverState, problem: StochasticProblem, config: Indicato
     k, omega = state.k, config.omega
     tau = config.c_tau * float(k + 1) ** (-omega)
     a_next = min(1.0, config.c_a * float(k + 1) ** (-2.0 * omega))
-    return driver.step(state, problem, config.mu(k), lambda _: (tau, a_next), config.trunc_radius)
+    return driver.step(state, problem, config.mu(k), lambda: (tau, a_next), config.trunc_radius)
 
 
 def run(
@@ -243,7 +245,7 @@ def certificate(state: driver.SolverState, problem: StochasticProblem, config: I
     """
 
     def pick(ks: np.ndarray) -> int:
-        weights = config.c_tau * (ks + 1.0) ** (-config.omega)
+        weights = (ks + 1.0) ** (-config.omega)  # tau_k up to the factor c_tau, which may underflow them to 0
         weights /= weights.sum()
         return int(state.rng.choice(len(ks), p=weights))
 

@@ -16,14 +16,12 @@ If the very first direction is exactly zero the accumulated energy is
 zero and the iterate is declared stationary for the current smoothing
 level: the step is skipped with tau = 0.
 
-This module holds only these schedules and the energy sum; the
-iteration, the loop, tracing, snapshots and the certificate witness are
-the shared ones of :mod:`.driver`.
+This module holds only these schedules; the state (with the energy
+sum_{i<=k} ||G_i||^2), the iteration, the loop, tracing, snapshots and
+the certificate witness are the shared ones of :mod:`.driver`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,28 +43,20 @@ def momentum_weight(k: int) -> float:
     return float(k) ** (-2.0 / 3.0)
 
 
-@dataclass
-class LipschitzState(driver.SolverState):
-    """Solver state plus the accumulated direction energy."""
-
-    grad_sq_sum: float = 0.0
-
-
-def init(problem: StochasticProblem, x0: ManifoldPoint, seed: int | np.random.Generator) -> LipschitzState:
+def init(problem: StochasticProblem, x0: ManifoldPoint, seed: int | np.random.Generator) -> driver.SolverState:
     """Initial state at x0: one sample drawn from ``default_rng(seed)`` seeds the momentum estimator."""
     if isinstance(problem.h, IndicatorTerm):
         raise ParameterError("this solver requires a Lipschitz nonsmooth term, not an indicator")
-    return driver.start(LipschitzState, problem, x0, seed, k=1)
+    return driver.start(problem, x0, seed, k=1)
 
 
-def step(state: LipschitzState, problem: StochasticProblem) -> TraceRecord:
+def step(state: driver.SolverState, problem: StochasticProblem) -> TraceRecord:
     """Advance the state by exactly one iteration of :func:`driver.step`."""
     k = state.k
     a_next = momentum_weight(k)
 
-    def schedule(norm_G: float) -> tuple[float, float]:
-        state.grad_sq_sum += norm_G * norm_G
-        return (state.grad_sq_sum / a_next) ** (-1.0 / 3.0) if state.grad_sq_sum > 0.0 else 0.0, a_next
+    def schedule() -> tuple[float, float]:
+        return (state.energy / a_next) ** (-1.0 / 3.0) if state.energy > 0.0 else 0.0, a_next
 
     return driver.step(state, problem, smoothing_level(k), schedule)
 
@@ -78,7 +68,7 @@ def run(
     K: int,
     trace_every: int = 1,
     diagnostics: bool = False,
-) -> tuple[LipschitzState, list[TraceRecord]]:
+) -> tuple[driver.SolverState, list[TraceRecord]]:
     """Execute exactly K iterations (k = 1 .. K) with :func:`driver.run`."""
     return driver.run(
         problem, x0, seed, K,
@@ -89,7 +79,7 @@ def run(
     )
 
 
-def certificate(state: LipschitzState, problem: StochasticProblem) -> Certificate:
+def certificate(state: driver.SolverState, problem: StochasticProblem) -> Certificate:
     """Stationarity witness at an index drawn uniformly from the snapshots.
 
     The witness pair is y = prox_{mu h}(c(x)), z = (c(x) - y) / mu at the

@@ -16,6 +16,7 @@ from manismooth import solver_lipschitz as sl
 from manismooth.cli import main as cli_main
 from manismooth.checks import (
     grid_argmin_1d,
+    largest_premise_solution,
     lemma_implicit_bound_check,
     lemma_seq_bound_check,
     retr_smooth_constant_check,
@@ -179,33 +180,22 @@ def test_criterion_02_moreau_machinery():
 
 
 def test_criterion_03_analysis_lemmas():
+    # as in checks.check_lemmas: the sequence rows are drawn one at a time in
+    # the generator order of a scalar loop, zero-padded and checked in one
+    # stacked call; one uniform(lo, hi, (rows, 5)) draw is the rows' five
+    # scalar uniforms, in order
     t0 = time.monotonic()
     rng = np.random.default_rng(303)
-    seq_fail = 0
-    for _ in range(10_000):
+    b, p = np.zeros((10_000, 39)), np.empty(10_000)
+    for row in range(10_000):
         n = int(rng.integers(1, 40))
-        b = rng.uniform(0.0, 5.0, n)
-        b[0] = rng.uniform(0.01, 5.0)
-        if not lemma_seq_bound_check(b, float(rng.uniform(0.02, 0.98))):
-            seq_fail += 1
-    imp_fail = 0
-    for _ in range(10_000):
-        c = float(rng.uniform(0.05, 5.0))
-        d = float(rng.uniform(0.05, 5.0))
-        e = float(rng.uniform(0.0, 5.0))
-        alpha = float(rng.uniform(0.05, 0.95))
-        beta = float(rng.uniform(0.05, 0.95))
-        lo, hi = 0.0, 1.0
-        while c * hi**alpha + d * hi**beta + e >= hi:
-            hi *= 2.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if c * mid**alpha + d * mid**beta + e >= mid:
-                lo = mid
-            else:
-                hi = mid
-        if not lemma_implicit_bound_check(c, d, e, alpha, beta, lo):
-            imp_fail += 1
+        b[row, :n] = rng.uniform(0.0, 5.0, n)
+        b[row, 0] = rng.uniform(0.01, 5.0)
+        p[row] = rng.uniform(0.02, 0.98)
+    seq_fail = int(np.count_nonzero(~lemma_seq_bound_check(b, p)))
+    c, d, e, alpha, beta = rng.uniform([0.05, 0.05, 0.0, 0.05, 0.05], [5.0, 5.0, 5.0, 0.95, 0.95], (10_000, 5)).T
+    x = largest_premise_solution(c, d, e, alpha, beta)
+    imp_fail = int(np.count_nonzero(~lemma_implicit_bound_check(c, d, e, alpha, beta, x)))
     elapsed = time.monotonic() - t0
     verdict(3, seq_fail == 0 and imp_fail == 0 and elapsed < 10.0,
             f"sequence-bound failures {seq_fail}/10000, implicit-bound failures {imp_fail}/10000, {elapsed:.1f}s")

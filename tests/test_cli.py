@@ -215,6 +215,8 @@ def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
         ("problem.N", 10**12, 2, "problem.N"),
         ("problem.set.radius", 1e6, 2, "solver.zeta: error bound probe: all sampled points are feasible; supply zeta"),
         ("solver.safety", None, 0, None),  # null means not supplied, as for the derived constants
+        # c_tau (k + 1)^-omega underflows to 0 at every snapshot; the certificate's weights must not
+        ("solver", {"theta": 1, "zeta": 1e154, "c_tau": 5e-324, "c_a": 0.5, "trunc_radius": 1.0}, 0, None),
         ("algorithm", "lipschitz", 2, "problem.family"),
     ],
 )

@@ -80,3 +80,21 @@ def test_truncation_check_allows_rounding_relative_to_the_radius():
         norms.append(np.linalg.norm(state.delta))
     assert max(norms) <= 1e5 * (1.0 + driver.TRUNC_SLACK)
     assert min(norms) >= 1e5 * (1.0 - 1e-12)  # every step truncates
+
+
+@pytest.mark.parametrize("solver", [sl, si], ids=["lipschitz", "indicator"])
+def test_both_solvers_keep_the_direction_energy_on_the_driver_state(solver):
+    # the driver adds ||G_k||^2 to state.energy once per step, before the
+    # schedule reads it, so the sum over the trace in order is exact
+    if solver is sl:
+        p = ms.make_sparse_pca(10, 2, 8, 0.15, seed=5)
+        args = ()
+    else:
+        p = ms.make_constrained_sphere(10, 4, 12, ms.IndicatorBall(np.full(4, 0.35), 0.7), seed=3)
+        args = (si.IndicatorConfig(theta=1.0, zeta=1.0, c_tau=0.01, c_a=0.5, trunc_radius=10.0),)
+    state, trace = solver.run(p, None, *args, seed=1, K=60, trace_every=1)
+    assert type(state) is driver.SolverState
+    energy = 0.0
+    for r in trace:
+        energy += r.norm_G * r.norm_G
+    assert len(trace) == 60 and state.energy == energy > 0.0

@@ -19,7 +19,7 @@ def test_init_single_sample_equals_full_gradient():
     state = sl.init(p, x0, seed=3)
     full = tangent_project(x0, p.full_egrad(x0.data))
     np.testing.assert_allclose(state.delta, full.data, atol=1e-14)
-    assert state.k == 1 and state.grad_sq_sum == 0.0
+    assert state.k == 1 and state.energy == 0.0
 
 
 def test_init_deterministic(pca):
