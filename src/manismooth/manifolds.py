@@ -6,10 +6,12 @@ Supports three compact matrix submanifolds of R^{n x p}:
 - the Stiefel manifold St(n, p) = {X : X^T X = I_p},
 - the oblique manifold Ob(n, p) (matrices with unit-norm columns).
 
-Provides tangent projection, a first-order retraction per manifold
-(normalization / thin QR with sign fix / column normalization),
-projection-based vector transport, and empirical estimation of the two
-Lipschitz-type retraction constants
+Stored as an n x 1 matrix, S^{n-1} is Ob(n, 1), so there are two formula
+families: Stiefel, and column-wise for the sphere and Ob (``SPHERE`` is a
+descriptor label that fixes p = 1 and names the sphere in messages).
+Provides tangent projection, a first-order retraction (thin QR with sign
+fix on Stiefel, column normalization otherwise), projection-based vector
+transport, and estimates of the two Lipschitz-type retraction constants
 
     ||R_x(u) - x||     <= alpha ||u||,
     ||R_x(u) - x - u|| <= beta  ||u||^2.
@@ -20,14 +22,16 @@ the solver steps call directly; the typed functions are validating
 shells over the kernels.  Every kernel also accepts stacks: arrays of
 shape ``(..., n, p)`` hold one point or vector per leading index, and
 each result slice is bit-identical to the call on that slice alone, so a
-single point is just the stack with no leading axes.  The one-matrix rule:
+single point is just the stack with no leading axes.  The column-wise
+kernels read <x_j, v_j> per column from one helper, which at p = 1 takes
+one BLAS dot per matrix and at p > 1 sums each column; the two round
+differently, and the choice rests on the shape alone.  The one-matrix rule:
 a product of two plain matrices goes through ``ndarray.dot``, a product
 with a stack through ``@`` (both by the private ``_mm``, so each formula is
 written once).  ``dot`` calls the BLAS routine ``@`` calls and gives the
-same bits, without the gufunc dispatch ``@`` spends on stacks; on St(50, 3)
-one ``proj`` drops from ~4.3 to ~3.7 us (timeit, one CPU of a 2-CPU
-x86-64 host, numpy 2.4.6 / OpenBLAS).  ``test_one_matrix_products_equal_matmul``
-and ``test_stacked_kernels_equal_per_slice`` in ``tests/test_manifolds.py``
+same bits, without the gufunc dispatch ``@`` spends on stacks.
+``test_one_matrix_products_equal_matmul`` and
+``test_stacked_kernels_equal_per_slice`` in ``tests/test_manifolds.py``
 pin both at the benchmark's shapes (St(50, 3), St(1000, 10), S^49,
 Ob(50, 3)) as well as at small ones.  The checks reject NaN and infinite
 data, so a ``ManifoldPoint`` or ``TangentVector`` always holds finite
@@ -43,13 +47,11 @@ The Stiefel ``normalize`` calls the two LAPACK gufuncs that
 ``np.linalg.qr`` wraps, ``qr_r_raw`` (geqrf) and ``qr_reduced`` (orgqr),
 on a float64 copy of its input, reads diag(R) from the factored copy and
 fixes the signs of Q in place.  That skips ``np.linalg.qr``'s type
-dispatch, its ``triu`` of R and both of its ``errstate`` blocks (on
-numpy 2.4.6 the gufuncs raise nothing for a NaN, infinite, huge,
-subnormal, zero or rank-one target), and gives the same Q bit for bit;
-on St(50, 3) the call drops from ~36 to ~15 us (one CPU of a 2-CPU
-x86-64 host, numpy 2.4.6 / OpenBLAS).  The gufuncs live in numpy's
-private ``numpy.linalg._umath_linalg``, verified on numpy 2.4.6 only;
-``test_normalize_stiefel_is_numpy_qr_with_sign_fix`` in
+dispatch, its ``triu`` of R and both of its ``errstate`` blocks (on numpy
+2.4.6 the gufuncs raise nothing for a NaN, infinite, huge, subnormal, zero
+or rank-one target), and gives the same Q bit for bit.  The gufuncs live in
+numpy's private ``numpy.linalg._umath_linalg``, verified on numpy 2.4.6
+only; ``test_normalize_stiefel_is_numpy_qr_with_sign_fix`` in
 ``tests/test_manifolds.py`` pins ``normalize`` to ``np.linalg.qr`` plus
 the sign fix: a numpy release that renames them fails at import, and one
 that changes their results fails that test.  For one matrix,
@@ -77,17 +79,13 @@ STIEFEL = "stiefel"
 OBLIQUE = "oblique"
 
 # Constructor tolerances for the defining equations of points / tangents.
-_POINT_TOL_SPHERE = 1e-12
+_POINT_TOL_COLUMNS = 1e-12
 _POINT_TOL_STIEFEL = 1e-10
-_POINT_TOL_OBLIQUE = 1e-12
 _TANGENT_TOL = 1e-10
 # Points per stacked block of the sampling estimators.  Their maxima are
 # exact over any split, so results do not depend on it.  Larger blocks
 # amortize more per-call overhead but hold larger temporaries (the stacked
-# Jacobians of c): on the constrained sphere n = 50, m = 10 (2-CPU x86-64,
-# numpy 2.4.6 / OpenBLAS), blocks of 64 raised the peak RSS of two
-# default_config calls by 1.7 MB over one-point estimation, blocks of 32 by
-# 0.3 MB, at a 15% slower default_config.
+# Jacobians of c), which raise the estimators' peak memory.
 SAMPLE_BLOCK = 32
 
 
@@ -102,6 +100,8 @@ class ManifoldDescriptor:
     def __post_init__(self):
         if self.kind not in (SPHERE, STIEFEL, OBLIQUE):
             raise ParameterError(f"unknown manifold kind {self.kind!r}")
+        if not (isinstance(self.n, (int, np.integer)) and isinstance(self.p, (int, np.integer))):
+            raise ParameterError(f"{self.kind} dimensions must be integers, got n={self.n!r}, p={self.p!r}")
         if self.kind == SPHERE:
             if self.n < 2 or self.p != 1:
                 raise ParameterError("sphere requires n >= 2 and p == 1")
@@ -243,22 +243,30 @@ def _identity(p: int) -> np.ndarray:
     return eye
 
 
-def _column_norms(Y: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(Y * Y, axis=-2, keepdims=True))
+def _columns(X: np.ndarray, V: np.ndarray):
+    """<x_j, v_j> per column j of two stacks ``(..., n, p)``, shaped ``(..., 1, p)``; a scalar for two n x 1 matrices.
+
+    At p = 1 this is one BLAS dot per matrix, at p > 1 a sum over each
+    column.  The two round differently, so the choice rests on the shape
+    alone: the sphere, stored as Ob(n, 1), keeps the bits of its dot.
+    """
+    if X.shape[-1] != 1:
+        return np.sum(X * V, axis=-2, keepdims=True)
+    if X.ndim == 2 and V.ndim == 2:  # _inner's one-matrix dot, called here directly on the step's path
+        return X.ravel().dot(V.ravel())
+    return _inner(X, V)[..., None, None]
 
 
 def proj(kind: str, X: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Tangent projection at X; ``proj(kind, Y, V)`` is also the vector transport into T_Y M."""
-    if kind == SPHERE:
-        return V - _lift(_inner(X, V)) * X
     if kind == STIEFEL:
         s = _mm(X.mT, V)
         return V - _mm(X, (s + s.mT) / 2.0)
-    return V - X * np.sum(X * V, axis=-2, keepdims=True)
+    return V - X * _columns(X, V)
 
 
 def normalize(kind: str, Y: np.ndarray) -> np.ndarray:
-    """Map ambient Y onto the manifold: normalize / thin-QR Q with positive-diagonal R / column normalize.
+    """Map ambient Y onto the manifold: thin-QR Q with positive-diagonal R on Stiefel, else each column normalized.
 
     Raises:
         DegenerateRetractionError: the sphere target has zero norm, an
@@ -266,11 +274,6 @@ def normalize(kind: str, Y: np.ndarray) -> np.ndarray:
             infinite Y is not caught here: its result is not finite, and
             the point check rejects it.
     """
-    if kind == SPHERE:
-        nrm = fro(Y)
-        if _any(nrm < 1e-12):
-            raise DegenerateRetractionError("sphere target has zero norm")
-        return Y / _lift(nrm)
     if kind == STIEFEL:
         R = np.array(Y, dtype=np.float64)  # geqrf overwrites it with R above the diagonal, reflectors below
         Q = _umath_linalg.qr_reduced(R, _umath_linalg.qr_r_raw(R))
@@ -279,9 +282,10 @@ def normalize(kind: str, Y: np.ndarray) -> np.ndarray:
             raise DegenerateRetractionError("rank-deficient Stiefel target")
         Q *= np.copysign(1.0, diag)[..., None, :]
         return Q
-    nrms = _column_norms(Y)
+    nrms = np.sqrt(_columns(Y, Y))
     if _any(nrms < 1e-12):
-        raise DegenerateRetractionError("oblique target collapses a column")
+        raise DegenerateRetractionError(
+            "sphere target has zero norm" if kind == SPHERE else "oblique target collapses a column")
     return Y / nrms
 
 
@@ -306,16 +310,13 @@ def check_point(kind: str, X: np.ndarray) -> None:
             or has a NaN or infinite entry.
     """
     one = X.ndim == 2  # one point: compare Python floats, cheaper than any numpy-scalar comparison
-    norm = _norm if one else fro
-    if kind == SPHERE:
-        err = abs(norm(X) - 1.0)
-        tol = _POINT_TOL_SPHERE
-    elif kind == STIEFEL:
-        err = norm(_mm(X.mT, X) - _identity(X.shape[-1]))
+    if kind == STIEFEL:
+        err = (_norm if one else fro)(_mm(X.mT, X) - _identity(X.shape[-1]))
         tol = _POINT_TOL_STIEFEL
     else:
-        err = np.max(np.abs(_column_norms(X) - 1.0), axis=(-2, -1))
-        tol = _POINT_TOL_OBLIQUE
+        s = _columns(X, X)
+        err = abs(math.sqrt(s) - 1.0) if s.ndim == 0 else np.abs(np.sqrt(s) - 1.0).max(axis=(-2, -1))
+        tol = _POINT_TOL_COLUMNS
     if one:
         err = float(err)
         if err > tol or err != err:
@@ -334,13 +335,12 @@ def check_tangent(kind: str, X: np.ndarray, V: np.ndarray) -> None:
     """
     one = X.ndim == V.ndim == 2  # one vector: the same test on Python floats
     norm = _norm if one else fro
-    if kind == SPHERE:
-        err = abs(_inner(X, V))
-    elif kind == STIEFEL:
+    if kind == STIEFEL:
         s = _mm(X.mT, V)
         err = norm(s + s.mT)
     else:
-        err = np.max(np.abs(np.sum(X * V, axis=-2)), axis=-1)
+        s = _columns(X, V)
+        err = abs(s) if s.ndim == 0 else np.abs(s).max(axis=(-2, -1))
     nrm = norm(V)
     if one:
         err, nrm = float(err), float(nrm)
@@ -368,9 +368,9 @@ def tangent_project(x: ManifoldPoint, v) -> TangentVector:
 def retract(x: ManifoldPoint, eta: TangentVector) -> ManifoldPoint:
     """First-order retraction of a tangent vector into the manifold.
 
-    Sphere: normalize x + eta.  Stiefel: Q factor of the thin QR of
-    X + eta with positive-diagonal R.  Oblique: column-wise
-    normalization.  See :func:`normalize` for the degenerate cases.
+    Stiefel: Q factor of the thin QR of X + eta with positive-diagonal R.
+    Sphere and oblique: each column of X + eta normalized (the sphere is
+    Ob(n, 1)).  See :func:`normalize` for the degenerate cases.
     """
     if eta.base is not x and eta.base.data is not x.data:
         if not np.array_equal(eta.base.data, x.data):

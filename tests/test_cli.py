@@ -142,6 +142,33 @@ def test_run_byte_identical_traces(tmp_path, monkeypatch):
     assert a == b
 
 
+def test_run_thread_count_moves_only_the_diagnostics(tmp_path):
+    # the determinism contract: the iterate columns and the certificate's choice do not depend
+    # on the BLAS thread count; the diagnostics, full-data products large enough for OpenBLAS
+    # to split across threads, agree to rounding.  The count can be set only in a new process.
+    cfg = pca_config(None, problem={"family": "sparse_pca", "n": 1000, "p": 10, "N": 1000, "lambda": 0.1},
+                     seed=101, max_iters=100, trace_every=20, diagnostics=True)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        path = write_config(tmp_path, {**cfg, "output_dir": str(out)}, name=f"cfg_{threads}.json")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        done = subprocess.run([sys.executable, "-m", "manismooth.cli", "run", "--config", str(path)], env=env)
+        assert done.returncode == 0
+        header, *rows = (out / "trace.csv").read_text().splitlines()
+        columns = dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+        runs.append((columns, read_summary_json(out / "summary.json")["certificate"]))
+    (one, cert_one), (two, cert_two) = runs
+    for name in ("k", "mu", "tau", "a", "norm_G", "infeas"):
+        assert one[name] == two[name], name
+    for name in ("obj_smooth", "norm_grad_Fmu", "norm_eps"):
+        assert [float(v) for v in one[name]] == pytest.approx([float(v) for v in two[name]], rel=1e-12, abs=0), name
+    assert (cert_one["i_K"], cert_one["membership_ok"]) == (cert_two["i_K"], cert_two["membership_ok"])
+    for name in ("grad_residual", "feas_residual"):
+        assert cert_one[name] == pytest.approx(cert_two[name], rel=1e-12, abs=0), name
+
+
 def test_run_seed_list_creates_subdirectories(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, pca_config("ignored"))
     monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "multi"))

@@ -16,6 +16,18 @@ def test_descriptor_validation():
         ms.ManifoldDescriptor("torus", 3, 1)
 
 
+@pytest.mark.parametrize("make", [lambda: ms.sphere(5.0), lambda: ms.stiefel(5, 2.0), lambda: ms.oblique(np.float64(4), 2)],
+                         ids=["sphere", "stiefel", "oblique"])
+def test_descriptor_rejects_non_integer_dimensions(make):
+    with pytest.raises(ParameterError, match="dimensions must be integers"):
+        make()
+
+
+def test_descriptor_accepts_numpy_integer_dimensions():
+    for desc in (ms.sphere(np.int64(5)), ms.stiefel(np.int32(5), np.int64(2)), ms.oblique(np.int64(4), 2)):
+        assert ms.random_point(desc, np.random.default_rng(0)).data.shape == (desc.n, desc.p)
+
+
 def test_point_validation():
     d = ms.sphere(3)
     ms.ManifoldPoint(d, np.array([1.0, 0.0, 0.0]))
@@ -183,6 +195,26 @@ def test_stacked_kernels_equal_per_slice(desc):
     for s in range(len(X)):
         assert _verdict(mf.check_point, desc.kind, X[s]) == (s != 7)
         assert _verdict(mf.check_tangent, desc.kind, X[s], V[s]) == (s != 2)  # scaling X[7] keeps V[7] tangent
+
+
+@pytest.mark.parametrize("n", [2, 5, 49, 50, 1000])
+def test_the_sphere_is_ob_n_1_bit_for_bit(n):
+    # S^{n-1}, stored as n x 1 matrices, is Ob(n, 1): each kernel gives the same bits under
+    # both labels, for one matrix and for a stack, and each check the same verdict, also
+    # for points and tangents spoiled by about their tolerance
+    rng = np.random.default_rng(16)
+    for shape in ((n, 1), (7, n, 1)):
+        for _ in range(20):
+            G, W = rng.standard_normal(shape), rng.standard_normal(shape)
+            X = mf.normalize(mf.SPHERE, G)
+            V = mf.proj(mf.SPHERE, X, W)
+            for kernel, args in ((mf.normalize, (G,)), (mf.proj, (X, W)), (mf.retr, (X, V))):
+                assert np.array_equal(kernel(mf.SPHERE, *args), kernel(mf.OBLIQUE, *args))
+            for scale in (1.0, 1.0 + 5e-13, 1.0 + 2e-12, 1.0 - 2e-12, 1.1):
+                assert _verdict(mf.check_point, mf.SPHERE, scale * X) == _verdict(mf.check_point, mf.OBLIQUE, scale * X)
+            for shift in (0.0, 5e-11, 2e-10, 1e-6):
+                U = V + shift * X
+                assert _verdict(mf.check_tangent, mf.SPHERE, X, U) == _verdict(mf.check_tangent, mf.OBLIQUE, X, U)
 
 
 @pytest.mark.parametrize("desc", BENCH_DESCRIPTORS, ids=_desc_id)
