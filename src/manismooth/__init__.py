@@ -20,11 +20,12 @@ Library layout:
   iteration both solvers share (the smoothing direction, retraction,
   one-sample momentum recursion, optional truncation and the check of
   each new iterate and momentum), its first sample, the run loop
-  (tracing, diagnostics, snapshots) and the certificate witness; a
-  solver hands in only its schedules and truncation radius.  State
-  and snapshots are plain ndarrays; typed values are built only to check
-  each new iterate and momentum, and for x0, its first sample and the
-  certificate's point,
+  (tracing, diagnostics, and the one iterate it keeps for the
+  certificate, chosen before the first step) and the certificate
+  witness; a solver hands in only its schedules, truncation radius and
+  certificate draw.  State and the kept iterate are plain ndarrays;
+  typed values are built only to check each new iterate and momentum,
+  and for x0, its first sample and the certificate's point,
 - ``harness``: run records (iterations, certificates, rate fits),
   rate fitting, and CSV/JSON serialization,
 - ``checks``: the property batteries behind ``check`` and the executable

@@ -9,17 +9,20 @@ which also keeps the direction energy sum_i ||G_i||^2; a solver supplies
 only its schedules (mu_k, tau_k, a_{k+1}) and the truncation radius if
 any.  :func:`start` checks x0 and draws the first sample.  :func:`run` is
 the loop of exactly K steps: the step's own ``TraceRecord`` every
-``trace_every``-th iteration plus the last, optional diagnostics on
-those rows at the record's mu, back-half snapshots, and
-:func:`certificate` a stationarity witness at one drawn snapshot.
-State, snapshots and diagnostics are plain ndarrays; other typed values
-are built only for x0, its first sample and the certificate's point.
+``trace_every``-th iteration plus the last and optional diagnostics on
+those rows at the record's mu.  It also decides, before the first step,
+which back-half iterate the certificate will draw, and keeps that one
+iterate only; :func:`certificate` draws it again and gives a
+stationarity witness there.  State, the kept iterate and diagnostics are
+plain ndarrays; other typed values are built only for x0, its first
+sample and the certificate's point.
 Nothing repairs an iterate, so one off the manifold or not tangent fails
 the run.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -32,18 +35,27 @@ from .manifolds import ManifoldPoint, TangentVector, _norm, proj, random_point, 
 from .problems import StochasticProblem, sample_riemannian_grad
 from .smoothing import smoothed_grad
 
+# the certificate's candidate grid: back-half iterates at a stride that leaves about this many;
+# a run keeps one of them, so the number sets no memory
 SNAPSHOT_TARGET = 2000
 TRUNC_SLACK = 1e-12  # relative rounding allowance of the truncated momentum's norm over the radius
 
 
 @dataclass
 class SolverState:
-    """Mutable solver state: counter k, iterate and momentum (ndarrays), sampling stream, energy sum_i ||G_i||^2."""
+    """Mutable solver state: counter k, iterate and momentum (ndarrays), sampling stream, energy sum_i ||G_i||^2.
+
+    After :func:`run`, ``candidates`` holds the certificate's candidate
+    iteration indices (as floats, the form a pick rule reads) and
+    ``snapshots`` the one (k, x_k) among them that the certificate will
+    draw; both are empty when there are no candidates.
+    """
 
     k: int
     x: np.ndarray
     delta: np.ndarray
     rng: np.random.Generator
+    candidates: np.ndarray = field(default_factory=lambda: np.empty(0))
     snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
     energy: float = 0.0
 
@@ -130,7 +142,9 @@ def run(
     *,
     init: Callable[[ManifoldPoint, np.random.Generator], SolverState],
     step: Callable[[SolverState], TraceRecord],
+    pick: Callable[[np.ndarray, np.random.Generator], int],
     snap_lo: int,
+    snap_last: bool = False,
     trace_every: int,
     diagnostics: bool,
 ) -> tuple[SolverState, list[TraceRecord]]:
@@ -140,8 +154,15 @@ def run(
     norm_grad_Fmu, norm_eps) of the kept records only, at the iterate and
     momentum the step started from and the record's ``mu``; they cost one
     full gradient and one full value of f (a pass over the data each) and
-    never feed back into the algorithm.  Iterates from index ``snap_lo``
-    on are snapshotted at a stride that keeps about SNAPSHOT_TARGET of them.
+    never feed back into the algorithm.
+
+    The certificate's candidates are the iterates from index ``snap_lo``
+    on, at a stride that leaves about SNAPSHOT_TARGET of them, plus the
+    final iterate when ``snap_last``.  Each step draws exactly one
+    ``integers(num_samples)`` from the state's stream, so before the first
+    step a copy of the stream, advanced by K such draws, gives the index
+    ``pick(candidates, copy)`` that :func:`certificate` will draw; the run
+    keeps that one iterate and no other.  With no candidates it keeps none.
 
     Raises:
         NumericalFailureError: a step produced a non-finite direction, a
@@ -156,11 +177,19 @@ def run(
     rng = np.random.default_rng(seed)
     state = init(random_point(problem.manifold, rng) if x0 is None else x0, rng)
     kind = problem.manifold.kind
-    stride = max(1, K // SNAPSHOT_TARGET)
+    end = state.k + K  # the final iterate's index
+    ks = np.arange(snap_lo, end, max(1, K // SNAPSHOT_TARGET), dtype=float)
+    ks = ks[ks >= state.k]
+    state.candidates = np.append(ks, float(end)) if snap_last else ks
+    keep = None
+    if state.candidates.size:
+        ahead = copy.deepcopy(state.rng)
+        ahead.integers(problem.num_samples, size=K)  # leaves the stream where K one-sample draws leave it
+        keep = int(state.candidates[pick(state.candidates, ahead)])
     trace: list[TraceRecord] = []
     for i in range(K):
         k, X, delta = state.k, state.x, state.delta  # a step rebinds, never mutates, x and delta
-        if k >= snap_lo and (k - snap_lo) % stride == 0:
+        if k == keep:
             state.snapshots.append((k, X))
         try:
             record = step(state)
@@ -174,25 +203,36 @@ def run(
         except (ParameterError, DegenerateRetractionError) as exc:
             # the inputs were validated before the loop, so the row's own arithmetic broke a check
             raise NumericalFailureError(str(exc), k) from exc
+    if state.k == keep:
+        state.snapshots.append((state.k, state.x))
     return state, trace
 
 
 def certificate(
-    state: SolverState, problem: StochasticProblem, pick: Callable[[np.ndarray], int], mu: Callable[[int], float]
+    state: SolverState, problem: StochasticProblem, pick: Callable[[np.ndarray, np.random.Generator], int],
+    mu: Callable[[int], float],
 ) -> Certificate:
-    """Stationarity witness at the snapshot ``pick(snapshot indices)`` selects.
+    """Stationarity witness at the candidate ``pick(candidates, state.rng)`` selects.
 
-    The witness pair is y = prox_{mu h}(c(x)), z = (c(x) - y) / mu with
-    mu = ``mu(i_K)``, with a numerical subgradient (for an indicator:
-    normal-cone) membership check.  The residual is grad F_mu(x), the
-    diagnostics' evaluation.
+    The draw must land on the iterate :func:`run` kept.  The witness pair
+    is y = prox_{mu h}(c(x)), z = (c(x) - y) / mu with mu = ``mu(i_K)``,
+    with a numerical subgradient (for an indicator: normal-cone)
+    membership check.  The residual is grad F_mu(x), the diagnostics'
+    evaluation.
 
     Raises:
+        InsufficientDataError: the run kept no iterate.
+        NumericalFailureError: the draw selects another iterate than the
+            kept one (the stream was not advanced by exactly one draw per
+            step); it names both.
         ParameterError: c(x) is not finite.
     """
     if not state.snapshots:
         raise InsufficientDataError("no snapshots stored; call run() first")
-    i_K, X = state.snapshots[pick(np.array([k for k, _ in state.snapshots], dtype=float))]
+    k_kept, X = state.snapshots[0]
+    i_K = int(state.candidates[pick(state.candidates, state.rng)])
+    if i_K != k_kept:
+        raise NumericalFailureError(f"the certificate drew iterate {i_K}, but the run kept iterate {k_kept}", i_K)
     c, env, resid = smoothed_grad(problem, X, mu(i_K), problem.full_egrad(X))
     y, z = env.prox_point, env.grad
     ok = problem.h.in_subdifferential(y, z, tol=1e-8, rng=state.rng)

@@ -14,9 +14,12 @@ iteration is the shared :func:`.driver.step` at the schedules
 Iterations count from k = 0; the k = 0 smoothing level is clamped to 1
 so the penalty stays finite.
 
-This module holds these schedules, the one table of the solver numbers'
-bounds (:data:`BOUNDS`) and the parameter assembly; the state, iteration,
-loop, tracing, snapshots and certificate witness are :mod:`.driver`'s.
+The certificate's iterate is drawn from the back half and x_K with
+probability proportional to tau_k (:meth:`IndicatorConfig.pick`).  This
+module holds these schedules and that rule, the one table of the solver
+numbers' bounds (:data:`BOUNDS`) and the parameter assembly; the state,
+iteration, loop, tracing, kept iterate and certificate witness are
+:mod:`.driver`'s.
 """
 
 from __future__ import annotations
@@ -89,6 +92,12 @@ class IndicatorConfig:
     def mu(self, k: int) -> float:
         """Smoothing level mu_k = max(k, 1)^{-omega}."""
         return float(max(k, 1)) ** (-self.omega)
+
+    def pick(self, ks: np.ndarray, rng: np.random.Generator) -> int:
+        """Position in ks of the certificate's iterate, drawn with probability proportional to tau_k."""
+        weights = (ks + 1.0) ** (-self.omega)  # tau_k up to the factor c_tau, which may underflow them to 0
+        weights /= weights.sum()
+        return int(rng.choice(len(ks), p=weights))
 
     @property
     def k_tilde(self) -> int:
@@ -219,16 +228,15 @@ def run(
     trace_every: int = 1,
     diagnostics: bool = False,
 ) -> tuple[driver.SolverState, list[TraceRecord]]:
-    """Execute K iterations (k = 0 .. K-1) with :func:`driver.run`; x_K joins the snapshots."""
-    state, trace = driver.run(
+    """Execute K iterations (k = 0 .. K-1) with :func:`driver.run`; x_K is a certificate candidate too."""
+    return driver.run(
         problem, x0, seed, K,
         init=lambda x, rng: init(problem, x, config, rng),
         step=lambda state: step(state, problem, config),
-        snap_lo=K // 2,
+        pick=config.pick,
+        snap_lo=K // 2, snap_last=True,
         trace_every=trace_every, diagnostics=diagnostics,
     )
-    state.snapshots.append((state.k, state.x))
-    return state, trace
 
 
 def feasibility_decay_series(trace: list[TraceRecord], config: IndicatorConfig) -> list[tuple[int, float]]:
@@ -241,15 +249,9 @@ def certificate(state: driver.SolverState, problem: StochasticProblem, config: I
     """Witness at an index sampled with probability proportional to tau_k.
 
     The witness pair is y = P_C(c(x)), z = (c(x) - y) / mu_k at the
-    selected snapshot, with a sampled normal-cone membership check.
+    selected iterate, with a sampled normal-cone membership check.
     """
-
-    def pick(ks: np.ndarray) -> int:
-        weights = (ks + 1.0) ** (-config.omega)  # tau_k up to the factor c_tau, which may underflow them to 0
-        weights /= weights.sum()
-        return int(state.rng.choice(len(ks), p=weights))
-
-    return driver.certificate(state, problem, pick, config.mu)
+    return driver.certificate(state, problem, config.pick, config.mu)
 
 
 def error_bound_probe(problem: StochasticProblem, samples: int, seed: int) -> tuple[float, float]:

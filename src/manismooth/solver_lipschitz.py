@@ -16,9 +16,11 @@ If the very first direction is exactly zero the accumulated energy is
 zero and the iterate is declared stationary for the current smoothing
 level: the step is skipped with tau = 0.
 
-This module holds only these schedules; the state (with the energy
-sum_{i<=k} ||G_i||^2), the iteration, the loop, tracing, snapshots and
-the certificate witness are the shared ones of :mod:`.driver`.
+The certificate's iterate is drawn uniformly from the back half
+(:func:`pick`).  This module holds only these schedules and that rule;
+the state (with the energy sum_{i<=k} ||G_i||^2), the iteration, the
+loop, tracing, the kept iterate and the certificate witness are the
+shared ones of :mod:`.driver`.
 """
 
 from __future__ import annotations
@@ -41,6 +43,11 @@ def smoothing_level(k: int) -> float:
 def momentum_weight(k: int) -> float:
     """a_{k+1} = k^{-2/3}, in (0, 1] for k >= 1."""
     return float(k) ** (-2.0 / 3.0)
+
+
+def pick(ks: np.ndarray, rng: np.random.Generator) -> int:
+    """Position in ks of the certificate's iterate, drawn uniformly."""
+    return int(rng.integers(len(ks)))
 
 
 def init(problem: StochasticProblem, x0: ManifoldPoint, seed: int | np.random.Generator) -> driver.SolverState:
@@ -74,15 +81,16 @@ def run(
         problem, x0, seed, K,
         init=lambda x, rng: init(problem, x, rng),
         step=lambda state: step(state, problem),
+        pick=pick,
         snap_lo=(K + 1) // 2,
         trace_every=trace_every, diagnostics=diagnostics,
     )
 
 
 def certificate(state: driver.SolverState, problem: StochasticProblem) -> Certificate:
-    """Stationarity witness at an index drawn uniformly from the snapshots.
+    """Stationarity witness at an index drawn uniformly from the back-half candidates.
 
     The witness pair is y = prox_{mu h}(c(x)), z = (c(x) - y) / mu at the
     selected iterate, with a numerical subgradient membership check.
     """
-    return driver.certificate(state, problem, lambda ks: int(state.rng.integers(len(ks))), smoothing_level)
+    return driver.certificate(state, problem, pick, smoothing_level)

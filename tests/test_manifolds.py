@@ -477,3 +477,27 @@ def test_as_matrix_copies_float64_data_once_keeping_its_layout():
     assert np.array_equal(ms.ManifoldPoint(desc, x.tolist()).data, x)  # other inputs take the general path
     with pytest.raises(ShapeMismatchError):
         ms.ManifoldPoint(desc, x.T.copy())
+
+
+@pytest.mark.parametrize("desc", [ms.sphere(50), ms.oblique(50, 3)], ids=_desc_id)
+def test_column_kernels_meet_their_definitions(desc):
+    # each column-wise kernel against its definition, one column at a time: unit columns
+    # from normalize, x_j^T v_j = 0 from proj, and checks that judge columns, not rows
+    rng = np.random.default_rng(17)
+    n, p = desc.n, desc.p
+    for _ in range(10):
+        X = mf.normalize(desc.kind, rng.standard_normal((n, p)))
+        for j in range(p):
+            assert abs(np.linalg.norm(X[:, j]) - 1.0) <= 1e-12
+        V = mf.proj(desc.kind, X, rng.standard_normal((n, p)))
+        for j in range(p):
+            assert abs(float(X[:, j] @ V[:, j])) <= 1e-12 * np.linalg.norm(V[:, j])
+        mf.check_point(desc.kind, X)
+        mf.check_tangent(desc.kind, X, V)
+        rows = rng.standard_normal((n, p))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)  # unit rows, columns of norm about sqrt(n / p)
+        assert not _verdict(mf.check_point, desc.kind, rows)
+        for j in range(p):
+            U = V.copy()
+            U[:, j] += 1e-6 * X[:, j]  # column j leaves T_{x_j} S^{n-1}, the others stay tangent
+            assert not _verdict(mf.check_tangent, desc.kind, X, U)
