@@ -19,7 +19,9 @@ draws with the generator calls of its one-sample loop, in the same
 order (:func:`normal_stacks`, :func:`.manifolds.tangent_blocks`), so its
 samples, and its worst value, are that loop's bit for bit; only the
 bisection of :func:`largest_premise_solution` rounds differently (numpy's
-``pow`` is not C's), which leaves the verdicts unchanged.
+``pow`` is not C's), which leaves the verdicts unchanged.  The grid
+oracle evaluates an elementwise ``h_value`` on blocks of GRID_BLOCK
+points and keeps the first minimum, the whole grid's argmin bit for bit.
 """
 
 from __future__ import annotations
@@ -157,13 +159,30 @@ def check_manifold() -> list[CheckResult]:
 # ---------------------------------------------------------------- smoothing
 
 
-def grid_argmin_1d(h_value, mu, y, lo, hi, res=1e-4):
-    """Brute-force 1-D prox oracle: grid-minimize h(z) + (z-y)^2/(2 mu).
+# grid points per oracle block: 64 kB of float64, under glibc's default 128 KiB mmap threshold
+GRID_BLOCK = 8192
 
-    ``h_value`` maps the whole grid array to the array of h values.
+
+def grid_argmin_1d(h_value, mu, y, lo, hi, res=1e-4):
+    """Brute-force 1-D prox oracle: grid-minimize h(z) + (z-y)^2/(2 mu) over ``np.arange(lo, hi + res, res)``.
+
+    Evaluated in blocks of at most GRID_BLOCK points, so ``h_value`` must be elementwise.  The first minimum
+    (or the first NaN) wins, so the result is ``zs[np.argmin(...)]`` over the whole grid, bit for bit.
+    Raises ParameterError unless res > 0 and lo <= hi.
     """
+    if not (res > 0 and lo <= hi):
+        raise ParameterError(f"grid oracle needs res > 0 and lo <= hi, got res={res!r}, lo={lo!r}, hi={hi!r}")
     zs = np.arange(lo, hi + res, res)
-    return zs[np.argmin(h_value(zs) + (zs - y) ** 2 / (2 * mu))]
+    best, best_val = 0, np.inf  # an all-inf grid gives zs[0], as np.argmin does
+    for start in range(0, zs.size, GRID_BLOCK):
+        block = zs[start:start + GRID_BLOCK]
+        vals = h_value(block) + (block - y) ** 2 / (2 * mu)
+        i = int(np.argmin(vals))
+        if vals[i] != vals[i]:  # a NaN, the first of the grid
+            return block[i]
+        if vals[i] < best_val:
+            best, best_val = start + i, vals[i]
+    return zs[best]
 
 
 def random_terms(rng, dim):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import manismooth as ms
-from manismooth.checks import grid_argmin_1d, random_terms
+from manismooth.checks import GRID_BLOCK, grid_argmin_1d, random_terms
 from manismooth.errors import ParameterError
 from manismooth.smoothing import IndicatorTerm
 
@@ -178,3 +180,99 @@ def test_value_of_a_stack_equals_per_row():
             for y, got, prox_row in zip(rows, values, proxes):
                 assert type(h.value(y)) is float and got == h.value(y)
                 assert np.array_equal(prox_row, h.prox(mu, y))
+
+
+def whole_grid_argmin(h_value, mu, y, lo, hi, res=1e-4):
+    """The grid oracle by its definition: one evaluation over the whole grid."""
+    zs = np.arange(lo, hi + res, res)
+    return zs[np.argmin(h_value(zs) + (zs - y) ** 2 / (2 * mu))]
+
+
+def assert_same_grid_point(h_value, mu, y, lo, hi, res=1e-4):
+    got = grid_argmin_1d(h_value, mu, y, lo, hi, res)
+    assert got.tobytes() == whole_grid_argmin(h_value, mu, y, lo, hi, res).tobytes()
+    return got
+
+
+def test_grid_oracle_is_the_whole_grid_argmin_on_the_battery_draws():
+    rng = np.random.default_rng(54321)  # the smoothing battery's 300 oracle draws, spans up to 13
+    for _ in range(300):
+        lam = float(rng.uniform(0.1, 2.0))
+        mu = float(rng.uniform(0.05, 2.0))
+        y = float(rng.uniform(-3, 3))
+        span = 3 * mu * lam + 1
+        assert_same_grid_point(lambda z: lam * np.abs(z), mu, y, y - span, y + span)
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+def test_grid_oracle_is_the_whole_grid_argmin_on_indicators(kind):
+    # acceptance criterion 02's indicator draws: h is +inf on the part of the grid off the set
+    rng = np.random.default_rng(202)
+    for _ in range(100):
+        lam = float(rng.uniform(0.1, 2.0))
+        mu = float(rng.uniform(0.05, 1.5))
+        y = float(rng.uniform(-3.0, 3.0))
+        if kind == "box":
+            lo_b = float(rng.uniform(y - 1.0, y))
+            hi_b = lo_b + float(rng.uniform(0.1, 1.0))
+            h_value = lambda z: np.where((z >= lo_b) & (z <= hi_b), 0.0, np.inf)
+        else:
+            c0 = float(rng.uniform(y - 0.9, y + 0.9))
+            r0 = float(rng.uniform(0.1, 1.0))
+            h_value = lambda z: np.where(np.abs(z - c0) <= r0, 0.0, np.inf)
+        span = 3.0 * mu * lam + 1.0
+        assert_same_grid_point(h_value, mu, y, y - span, y + span)
+
+
+def test_grid_oracle_on_an_all_infinite_grid_gives_its_first_point():
+    lo = -1.0
+    got = assert_same_grid_point(lambda z: np.full_like(z, np.inf), 1.0, 0.0, lo, lo + 3 * GRID_BLOCK * 1e-4)
+    assert got == lo
+
+
+@pytest.mark.parametrize("nans, y", [
+    ((GRID_BLOCK + 5,), 3.0),  # the minimum in an earlier block than the NaN
+    ((3,), GRID_BLOCK + 5.0),  # the NaN in an earlier block than the minimum
+    ((2 * GRID_BLOCK + 7, GRID_BLOCK + 1), 2.0),  # two NaNs, in two blocks
+])
+def test_grid_oracle_returns_the_first_nan(nans, y):
+    got = assert_same_grid_point(lambda z: np.where(np.isin(z, nans), np.nan, 0.0), 1.0, y, 0.0, 3 * GRID_BLOCK, 1.0)
+    assert got == min(nans)
+
+
+def test_grid_oracle_tie_across_a_block_seam_gives_the_first_point():
+    # on the integer grid, z = GRID_BLOCK - 1 and z = GRID_BLOCK are 0.5 from y: equal values, one per block
+    got = assert_same_grid_point(lambda z: np.zeros_like(z), 1.0, GRID_BLOCK - 0.5, 0.0, 2 * GRID_BLOCK, 1.0)
+    assert got == GRID_BLOCK - 1
+
+
+@pytest.mark.parametrize("length", [1, GRID_BLOCK - 1, GRID_BLOCK, GRID_BLOCK + 1, 3 * GRID_BLOCK])
+def test_grid_oracle_is_the_whole_grid_argmin_at_every_length(length):
+    hi = 0.25 * (length - 1)
+    assert np.arange(0.0, hi + 0.25, 0.25).size == length
+    rng = np.random.default_rng(length)
+    for y in [-1.0, 0.0, hi / 2, hi, hi + 1.0, *rng.uniform(0.0, hi, 5)]:
+        # sin(z) puts local minima in every block of the longer grids
+        assert_same_grid_point(lambda z: 0.5 * np.abs(z - hi / 3) + np.sin(z), 0.5, y, 0.0, hi, 0.25)
+
+
+@pytest.mark.parametrize("lo, hi, res", [(1.0, 0.0, 1e-4), (0.0, 1.0, 0.0), (0.0, 1.0, -1e-4), (0.0, 1.0, np.nan)])
+def test_grid_oracle_rejects_an_empty_grid(lo, hi, res):
+    with pytest.raises(ParameterError, match="res > 0 and lo <= hi"):
+        grid_argmin_1d(np.abs, 1.0, 0.0, lo, hi, res)
+
+
+@pytest.mark.parametrize("span", [1, 13])
+def test_grid_oracle_holds_blocks_not_whole_grid_temporaries(span):
+    # beside its grid the oracle holds a few blocks' temporaries (~0.3 MB); at span 13, the battery's
+    # largest, the whole-grid evaluation held about 4 MB of them beside a 2 MB grid
+    h_value, mu, y = lambda z: 2.0 * np.abs(z), 2.0, 0.3
+    grid = np.arange(y - span, y + span + 1e-4, 1e-4).nbytes
+    grid_argmin_1d(h_value, mu, y, y - span, y + span)  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        grid_argmin_1d(h_value, mu, y, y - span, y + span)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - grid < 1_000_000
