@@ -30,7 +30,8 @@ Library layout:
   rate fitting, and CSV/JSON serialization,
 - ``checks``: the property batteries behind ``check`` and the executable
   inequality checks (the two sequence lemmas, retraction smoothness),
-- ``cli``: the ``manismooth`` command (run / check / report).
+- ``cli``: the ``manismooth`` command (run / check / report),
+- ``seedpool``: ``run --seeds`` on one forked process per usable CPU.
 """
 
 from .harness import Certificate, RateFit, TraceRecord

@@ -166,23 +166,40 @@ GRID_BLOCK = 8192
 def grid_argmin_1d(h_value, mu, y, lo, hi, res=1e-4):
     """Brute-force 1-D prox oracle: grid-minimize h(z) + (z-y)^2/(2 mu) over ``np.arange(lo, hi + res, res)``.
 
-    Evaluated in blocks of at most GRID_BLOCK points, so ``h_value`` must be elementwise.  The first minimum
-    (or the first NaN) wins, so the result is ``zs[np.argmin(...)]`` over the whole grid, bit for bit.
-    Raises ParameterError unless res > 0 and lo <= hi.
+    Evaluated in blocks of at most GRID_BLOCK points, so ``h_value`` must be elementwise.  Each block's
+    points are made by numpy's own ``arange`` rule (see :func:`grid_block`), so the whole grid is never
+    held.  The first minimum (or the first NaN) wins, so the result is ``zs[np.argmin(...)]`` over the
+    whole grid, bit for bit.  Raises ParameterError unless res > 0, lo <= hi and the grid is not empty.
     """
     if not (res > 0 and lo <= hi):
         raise ParameterError(f"grid oracle needs res > 0 and lo <= hi, got res={res!r}, lo={lo!r}, hi={hi!r}")
-    zs = np.arange(lo, hi + res, res)
-    best, best_val = 0, np.inf  # an all-inf grid gives zs[0], as np.argmin does
-    for start in range(0, zs.size, GRID_BLOCK):
-        block = zs[start:start + GRID_BLOCK]
+    size = math.ceil((hi + res - lo) / res)
+    if size < 1:
+        raise ParameterError(f"grid oracle's grid is empty: res={res!r} is lost in rounding hi + res, hi={hi!r}")
+    best, best_val = lo, np.inf  # an all-inf grid gives its first point, as np.argmin does
+    for start in range(0, size, GRID_BLOCK):
+        block = grid_block(lo, res, start, min(start + GRID_BLOCK, size))
         vals = h_value(block) + (block - y) ** 2 / (2 * mu)
         i = int(np.argmin(vals))
         if vals[i] != vals[i]:  # a NaN, the first of the grid
             return block[i]
         if vals[i] < best_val:
-            best, best_val = start + i, vals[i]
-    return zs[best]
+            best, best_val = block[i], vals[i]
+    return np.float64(best)
+
+
+def grid_block(lo, res, start, stop):
+    """Points start..stop-1 of ``np.arange(lo, ..., res)``, by numpy's fill rule for float64.
+
+    numpy writes element 0 as ``lo`` and element 1 as ``lo + res``, then element i as
+    ``lo + i * delta`` with ``delta = (lo + res) - lo``.
+    """
+    block = np.arange(start, stop, dtype=np.float64)
+    block *= (lo + res) - lo
+    block += lo
+    head = (lo, lo + res)[start:stop]  # the two elements numpy writes directly
+    block[:len(head)] = head
+    return block
 
 
 def random_terms(rng, dim):

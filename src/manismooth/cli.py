@@ -5,17 +5,19 @@ Subcommands:
 - ``manismooth run --config cfg.json [--seeds 1,2,3]``: execute a seeded
   experiment described by a JSON config, writing trace.csv and
   summary.json into the configured output directory; with ``--seeds``,
-  the seeds run one after another, each into its own ``seed_<s>/``.
+  each seed runs into its own ``seed_<s>/``, the seeds shared out over one
+  forked process per usable CPU (:mod:`.seedpool`).
 - ``manismooth check --suite all|manifold|smoothing|lemmas|solver``: run
   the named invariant battery; exit 0 iff every property passes.
 - ``manismooth report --trace t.csv --field norm_grad_Fmu --from 100 --to 20000``:
   print a power-law fit of the traced field as JSON on stdout.
 
-Exit codes: 0 success, 2 configuration/usage error (an out-of-range seed
-or an unwritable output directory included), 3 numerical failure; with
-``--seeds``, an unwritable output root is reported once before any seed,
-each failing seed is named and the rest still run, and the exit code is
-the worst one (3 over 2).
+Exit codes: 0 success, 2 configuration/usage error (an out-of-range or
+repeated seed or an unwritable output directory included), 3 numerical
+failure; with ``--seeds``, an unwritable output root is reported once
+before any seed, each failing seed is named and the rest still run, and
+the exit code is the worst one (3 over 2; 1, a seed whose process raised
+an unexpected exception or died, over both).
 stdout carries machine-readable output only; diagnostics go to stderr.
 The environment variable MANISMOOTH_OUT overrides the output directory.
 """
@@ -29,6 +31,7 @@ import math
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +60,7 @@ PROBLEM_KEYS = {
 SET_KEYS = {"ball": ("kind", "center", "radius"), "box": ("kind", "lower", "upper"), "singleton": ("kind", "target")}
 FAMILIES = tuple(PROBLEM_KEYS)
 SEED_END = 2**64  # seeds are the 64-bit words the random streams are derived from
+SEVERITY = (0, 2, 3, 1)  # exit codes, mildest first: with --seeds the command exits with the worst
 
 
 def _known(cfg: dict, keys, path: str) -> None:
@@ -249,6 +253,20 @@ def _execute(cfg: dict, seed: int, out_dir: Path) -> None:
     write_summary_json(summary, out_dir / "summary.json")
 
 
+def _run_seed(cfg: dict, seed: int, out_dir: Path, where: str, out_field: str) -> tuple[int, str]:
+    """Run one seed: (exit code, the message naming its failure, or "" on success)."""
+    try:
+        _execute(cfg, seed, out_dir)
+    except (ConfigError, ParameterError, ShapeMismatchError) as exc:
+        return 2, f"{where}config error: {exc}"
+    except OSError as exc:  # creating the output directory or writing into it
+        return 2, f"{where}config error: {out_field}: {exc}"
+    except (NumericalFailureError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        # LinAlgError: an estimator's SVD met a non-finite Jacobian of c
+        return 3, f"{where}numerical failure: {exc}"
+    return 0, ""
+
+
 def cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
@@ -272,27 +290,33 @@ def cmd_run(args) -> int:
         if not seeds or not all(0 <= s < SEED_END for s in seeds):
             print("--seeds: expected comma-separated integers in [0, 2**64)", file=sys.stderr)
             return 2
+        repeated = [s for s, count in Counter(seeds).items() if count > 1]
+        if repeated:  # two runs would write one seed_<s>/
+            print(f"--seeds: seed {repeated[0]} is listed twice", file=sys.stderr)
+            return 2
         try:  # one message for an unwritable root, before any seed runs
             out_root.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             print(f"config error: {out_field}: {exc}", file=sys.stderr)
             return 2
-    code = 0
-    for s in seeds:
+
+    def run_one(s: int) -> tuple[int, str]:
         # a failing seed is named and the remaining seeds still run
-        where = f"seed {s}: " if args.seeds else ""
-        try:
-            _execute(cfg, s, out_root / f"seed_{s}" if args.seeds else out_root)
-        except (ConfigError, ParameterError, ShapeMismatchError) as exc:
-            print(f"{where}config error: {exc}", file=sys.stderr)
-            code = max(code, 2)
-        except OSError as exc:  # creating the output directory or writing into it
-            print(f"{where}config error: {out_field}: {exc}", file=sys.stderr)
-            code = max(code, 2)
-        except (NumericalFailureError, ArithmeticError, np.linalg.LinAlgError) as exc:
-            # LinAlgError: an estimator's SVD met a non-finite Jacobian of c
-            print(f"{where}numerical failure: {exc}", file=sys.stderr)
-            code = 3
+        if args.seeds:
+            return _run_seed(cfg, s, out_root / f"seed_{s}", f"seed {s}: ", out_field)
+        return _run_seed(cfg, s, out_root, "", out_field)
+
+    if len(seeds) == 1:
+        results = [run_one(seeds[0])]
+    else:
+        from .seedpool import seed_results  # only several seeds pay the pool's import
+
+        results = seed_results(run_one, seeds)
+    code = 0
+    for seed_code, message in results:
+        if message:
+            print(message, file=sys.stderr)
+        code = max(code, seed_code, key=SEVERITY.index)
     return code
 
 

@@ -2,15 +2,17 @@ import inspect
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from manismooth import cli, solver_indicator
+from manismooth import cli, seedpool, solver_indicator
 from manismooth.cli import main
-from manismooth.errors import NumericalFailureError
+from manismooth.errors import ConfigError, NumericalFailureError
 from manismooth.harness import TraceRecord, read_summary_json, read_trace_csv, write_trace_csv
 
 
@@ -379,6 +381,258 @@ def test_run_seed_list_isolates_a_failing_seed(tmp_path, monkeypatch, capsys):
     assert "seed 2: numerical failure: non-finite search direction (iteration 17)" in capsys.readouterr().err
     for s in (1, 3):
         assert (tmp_path / "multi" / f"seed_{s}" / "trace.csv").exists()
+
+
+def test_run_repeated_seed_names_seeds(tmp_path, monkeypatch, capsys):
+    # two runs of one seed would write one seed_<s>/, the second over the first
+    monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "out"))
+    assert main(["run", "--config", str(write_config(tmp_path, pca_config("ignored"))), "--seeds", "1,2,1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("--seeds: seed 1 is listed twice") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# the seed pool forks only where numpy bundles OpenBLAS; elsewhere --seeds runs serially
+FORKS = pytest.mark.skipif(not hasattr(os, "fork") or seedpool.blas_threads() is None,
+                           reason="the seed pool needs os.fork and numpy's bundled OpenBLAS")
+
+
+def usable_cpus(monkeypatch, count):
+    # the seed pool has one process per CPU of the affinity mask; one CPU is the serial path
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def seed_outputs(root, seeds):
+    """Each seed's trace.csv and summary.json (less wall_seconds) as bytes."""
+    out = {}
+    for s in seeds:
+        summary = json.loads((root / f"seed_{s}" / "summary.json").read_text())
+        del summary["wall_seconds"]
+        out[s] = ((root / f"seed_{s}" / "trace.csv").read_bytes(), json.dumps(summary).encode())
+    return out
+
+
+@FORKS
+def test_run_seed_pool_writes_the_serial_outputs(tmp_path, monkeypatch):
+    cfg_path = write_config(tmp_path, sphere_config("ignored", max_iters=40, trace_every=1))
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    runs = {}
+    for cpus in (1, 3):
+        usable_cpus(monkeypatch, cpus)
+        monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / f"cpus_{cpus}"))
+        assert main(["run", "--config", str(cfg_path), "--seeds", "1,2,3"]) == 0
+        runs[cpus] = seed_outputs(tmp_path / f"cpus_{cpus}", (1, 2, 3))
+    assert len(forks) == 2  # none on one CPU, two children beside this process on three
+    assert runs[3] == runs[1]
+
+
+@pytest.mark.parametrize("failing", [1, 2], ids=["in-this-process", "in-a-child"])
+def test_run_seed_pool_names_a_failing_seed_once_in_seed_order(tmp_path, monkeypatch, capsys, failing):
+    # with 2 CPUs, seeds 1 and 3 (positions 0 and 2) run in this process and seed 2 in a child
+    def execute(cfg, seed, out_dir):
+        if seed == failing:
+            raise NumericalFailureError("non-finite search direction", 17)
+        if seed == 3:
+            raise ConfigError("problem.N", "a made-up failure after the first")
+        real_execute(cfg, seed, out_dir)
+
+    real_execute = cli._execute
+    monkeypatch.setattr(cli, "_execute", execute)
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "multi"))
+    assert main(["run", "--config", str(write_config(tmp_path, pca_config("ignored"))), "--seeds", "1,2,3,4"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"seed {failing}: numerical failure: non-finite search direction (iteration 17)",
+                     "seed 3: config error: problem.N: a made-up failure after the first"]
+    for s in {1, 2, 4} - {failing}:
+        assert (tmp_path / "multi" / f"seed_{s}" / "trace.csv").exists()
+
+
+@FORKS
+def test_run_seed_pool_child_that_raises_is_named_and_reaped(tmp_path, monkeypatch, capsys):
+    def execute(cfg, seed, out_dir):
+        if seed == 2:
+            raise RuntimeError("a bug in the seed's run")
+        real_execute(cfg, seed, out_dir)
+
+    real_execute = cli._execute
+    monkeypatch.setattr(cli, "_execute", execute)
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "multi"))
+    assert main(["run", "--config", str(write_config(tmp_path, pca_config("ignored"))), "--seeds", "1,2,3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("seed 2: Traceback") and "RuntimeError: a bug in the seed's run" in err
+    for s in (1, 3):
+        assert (tmp_path / "multi" / f"seed_{s}" / "trace.csv").exists()
+    with pytest.raises(ChildProcessError):  # no child is left to wait for
+        os.waitpid(-1, os.WNOHANG)
+
+
+@FORKS
+def test_run_seed_pool_child_killed_by_a_signal_is_named(tmp_path, monkeypatch, capsys):
+    def execute(cfg, seed, out_dir):
+        if seed == 2:
+            if os.getpid() == test_pid:
+                raise RuntimeError("seed 2 ran in the test's own process")
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_execute(cfg, seed, out_dir)
+
+    test_pid = os.getpid()
+    real_execute = cli._execute
+    monkeypatch.setattr(cli, "_execute", execute)
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "multi"))
+    assert main(["run", "--config", str(write_config(tmp_path, pca_config("ignored"))), "--seeds", "1,2,3,4"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"seed {s}: its process was killed by signal {int(signal.SIGKILL)} before the seed finished" for s in (2, 4)
+    ]
+    for s in (1, 3):
+        assert (tmp_path / "multi" / f"seed_{s}" / "trace.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_run_seed_pool_prints_each_failure_once(tmp_path):
+    # a fresh process whose stderr is a pipe, as under a shell: each failure, and a line still
+    # buffered when the pool starts, shows exactly once
+    out = tmp_path / "multi"
+    cfg_path = write_config(tmp_path, pca_config(str(out)))
+    code = f"""
+import os, sys
+from manismooth import cli
+from manismooth.errors import NumericalFailureError
+os.sched_getaffinity = lambda pid: {{0, 1}}
+real_execute = cli._execute
+def execute(cfg, seed, out_dir):
+    if seed in (1, 2):
+        raise NumericalFailureError("seed " + str(seed) + " fails", 3)
+    real_execute(cfg, seed, out_dir)
+cli._execute = execute
+print("before the pool", file=sys.stderr, end="")
+sys.exit(cli.main(["run", "--config", {str(cfg_path)!r}, "--seeds", "1,2,3"]))
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stderr.count("before the pool") == 1
+    for s in (1, 2):
+        assert done.stderr.count(f"seed {s}: numerical failure: seed {s} fails (iteration 3)") == 1
+    assert (out / "seed_3" / "trace.csv").exists()
+
+
+@FORKS
+def test_run_seed_pool_child_dies_with_the_command(tmp_path):
+    # the command is killed (a benchmark's deadline, say) while a child still runs: the child dies too
+    cfg_path = write_config(tmp_path, pca_config(str(tmp_path / "multi")))
+    pid_file = tmp_path / "child.pid"
+    code = f"""
+import os, pathlib, time
+from manismooth import cli
+os.sched_getaffinity = lambda pid: {{0, 1}}
+pid_file = pathlib.Path({str(pid_file)!r})
+def execute(cfg, seed, out_dir):
+    if seed == 2:  # the child
+        pid_file.write_text(str(os.getpid()))
+        time.sleep(60)
+    while not pid_file.exists():
+        time.sleep(0.01)
+    os.kill(os.getpid(), 9)
+cli._execute = execute
+cli.main(["run", "--config", {str(cfg_path)!r}, "--seeds", "1,2"])
+"""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=30)
+    assert done.returncode == -signal.SIGKILL
+    child = int(pid_file.read_text())
+    for _ in range(500):
+        try:
+            state = Path(f"/proc/{child}/stat").read_text().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            break
+        if state in ("Z", "X"):  # dead, and waiting for whoever adopted it to reap it
+            break
+        time.sleep(0.01)
+    else:
+        os.kill(child, signal.SIGKILL)
+        pytest.fail(f"child {child} outlived the command")
+
+
+def test_run_with_one_seed_does_not_import_the_seed_pool(tmp_path):
+    # a fresh interpreter shows what a one-seed run loads
+    path = write_config(tmp_path, pca_config(str(tmp_path / "out")))
+    code = f"import sys; from manismooth import cli; cli.main(['run', '--config', {str(path)!r}]); " \
+           "sys.exit('manismooth.seedpool' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=120).returncode == 0
+
+
+def test_blas_thread_hook_round_trips():
+    # numpy's Linux wheels bundle OpenBLAS; without the hook every test marked FORKS is skipped
+    get_threads, set_threads = seedpool.blas_threads()
+    threads = get_threads()
+    try:
+        set_threads(1)
+        assert get_threads() == 1
+    finally:
+        set_threads(threads)
+    assert get_threads() == threads
+
+
+@FORKS
+def test_seed_pool_processes_share_the_blas_threads(monkeypatch):
+    # T threads in effect and W = 2 processes: each runs at T // 2 (at least 1), and T is restored
+    get_threads, _ = seedpool.blas_threads()
+    threads = get_threads()
+    usable_cpus(monkeypatch, 2)
+    results = list(seedpool.seed_results(lambda s: (0, f"{s}: {get_threads()}"), [1, 2, 3]))
+    assert results == [(0, f"{s}: {max(1, threads // 2)}") for s in (1, 2, 3)]
+    assert get_threads() == threads
+
+
+def test_run_seed_pool_without_the_blas_hook_runs_serially(tmp_path, monkeypatch):
+    monkeypatch.setattr(seedpool, "blas_threads", lambda: None)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked without the BLAS hook"))
+    usable_cpus(monkeypatch, 2)
+    assert seedpool.workers(3) == 1
+    monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "multi"))
+    assert main(["run", "--config", str(write_config(tmp_path, pca_config("ignored"))), "--seeds", "1,2"]) == 0
+    for s in (1, 2):
+        assert (tmp_path / "multi" / f"seed_{s}" / "trace.csv").exists()
+
+
+def test_run_seed_pool_moves_only_the_diagnostics(tmp_path):
+    # each of 2 processes runs at half the BLAS threads of the serial run; the contract of
+    # test_run_thread_count_moves_only_the_diagnostics holds seed by seed
+    cfg = pca_config(None, problem={"family": "sparse_pca", "n": 1000, "p": 10, "N": 1000, "lambda": 0.1},
+                     max_iters=100, trace_every=20, diagnostics=True)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for cpus in (1, 2):
+        out = tmp_path / f"cpus_{cpus}"
+        path = write_config(tmp_path, {**cfg, "output_dir": str(out)}, name=f"cfg_{cpus}.json")
+        code = (f"import os, sys; from manismooth import cli; os.sched_getaffinity = lambda pid: set(range({cpus})); "
+                f"sys.exit(cli.main(['run', '--config', {str(path)!r}, '--seeds', '1,2']))")
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+        seeds = {}
+        for s in (1, 2):
+            header, *rows = (out / f"seed_{s}" / "trace.csv").read_text().splitlines()
+            columns = dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+            seeds[s] = (columns, read_summary_json(out / f"seed_{s}" / "summary.json")["certificate"])
+        runs.append(seeds)
+    serial, pooled = runs
+    for s in (1, 2):
+        (one, cert_one), (two, cert_two) = serial[s], pooled[s]
+        for name in ("k", "mu", "tau", "a", "norm_G", "infeas"):
+            assert one[name] == two[name], (s, name)
+        for name in ("obj_smooth", "norm_grad_Fmu", "norm_eps"):
+            assert [float(v) for v in one[name]] == pytest.approx([float(v) for v in two[name]], rel=1e-12, abs=0)
+        assert (cert_one["i_K"], cert_one["membership_ok"]) == (cert_two["i_K"], cert_two["membership_ok"])
+        for name in ("grad_residual", "feas_residual"):
+            assert cert_one[name] == pytest.approx(cert_two[name], rel=1e-12, abs=0), (s, name)
 
 
 def test_check_unknown_suite(capsys):

@@ -1,10 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import manismooth as ms
-from manismooth.checks import GRID_BLOCK, grid_argmin_1d, random_terms
+from manismooth.checks import GRID_BLOCK, grid_argmin_1d, grid_block, random_terms
 from manismooth.errors import ParameterError
 from manismooth.smoothing import IndicatorTerm
 
@@ -256,10 +257,43 @@ def test_grid_oracle_is_the_whole_grid_argmin_at_every_length(length):
         assert_same_grid_point(lambda z: 0.5 * np.abs(z - hi / 3) + np.sin(z), 0.5, y, 0.0, hi, 0.25)
 
 
+def blocked_grid(lo, hi, res):
+    """The oracle's grid, block by block, joined."""
+    size = math.ceil((hi + res - lo) / res)
+    return np.concatenate([grid_block(lo, res, start, min(start + GRID_BLOCK, size))
+                           for start in range(0, size, GRID_BLOCK)])
+
+
+def test_grid_blocks_are_np_arange_on_the_battery_draws():
+    rng = np.random.default_rng(54321)  # the smoothing battery's 300 oracle draws
+    for _ in range(300):
+        lam = float(rng.uniform(0.1, 2.0))
+        mu = float(rng.uniform(0.05, 2.0))
+        y = float(rng.uniform(-3, 3))
+        span = 3 * mu * lam + 1
+        assert blocked_grid(y - span, y + span, 1e-4).tobytes() == np.arange(y - span, y + span + 1e-4, 1e-4).tobytes()
+
+
+@pytest.mark.parametrize("length", [1, 2, GRID_BLOCK - 1, GRID_BLOCK + 1, 3 * GRID_BLOCK])
+@pytest.mark.parametrize("lo, res", [(0.0, 0.25), (-0.0, 0.1), (-1.3, 1e-4), (1000.0, 0.1)])
+def test_grid_blocks_are_np_arange_at_every_length(length, lo, res):
+    # element 0 is lo itself, so -0.0 keeps its sign; at lo = 1000 the step delta = (lo + res) - lo is not res
+    hi = lo + res * (length - 1)
+    zs = np.arange(lo, hi + res, res)
+    assert abs(zs.size - length) <= 1
+    assert blocked_grid(lo, hi, res).tobytes() == zs.tobytes()
+
+
 @pytest.mark.parametrize("lo, hi, res", [(1.0, 0.0, 1e-4), (0.0, 1.0, 0.0), (0.0, 1.0, -1e-4), (0.0, 1.0, np.nan)])
 def test_grid_oracle_rejects_an_empty_grid(lo, hi, res):
     with pytest.raises(ParameterError, match="res > 0 and lo <= hi"):
         grid_argmin_1d(np.abs, 1.0, 0.0, lo, hi, res)
+
+
+def test_grid_oracle_rejects_a_step_lost_in_rounding():
+    # hi + res == hi at 1e20, so np.arange(lo, hi + res, res) is empty
+    with pytest.raises(ParameterError, match="grid is empty"):
+        grid_argmin_1d(np.abs, 1.0, 0.0, 1e20, 1e20, 1e-4)
 
 
 @pytest.mark.parametrize("span", [1, 13])
