@@ -153,8 +153,8 @@ def run(
     Diagnostics fill the full-gradient fields (obj_smooth,
     norm_grad_Fmu, norm_eps) of the kept records only, at the iterate and
     momentum the step started from and the record's ``mu``; they cost one
-    full gradient and one full value of f (a pass over the data each) and
-    never feed back into the algorithm.
+    ``full_value_egrad`` (f and its gradient from one pass over the data)
+    and never feed back into the algorithm.
 
     The certificate's candidates are the iterates from index ``snap_lo``
     on, at a stride that leaves about SNAPSHOT_TARGET of them, plus the
@@ -195,9 +195,9 @@ def run(
             record = step(state)
             if i % trace_every == 0 or i == K - 1:
                 if diagnostics:
-                    egrad = problem.full_egrad(X)
+                    f, egrad = problem.full_value_egrad(X)
                     _, env, rgrad = smoothed_grad(problem, X, record.mu, egrad)
-                    record = replace(record, obj_smooth=problem.full_value(X) + env.value,
+                    record = replace(record, obj_smooth=f + env.value,
                                      norm_grad_Fmu=_norm(rgrad), norm_eps=_norm(delta - proj(kind, X, egrad)))
                 trace.append(record)
         except (ParameterError, DegenerateRetractionError) as exc:

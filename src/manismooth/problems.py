@@ -78,17 +78,19 @@ class StochasticProblem:
     """Finite-sum smooth part + nonlinear map + nonsmooth term.
 
     Five evaluators: the stochastic gradient oracle ``sample_egrad`` (the
-    only per-sample evaluator; no step asks for a sample value), the full
-    ``full_value``/``full_egrad`` of diagnostics and estimators, and
-    ``c_eval``/``c_jac_t``.  They take and return raw ndarrays shaped
-    like point data; sample indices are 0-based ints in range(num_samples).
+    only per-sample evaluator; no step asks for a sample value),
+    ``full_value_egrad`` (f and grad f from one pass over the data, for
+    diagnostics and estimators), ``full_egrad`` (grad f alone, for the
+    certificate) and ``c_eval``/``c_jac_t``.  They take and return raw
+    ndarrays shaped like point data; sample indices are 0-based ints in
+    range(num_samples).
 
     Every evaluator also accepts a stack of points ``(..., n, p)``:
     ``sample_egrad`` then takes an index array of the stack's leading
     shape, ``c_jac_t`` a ``(..., m)`` array of vectors, and each result
     carries the leading axes (a result that does not depend on an
-    argument may broadcast against them instead): ``full_value``
-    ``(...)``, gradients ``(..., n, p)``, ``c_eval`` ``(..., m)``.  Each
+    argument may broadcast against them instead): values ``(...)``,
+    gradients ``(..., n, p)``, ``c_eval`` ``(..., m)``.  Each
     slice of a stacked result must equal the call on that slice alone,
     bit for bit; the sampling estimators rely on it.  The built-in
     families keep it by the one-matrix rule of :mod:`.manifolds`: each
@@ -101,7 +103,7 @@ class StochasticProblem:
     manifold: ManifoldDescriptor
     num_samples: int
     sample_egrad: Callable[[np.ndarray, int], np.ndarray]
-    full_value: Callable[[np.ndarray], float]
+    full_value_egrad: Callable[[np.ndarray], tuple[float, np.ndarray]]
     full_egrad: Callable[[np.ndarray], np.ndarray]
     c_eval: Callable[[np.ndarray], np.ndarray]
     c_jac_t: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -138,13 +140,14 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
 
     def sample_egrad(xd, i):
         a = A[i][..., None]
-        return -a * _mm(a.mT, xd)
-
-    def full_value(xd):
-        return -0.5 * np.sum(xd * _mm(cov, xd), axis=(-2, -1))
+        return _mm(-a, _mm(a.mT, xd))  # a k = 1 product, not a broadcast multiply
 
     def full_egrad(xd):
         return -_mm(cov, xd)  # negating the product, not the n x n covariance
+
+    def full_value_egrad(xd):
+        g = full_egrad(xd)
+        return 0.5 * np.sum(xd * g, axis=(-2, -1)), g
 
     def c_eval(xd):
         return xd.reshape(*xd.shape[:-2], n * p).copy()
@@ -156,7 +159,7 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
         manifold=stiefel(n, p),
         num_samples=N,
         sample_egrad=sample_egrad,
-        full_value=full_value,
+        full_value_egrad=full_value_egrad,
         full_egrad=full_egrad,
         c_eval=c_eval,
         c_jac_t=c_jac_t,
@@ -201,12 +204,15 @@ def make_constrained_sphere(
         a = A[i][..., None]
         return _lift(_inner(a, xd) - b[i]) * a
 
-    def full_value(xd):
-        r = _mm(A, xd)[..., 0] - b
-        return 0.5 * np.vecdot(r, r) / N
+    def residual(xd):
+        return _mm(A, xd) - b_col
+
+    def full_value_egrad(xd):
+        r = residual(xd)
+        return 0.5 * np.vecdot(r[..., 0], r[..., 0]) / N, _mm(A.T, r) / N
 
     def full_egrad(xd):
-        return _mm(A.T, _mm(A, xd) - b_col) / N
+        return _mm(A.T, residual(xd)) / N
 
     def c_eval(xd):
         return (_mm(B, xd) + _mm(W, xd * xd))[..., 0]
@@ -219,7 +225,7 @@ def make_constrained_sphere(
         manifold=sphere(n),
         num_samples=N,
         sample_egrad=sample_egrad,
-        full_value=full_value,
+        full_value_egrad=full_value_egrad,
         full_egrad=full_egrad,
         c_eval=c_eval,
         c_jac_t=c_jac_t,
@@ -259,7 +265,7 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
         return rng.integers(problem.num_samples), rng.uniform(0.05, 0.5)
 
     for X, Z, (idx, _) in tangent_blocks(problem.manifold, rng, samples, draw):
-        g_full = problem.full_egrad(X)
+        f_x, g_full = problem.full_value_egrad(X)
         L_f = sup(L_f, fro(g_full))
         gr_full = proj(kind, X, g_full)
         gr_i = proj(kind, X, problem.sample_egrad(X, idx))
@@ -276,7 +282,7 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
         L_tilde = sup(L_tilde, fro(gr_i - moved) / nz)
         # retraction-smoothness quotient of f along the same pair
         lin = np.sum(gr_full * Z, axis=(-2, -1))
-        L_retr = sup(L_retr, 2.0 * (problem.full_value(Y) - problem.full_value(X) - lin) / squares(nz))
+        L_retr = sup(L_retr, 2.0 * (problem.full_value_egrad(Y)[0] - f_x - lin) / squares(nz))
 
         Jx = _jacobian(problem, X)
         Jy = _jacobian(problem, Y)

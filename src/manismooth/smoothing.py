@@ -348,6 +348,7 @@ def smoothed_objective_grad(problem, x: ManifoldPoint, mu: float):
     Raises:
         ParameterError: mu is not positive, or c(x) is not finite.
     """
-    y, e, rgrad = smoothed_grad(problem, x.data, mu, problem.full_egrad(x.data))
-    value = problem.full_value(x.data) + e.value
+    f, egrad = problem.full_value_egrad(x.data)
+    y, e, rgrad = smoothed_grad(problem, x.data, mu, egrad)
+    value = f + e.value
     return value, TangentVector(x.descriptor, x, rgrad), float(np.linalg.norm(y - e.prox_point))

@@ -209,3 +209,22 @@ def test_a_run_holds_one_iterate_whatever_its_length():
     _peak_bytes(p, 10)  # first-call allocations (caches, imports) out of the measurement
     growth = (_peak_bytes(p, 2400) - _peak_bytes(p, 400)) / iterate
     assert growth < 10
+
+
+def test_diagnostics_take_f_and_its_gradient_from_one_pass():
+    # each kept row makes one pass over the data (full_value_egrad), the certificate one (full_egrad)
+    p = ms.make_sparse_pca(10, 2, 8, 0.15, seed=5)
+    calls = {"full_value_egrad": 0, "full_egrad": 0}
+
+    def counted(name, evaluate):
+        def wrapper(X):
+            calls[name] += 1
+            return evaluate(X)
+        return wrapper
+
+    q = dataclasses.replace(p, **{name: counted(name, getattr(p, name)) for name in calls})
+    state, trace = sl.run(q, None, seed=1, K=40, trace_every=10, diagnostics=True)
+    assert len(trace) == 5 and all(r.obj_smooth is not None for r in trace)
+    assert calls == {"full_value_egrad": 5, "full_egrad": 0}
+    sl.certificate(state, q)
+    assert calls == {"full_value_egrad": 5, "full_egrad": 1}

@@ -46,10 +46,15 @@ class SignedPermutation:
 
 def seen_through(problem, P):
     """``problem`` with every evaluator applied at P^T X, its gradients mapped back by P."""
+
+    def full_value_egrad(X):
+        f, g = problem.full_value_egrad(P.T(X))
+        return f, P(g)
+
     return dataclasses.replace(
         problem,
         sample_egrad=lambda X, i: P(problem.sample_egrad(P.T(X), i)),
-        full_value=lambda X: problem.full_value(P.T(X)),
+        full_value_egrad=full_value_egrad,
         full_egrad=lambda X: P(problem.full_egrad(P.T(X))),
         c_eval=lambda X: problem.c_eval(P.T(X)),
         c_jac_t=lambda X, v: P(problem.c_jac_t(P.T(X), v)),

@@ -84,7 +84,7 @@ def test_sparse_pca_determinism():
     a = ms.make_sparse_pca(7, 2, 9, 0.1, seed=77)
     b = ms.make_sparse_pca(7, 2, 9, 0.1, seed=77)
     x = ms.random_point(a.manifold, np.random.default_rng(7))
-    assert a.full_value(x.data) == b.full_value(x.data)
+    assert a.full_value_egrad(x.data)[0] == b.full_value_egrad(x.data)[0]
     np.testing.assert_array_equal(a.sample_egrad(x.data, 3), b.sample_egrad(x.data, 3))
 
 
@@ -133,6 +133,9 @@ def linear_objective_sphere(n, N, seed):
     A = np.random.default_rng(seed).standard_normal((N, n))
     a_mean = A.mean(axis=0)
 
+    def full_egrad(xd):
+        return np.broadcast_to(a_mean[:, None], xd.shape).copy()
+
     def c_eval(xd):
         return xd[..., 0].copy()
 
@@ -143,8 +146,8 @@ def linear_objective_sphere(n, N, seed):
         manifold=ms.sphere(n),
         num_samples=N,
         sample_egrad=lambda xd, i: A[i][..., None].copy(),
-        full_value=lambda xd: np.vecdot(a_mean, xd[..., 0]),
-        full_egrad=lambda xd: np.broadcast_to(a_mean[:, None], xd.shape).copy(),
+        full_value_egrad=lambda xd: (np.vecdot(a_mean, xd[..., 0]), full_egrad(xd)),
+        full_egrad=full_egrad,
         c_eval=c_eval,
         c_jac_t=c_jac_t,
         m=n,
@@ -191,9 +194,71 @@ def test_stacked_evaluators_equal_per_point(which, request):
     X = np.array([ms.random_point(p.manifold, rng).data for _ in range(6)])
     idx = rng.integers(p.num_samples, size=6)
     V = rng.standard_normal((6, p.m))
-    stacked = [p.sample_egrad(X, idx), p.full_value(X), p.full_egrad(X), p.c_eval(X), p.c_jac_t(X, V)]
+    stacked = [p.sample_egrad(X, idx), *p.full_value_egrad(X), p.full_egrad(X), p.c_eval(X), p.c_jac_t(X, V)]
     for s in range(6):
-        single = [p.sample_egrad(X[s], int(idx[s])), p.full_value(X[s]), p.full_egrad(X[s]), p.c_eval(X[s]),
+        single = [p.sample_egrad(X[s], int(idx[s])), *p.full_value_egrad(X[s]), p.full_egrad(X[s]), p.c_eval(X[s]),
                   p.c_jac_t(X[s], V[s])]
         for got, want in zip(stacked, single):
             assert np.array_equal(got[s], want)
+
+
+def _family_data(which):
+    """The benchmark instance and the data its generator draws from the same seed."""
+    p = BENCH_PROBLEMS[which]()
+    rng = np.random.default_rng(101)
+    A = rng.standard_normal((p.num_samples, p.manifold.n))
+    return p, A, rng
+
+
+def _points(p, rng, stack):
+    X = np.array([ms.random_point(p.manifold, rng).data for _ in range(stack or 1)])
+    return X if stack else X[0]
+
+
+def _same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("stack", [0, 1, 7], ids=["point", "stack1", "stack7"])
+@pytest.mark.parametrize("which", list(BENCH_PROBLEMS))
+def test_full_value_egrad_equals_the_separate_formulas(which, stack):
+    # f and grad f from one pass give the bits of the two separate passes they replace
+    p, A, rng = _family_data(which)
+    N = p.num_samples
+    if which.startswith("pca"):
+        cov = A.T @ A / N
+
+        def value(xd):
+            return -0.5 * np.sum(xd * (cov @ xd), axis=(-2, -1))
+
+        def egrad(xd):
+            return -(cov @ xd)
+    else:
+        b = rng.standard_normal(N)
+
+        def value(xd):
+            r = (A @ xd)[..., 0] - b
+            return 0.5 * np.vecdot(r, r) / N
+
+        def egrad(xd):
+            return A.T @ (A @ xd - b[:, None]) / N
+    X = _points(p, np.random.default_rng(12), stack)
+    f, g = p.full_value_egrad(X)
+    assert _same_bytes(f, value(X)) and _same_bytes(g, egrad(X))
+    assert _same_bytes(p.full_egrad(X), egrad(X))
+
+
+@pytest.mark.parametrize("stack", [0, 32], ids=["point", "stack32"])
+@pytest.mark.parametrize("which", ["pca-St(50,3)", "pca-St(1000,10)"])
+def test_sparse_pca_sample_gradient_equals_the_broadcast_product(which, stack):
+    # the rank-one sample gradient as one k = 1 product has the broadcast multiply's bytes
+    p, A, rng = _family_data(which)
+    X = _points(p, rng, stack)
+    if stack:
+        idx = np.repeat(rng.integers(p.num_samples, size=stack // 2), 2)  # every index twice
+        a = A[idx][..., None]
+    else:
+        idx = int(rng.integers(p.num_samples))
+        a = A[idx][:, None]
+    assert _same_bytes(p.sample_egrad(X, idx), -a * (a.mT @ X))
