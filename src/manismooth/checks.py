@@ -2,12 +2,13 @@
 
 Each suite runs a battery of invariant checks with fixed internal seeds
 and reports one (name, passed, detail) triple per property.  These
-batteries are the one implementation of the invariants the analysis
+batteries are the library's implementation of the invariants the analysis
 rests on (prox and Moreau-envelope properties, the two sequence lemmas,
 retraction bounds, momentum tangency, truncation and the exact
-schedules); the pytest suite runs them through ``check --suite all``
-rather than re-implementing them.  The oracles the batteries share with
-worked-example tests (:func:`grid_argmin_1d`,
+schedules); the pytest suite runs them through ``check --suite all``, and
+acceptance criteria 02, 03 and 06 re-run the prox/envelope, lemma and
+truncation/schedule properties at their own seeds and sizes.  The oracles
+the batteries share with worked-example tests (:func:`grid_argmin_1d`,
 :func:`largest_premise_solution`, :func:`random_terms`, ``DESCRIPTORS``)
 live here once, as do the executable inequality checks: the two sequence
 lemmas, which hold for every admissible input, and

@@ -14,10 +14,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration/usage error (an out-of-range or
 repeated seed or an unwritable output directory included), 3 numerical
-failure; with ``--seeds``, an unwritable output root is reported once
-before any seed, each failing seed is named and the rest still run, and
-the exit code is the worst one (3 over 2; 1, a seed whose process raised
-an unexpected exception or died, over both).
+failure, 1 an unexpected exception (its traceback is printed); with
+``--seeds``, an unwritable output root is reported once before any seed,
+each failing seed is named and the rest still run, and the exit code is
+the worst (3 over 2; 1, a seed that raised or whose process died, over both).
 stdout carries machine-readable output only; diagnostics go to stderr.
 The environment variable MANISMOOTH_OUT overrides the output directory.
 """
@@ -253,17 +253,21 @@ def _execute(cfg: dict, seed: int, out_dir: Path) -> None:
     write_summary_json(summary, out_dir / "summary.json")
 
 
-def _run_seed(cfg: dict, seed: int, out_dir: Path, where: str, out_field: str) -> tuple[int, str]:
-    """Run one seed: (exit code, the message naming its failure, or "" on success)."""
+def _run_seed(cfg: dict, seed: int, out_dir: Path, out_field: str) -> tuple[int, str]:
+    """Run one seed: (exit code, the message naming its failure, or "" on success); it never raises an Exception."""
     try:
         _execute(cfg, seed, out_dir)
     except (ConfigError, ParameterError, ShapeMismatchError) as exc:
-        return 2, f"{where}config error: {exc}"
+        return 2, f"config error: {exc}"
     except OSError as exc:  # creating the output directory or writing into it
-        return 2, f"{where}config error: {out_field}: {exc}"
+        return 2, f"config error: {out_field}: {exc}"
     except (NumericalFailureError, ArithmeticError, np.linalg.LinAlgError) as exc:
         # LinAlgError: an estimator's SVD met a non-finite Jacobian of c
-        return 3, f"{where}numerical failure: {exc}"
+        return 3, f"numerical failure: {exc}"
+    except Exception:  # a bug: its traceback names it, and the other seeds still run
+        import traceback
+
+        return 1, traceback.format_exc().rstrip()
     return 0, ""
 
 
@@ -301,10 +305,7 @@ def cmd_run(args) -> int:
             return 2
 
     def run_one(s: int) -> tuple[int, str]:
-        # a failing seed is named and the remaining seeds still run
-        if args.seeds:
-            return _run_seed(cfg, s, out_root / f"seed_{s}", f"seed {s}: ", out_field)
-        return _run_seed(cfg, s, out_root, "", out_field)
+        return _run_seed(cfg, s, out_root / f"seed_{s}" if args.seeds else out_root, out_field)
 
     if len(seeds) == 1:
         results = [run_one(seeds[0])]
@@ -313,9 +314,9 @@ def cmd_run(args) -> int:
 
         results = seed_results(run_one, seeds)
     code = 0
-    for seed_code, message in results:
+    for s, (seed_code, message) in zip(seeds, results):
         if message:
-            print(message, file=sys.stderr)
+            print(f"seed {s}: {message}" if args.seeds else message, file=sys.stderr)
         code = max(code, seed_code, key=SEVERITY.index)
     return code
 

@@ -39,6 +39,7 @@ from .smoothing import smoothed_grad
 # a run keeps one of them, so the number sets no memory
 SNAPSHOT_TARGET = 2000
 TRUNC_SLACK = 1e-12  # relative rounding allowance of the truncated momentum's norm over the radius
+AHEAD_BLOCK = 4096  # sample indices per draw of the certificate's look-ahead: 32 kB whatever K is
 
 
 @dataclass
@@ -83,6 +84,14 @@ def start(problem: StochasticProblem, x0: ManifoldPoint, seed, k: int, radius: f
     rng = np.random.default_rng(seed)
     delta = sample_riemannian_grad(problem, x0, int(rng.integers(problem.num_samples))).data
     return SolverState(k=k, x=x0.data, delta=_truncate(delta, radius, k), rng=rng)
+
+
+def look_ahead(rng: np.random.Generator, num_samples: int, K: int) -> np.random.Generator:
+    """A copy of rng advanced as K draws of ``integers(num_samples)`` advance it, in blocks of AHEAD_BLOCK."""
+    ahead = copy.deepcopy(rng)
+    for done in range(0, K, AHEAD_BLOCK):
+        ahead.integers(num_samples, size=min(AHEAD_BLOCK, K - done))
+    return ahead
 
 
 def step(
@@ -160,9 +169,11 @@ def run(
     on, at a stride that leaves about SNAPSHOT_TARGET of them, plus the
     final iterate when ``snap_last``.  Each step draws exactly one
     ``integers(num_samples)`` from the state's stream, so before the first
-    step a copy of the stream, advanced by K such draws, gives the index
-    ``pick(candidates, copy)`` that :func:`certificate` will draw; the run
-    keeps that one iterate and no other.  With no candidates it keeps none.
+    step a copy of the stream, advanced by K such draws (:func:`look_ahead`,
+    in blocks of AHEAD_BLOCK, so a huge K allocates no more than a small one),
+    gives the index ``pick(candidates, copy)`` that :func:`certificate` will
+    draw; the run keeps that one iterate and no other.  With no candidates
+    it keeps none.
 
     Raises:
         NumericalFailureError: a step produced a non-finite direction, a
@@ -183,9 +194,7 @@ def run(
     state.candidates = np.append(ks, float(end)) if snap_last else ks
     keep = None
     if state.candidates.size:
-        ahead = copy.deepcopy(state.rng)
-        ahead.integers(problem.num_samples, size=K)  # leaves the stream where K one-sample draws leave it
-        keep = int(state.candidates[pick(state.candidates, ahead)])
+        keep = int(state.candidates[pick(state.candidates, look_ahead(state.rng, problem.num_samples, K))])
     trace: list[TraceRecord] = []
     for i in range(K):
         k, X, delta = state.k, state.x, state.delta  # a step rebinds, never mutates, x and delta

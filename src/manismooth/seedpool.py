@@ -9,7 +9,9 @@ Each process runs at T // W of the T OpenBLAS threads in effect (at least
 one): OpenBLAS workers spin after each threaded call, so uncapped
 processes oversubscribe the CPUs.  Where ``os.fork`` or numpy's bundled
 OpenBLAS is missing, W = 1 and the seeds run one after another in the
-calling process.  Only ``run`` with several seeds imports this module.
+calling process.  ``run_one`` returns every seed's failure, so the pool only
+carries outcomes and reports a process that died before its share was done.
+Only ``run`` with several seeds imports this module.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import json
 import os
 import signal
 import sys
-import traceback
 from pathlib import Path
 
 import numpy as np
@@ -62,18 +63,14 @@ def _child(run_one, seeds: list[int], share: list[int], fd: int, parent: int) ->
         if os.getppid() == parent:  # else the parent died before prctl took effect
             with open(fd, "w") as pipe:
                 for i in share:
-                    try:
-                        code, message = run_one(seeds[i])
-                    except Exception:  # the serial path would print this traceback and exit 1
-                        code, message = 1, f"seed {seeds[i]}: {traceback.format_exc().rstrip()}"
-                    pipe.write(json.dumps([i, code, message]) + "\n")
+                    pipe.write(json.dumps([i, *run_one(seeds[i])]) + "\n")
                     pipe.flush()
             status = 0
     finally:
         os._exit(status)
 
 
-def _collect(pid: int, fd: int, seeds: list[int], share: list[int]) -> dict[int, tuple[int, str]]:
+def _collect(pid: int, fd: int, share: list[int]) -> dict[int, tuple[int, str]]:
     """Read a child's results to the end of its pipe and reap it; a seed it did not report fails with 1."""
     with open(fd) as pipe:
         lines = pipe.read().splitlines()
@@ -88,15 +85,15 @@ def _collect(pid: int, fd: int, seeds: list[int], share: list[int]) -> dict[int,
     status = os.waitstatus_to_exitcode(status)
     how = f"was killed by signal {-status}" if status < 0 else f"exited with status {status}"
     for i in share:
-        got.setdefault(i, (1, f"seed {seeds[i]}: its process {how} before the seed finished"))
+        got.setdefault(i, (1, f"its process {how} before the seed finished"))
     return got
 
 
 def seed_results(run_one, seeds: list[int]):
     """``run_one(s)``, an (exit code, message) pair, for each seed, yielded in seed order.
 
-    Seed i goes to process i mod W, process 0 being this one.  This process's BLAS thread count
-    is restored afterwards.  With W = 1 the thread count is left alone.
+    Seed i goes to process i mod W, process 0 being this one, whose interrupt kills the children.
+    This process's BLAS thread count is restored afterwards.  With W = 1 it is left alone.
     """
     count = workers(len(seeds))
     if count == 1:
@@ -108,7 +105,6 @@ def seed_results(run_one, seeds: list[int]):
     own, *shares = [list(range(w, len(seeds), count)) for w in range(count)]
     children = []  # (pid, read end of its pipe, its share)
     results = {}
-    finished = False
     parent = os.getpid()
     sys.stdout.flush()  # so no child inherits a buffered line and writes it a second time
     sys.stderr.flush()
@@ -129,12 +125,13 @@ def seed_results(run_one, seeds: list[int]):
             children.append((pid, read, share))
         for i in own:
             results[i] = run_one(seeds[i])
-        finished = True
+    except BaseException:  # an interrupt or a failed os.pipe: the command stops now, and no child outlives it
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         for pid, read, share in children:
-            if not finished:  # this process's own share raised: the command fails now, as a serial run would
-                os.kill(pid, signal.SIGKILL)
-            results.update(_collect(pid, read, seeds, share))
+            results.update(_collect(pid, read, share))
         set_threads(threads)
     for i in range(len(seeds)):
         yield results[i]

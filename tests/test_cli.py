@@ -1,3 +1,4 @@
+import errno
 import inspect
 import json
 import math
@@ -383,6 +384,16 @@ def test_run_seed_list_isolates_a_failing_seed(tmp_path, monkeypatch, capsys):
         assert (tmp_path / "multi" / f"seed_{s}" / "trace.csv").exists()
 
 
+def test_run_one_seed_that_raises_exits_1_with_its_traceback(tmp_path, monkeypatch, capsys):
+    def execute(cfg, seed, out_dir):
+        raise RuntimeError("a bug in the run")
+
+    monkeypatch.setattr(cli, "_execute", execute)
+    assert main(["run", "--config", str(write_config(tmp_path, pca_config(str(tmp_path / "out"))))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.rstrip().endswith("RuntimeError: a bug in the run")
+
+
 def test_run_repeated_seed_names_seeds(tmp_path, monkeypatch, capsys):
     # two runs of one seed would write one seed_<s>/, the second over the first
     monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "out"))
@@ -492,6 +503,61 @@ def test_run_seed_pool_child_killed_by_a_signal_is_named(tmp_path, monkeypatch, 
         assert (tmp_path / "multi" / f"seed_{s}" / "trace.csv").exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=FORKS)], ids=["serial", "this-process-share"])
+def test_run_seed_that_raises_in_this_process_is_named_and_the_rest_run(tmp_path, monkeypatch, capsys, cpus):
+    # seed 1 runs in this process on either path; on 2 CPUs seed 2 runs in a child meanwhile
+    def execute(cfg, seed, out_dir):
+        if seed == 1:
+            raise RuntimeError("a bug in the seed's run")
+        real_execute(cfg, seed, out_dir)
+
+    real_execute = cli._execute
+    monkeypatch.setattr(cli, "_execute", execute)
+    usable_cpus(monkeypatch, cpus)
+    monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "multi"))
+    assert main(["run", "--config", str(write_config(tmp_path, pca_config("ignored"))), "--seeds", "1,2,3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("seed 1: Traceback") and "RuntimeError: a bug in the seed's run" in err
+    assert "seed 2" not in err and "seed 3" not in err
+    for s in (2, 3):
+        assert (tmp_path / "multi" / f"seed_{s}" / "trace.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@FORKS
+def test_run_seed_pool_runs_the_share_of_a_failed_fork_itself(tmp_path, monkeypatch, capsys):
+    # with no process to spare, this process runs every share: the outputs are the serial run's
+    cfg_path = write_config(tmp_path, sphere_config("ignored", max_iters=40, trace_every=1))
+    monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "serial"))
+    usable_cpus(monkeypatch, 1)
+    assert main(["run", "--config", str(cfg_path), "--seeds", "1,2,3"]) == 0
+
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "unforked"))
+    assert main(["run", "--config", str(cfg_path), "--seeds", "1,2,3"]) == 0
+    assert seed_outputs(tmp_path / "unforked", (1, 2, 3)) == seed_outputs(tmp_path / "serial", (1, 2, 3))
+    assert capsys.readouterr().err == ""
+
+    def execute(cfg, seed, out_dir):
+        if seed == 2:  # the share the child would have run
+            raise RuntimeError("a bug in the seed's run")
+        real_execute(cfg, seed, out_dir)
+
+    real_execute = cli._execute
+    monkeypatch.setattr(cli, "_execute", execute)
+    monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "failing"))
+    assert main(["run", "--config", str(cfg_path), "--seeds", "1,2,3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("seed 2: Traceback") and "RuntimeError: a bug in the seed's run" in err
+    for s in (1, 3):
+        assert (tmp_path / "failing" / f"seed_{s}" / "trace.csv").exists()
 
 
 def test_run_seed_pool_prints_each_failure_once(tmp_path):

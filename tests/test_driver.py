@@ -114,18 +114,34 @@ def _solver_case(solver):
     return p, (config,), config.pick, config.mu, lambda K: K // 2, True
 
 
-@pytest.mark.parametrize("N", [1, 7, 1000, 2**33 + 5])
+@pytest.mark.parametrize("N", [1, 7, 1000, 2**31 + 5, 2**33 + 5, 2**40])
 def test_a_block_draw_advances_the_stream_as_one_draw_at_a_time(N):
-    # the run reads the certificate's future draw off a copy advanced by one block draw of K
-    # sample indices; that copy must end where the K one-sample draws of the steps end
-    for K in (1, 2, 999, 4001):
+    # the run reads the certificate's future draw off a copy advanced by K sample indices, drawn
+    # in blocks of AHEAD_BLOCK; that copy must end where the K one-sample draws of the steps end,
+    # and where one draw of all K indices ends
+    B = driver.AHEAD_BLOCK
+    for K in (1, 2, 999, 4001, B - 1, B, B + 1, 3 * B + 5):
         one = np.random.default_rng(K)
         block = copy.deepcopy(one)
+        ahead = driver.look_ahead(one, N, K)
         for _ in range(K):
             one.integers(N)
         block.integers(N, size=K)
-        assert block.bit_generator.state == one.bit_generator.state
-        assert block.integers(N) == one.integers(N)
+        assert ahead.bit_generator.state == block.bit_generator.state == one.bit_generator.state
+        assert ahead.integers(N) == block.integers(N) == one.integers(N)
+
+
+def test_the_look_ahead_holds_one_block_whatever_k():
+    # one draw of K = 10**6 indices would hold 8 MB; a block holds 8 * AHEAD_BLOCK bytes
+    rng = np.random.default_rng(0)
+    driver.look_ahead(rng, 7, 10)  # first-call allocations out of the measurement
+    tracemalloc.start()
+    try:
+        driver.look_ahead(rng, 7, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * driver.AHEAD_BLOCK
 
 
 @pytest.mark.parametrize("solver", [sl, si], ids=["lipschitz", "indicator"])

@@ -69,6 +69,11 @@ def oblique_pca():
     return dataclasses.replace(stiefel_pca(), manifold=ms.oblique(50, 3))
 
 
+def box_oblique():
+    # sparse PCA's c is the identity on the 150 entries of X, so the box bounds every entry
+    return dataclasses.replace(oblique_pca(), h=ms.IndicatorBox(np.full(150, -0.2), np.full(150, 0.2)))
+
+
 def box_sphere():
     box = ms.IndicatorBox(np.full(6, -0.3), np.full(6, 0.3))
     return ms.make_constrained_sphere(30, 6, 500, box, seed=7)
@@ -82,6 +87,8 @@ CASES = {
     "lipschitz-oblique": (oblique_pca, lambda problem, x0: sl.run(problem, x0, seed=11, K=1000, trace_every=1000)),
     "indicator-sphere": (box_sphere,
                          lambda problem, x0: si.run(problem, x0, BOX_CONFIG, seed=11, K=1000, trace_every=1000)),
+    "indicator-oblique": (box_oblique,
+                          lambda problem, x0: si.run(problem, x0, BOX_CONFIG, seed=11, K=1000, trace_every=1000)),
 }
 
 
