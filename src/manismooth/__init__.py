@@ -21,9 +21,10 @@ Library layout:
   one-sample momentum recursion, optional truncation and the check of
   each new iterate and momentum), its first sample, the run loop
   (tracing, diagnostics, and the one iterate it keeps for the
-  certificate, chosen before the first step) and the certificate
-  witness; a solver hands in only its schedules, truncation radius and
-  certificate draw.  State and the kept iterate are plain ndarrays;
+  certificate, whose index it draws before the first step from a stream
+  of its own spawned from the run's seed) and the certificate witness;
+  a solver hands in only its schedules, truncation radius and
+  certificate draw rule.  State and the kept iterate are plain ndarrays;
   typed values are built only to check each new iterate and momentum,
   and for x0, its first sample and the certificate's point,
 - ``harness``: run records (iterations, certificates, rate fits),

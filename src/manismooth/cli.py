@@ -286,7 +286,7 @@ def cmd_run(args) -> int:
     out_field = "MANISMOOTH_OUT" if os.environ.get("MANISMOOTH_OUT") else "output_dir"
     out_root = Path(os.environ.get("MANISMOOTH_OUT") or cfg.get("output_dir", "."))
     seeds = [cfg["seed"]]
-    if args.seeds:
+    if args.seeds is not None:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s]
         except ValueError:
@@ -305,7 +305,7 @@ def cmd_run(args) -> int:
             return 2
 
     def run_one(s: int) -> tuple[int, str]:
-        return _run_seed(cfg, s, out_root / f"seed_{s}" if args.seeds else out_root, out_field)
+        return _run_seed(cfg, s, out_root / f"seed_{s}" if args.seeds is not None else out_root, out_field)
 
     if len(seeds) == 1:
         results = [run_one(seeds[0])]
@@ -316,7 +316,7 @@ def cmd_run(args) -> int:
     code = 0
     for s, (seed_code, message) in zip(seeds, results):
         if message:
-            print(f"seed {s}: {message}" if args.seeds else message, file=sys.stderr)
+            print(f"seed {s}: {message}" if args.seeds is not None else message, file=sys.stderr)
         code = max(code, seed_code, key=SEVERITY.index)
     return code
 

@@ -10,21 +10,21 @@ only its schedules (mu_k, tau_k, a_{k+1}) and the truncation radius if
 any.  :func:`start` checks x0 and draws the first sample.  :func:`run` is
 the loop of exactly K steps: the step's own ``TraceRecord`` every
 ``trace_every``-th iteration plus the last and optional diagnostics on
-those rows at the record's mu.  It also decides, before the first step,
-which back-half iterate the certificate will draw, and keeps that one
-iterate only; :func:`certificate` draws it again and gives a
-stationarity witness there.  State, the kept iterate and diagnostics are
-plain ndarrays; other typed values are built only for x0, its first
-sample and the certificate's point.
+those rows at the record's mu.  Before the first step it draws the
+certificate's back-half index from a stream of its own, spawned from the
+run's seed, so the draw is independent of the samples; it keeps that one
+iterate only, and :func:`certificate` gives a stationarity witness there.
+State, the kept iterate and diagnostics are plain ndarrays; other typed
+values are built only for x0, its first sample and the certificate's
+point.
 Nothing repairs an iterate, so one off the manifold or not tangent fails
 the run.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -39,25 +39,21 @@ from .smoothing import smoothed_grad
 # a run keeps one of them, so the number sets no memory
 SNAPSHOT_TARGET = 2000
 TRUNC_SLACK = 1e-12  # relative rounding allowance of the truncated momentum's norm over the radius
-AHEAD_BLOCK = 4096  # sample indices per draw of the certificate's look-ahead: 32 kB whatever K is
 
 
 @dataclass
 class SolverState:
     """Mutable solver state: counter k, iterate and momentum (ndarrays), sampling stream, energy sum_i ||G_i||^2.
 
-    After :func:`run`, ``candidates`` holds the certificate's candidate
-    iteration indices (as floats, the form a pick rule reads) and
-    ``snapshots`` the one (k, x_k) among them that the certificate will
-    draw; both are empty when there are no candidates.
+    After :func:`run`, ``kept`` is the certificate's (i_K, x_{i_K}), or
+    None when the run had no candidates.
     """
 
     k: int
     x: np.ndarray
     delta: np.ndarray
     rng: np.random.Generator
-    candidates: np.ndarray = field(default_factory=lambda: np.empty(0))
-    snapshots: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    kept: tuple[int, np.ndarray] | None = None
     energy: float = 0.0
 
 
@@ -84,14 +80,6 @@ def start(problem: StochasticProblem, x0: ManifoldPoint, seed, k: int, radius: f
     rng = np.random.default_rng(seed)
     delta = sample_riemannian_grad(problem, x0, int(rng.integers(problem.num_samples))).data
     return SolverState(k=k, x=x0.data, delta=_truncate(delta, radius, k), rng=rng)
-
-
-def look_ahead(rng: np.random.Generator, num_samples: int, K: int) -> np.random.Generator:
-    """A copy of rng advanced as K draws of ``integers(num_samples)`` advance it, in blocks of AHEAD_BLOCK."""
-    ahead = copy.deepcopy(rng)
-    for done in range(0, K, AHEAD_BLOCK):
-        ahead.integers(num_samples, size=min(AHEAD_BLOCK, K - done))
-    return ahead
 
 
 def step(
@@ -167,13 +155,13 @@ def run(
 
     The certificate's candidates are the iterates from index ``snap_lo``
     on, at a stride that leaves about SNAPSHOT_TARGET of them, plus the
-    final iterate when ``snap_last``.  Each step draws exactly one
-    ``integers(num_samples)`` from the state's stream, so before the first
-    step a copy of the stream, advanced by K such draws (:func:`look_ahead`,
-    in blocks of AHEAD_BLOCK, so a huge K allocates no more than a small one),
-    gives the index ``pick(candidates, copy)`` that :func:`certificate` will
-    draw; the run keeps that one iterate and no other.  With no candidates
-    it keeps none.
+    final iterate when ``snap_last``.  Before the first step the index
+    ``pick(candidates, draw)`` is drawn from ``draw``, the one child
+    spawned from the run's generator: spawning advances no stream, and
+    the steps never read the child, so the index is independent of the
+    samples (Ghadimi & Lan's randomized output).  The run keeps that one
+    iterate as ``state.kept`` and no other; with no candidates it keeps
+    none and draws nothing.
 
     Raises:
         NumericalFailureError: a step produced a non-finite direction, a
@@ -186,20 +174,19 @@ def run(
     if trace_every < 1:
         raise ParameterError("trace_every must be >= 1")
     rng = np.random.default_rng(seed)
+    (draw,) = rng.spawn(1)
     state = init(random_point(problem.manifold, rng) if x0 is None else x0, rng)
     kind = problem.manifold.kind
     end = state.k + K  # the final iterate's index
     ks = np.arange(snap_lo, end, max(1, K // SNAPSHOT_TARGET), dtype=float)
     ks = ks[ks >= state.k]
-    state.candidates = np.append(ks, float(end)) if snap_last else ks
-    keep = None
-    if state.candidates.size:
-        keep = int(state.candidates[pick(state.candidates, look_ahead(state.rng, problem.num_samples, K))])
+    candidates = np.append(ks, float(end)) if snap_last else ks
+    keep = int(candidates[pick(candidates, draw)]) if candidates.size else None
     trace: list[TraceRecord] = []
     for i in range(K):
         k, X, delta = state.k, state.x, state.delta  # a step rebinds, never mutates, x and delta
         if k == keep:
-            state.snapshots.append((k, X))
+            state.kept = (k, X)
         try:
             record = step(state)
             if i % trace_every == 0 or i == K - 1:
@@ -213,35 +200,25 @@ def run(
             # the inputs were validated before the loop, so the row's own arithmetic broke a check
             raise NumericalFailureError(str(exc), k) from exc
     if state.k == keep:
-        state.snapshots.append((state.k, state.x))
+        state.kept = (state.k, state.x)
     return state, trace
 
 
-def certificate(
-    state: SolverState, problem: StochasticProblem, pick: Callable[[np.ndarray, np.random.Generator], int],
-    mu: Callable[[int], float],
-) -> Certificate:
-    """Stationarity witness at the candidate ``pick(candidates, state.rng)`` selects.
+def certificate(state: SolverState, problem: StochasticProblem, mu: Callable[[int], float]) -> Certificate:
+    """Stationarity witness at the iterate (i_K, x) that :func:`run` kept.
 
-    The draw must land on the iterate :func:`run` kept.  The witness pair
-    is y = prox_{mu h}(c(x)), z = (c(x) - y) / mu with mu = ``mu(i_K)``,
-    with a numerical subgradient (for an indicator: normal-cone)
-    membership check.  The residual is grad F_mu(x), the diagnostics'
-    evaluation.
+    The witness pair is y = prox_{mu h}(c(x)), z = (c(x) - y) / mu with
+    mu = ``mu(i_K)``, with a numerical subgradient (for an indicator:
+    normal-cone) membership check whose samples come from ``state.rng``.
+    The residual is grad F_mu(x), the diagnostics' evaluation.
 
     Raises:
         InsufficientDataError: the run kept no iterate.
-        NumericalFailureError: the draw selects another iterate than the
-            kept one (the stream was not advanced by exactly one draw per
-            step); it names both.
         ParameterError: c(x) is not finite.
     """
-    if not state.snapshots:
-        raise InsufficientDataError("no snapshots stored; call run() first")
-    k_kept, X = state.snapshots[0]
-    i_K = int(state.candidates[pick(state.candidates, state.rng)])
-    if i_K != k_kept:
-        raise NumericalFailureError(f"the certificate drew iterate {i_K}, but the run kept iterate {k_kept}", i_K)
+    if state.kept is None:
+        raise InsufficientDataError("no iterate kept for the certificate; call run() first")
+    i_K, X = state.kept
     c, env, resid = smoothed_grad(problem, X, mu(i_K), problem.full_egrad(X))
     y, z = env.prox_point, env.grad
     ok = problem.h.in_subdifferential(y, z, tol=1e-8, rng=state.rng)

@@ -7,9 +7,11 @@ import, so no child imports numpy again.  Processes do not share a GIL,
 which is why a thread pool lost to running the seeds one after another.
 Each process runs at T // W of the T OpenBLAS threads in effect (at least
 one): OpenBLAS workers spin after each threaded call, so uncapped
-processes oversubscribe the CPUs.  Where ``os.fork`` or numpy's bundled
-OpenBLAS is missing, W = 1 and the seeds run one after another in the
-calling process.  ``run_one`` returns every seed's failure, so the pool only
+processes oversubscribe the CPUs.  Where a fork fails, the calling
+process takes that child's share and its cap is raised to T // (1 +
+children started).  Where ``os.fork`` or numpy's bundled OpenBLAS is
+missing, W = 1 and the seeds run one after another in the calling
+process.  ``run_one`` returns every seed's failure, so the pool only
 carries outcomes and reports a process that died before its share was done.
 Only ``run`` with several seeds imports this module.
 """
@@ -123,6 +125,10 @@ def seed_results(run_one, seeds: list[int]):
                 _child(run_one, seeds, share, write, parent)
             os.close(write)
             children.append((pid, read, share))
+        # a failed fork's share runs here, and so do its threads; the count is set only then, since
+        # setting it after a fork restarts OpenBLAS's thread pool beside the children
+        if len(children) < len(shares):
+            set_threads(max(1, threads // (1 + len(children))))
         for i in own:
             results[i] = run_one(seeds[i])
     except BaseException:  # an interrupt or a failed os.pipe: the command stops now, and no child outlives it

@@ -15,11 +15,11 @@ Iterations count from k = 0; the k = 0 smoothing level is clamped to 1
 so the penalty stays finite.
 
 The certificate's iterate is drawn from the back half and x_K with
-probability proportional to tau_k (:meth:`IndicatorConfig.pick`).  This
-module holds these schedules and that rule, the one table of the solver
-numbers' bounds (:data:`BOUNDS`) and the parameter assembly; the state,
-iteration, loop, tracing, kept iterate and certificate witness are
-:mod:`.driver`'s.
+probability proportional to tau_k (:meth:`IndicatorConfig.pick`), from
+the run's own certificate stream.  This module holds these schedules and
+that rule, the one table of the solver numbers' bounds (:data:`BOUNDS`)
+and the parameter assembly; the state, iteration, loop, tracing, the
+certificate's draw and kept iterate and its witness are :mod:`.driver`'s.
 """
 
 from __future__ import annotations
@@ -246,12 +246,12 @@ def feasibility_decay_series(trace: list[TraceRecord], config: IndicatorConfig) 
 
 
 def certificate(state: driver.SolverState, problem: StochasticProblem, config: IndicatorConfig) -> Certificate:
-    """Witness at an index sampled with probability proportional to tau_k.
+    """Witness at the kept iterate, whose index the run drew with probability proportional to tau_k.
 
     The witness pair is y = P_C(c(x)), z = (c(x) - y) / mu_k at the
     selected iterate, with a sampled normal-cone membership check.
     """
-    return driver.certificate(state, problem, config.pick, config.mu)
+    return driver.certificate(state, problem, config.mu)
 
 
 def error_bound_probe(problem: StochasticProblem, samples: int, seed: int) -> tuple[float, float]:

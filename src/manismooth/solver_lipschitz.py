@@ -17,10 +17,11 @@ zero and the iterate is declared stationary for the current smoothing
 level: the step is skipped with tau = 0.
 
 The certificate's iterate is drawn uniformly from the back half
-(:func:`pick`).  This module holds only these schedules and that rule;
-the state (with the energy sum_{i<=k} ||G_i||^2), the iteration, the
-loop, tracing, the kept iterate and the certificate witness are the
-shared ones of :mod:`.driver`.
+(:func:`pick`), from the run's own certificate stream.  This module
+holds only these schedules and that rule; the state (with the energy
+sum_{i<=k} ||G_i||^2), the iteration, the loop, tracing, the
+certificate's draw and kept iterate and its witness are the shared ones
+of :mod:`.driver`.
 """
 
 from __future__ import annotations
@@ -88,9 +89,9 @@ def run(
 
 
 def certificate(state: driver.SolverState, problem: StochasticProblem) -> Certificate:
-    """Stationarity witness at an index drawn uniformly from the back-half candidates.
+    """Stationarity witness at the kept iterate, whose index the run drew uniformly from the back half.
 
     The witness pair is y = prox_{mu h}(c(x)), z = (c(x) - y) / mu at the
     selected iterate, with a numerical subgradient membership check.
     """
-    return driver.certificate(state, problem, pick, smoothing_level)
+    return driver.certificate(state, problem, smoothing_level)

@@ -394,6 +394,15 @@ def test_run_one_seed_that_raises_exits_1_with_its_traceback(tmp_path, monkeypat
     assert err.startswith("Traceback") and err.rstrip().endswith("RuntimeError: a bug in the run")
 
 
+def test_run_empty_seed_list_exits_2(tmp_path, monkeypatch, capsys):
+    # an empty --seeds is a malformed list like ",", not an absent option
+    monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "out"))
+    assert main(["run", "--config", str(write_config(tmp_path, pca_config("ignored"))), "--seeds", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("--seeds: expected comma-separated integers") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_repeated_seed_names_seeds(tmp_path, monkeypatch, capsys):
     # two runs of one seed would write one seed_<s>/, the second over the first
     monkeypatch.setenv("MANISMOOTH_OUT", str(tmp_path / "out"))
@@ -656,6 +665,40 @@ def test_seed_pool_processes_share_the_blas_threads(monkeypatch):
     results = list(seedpool.seed_results(lambda s: (0, f"{s}: {get_threads()}"), [1, 2, 3]))
     assert results == [(0, f"{s}: {max(1, threads // 2)}") for s in (1, 2, 3)]
     assert get_threads() == threads
+
+
+@FORKS
+def test_a_seed_pool_without_children_runs_at_every_blas_thread(monkeypatch):
+    # W = 2 caps this process at T // 2 before it forks; with every fork failing it runs all
+    # three seeds alone, so it goes back to T threads for them, and T is restored afterwards
+    get_threads, set_threads = seedpool.blas_threads()
+    threads = get_threads()
+
+    def fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    usable_cpus(monkeypatch, 2)
+    set_threads(2)  # T // 2 = 1 must differ from T
+    try:
+        results = list(seedpool.seed_results(lambda s: (0, f"{s}: {get_threads()}"), [1, 2, 3]))
+        assert results == [(0, f"{s}: 2") for s in (1, 2, 3)]
+        assert get_threads() == 2
+    finally:
+        set_threads(threads)
+
+
+@FORKS
+def test_a_seed_pool_whose_forks_start_sets_the_threads_only_to_cap_and_restore(monkeypatch):
+    # setting the count after a fork restarts OpenBLAS's thread pool beside the children, which
+    # slowed two-seed runs; with every child started the cap set before the forks holds
+    get_threads, set_threads = seedpool.blas_threads()
+    threads = get_threads()
+    calls = []
+    monkeypatch.setattr(seedpool, "blas_threads", lambda: (get_threads, lambda n: calls.append(n) or set_threads(n)))
+    usable_cpus(monkeypatch, 2)
+    assert [code for code, _ in seedpool.seed_results(lambda s: (0, ""), [1, 2, 3])] == [0, 0, 0]
+    assert calls == [max(1, threads // 2), threads]
 
 
 def test_run_seed_pool_without_the_blas_hook_runs_serially(tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
-import copy
 import dataclasses
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,7 +9,7 @@ import manismooth as ms
 from manismooth import driver
 from manismooth import solver_indicator as si
 from manismooth import solver_lipschitz as sl
-from manismooth.errors import InsufficientDataError, NumericalFailureError
+from manismooth.errors import InsufficientDataError
 from manismooth.smoothing import smoothed_grad
 
 
@@ -114,41 +114,12 @@ def _solver_case(solver):
     return p, (config,), config.pick, config.mu, lambda K: K // 2, True
 
 
-@pytest.mark.parametrize("N", [1, 7, 1000, 2**31 + 5, 2**33 + 5, 2**40])
-def test_a_block_draw_advances_the_stream_as_one_draw_at_a_time(N):
-    # the run reads the certificate's future draw off a copy advanced by K sample indices, drawn
-    # in blocks of AHEAD_BLOCK; that copy must end where the K one-sample draws of the steps end,
-    # and where one draw of all K indices ends
-    B = driver.AHEAD_BLOCK
-    for K in (1, 2, 999, 4001, B - 1, B, B + 1, 3 * B + 5):
-        one = np.random.default_rng(K)
-        block = copy.deepcopy(one)
-        ahead = driver.look_ahead(one, N, K)
-        for _ in range(K):
-            one.integers(N)
-        block.integers(N, size=K)
-        assert ahead.bit_generator.state == block.bit_generator.state == one.bit_generator.state
-        assert ahead.integers(N) == block.integers(N) == one.integers(N)
-
-
-def test_the_look_ahead_holds_one_block_whatever_k():
-    # one draw of K = 10**6 indices would hold 8 MB; a block holds 8 * AHEAD_BLOCK bytes
-    rng = np.random.default_rng(0)
-    driver.look_ahead(rng, 7, 10)  # first-call allocations out of the measurement
-    tracemalloc.start()
-    try:
-        driver.look_ahead(rng, 7, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 8 * driver.AHEAD_BLOCK
-
-
 @pytest.mark.parametrize("solver", [sl, si], ids=["lipschitz", "indicator"])
 @pytest.mark.parametrize("K", [60, 2 * driver.SNAPSHOT_TARGET + 1], ids=["stride1", "stride2"])
 def test_the_kept_iterate_gives_the_certificate_of_keeping_every_candidate(solver, K):
     # the rule this replaces: keep every back-half iterate at the stride (and, for the
-    # indicator, x_K), draw the pick after the run, and give the witness at the drawn one
+    # indicator, x_K), draw the pick from the seed's spawned stream after the run, and give
+    # the witness at the drawn one
     p, args, pick, mu, snap_lo, with_last = _solver_case(solver)
     state, _ = solver.run(p, None, *args, seed=4, K=K, trace_every=K)
     cert = solver.certificate(state, p, *args)
@@ -164,12 +135,13 @@ def test_the_kept_iterate_gives_the_certificate_of_keeping_every_candidate(solve
     if with_last:
         snaps.append((ref.k, ref.x))
     assert (stride == 1) == (K == 60)
-    i_K, X = snaps[pick(np.array([k for k, _ in snaps], dtype=float), ref.rng)]
+    draw = np.random.default_rng(4).spawn(1)[0]
+    i_K, X = snaps[pick(np.array([k for k, _ in snaps], dtype=float), draw)]
     c, env, resid = smoothed_grad(p, X, mu(i_K), p.full_egrad(X))
     ok = p.h.in_subdifferential(env.prox_point, env.grad, tol=1e-8, rng=ref.rng)
 
-    assert len(state.snapshots) == 1 and np.array_equal(state.x, ref.x)
-    assert state.candidates.tolist() == [k for k, _ in snaps]
+    assert np.array_equal(state.x, ref.x)
+    assert state.kept[0] == i_K and np.array_equal(state.kept[1], X)
     assert cert.i_K == i_K and np.array_equal(cert.x.data, X)
     assert np.array_equal(cert.y, env.prox_point) and np.array_equal(cert.z, env.grad)
     assert cert.grad_residual == float(np.linalg.norm(resid))
@@ -184,14 +156,14 @@ def test_a_run_without_candidates_keeps_nothing_and_draws_no_pick():
     p = ms.make_sparse_pca(10, 2, 8, 0.15, seed=5)
     state, _ = driver.run(p, None, 1, 20, init=lambda x, rng: sl.init(p, x, rng), step=lambda s: sl.step(s, p),
                           pick=sl.pick, snap_lo=50, trace_every=20, diagnostics=False)
-    assert state.k == 21 and state.candidates.size == 0 and not state.snapshots
+    assert state.k == 21 and state.kept is None
     with pytest.raises(InsufficientDataError):
         sl.certificate(state, p)
 
 
-def test_the_certificate_refuses_an_iterate_the_run_did_not_keep():
-    # a step that draws one value more than its sample moves the stream off the one the run
-    # foresaw; the certificate's draw then names another iterate, and no witness may be given
+def test_the_certificate_index_does_not_depend_on_the_step_stream():
+    # the index comes from its own spawned stream, so a step that draws one value more than
+    # its sample moves every sample after the first step but not the certificate's index
     p = ms.make_sparse_pca(10, 2, 8, 0.15, seed=5)
 
     def greedy_step(state):
@@ -199,13 +171,32 @@ def test_the_certificate_refuses_an_iterate_the_run_did_not_keep():
         state.rng.integers(p.num_samples)
         return record
 
-    state, _ = driver.run(p, None, 1, 200, init=lambda x, rng: sl.init(p, x, rng), step=greedy_step,
-                          pick=sl.pick, snap_lo=100, trace_every=200, diagnostics=False)
-    (kept, _), = state.snapshots
-    drawn = int(state.candidates[sl.pick(state.candidates, copy.deepcopy(state.rng))])
-    assert drawn != kept
-    with pytest.raises(NumericalFailureError, match=rf"drew iterate {drawn}\b.*kept iterate {kept}\b"):
-        sl.certificate(state, p)
+    certs = []
+    for step in (lambda state: sl.step(state, p), greedy_step):
+        state, _ = driver.run(p, None, 1, 200, init=lambda x, rng: sl.init(p, x, rng), step=step,
+                              pick=sl.pick, snap_lo=100, trace_every=200, diagnostics=False)
+        certs.append((state.x, sl.certificate(state, p)))
+    (x_plain, plain), (x_greedy, greedy) = certs
+    assert not np.array_equal(x_plain, x_greedy)
+    assert plain.i_K == greedy.i_K and 100 <= plain.i_K < 201
+
+
+def test_a_long_run_takes_its_first_step_at_once():
+    # drawing the certificate's index costs nothing that grows with K: no stream is
+    # advanced ahead of the steps, so K = 10**9 reaches its first step in well under a second
+    p = ms.make_sparse_pca(10, 2, 8, 0.15, seed=5)
+
+    class FirstStep(Exception):
+        pass
+
+    def step(state):
+        raise FirstStep
+
+    began = time.perf_counter()
+    with pytest.raises(FirstStep):
+        driver.run(p, None, 1, 10**9, init=lambda x, rng: sl.init(p, x, rng), step=step,
+                   pick=sl.pick, snap_lo=(10**9 + 1) // 2, trace_every=1000, diagnostics=False)
+    assert time.perf_counter() - began < 1.0
 
 
 def _peak_bytes(p, K):

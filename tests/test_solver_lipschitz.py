@@ -158,7 +158,7 @@ def test_trace_length_and_determinism(pca):
 def test_run_single_iteration(pca):
     state, trace = sl.run(pca, None, seed=31, K=1, trace_every=1)
     assert len(trace) == 1 and trace[0].k == 1
-    assert state.snapshots and state.snapshots[0][0] == 1
+    assert state.kept is not None and state.kept[0] == 1
 
 
 def test_certificate_membership_and_bound(pca):
