@@ -8,8 +8,9 @@ Library layout:
   their validating typed shells;
   the blocked sampling the constant estimators share; retraction
   constants),
-- ``smoothing``: proximal operators, Moreau envelopes, the smoothed
-  objective and its Riemannian gradient,
+- ``smoothing``: proximal operators, Moreau envelopes, the exact
+  subgradient (normal-cone) membership tests, the smoothed objective
+  and its Riemannian gradient,
 - ``problems``: stochastic problem container plus two seeded synthetic
   families and empirical constant estimation,
 - ``solver_lipschitz``: recursive-momentum solver with adaptive
@@ -21,10 +22,11 @@ Library layout:
   one-sample momentum recursion, optional truncation and the check of
   each new iterate and momentum), its first sample, the run loop
   (tracing, diagnostics, and the one iterate it keeps for the
-  certificate, whose index it draws before the first step from a stream
-  of its own spawned from the run's seed) and the certificate witness;
-  a solver hands in only its schedules, truncation radius and
-  certificate draw rule.  State and the kept iterate are plain ndarrays;
+  certificate, whose index it draws before the first step by the
+  solver's rule over every back-half index, from a stream of its own
+  spawned from the run's seed) and the certificate witness, which reads
+  no random stream; a solver hands in only its schedules, truncation
+  radius and certificate draw rule.  State and the kept iterate are plain ndarrays;
   typed values are built only to check each new iterate and momentum,
   and for x0, its first sample and the certificate's point,
 - ``harness``: run records (iterations, certificates, rate fits),

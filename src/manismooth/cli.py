@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import solver_indicator, solver_lipschitz
+from .driver import K_MAX
 from .errors import (
     ConfigError,
     InsufficientDataError,
@@ -175,9 +176,8 @@ def validate_config(cfg: dict) -> dict:
     _problem_maker(_require(cfg, "problem", dict, ""))
     if not 0 <= _require(cfg, "seed", int, "") < SEED_END:
         raise ConfigError("seed", "must be an integer in [0, 2**64)")
-    max_iters = _require(cfg, "max_iters", int, "")
-    if max_iters < 1:
-        raise ConfigError("max_iters", "must be >= 1")
+    if not 1 <= _require(cfg, "max_iters", int, "") <= K_MAX:
+        raise ConfigError("max_iters", "must be an integer in [1, 2**62]")
     if "trace_every" in cfg and _require(cfg, "trace_every", int, "") < 1:
         raise ConfigError("trace_every", "must be >= 1")
     if "diagnostics" in cfg:

@@ -11,9 +11,10 @@ any.  :func:`start` checks x0 and draws the first sample.  :func:`run` is
 the loop of exactly K steps: the step's own ``TraceRecord`` every
 ``trace_every``-th iteration plus the last and optional diagnostics on
 those rows at the record's mu.  Before the first step it draws the
-certificate's back-half index from a stream of its own, spawned from the
-run's seed, so the draw is independent of the samples; it keeps that one
-iterate only, and :func:`certificate` gives a stationarity witness there.
+certificate's index by the solver's rule from a stream of its own,
+spawned from the run's seed, so the draw is independent of the samples;
+it keeps that one iterate only, and :func:`certificate` gives a
+stationarity witness there with an exact membership test.
 State, the kept iterate and diagnostics are plain ndarrays; other typed
 values are built only for x0, its first sample and the certificate's
 point.
@@ -35,9 +36,8 @@ from .manifolds import ManifoldPoint, TangentVector, _norm, proj, random_point, 
 from .problems import StochasticProblem, sample_riemannian_grad
 from .smoothing import smoothed_grad
 
-# the certificate's candidate grid: back-half iterates at a stride that leaves about this many;
-# a run keeps one of them, so the number sets no memory
-SNAPSHOT_TARGET = 2000
+# the largest K: every certificate index (at most K + 1) is drawn exactly as a numpy int64
+K_MAX = 2**62
 TRUNC_SLACK = 1e-12  # relative rounding allowance of the truncated momentum's norm over the radius
 
 
@@ -46,7 +46,8 @@ class SolverState:
     """Mutable solver state: counter k, iterate and momentum (ndarrays), sampling stream, energy sum_i ||G_i||^2.
 
     After :func:`run`, ``kept`` is the certificate's (i_K, x_{i_K}), or
-    None when the run had no candidates.
+    None when the drawn index lies outside the run.  Only the steps read
+    ``rng``; the certificate's draw and witness do not.
     """
 
     k: int
@@ -139,9 +140,7 @@ def run(
     *,
     init: Callable[[ManifoldPoint, np.random.Generator], SolverState],
     step: Callable[[SolverState], TraceRecord],
-    pick: Callable[[np.ndarray, np.random.Generator], int],
-    snap_lo: int,
-    snap_last: bool = False,
+    pick: Callable[[np.random.Generator], int],
     trace_every: int,
     diagnostics: bool,
 ) -> tuple[SolverState, list[TraceRecord]]:
@@ -153,35 +152,30 @@ def run(
     ``full_value_egrad`` (f and its gradient from one pass over the data)
     and never feed back into the algorithm.
 
-    The certificate's candidates are the iterates from index ``snap_lo``
-    on, at a stride that leaves about SNAPSHOT_TARGET of them, plus the
-    final iterate when ``snap_last``.  Before the first step the index
-    ``pick(candidates, draw)`` is drawn from ``draw``, the one child
-    spawned from the run's generator: spawning advances no stream, and
-    the steps never read the child, so the index is independent of the
-    samples (Ghadimi & Lan's randomized output).  The run keeps that one
-    iterate as ``state.kept`` and no other; with no candidates it keeps
-    none and draws nothing.
+    Before the first step the certificate's index ``pick(draw)`` is drawn
+    by the solver's rule over its whole candidate range from ``draw``,
+    the one child spawned from the run's generator: spawning advances no
+    stream, and the steps never read the child, so the index is
+    independent of the samples (Ghadimi & Lan's randomized output).  The
+    run keeps the iterate at that index as ``state.kept`` and no other;
+    an index outside the run keeps none.
 
     Raises:
+        ParameterError: K is outside [1, K_MAX] or trace_every is below 1.
         NumericalFailureError: a step produced a non-finite direction, a
             degenerate retraction target or a value that fails its
             point/tangent check, or a diagnostics row met a non-finite
             c(x); it names the iteration.
     """
-    if K < 1:
-        raise ParameterError("K must be >= 1")
+    if not 1 <= K <= K_MAX:
+        raise ParameterError("K must be in [1, 2**62]")
     if trace_every < 1:
         raise ParameterError("trace_every must be >= 1")
     rng = np.random.default_rng(seed)
     (draw,) = rng.spawn(1)
     state = init(random_point(problem.manifold, rng) if x0 is None else x0, rng)
     kind = problem.manifold.kind
-    end = state.k + K  # the final iterate's index
-    ks = np.arange(snap_lo, end, max(1, K // SNAPSHOT_TARGET), dtype=float)
-    ks = ks[ks >= state.k]
-    candidates = np.append(ks, float(end)) if snap_last else ks
-    keep = int(candidates[pick(candidates, draw)]) if candidates.size else None
+    keep = pick(draw)
     trace: list[TraceRecord] = []
     for i in range(K):
         k, X, delta = state.k, state.x, state.delta  # a step rebinds, never mutates, x and delta
@@ -208,9 +202,9 @@ def certificate(state: SolverState, problem: StochasticProblem, mu: Callable[[in
     """Stationarity witness at the iterate (i_K, x) that :func:`run` kept.
 
     The witness pair is y = prox_{mu h}(c(x)), z = (c(x) - y) / mu with
-    mu = ``mu(i_K)``, with a numerical subgradient (for an indicator:
-    normal-cone) membership check whose samples come from ``state.rng``.
-    The residual is grad F_mu(x), the diagnostics' evaluation.
+    mu = ``mu(i_K)``, with the term's exact subgradient (for an indicator:
+    normal-cone) membership test, which reads no random stream.  The
+    residual is grad F_mu(x), the diagnostics' evaluation.
 
     Raises:
         InsufficientDataError: the run kept no iterate.
@@ -221,7 +215,7 @@ def certificate(state: SolverState, problem: StochasticProblem, mu: Callable[[in
     i_K, X = state.kept
     c, env, resid = smoothed_grad(problem, X, mu(i_K), problem.full_egrad(X))
     y, z = env.prox_point, env.grad
-    ok = problem.h.in_subdifferential(y, z, tol=1e-8, rng=state.rng)
+    ok = problem.h.in_subdifferential(y, z, tol=1e-8)
     feas, resid = float(np.linalg.norm(c - y)), float(np.linalg.norm(resid))
     x = ManifoldPoint(problem.manifold, X)
     return Certificate(i_K=i_K, x=x, y=y, z=z, grad_residual=resid, feas_residual=feas, membership_ok=ok)

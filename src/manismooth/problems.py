@@ -132,8 +132,7 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
     """
     if not (N >= 1 and n >= p >= 1):
         raise ParameterError("need N >= 1 and n >= p >= 1")
-    if lam < 0:
-        raise ParameterError("lam must be nonnegative")
+    h = ScaledL1(lam, n * p)  # checks lam before the data are drawn
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((N, n))
     cov = A.T @ A / N
@@ -164,7 +163,7 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
         c_eval=c_eval,
         c_jac_t=c_jac_t,
         m=n * p,
-        h=ScaledL1(lam, n * p),
+        h=h,
         name="sparse_pca",
     )
 
@@ -190,12 +189,16 @@ def make_constrained_sphere(
         raise ParameterError("need N >= 1, n >= 2, m >= 1")
     if not isinstance(set_term, IndicatorTerm):
         raise ParameterError("set_term must be an indicator variant")
+    if not np.isfinite(quad_weight):
+        raise ParameterError("quad_weight must be finite", field="quad_weight")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((N, n))
     b = rng.standard_normal(N)
     B = rng.standard_normal((m, n)) / np.sqrt(n) if linear_map is None else np.asarray(linear_map, dtype=float)
     if B.shape != (m, n):
         raise ShapeMismatchError(f"linear_map must have shape ({m}, {n})")
+    if not np.all(np.isfinite(B)):
+        raise ParameterError("linear_map must be finite", field="linear_map")
     W = quad_weight * rng.standard_normal((m, n)) / np.sqrt(n)
 
     b_col = b[:, None]

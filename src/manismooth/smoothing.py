@@ -16,6 +16,7 @@ form directly to avoid cancellation at small mu.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +35,21 @@ def _rows(values):
     return values.item() if values.ndim == 0 else values
 
 
+def _finite(field: str, value) -> np.ndarray:
+    """``value`` as a flat float array; ParameterError naming ``field`` unless every entry is finite."""
+    value = np.asarray(value, dtype=float).ravel()
+    if not np.isfinite(value).all():
+        raise ParameterError(f"{field} must be finite", field=field)
+    return value
+
+
 class NonsmoothTerm:
     """Base class: a convex h with exact prox.
 
-    Subclasses implement ``value``, ``prox`` and ``in_subdifferential``;
-    the indicator of a set is an :class:`IndicatorTerm`, which also
-    exposes the set projection/sampling the indicator solver uses.
+    Subclasses implement ``value``, ``prox`` and ``in_subdifferential``,
+    an exact membership test that reads no random stream; the indicator
+    of a set is an :class:`IndicatorTerm`, which also exposes the set
+    projection the indicator solver uses.
     ``value`` and ``prox`` also accept a stack ``(..., m)`` of vectors and
     act on each row, each result equal to the call on that row alone, bit
     for bit; one vector's ``value`` is a Python float.
@@ -56,8 +66,8 @@ class NonsmoothTerm:
     def prox(self, mu: float, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def in_subdifferential(self, y, z, tol: float = 1e-8, rng=None) -> bool:
-        """Numerical membership test z in dh(y)."""
+    def in_subdifferential(self, y, z, tol: float = 1e-8) -> bool:
+        """Whether z lies in dh(y), to ``tol``."""
         raise NotImplementedError
 
 
@@ -69,8 +79,8 @@ class ScaledL1(NonsmoothTerm):
     dim: int
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ParameterError("lam must be nonnegative")
+        if not 0 <= self.lam < math.inf:  # NaN fails every comparison
+            raise ParameterError("lam must be finite and nonnegative", field="lam")
         if self.dim < 1:
             raise ParameterError("dim must be >= 1")
 
@@ -86,7 +96,7 @@ class ScaledL1(NonsmoothTerm):
         t = mu * self.lam
         return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
 
-    def in_subdifferential(self, y, z, tol=1e-8, rng=None):
+    def in_subdifferential(self, y, z, tol=1e-8):
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
         if np.any(np.abs(z) > self.lam + tol):
@@ -102,8 +112,8 @@ class ScaledL2(NonsmoothTerm):
     lam: float
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ParameterError("lam must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ParameterError("lam must be finite and nonnegative", field="lam")
 
     @property
     def lipschitz_const(self) -> float:
@@ -119,7 +129,7 @@ class ScaledL2(NonsmoothTerm):
         shrunk = nrm > t  # a row no longer than t, a zero row among them, maps to 0 and is never divided by
         return np.where(shrunk[..., None], (1.0 - t / np.where(shrunk, nrm, 1.0))[..., None] * y, 0.0)
 
-    def in_subdifferential(self, y, z, tol=1e-8, rng=None):
+    def in_subdifferential(self, y, z, tol=1e-8):
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
         if np.linalg.norm(y) > tol:
@@ -143,9 +153,6 @@ class IndicatorTerm(NonsmoothTerm):
         y = np.asarray(y, dtype=float)
         return _rows(_norm(y - self.project(y)) <= tol * (1.0 + _norm(y)))
 
-    def sample_member(self, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
     def value(self, y):
         return _rows(np.where(self.contains(y), 0.0, np.inf))
 
@@ -162,19 +169,14 @@ class IndicatorTerm(NonsmoothTerm):
         """dist(y, C): a float for one vector, an array for a stack."""
         return self.residual(y)[1]
 
-    def in_subdifferential(self, y, z, tol=1e-8, rng=None):
-        # dh(y) is the normal cone N_C(y): require <z, w - y> <= tol for
-        # 100 sampled members w of C.
+    def in_subdifferential(self, y, z, tol=1e-8):
+        """Whether z lies in the normal cone N_C(y): y in C and P_C(y + z) = y (the projection theorem).
+
+        Both hold to ``tol`` relative to 1 + ||y||, the measure of :meth:`contains`.
+        """
         y = np.asarray(y, dtype=float)
         z = np.asarray(z, dtype=float)
-        if not self.contains(y, tol=tol):
-            return False
-        rng = np.random.default_rng(0) if rng is None else rng
-        for _ in range(100):
-            w = self.sample_member(rng)
-            if float(np.dot(z, w - y)) > tol:
-                return False
-        return True
+        return bool(self.contains(y, tol=tol) and _norm(self.project(y + z) - y) <= tol * (1.0 + _norm(y)))
 
 
 @dataclass(frozen=True)
@@ -185,9 +187,9 @@ class IndicatorBall(IndicatorTerm):
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float).ravel())
-        if self.radius <= 0:
-            raise ParameterError("radius must be positive")
+        object.__setattr__(self, "center", _finite("center", self.center))
+        if not 0 < self.radius < math.inf:
+            raise ParameterError("radius must be finite and positive", field="radius")
 
     def project(self, y):
         y = np.asarray(y, dtype=float)
@@ -202,13 +204,6 @@ class IndicatorBall(IndicatorTerm):
         moved = self.center + (self.radius / nrm)[..., None] * d
         return np.where(inside[..., None], y, moved) if n_inside else moved
 
-    def sample_member(self, rng):
-        m = self.center.size
-        direction = rng.standard_normal(m)
-        direction /= np.linalg.norm(direction)
-        r = self.radius * rng.uniform() ** (1.0 / m)
-        return self.center + r * direction
-
 
 @dataclass(frozen=True)
 class IndicatorBox(IndicatorTerm):
@@ -218,8 +213,8 @@ class IndicatorBox(IndicatorTerm):
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float).ravel()
-        hi = np.asarray(self.upper, dtype=float).ravel()
+        lo = _finite("lower", self.lower)
+        hi = _finite("upper", self.upper)
         if lo.shape != hi.shape:
             raise ShapeMismatchError("box bounds have different shapes")
         if np.any(lo > hi):
@@ -230,9 +225,6 @@ class IndicatorBox(IndicatorTerm):
     def project(self, y):
         return np.clip(np.asarray(y, dtype=float), self.lower, self.upper)
 
-    def sample_member(self, rng):
-        return rng.uniform(self.lower, self.upper)
-
 
 @dataclass(frozen=True)
 class IndicatorSingleton(IndicatorTerm):
@@ -241,13 +233,10 @@ class IndicatorSingleton(IndicatorTerm):
     target: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "target", np.asarray(self.target, dtype=float).ravel())
+        object.__setattr__(self, "target", _finite("target", self.target))
 
     def project(self, y):
         return np.broadcast_to(self.target, np.shape(y)).copy()
-
-    def sample_member(self, rng):
-        return self.target.copy()
 
 
 @dataclass(frozen=True)

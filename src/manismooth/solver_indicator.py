@@ -14,9 +14,10 @@ iteration is the shared :func:`.driver.step` at the schedules
 Iterations count from k = 0; the k = 0 smoothing level is clamped to 1
 so the penalty stays finite.
 
-The certificate's iterate is drawn from the back half and x_K with
-probability proportional to tau_k (:meth:`IndicatorConfig.pick`), from
-the run's own certificate stream.  This module holds these schedules and
+The certificate's iterate is drawn from k = floor(K/2) .. K, x_K
+included, with probability proportional to tau_k
+(:meth:`IndicatorConfig.pick`, exact rejection sampling), from the run's
+own certificate stream.  This module holds these schedules and
 that rule, the one table of the solver numbers' bounds (:data:`BOUNDS`)
 and the parameter assembly; the state, iteration, loop, tracing, the
 certificate's draw and kept iterate and its witness are :mod:`.driver`'s.
@@ -93,11 +94,19 @@ class IndicatorConfig:
         """Smoothing level mu_k = max(k, 1)^{-omega}."""
         return float(max(k, 1)) ** (-self.omega)
 
-    def pick(self, ks: np.ndarray, rng: np.random.Generator) -> int:
-        """Position in ks of the certificate's iterate, drawn with probability proportional to tau_k."""
-        weights = (ks + 1.0) ** (-self.omega)  # tau_k up to the factor c_tau, which may underflow them to 0
-        weights /= weights.sum()
-        return int(rng.choice(len(ks), p=weights))
+    def pick(self, K: int, rng: np.random.Generator) -> int:
+        """Index of the certificate's iterate, drawn from floor(K/2) .. K with probability proportional to tau_k.
+
+        A uniform proposal k is accepted with probability
+        ((floor(K/2) + 1) / (k + 1))^omega = tau_k / tau_{floor(K/2)} <= 1, so
+        an accepted k has probability proportional to (k + 1)^{-omega}, in
+        O(1) memory and at most 2^omega <= sqrt(2) proposals on average.
+        """
+        lo = K // 2
+        while True:
+            k = int(rng.integers(lo, K + 1))
+            if rng.random() < ((lo + 1) / (k + 1)) ** self.omega:
+                return k
 
     @property
     def k_tilde(self) -> int:
@@ -233,8 +242,7 @@ def run(
         problem, x0, seed, K,
         init=lambda x, rng: init(problem, x, config, rng),
         step=lambda state: step(state, problem, config),
-        pick=config.pick,
-        snap_lo=K // 2, snap_last=True,
+        pick=lambda draw: config.pick(K, draw),
         trace_every=trace_every, diagnostics=diagnostics,
     )
 
@@ -249,7 +257,7 @@ def certificate(state: driver.SolverState, problem: StochasticProblem, config: I
     """Witness at the kept iterate, whose index the run drew with probability proportional to tau_k.
 
     The witness pair is y = P_C(c(x)), z = (c(x) - y) / mu_k at the
-    selected iterate, with a sampled normal-cone membership check.
+    selected iterate, with the exact normal-cone membership test.
     """
     return driver.certificate(state, problem, config.mu)
 

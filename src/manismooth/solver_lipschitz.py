@@ -17,11 +17,11 @@ zero and the iterate is declared stationary for the current smoothing
 level: the step is skipped with tau = 0.
 
 The certificate's iterate is drawn uniformly from the back half
-(:func:`pick`), from the run's own certificate stream.  This module
-holds only these schedules and that rule; the state (with the energy
-sum_{i<=k} ||G_i||^2), the iteration, the loop, tracing, the
-certificate's draw and kept iterate and its witness are the shared ones
-of :mod:`.driver`.
+k = ceil(K/2) .. K (:func:`pick`), from the run's own certificate
+stream.  This module holds only these schedules and that rule; the
+state (with the energy sum_{i<=k} ||G_i||^2), the iteration, the loop,
+tracing, the certificate's draw and kept iterate and its witness are the
+shared ones of :mod:`.driver`.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ def momentum_weight(k: int) -> float:
     return float(k) ** (-2.0 / 3.0)
 
 
-def pick(ks: np.ndarray, rng: np.random.Generator) -> int:
-    """Position in ks of the certificate's iterate, drawn uniformly."""
-    return int(rng.integers(len(ks)))
+def pick(K: int, rng: np.random.Generator) -> int:
+    """Index of the certificate's iterate, drawn uniformly from ceil(K/2) .. K."""
+    return int(rng.integers((K + 1) // 2, K + 1))
 
 
 def init(problem: StochasticProblem, x0: ManifoldPoint, seed: int | np.random.Generator) -> driver.SolverState:
@@ -82,8 +82,7 @@ def run(
         problem, x0, seed, K,
         init=lambda x, rng: init(problem, x, rng),
         step=lambda state: step(state, problem),
-        pick=pick,
-        snap_lo=(K + 1) // 2,
+        pick=lambda draw: pick(K, draw),
         trace_every=trace_every, diagnostics=diagnostics,
     )
 
@@ -92,6 +91,6 @@ def certificate(state: driver.SolverState, problem: StochasticProblem) -> Certif
     """Stationarity witness at the kept iterate, whose index the run drew uniformly from the back half.
 
     The witness pair is y = prox_{mu h}(c(x)), z = (c(x) - y) / mu at the
-    selected iterate, with a numerical subgradient membership check.
+    selected iterate, with the exact subgradient membership test.
     """
     return driver.certificate(state, problem, smoothing_level)

@@ -220,6 +220,8 @@ def _set_field(cfg, path, value):
         ("solver.zeta", 1e-300),
         ("output_dir", ""),
         pytest.param("output_dir", str(Path(__file__) / "out"), id="output_dir-under-a-file"),
+        ("max_iters", 2**62 + 1),  # past 2**62 the certificate's index cannot be drawn as an exact int64
+        ("max_iters", 10**30),
     ],
 )
 def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
@@ -245,7 +247,7 @@ def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
         ("problem.N", 10**12, 2, "problem.N"),
         ("problem.set.radius", 1e6, 2, "solver.zeta: error bound probe: all sampled points are feasible; supply zeta"),
         ("solver.safety", None, 0, None),  # null means not supplied, as for the derived constants
-        # c_tau (k + 1)^-omega underflows to 0 at every snapshot; the certificate's weights must not
+        # c_tau (k + 1)^-omega underflows to 0 at every iteration; the certificate's draw must not
         ("solver", {"theta": 1, "zeta": 1e154, "c_tau": 5e-324, "c_a": 0.5, "trunc_radius": 1.0}, 0, None),
         ("algorithm", "lipschitz", 2, "problem.family"),
     ],

@@ -105,40 +105,36 @@ def test_both_solvers_keep_the_direction_energy_on_the_driver_state(solver):
 
 
 def _solver_case(solver):
-    """A small instance of one solver: (problem, extra run arguments, pick rule, mu, snap_lo(K), x_K a candidate)."""
+    """A small instance of one solver: (problem, extra run arguments, pick rule, mu, first candidate index(K))."""
     if solver is sl:
         p = ms.make_sparse_pca(10, 2, 8, 0.15, seed=5)
-        return p, (), sl.pick, sl.smoothing_level, lambda K: (K + 1) // 2, False
+        return p, (), sl.pick, sl.smoothing_level, lambda K: (K + 1) // 2
     p = ms.make_constrained_sphere(10, 4, 12, ms.IndicatorBall(np.full(4, 0.35), 0.7), seed=3)
     config = si.IndicatorConfig(theta=1.0, zeta=1.0, c_tau=0.01, c_a=0.5, trunc_radius=10.0)
-    return p, (config,), config.pick, config.mu, lambda K: K // 2, True
+    return p, (config,), config.pick, config.mu, lambda K: K // 2
 
 
 @pytest.mark.parametrize("solver", [sl, si], ids=["lipschitz", "indicator"])
-@pytest.mark.parametrize("K", [60, 2 * driver.SNAPSHOT_TARGET + 1], ids=["stride1", "stride2"])
-def test_the_kept_iterate_gives_the_certificate_of_keeping_every_candidate(solver, K):
-    # the rule this replaces: keep every back-half iterate at the stride (and, for the
-    # indicator, x_K), draw the pick from the seed's spawned stream after the run, and give
-    # the witness at the drawn one
-    p, args, pick, mu, snap_lo, with_last = _solver_case(solver)
+def test_the_kept_iterate_gives_the_certificate_of_keeping_every_candidate(solver):
+    # the reference keeps every back-half iterate (x_K included), draws the pick from the
+    # seed's spawned stream after the run, and gives the witness at the drawn one
+    K = 60
+    p, args, pick, mu, lo = _solver_case(solver)
     state, _ = solver.run(p, None, *args, seed=4, K=K, trace_every=K)
     cert = solver.certificate(state, p, *args)
 
     rng = np.random.default_rng(4)
     ref = solver.init(p, ms.random_point(p.manifold, rng), *args, rng)
-    lo, stride = snap_lo(K), max(1, K // driver.SNAPSHOT_TARGET)
-    snaps = []
+    snaps = {}
     for _ in range(K):
-        if ref.k >= lo and (ref.k - lo) % stride == 0:
-            snaps.append((ref.k, ref.x))
+        snaps[ref.k] = ref.x
         solver.step(ref, p, *args)
-    if with_last:
-        snaps.append((ref.k, ref.x))
-    assert (stride == 1) == (K == 60)
-    draw = np.random.default_rng(4).spawn(1)[0]
-    i_K, X = snaps[pick(np.array([k for k, _ in snaps], dtype=float), draw)]
+    snaps[ref.k] = ref.x
+    snaps = {k: X for k, X in snaps.items() if lo(K) <= k <= K}
+    i_K = pick(K, np.random.default_rng(4).spawn(1)[0])
+    X = snaps[i_K]
     c, env, resid = smoothed_grad(p, X, mu(i_K), p.full_egrad(X))
-    ok = p.h.in_subdifferential(env.prox_point, env.grad, tol=1e-8, rng=ref.rng)
+    ok = p.h.in_subdifferential(env.prox_point, env.grad, tol=1e-8)
 
     assert np.array_equal(state.x, ref.x)
     assert state.kept[0] == i_K and np.array_equal(state.kept[1], X)
@@ -150,12 +146,43 @@ def test_the_kept_iterate_gives_the_certificate_of_keeping_every_candidate(solve
     assert state.rng.bit_generator.state == ref.rng.bit_generator.state
 
 
-def test_a_run_without_candidates_keeps_nothing_and_draws_no_pick():
-    # snap_lo past the last iterate: no candidate, so no pick is drawn (integers(0) would raise)
-    # and the certificate reports the missing iterate
+@pytest.mark.parametrize("solver", [sl, si], ids=["lipschitz", "indicator"])
+def test_the_certificate_reads_nothing_from_the_run_stream(solver):
+    # the membership test is exact, so the certificate leaves the sampling stream as the run left it
+    p, args, *_ = _solver_case(solver)
+    state, _ = solver.run(p, None, *args, seed=4, K=60, trace_every=60)
+    before = state.rng.bit_generator.state
+    assert solver.certificate(state, p, *args).membership_ok
+    assert state.rng.bit_generator.state == before
+
+
+def test_the_lipschitz_pick_reaches_every_back_half_index():
+    # every back-half iterate is a candidate: K = 4001 draws odd offsets from 2001 too
+    rng = np.random.default_rng(7)
+    picks = [sl.pick(4001, rng) for _ in range(200)]
+    assert all(2001 <= k <= 4001 for k in picks)
+    assert any((k - 2001) % 2 for k in picks) and any((k - 2001) % 2 == 0 for k in picks)
+
+
+def test_the_indicator_pick_is_proportional_to_the_stepsize():
+    # rejection sampling gives P(k) proportional to tau_k ~ (k + 1)^-omega on K // 2 .. K;
+    # the chi-square statistic over the 11 indices stays below its 0.999 quantile (10 dof)
+    config = si.IndicatorConfig(theta=1.0, zeta=1.0, c_tau=0.01, c_a=0.5, trunc_radius=10.0)
+    K, draws = 20, 20000
+    rng = np.random.default_rng(11)
+    ks = np.arange(K // 2, K + 1)
+    counts = np.bincount([config.pick(K, rng) - K // 2 for _ in range(draws)], minlength=ks.size)
+    weights = (ks + 1.0) ** -config.omega
+    expected = draws * weights / weights.sum()
+    assert counts.size == ks.size
+    assert float(np.sum((counts - expected) ** 2 / expected)) < 29.59
+
+
+def test_a_pick_outside_the_run_keeps_nothing():
+    # an index the run never reaches keeps no iterate, and the certificate reports the missing one
     p = ms.make_sparse_pca(10, 2, 8, 0.15, seed=5)
     state, _ = driver.run(p, None, 1, 20, init=lambda x, rng: sl.init(p, x, rng), step=lambda s: sl.step(s, p),
-                          pick=sl.pick, snap_lo=50, trace_every=20, diagnostics=False)
+                          pick=lambda draw: 50, trace_every=20, diagnostics=False)
     assert state.k == 21 and state.kept is None
     with pytest.raises(InsufficientDataError):
         sl.certificate(state, p)
@@ -174,29 +201,30 @@ def test_the_certificate_index_does_not_depend_on_the_step_stream():
     certs = []
     for step in (lambda state: sl.step(state, p), greedy_step):
         state, _ = driver.run(p, None, 1, 200, init=lambda x, rng: sl.init(p, x, rng), step=step,
-                              pick=sl.pick, snap_lo=100, trace_every=200, diagnostics=False)
+                              pick=lambda draw: sl.pick(200, draw), trace_every=200, diagnostics=False)
         certs.append((state.x, sl.certificate(state, p)))
     (x_plain, plain), (x_greedy, greedy) = certs
     assert not np.array_equal(x_plain, x_greedy)
-    assert plain.i_K == greedy.i_K and 100 <= plain.i_K < 201
+    assert plain.i_K == greedy.i_K and 100 <= plain.i_K <= 200
 
 
-def test_a_long_run_takes_its_first_step_at_once():
-    # drawing the certificate's index costs nothing that grows with K: no stream is
-    # advanced ahead of the steps, so K = 10**9 reaches its first step in well under a second
-    p = ms.make_sparse_pca(10, 2, 8, 0.15, seed=5)
+def test_a_long_run_takes_its_first_step_at_once(monkeypatch):
+    # drawing the certificate's index costs nothing that grows with K: at K = K_MAX = 2**62
+    # it is one exact int64 draw (a few for the indicator), so each solver's first step comes at once
 
     class FirstStep(Exception):
         pass
 
-    def step(state):
+    def step(state, *_):
         raise FirstStep
 
-    began = time.perf_counter()
-    with pytest.raises(FirstStep):
-        driver.run(p, None, 1, 10**9, init=lambda x, rng: sl.init(p, x, rng), step=step,
-                   pick=sl.pick, snap_lo=(10**9 + 1) // 2, trace_every=1000, diagnostics=False)
-    assert time.perf_counter() - began < 1.0
+    for solver in (sl, si):
+        p, args, *_ = _solver_case(solver)
+        monkeypatch.setattr(solver, "step", step)
+        began = time.perf_counter()
+        with pytest.raises(FirstStep):
+            solver.run(p, None, *args, seed=1, K=driver.K_MAX, trace_every=1000)
+        assert time.perf_counter() - began < 1.0
 
 
 def _peak_bytes(p, K):

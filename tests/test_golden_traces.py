@@ -10,6 +10,9 @@ refactor of the solver code must reproduce them to 1e-10 relative.
 Regenerate only for an intended change of behaviour:
 
     PYTHONPATH=src python tests/test_golden_traces.py
+
+A rerun keeps every recorded value that still agrees within REL_TOL, so
+it rewrites only what moved.
 """
 
 import dataclasses
@@ -68,6 +71,17 @@ def _assert_close(got, want, where):
         assert got == want, f"{where}: {got!r} != {want!r}"
 
 
+def _keep_agreeing(got, want):
+    """got, with each value that agrees with the recorded want within REL_TOL kept as recorded."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        return {key: _keep_agreeing(value, want.get(key)) for key, value in got.items()}
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        return [_keep_agreeing(g, w) for g, w in zip(got, want)]
+    if isinstance(got, float) and isinstance(want, float) and math.isclose(got, want, rel_tol=REL_TOL, abs_tol=0.0):
+        return want
+    return got
+
+
 def test_lipschitz_golden_trace():
     _assert_close(lipschitz_run(), json.loads(GOLDEN.read_text())["lipschitz"], "lipschitz")
 
@@ -77,4 +91,6 @@ def test_indicator_golden_trace():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({"lipschitz": lipschitz_run(), "indicator": indicator_run()}, indent=1) + "\n")
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    runs = {"lipschitz": lipschitz_run(), "indicator": indicator_run()}
+    GOLDEN.write_text(json.dumps(_keep_agreeing(runs, recorded), indent=1) + "\n")

@@ -93,6 +93,32 @@ def test_constrained_sphere_requires_indicator():
         ms.make_constrained_sphere(5, 2, 3, ms.ScaledL1(0.1, 2), seed=0)
 
 
+NAN = float("nan")
+BALL = ms.IndicatorBall(np.zeros(2), 1.0)
+
+
+@pytest.mark.parametrize("field, build", [
+    ("lam", lambda: ms.ScaledL1(NAN, 2)),
+    ("lam", lambda: ms.ScaledL1(np.inf, 2)),
+    ("lam", lambda: ms.ScaledL2(NAN)),
+    ("radius", lambda: ms.IndicatorBall(np.zeros(2), NAN)),
+    ("radius", lambda: ms.IndicatorBall(np.zeros(2), np.inf)),
+    ("center", lambda: ms.IndicatorBall([0.0, NAN], 1.0)),
+    ("lower", lambda: ms.IndicatorBox([NAN, 0.0], [1.0, 1.0])),
+    ("lower", lambda: ms.IndicatorBox([-np.inf, 0.0], [1.0, 1.0])),
+    ("upper", lambda: ms.IndicatorBox([0.0, 0.0], [1.0, NAN])),
+    ("target", lambda: ms.IndicatorSingleton([NAN, 0.0])),
+    ("lam", lambda: ms.make_sparse_pca(5, 2, 4, NAN, seed=0)),
+    ("quad_weight", lambda: ms.make_constrained_sphere(3, 2, 4, BALL, seed=0, quad_weight=NAN)),
+    ("linear_map", lambda: ms.make_constrained_sphere(3, 2, 4, BALL, seed=0, linear_map=np.full((2, 3), NAN))),
+])
+def test_non_finite_parameters_are_refused_naming_the_field(field, build):
+    # a NaN lam once surfaced only as a non-finite search direction at iteration 1
+    with pytest.raises(ParameterError, match=f"{field} must be finite") as info:
+        build()
+    assert info.value.field == field
+
+
 def test_constrained_sphere_feasible_everywhere():
     # q = 0, B = I, ball radius >= 1: every sphere point maps inside the set
     p = ms.make_constrained_sphere(5, 5, 3, ms.IndicatorBall(np.zeros(5), 1.5), seed=2,

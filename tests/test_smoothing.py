@@ -98,11 +98,24 @@ def test_subgradient_membership_scaled_l2():
 
 
 def test_normal_cone_membership_ball():
-    rng = np.random.default_rng(3)
     ball = ms.IndicatorBall(np.zeros(3), 1.0)
     y = np.array([1.0, 0.0, 0.0])
-    assert ball.in_subdifferential(y, 2.5 * y, rng=rng)
-    assert not ball.in_subdifferential(y, np.array([-1.0, 0.0, 0.0]), rng=rng)
+    assert ball.in_subdifferential(y, 2.5 * y)
+    assert not ball.in_subdifferential(y, np.array([-1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("h, y, z, member", [
+    # inside the box in coordinate 0, so N_C(y) is 0 there; a sampled test missed z_0 = 1e-6,
+    # since the box's width 1.1e-3 in that coordinate keeps every <z, w - y> below 1e-8
+    (ms.IndicatorBox([0.4999, -1.0], [0.501, 1.0]), [0.5, 1.0], [1e-6, 3.0], False),
+    (ms.IndicatorBox([0.4999, -1.0], [0.501, 1.0]), [0.5, 1.0], [0.0, 3.0], True),
+    # a boundary point of the ball whose z has a tangential part
+    (ms.IndicatorBall(np.zeros(3), 1.0), [0.0, 1.0, 0.0], [1e-6, 2.5, 0.0], False),
+    (ms.IndicatorBall(np.zeros(3), 1.0), [2.0, 0.0, 0.0], [1.0, 0.0, 0.0], False),  # y outside C
+    (ms.IndicatorSingleton([0.3, -0.2]), [0.3, -0.2], [5.0, -7.0], True),  # N_C(y) is all of R^m
+])
+def test_normal_cone_membership_is_exact(h, y, z, member):
+    assert h.in_subdifferential(np.array(y), np.array(z)) is member
 
 
 def test_smoothed_objective_grad_reduces_to_smooth():
@@ -173,7 +186,7 @@ def test_value_of_a_stack_equals_per_row():
             rows[3] = 0.0
             rows[4] *= 1e-3
             if isinstance(h, IndicatorTerm):
-                rows[:3] = [h.sample_member(rng) for _ in range(3)]
+                rows[:3] = h.project(rows[:3])
                 assert type(h.contains(rows[0])) is bool and np.array_equal(h.contains(rows[:1]), [True])
             values, proxes = h.value(rows), h.prox(mu, rows)
             assert values.shape == (7,) and np.array_equal(h.value(rows[:1]), values[:1])

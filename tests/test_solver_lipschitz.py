@@ -137,6 +137,8 @@ def test_momentum_error_recursion_by_enumeration():
 def test_run_rejects_bad_arguments(pca):
     with pytest.raises(ParameterError):
         sl.run(pca, None, seed=0, K=0)
+    with pytest.raises(ParameterError, match=r"K must be in \[1, 2\*\*62\]"):  # past it no exact int64 draw
+        sl.run(pca, None, seed=0, K=2**62 + 1)
     with pytest.raises(ParameterError):
         sl.run(pca, None, seed=0, K=10, trace_every=0)
 
