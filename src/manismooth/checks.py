@@ -14,15 +14,11 @@ live here once, as do the executable inequality checks: the two sequence
 lemmas, which hold for every admissible input, and
 :func:`retr_smooth_constant_check`.
 
-The manifold, prox-optimality and lemma properties evaluate their
-samples as stacks, one kernel call per stack of at most 1000 rows.  Each
-draws with the generator calls of its one-sample loop, in the same
-order (:func:`normal_stacks`, :func:`.manifolds.tangent_blocks`), so its
-samples, and its worst value, are that loop's bit for bit; only the
-bisection of :func:`largest_premise_solution` rounds differently (numpy's
-``pow`` is not C's), which leaves the verdicts unchanged.  The grid
-oracle evaluates an elementwise ``h_value`` on blocks of GRID_BLOCK
-points and keeps the first minimum, the whole grid's argmin bit for bit.
+The manifold, prox-optimality and lemma properties draw their samples
+from their fixed seeds as stacks and evaluate them in one kernel call per
+stack of at most 1000 rows.  The grid oracle evaluates an elementwise
+``h_value`` on blocks of GRID_BLOCK points and keeps the first minimum,
+the whole grid's argmin.
 """
 
 from __future__ import annotations
@@ -69,26 +65,13 @@ def _result(name, passed, detail=""):
 # ---------------------------------------------------------------- manifold
 
 
-def normal_stacks(rng: np.random.Generator, count: int, *shapes) -> list[np.ndarray]:
-    """``count`` rounds of ``rng.standard_normal(shape)``, shape by shape, as one ``(count, *shape)`` array each.
-
-    One flat draw carved per round: the same values as the one-at-a-time calls.
-    """
-    cuts = np.cumsum([0, *(math.prod(shape) for shape in shapes)])
-    flat = rng.standard_normal((count, cuts[-1]))
-    return [np.ascontiguousarray(flat[:, a:b]).reshape(count, *shape) for a, b, shape in zip(cuts, cuts[1:], shapes)]
-
-
 def check_manifold() -> list[CheckResult]:
-    # each property draws its samples as stacks with the generator calls of
-    # the typed one-at-a-time loop, in its order, and checks them as its typed
-    # values did, so every sample and every worst value is that loop's, bit for bit
     rng = np.random.default_rng(12345)
     results = []
 
     worst = 0.0
     for desc in DESCRIPTORS:
-        raw_x, v = normal_stacks(rng, 1000, desc.shape, desc.shape)
+        raw_x, v = rng.standard_normal((2, 1000, *desc.shape))
         X = mf.points_from(desc.kind, raw_x)
         p1 = mf.tangents_from(desc.kind, X, v)
         worst = mf.sup(worst, mf.fro(p1 - mf.tangents_from(desc.kind, X, p1)))
@@ -96,16 +79,16 @@ def check_manifold() -> list[CheckResult]:
 
     worst = 0.0
     for desc in DESCRIPTORS:  # five unit tangents per point
-        raw_x, v, raw_eta = normal_stacks(rng, 200, desc.shape, desc.shape, (5, *desc.shape))
+        raw_x, v = rng.standard_normal((2, 200, *desc.shape))
         X = mf.points_from(desc.kind, raw_x)
         normal = np.repeat(v - mf.tangents_from(desc.kind, X, v), 5, axis=0)
-        eta = mf.tangents_from(desc.kind, np.repeat(X, 5, axis=0), raw_eta.reshape(-1, *desc.shape), 1.0)
+        eta = mf.tangents_from(desc.kind, np.repeat(X, 5, axis=0), rng.standard_normal((1000, *desc.shape)), 1.0)
         worst = mf.sup(worst, np.abs(np.sum(normal * eta, axis=(-2, -1))))
     results.append(_result("projection orthogonality", worst <= 1e-10, f"max inner {worst:.2e}"))
 
     worst = 0.0
     for desc in DESCRIPTORS:
-        raw_x, raw_u = normal_stacks(rng, 100, desc.shape, desc.shape)
+        raw_x, raw_u = rng.standard_normal((2, 100, *desc.shape))
         X = mf.points_from(desc.kind, raw_x)
         step = 1e-4 * mf.tangents_from(desc.kind, X, raw_u, 1.0)
         Y = mf.retr(desc.kind, X, step)
@@ -137,10 +120,10 @@ def check_manifold() -> list[CheckResult]:
     lin_err = 0.0
     for desc in DESCRIPTORS:
         kind = desc.kind
-        raw_x, raw_y, raw_xi, raw_tau, ab = normal_stacks(rng, 200, *[desc.shape] * 4, (2,))
+        raw_x, raw_y, raw_xi, raw_tau = rng.standard_normal((4, 200, *desc.shape))
         X, Y = mf.points_from(kind, raw_x), mf.points_from(kind, raw_y)
         xi, tau = mf.tangents_from(kind, X, raw_xi), mf.tangents_from(kind, X, raw_tau)
-        a, b = ab[:, 0, None, None], ab[:, 1, None, None]
+        a, b = rng.standard_normal((2, 200, 1, 1))
         moved = mf.tangents_from(kind, Y, xi)
         worst = mf.sup(worst, mf.fro(moved) - mf.fro(xi))
         split = a * moved + b * mf.tangents_from(kind, Y, tau)
@@ -165,42 +148,30 @@ GRID_BLOCK = 8192
 
 
 def grid_argmin_1d(h_value, mu, y, lo, hi, res=1e-4):
-    """Brute-force 1-D prox oracle: grid-minimize h(z) + (z-y)^2/(2 mu) over ``np.arange(lo, hi + res, res)``.
+    """Brute-force 1-D prox oracle: grid-minimize h(z) + (z-y)^2/(2 mu) over z_i = lo + i res.
 
-    Evaluated in blocks of at most GRID_BLOCK points, so ``h_value`` must be elementwise.  Each block's
-    points are made by numpy's own ``arange`` rule (see :func:`grid_block`), so the whole grid is never
+    The grid has i = 0 .. ceil((hi + res - lo) / res) - 1, the points up to about hi.  It is evaluated in
+    blocks of at most GRID_BLOCK points, so ``h_value`` must be elementwise and the whole grid is never
     held.  The first minimum (or the first NaN) wins, so the result is ``zs[np.argmin(...)]`` over the
-    whole grid, bit for bit.  Raises ParameterError unless res > 0, lo <= hi and the grid is not empty.
+    whole grid.  Raises ParameterError unless lo, hi and res are finite, res > 0, lo <= hi and the grid
+    is not empty.
     """
-    if not (res > 0 and lo <= hi):
-        raise ParameterError(f"grid oracle needs res > 0 and lo <= hi, got res={res!r}, lo={lo!r}, hi={hi!r}")
+    if not (0 < res < math.inf and -math.inf < lo <= hi < math.inf):
+        raise ParameterError(f"grid oracle needs finite res > 0 and lo <= hi, got res={res!r}, lo={lo!r}, hi={hi!r}")
     size = math.ceil((hi + res - lo) / res)
     if size < 1:
         raise ParameterError(f"grid oracle's grid is empty: res={res!r} is lost in rounding hi + res, hi={hi!r}")
-    best, best_val = lo, np.inf  # an all-inf grid gives its first point, as np.argmin does
     for start in range(0, size, GRID_BLOCK):
-        block = grid_block(lo, res, start, min(start + GRID_BLOCK, size))
+        block = np.arange(start, min(start + GRID_BLOCK, size), dtype=np.float64)
+        block *= res
+        block += lo
         vals = h_value(block) + (block - y) ** 2 / (2 * mu)
         i = int(np.argmin(vals))
         if vals[i] != vals[i]:  # a NaN, the first of the grid
             return block[i]
-        if vals[i] < best_val:
+        if start == 0 or vals[i] < best_val:  # an all-inf grid gives its first point, as np.argmin does
             best, best_val = block[i], vals[i]
-    return np.float64(best)
-
-
-def grid_block(lo, res, start, stop):
-    """Points start..stop-1 of ``np.arange(lo, ..., res)``, by numpy's fill rule for float64.
-
-    numpy writes element 0 as ``lo`` and element 1 as ``lo + res``, then element i as
-    ``lo + i * delta`` with ``delta = (lo + res) - lo``.
-    """
-    block = np.arange(start, stop, dtype=np.float64)
-    block *= (lo + res) - lo
-    block += lo
-    head = (lo, lo + res)[start:stop]  # the two elements numpy writes directly
-    block[:len(head)] = head
-    return block
+    return best
 
 
 def random_terms(rng, dim):
@@ -357,21 +328,20 @@ def largest_premise_solution(c, d, e, alpha, beta):
 
 
 def check_lemmas() -> list[CheckResult]:
-    # the draws stay one row at a time, in the generator order of the scalar
-    # loop; each block of LEMMA_ROWS rows is then checked in one stacked call
+    # each block of LEMMA_ROWS rows is drawn as stacks and checked in one
+    # stacked call; a row of length n is zero past n, which adds nothing to
+    # either side of the sequence bound
     rng = np.random.default_rng(7)
     bad = 0
     for _ in range(10_000 // LEMMA_ROWS):
-        b, p = np.zeros((LEMMA_ROWS, 39)), np.empty(LEMMA_ROWS)
-        for row in range(LEMMA_ROWS):
-            n = int(rng.integers(1, 40))
-            b[row, :n] = rng.uniform(0.0, 5.0, n)
-            b[row, 0] = rng.uniform(0.01, 5.0)
-            p[row] = rng.uniform(0.02, 0.98)
+        n = rng.integers(1, 40, LEMMA_ROWS)
+        b = rng.uniform(0.0, 5.0, (LEMMA_ROWS, 39))
+        b[np.arange(39) >= n[:, None]] = 0.0
+        b[:, 0] = rng.uniform(0.01, 5.0, LEMMA_ROWS)
+        p = rng.uniform(0.02, 0.98, LEMMA_ROWS)
         bad += int(np.count_nonzero(~lemma_seq_bound_check(b, p)))
     results = [_result("sequence partial-sum bound", bad == 0, f"{bad} failures")]
 
-    # one uniform(lo, hi, (rows, 5)) draw is the rows' five scalar uniforms, in order
     bad = 0
     lo, hi = [0.05, 0.05, 0.0, 0.05, 0.05], [5.0, 5.0, 5.0, 0.95, 0.95]
     for _ in range(10_000 // LEMMA_ROWS):

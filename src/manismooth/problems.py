@@ -69,8 +69,8 @@ class ProblemConstants:
 
     def __post_init__(self):
         for name in ("L_f", "L_c", "L_grad_c", "L_tilde", "sigma", "L_retr"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be nonnegative")
+            if not getattr(self, name) >= 0:  # NaN fails every comparison
+                raise ParameterError(f"{name} must be nonnegative", field=name)
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,9 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
     Data rows are seeded standard Gaussians; c is the identity on the
     flattened point.  Deterministic given the seed.
     """
-    if not (N >= 1 and n >= p >= 1):
-        raise ParameterError("need N >= 1 and n >= p >= 1")
+    for field, ok in (("N", N >= 1), ("n", n >= p), ("p", p >= 1)):
+        if not ok:
+            raise ParameterError("need N >= 1 and n >= p >= 1", field=field)
     h = ScaledL1(lam, n * p)  # checks lam before the data are drawn
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((N, n))
@@ -185,8 +186,9 @@ def make_constrained_sphere(
     squares enter through a second seeded map W so shapes work for any
     m).  Pass quad_weight=0 and linear_map=I to recover a linear c.
     """
-    if not (N >= 1 and n >= 2 and m >= 1):
-        raise ParameterError("need N >= 1, n >= 2, m >= 1")
+    for field, ok in (("N", N >= 1), ("n", n >= 2), ("m", m >= 1)):
+        if not ok:
+            raise ParameterError("need N >= 1, n >= 2, m >= 1", field=field)
     if not isinstance(set_term, IndicatorTerm):
         raise ParameterError("set_term must be an indicator variant")
     if not np.isfinite(quad_weight):

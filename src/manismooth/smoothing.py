@@ -82,7 +82,7 @@ class ScaledL1(NonsmoothTerm):
         if not 0 <= self.lam < math.inf:  # NaN fails every comparison
             raise ParameterError("lam must be finite and nonnegative", field="lam")
         if self.dim < 1:
-            raise ParameterError("dim must be >= 1")
+            raise ParameterError("dim must be >= 1", field="dim")
 
     @property
     def lipschitz_const(self) -> float:
@@ -218,7 +218,7 @@ class IndicatorBox(IndicatorTerm):
         if lo.shape != hi.shape:
             raise ShapeMismatchError("box bounds have different shapes")
         if np.any(lo > hi):
-            raise ParameterError("box requires lower <= upper componentwise")
+            raise ParameterError("box requires lower <= upper componentwise", field="lower")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 

@@ -180,10 +180,9 @@ def test_criterion_02_moreau_machinery():
 
 
 def test_criterion_03_analysis_lemmas():
-    # as in checks.check_lemmas: the sequence rows are drawn one at a time in
-    # the generator order of a scalar loop, zero-padded and checked in one
-    # stacked call; one uniform(lo, hi, (rows, 5)) draw is the rows' five
-    # scalar uniforms, in order
+    # the sequence rows are drawn one at a time (length, entries, b_1, p),
+    # zero-padded and checked in one stacked call; the implicit-bound rows
+    # are one uniform(lo, hi, (rows, 5)) draw
     t0 = time.monotonic()
     rng = np.random.default_rng(303)
     b, p = np.zeros((10_000, 39)), np.empty(10_000)

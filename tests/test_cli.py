@@ -764,12 +764,30 @@ def test_check_lemmas_passes(capsys):
     assert "PASS" in err
 
 
+CHECK_PROPERTIES = (
+    # manifold
+    "projection idempotence", "projection orthogonality", "retraction first-order", "retraction constant caps",
+    "transport nonexpansive", "transport linear", "retract at zero is identity",
+    # smoothing
+    "prox vs 1-D grid oracle", "prox optimality", "envelope gradient bound", "envelope monotone in mu",
+    "envelope gradient 1/mu-Lipschitz", "two-parameter envelope inequality",
+    # lemmas
+    "sequence partial-sum bound", "implicit power bound",
+    # solver
+    "adaptive stepsize positive nonincreasing", "momentum tangent at iterate", "deterministic smooth sanity",
+    "seeded rerun identical", "truncation radius respected", "truncation fires and holds at a binding radius",
+    "indicator schedules exact", "penalty gradient identity",
+)
+
+
 def test_check_all_passes(capsys):
     # the batteries are the one implementation of these properties; a
-    # failure prints the report, which names the property
+    # failure prints the report, which names the property.  A pass prints
+    # its name alone, so the report is exactly these lines, in battery order
     code = main(["check", "--suite", "all"])
     err = capsys.readouterr().err
-    assert code == 0 and "FAIL" not in err, err
+    assert code == 0, err
+    assert err == "".join(f"PASS {name}\n" for name in CHECK_PROPERTIES) + "23/23 properties passed\n"
 
 
 def test_report_synthetic_slope(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import manismooth as ms
-from manismooth.checks import DESCRIPTORS, check_manifold, normal_stacks
+from manismooth.checks import DESCRIPTORS, check_manifold
 from manismooth.errors import DegenerateRetractionError, ParameterError, ShapeMismatchError
 from manismooth import manifolds as mf
 
@@ -275,19 +275,6 @@ def test_tangent_blocks_follow_the_one_at_a_time_stream(desc):
     points = np.concatenate(list(mf.point_blocks(desc, np.random.default_rng(4), samples)))
     rng = np.random.default_rng(4)
     assert np.array_equal(points, [ms.random_point(desc, rng).data for _ in range(samples)])
-
-
-@pytest.mark.parametrize("desc", DESCRIPTORS, ids=lambda d: d.kind)
-def test_normal_stacks_follow_the_one_at_a_time_stream(desc):
-    shapes = (desc.shape, (5, *desc.shape), (2,))
-    got = normal_stacks(np.random.default_rng(4), 37, *shapes)
-    rng = np.random.default_rng(4)
-    want = [[rng.standard_normal(shape) for shape in shapes] for _ in range(37)]
-    for part, shape in zip(got, shapes):
-        assert part.shape == (37, *shape) and part.flags.c_contiguous
-    for s, draws in enumerate(want):
-        assert all(np.array_equal(part[s], draw) for part, draw in zip(got, draws))
-    assert rng.standard_normal() == np.random.default_rng(4).standard_normal(37 * (6 * desc.n * desc.p + 2) + 1)[-1]
 
 
 def test_retraction_caps_name_the_first_failing_manifold(monkeypatch):

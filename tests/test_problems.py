@@ -119,6 +119,35 @@ def test_non_finite_parameters_are_refused_naming_the_field(field, build):
     assert info.value.field == field
 
 
+CONSTANT_FIELDS = ("L_f", "L_c", "L_grad_c", "L_tilde", "sigma", "L_retr")
+
+
+@pytest.mark.parametrize("field", CONSTANT_FIELDS)
+def test_problem_constants_refuse_nan_naming_the_field(field):
+    # NaN fails a `< 0` test as well as a `>= 0` one, so it once passed as a constant
+    with pytest.raises(ParameterError, match=f"{field} must be nonnegative") as info:
+        ms.ProblemConstants(**{**dict.fromkeys(CONSTANT_FIELDS, 1.0), field: NAN})
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize("field, message, build", [
+    ("lower", "box requires lower <= upper componentwise", lambda: ms.IndicatorBox([1, 1], [0, 0])),
+    ("dim", "dim must be >= 1", lambda: ms.ScaledL1(0.1, 0)),
+    ("N", "need N >= 1 and n >= p >= 1", lambda: ms.make_sparse_pca(5, 2, 0, 0.1, seed=0)),
+    ("n", "need N >= 1 and n >= p >= 1", lambda: ms.make_sparse_pca(1, 2, 4, 0.1, seed=0)),
+    ("p", "need N >= 1 and n >= p >= 1", lambda: ms.make_sparse_pca(5, 0, 4, 0.1, seed=0)),
+    ("N", "need N >= 1 and n >= p >= 1", lambda: ms.make_sparse_pca(0, 0, 0, 0.1, seed=0)),  # the first of three
+    ("N", "need N >= 1, n >= 2, m >= 1", lambda: ms.make_constrained_sphere(3, 2, 0, BALL, seed=0)),
+    ("n", "need N >= 1, n >= 2, m >= 1", lambda: ms.make_constrained_sphere(1, 2, 4, BALL, seed=0)),
+    ("m", "need N >= 1, n >= 2, m >= 1", lambda: ms.make_constrained_sphere(3, 0, 4, BALL, seed=0)),
+    ("n", "need N >= 1, n >= 2, m >= 1", lambda: ms.make_constrained_sphere(1, 0, 4, BALL, seed=0)),  # the first of two
+])
+def test_parameter_errors_name_the_first_failing_field(field, message, build):
+    with pytest.raises(ParameterError, match=message) as info:
+        build()
+    assert info.value.field == field
+
+
 def test_constrained_sphere_feasible_everywhere():
     # q = 0, B = I, ball radius >= 1: every sphere point maps inside the set
     p = ms.make_constrained_sphere(5, 5, 3, ms.IndicatorBall(np.zeros(5), 1.5), seed=2,
