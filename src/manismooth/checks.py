@@ -14,11 +14,13 @@ live here once, as do the executable inequality checks: the two sequence
 lemmas, which hold for every admissible input, and
 :func:`retr_smooth_constant_check`.
 
-The manifold, prox-optimality and lemma properties draw their samples
-from their fixed seeds as stacks and evaluate them in one kernel call per
-stack of at most 1000 rows.  The grid oracle evaluates an elementwise
-``h_value`` on blocks of GRID_BLOCK points and keeps the first minimum,
-the whole grid's argmin.
+The manifold and lemma properties draw their samples from their fixed
+seeds as stacks and evaluate them in one kernel call per stack of at most
+1000 rows.  The envelope properties draw a stack of ENVELOPE_ROWS rows per
+term instance, each row with its own mu and y, and evaluate it through one
+call of the library's ``prox``/``moreau_eval``/inequality check.  The grid
+oracle evaluates an elementwise ``h_value`` on blocks of GRID_BLOCK points
+and keeps the first minimum, the whole grid's argmin.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ from .smoothing import (
     IndicatorTerm,
     ScaledL1,
     ScaledL2,
+    _norm,
     _rows,
+    _sq,
     moreau_envelope_inequality_check,
     moreau_eval,
     prox,
@@ -145,6 +149,8 @@ def check_manifold() -> list[CheckResult]:
 
 # grid points per oracle block: 64 kB of float64, under glibc's default 128 KiB mmap threshold
 GRID_BLOCK = 8192
+GRID_MAX = 10**8  # the oracle's largest grid, far above the battery's largest (260,001 points at span 13)
+ENVELOPE_ROWS = 25  # rows per term instance in the envelope properties' stacks
 
 
 def grid_argmin_1d(h_value, mu, y, lo, hi, res=1e-4):
@@ -153,12 +159,16 @@ def grid_argmin_1d(h_value, mu, y, lo, hi, res=1e-4):
     The grid has i = 0 .. ceil((hi + res - lo) / res) - 1, the points up to about hi.  It is evaluated in
     blocks of at most GRID_BLOCK points, so ``h_value`` must be elementwise and the whole grid is never
     held.  The first minimum (or the first NaN) wins, so the result is ``zs[np.argmin(...)]`` over the
-    whole grid.  Raises ParameterError unless lo, hi and res are finite, res > 0, lo <= hi and the grid
-    is not empty.
+    whole grid.  Raises ParameterError unless mu, lo, hi and res are finite, mu > 0, res > 0, lo <= hi
+    and the grid has 1 .. GRID_MAX points.
     """
-    if not (0 < res < math.inf and -math.inf < lo <= hi < math.inf):
-        raise ParameterError(f"grid oracle needs finite res > 0 and lo <= hi, got res={res!r}, lo={lo!r}, hi={hi!r}")
-    size = math.ceil((hi + res - lo) / res)
+    if not (0 < mu < math.inf and 0 < res < math.inf and -math.inf < lo <= hi < math.inf):
+        raise ParameterError(f"grid oracle needs finite mu > 0, res > 0 and lo <= hi, got mu={mu!r}, res={res!r}, "
+                             f"lo={lo!r}, hi={hi!r}")
+    points = (hi + res - lo) / res  # inf when the span overflows
+    if not points <= GRID_MAX:
+        raise ParameterError(f"grid oracle's grid has {points:.3g} points, more than GRID_MAX={GRID_MAX}")
+    size = math.ceil(points)
     if size < 1:
         raise ParameterError(f"grid oracle's grid is empty: res={res!r} is lost in rounding hi + res, hi={hi!r}")
     for start in range(0, size, GRID_BLOCK):
@@ -199,65 +209,55 @@ def check_smoothing() -> list[CheckResult]:
         worst = max(worst, abs(float(prox(ScaledL1(lam, 1), mu, np.array([y]))[0]) - zstar))
     results.append(_result("prox vs 1-D grid oracle", worst <= 1e-3, f"max gap {worst:.2e}"))
 
+    def term_stacks(rows, *lead):
+        """(h, y) per term instance for ``rows`` rows: y a stack of ENVELOPE_ROWS rows of 3 N(0, I), dims 1..5."""
+        for _ in range(rows // (5 * ENVELOPE_ROWS)):
+            dim = int(rng.integers(1, 6))
+            for h in random_terms(rng, dim):
+                yield h, 3 * rng.standard_normal((*lead, ENVELOPE_ROWS, dim))
+
+    # properties 2-6: each row of a stack has its own mu (or mu1, mu2) and y; one library call per stack
+    n = ENVELOPE_ROWS
     ok = True
-    for _ in range(200):
-        dim = int(rng.integers(1, 6))
-        for h in random_terms(rng, dim):
-            mu = float(rng.uniform(0.05, 2.0))
-            y = 3 * rng.standard_normal(dim)
-            z = prox(h, mu, y)
-            base = h.value(z) + float(np.sum((z - y) ** 2)) / (2 * mu)
-            cand = z + 0.5 * rng.standard_normal((20, dim))  # the 20 candidates as one stack
-            ok &= not np.any(h.value(cand) + np.sum((cand - y) ** 2, axis=-1) / (2 * mu) < base - 1e-12)
+    for h, y in term_stacks(1000):
+        mu = rng.uniform(0.05, 2.0, n)
+        z = prox(h, mu, y)
+        cand = z + 0.5 * rng.standard_normal((20, *z.shape))  # 20 candidates per row
+        ok &= not np.any(h.value(cand) + _sq(cand - y) / (2 * mu) < h.value(z) + _sq(z - y) / (2 * mu) - 1e-12)
     results.append(_result("prox optimality", ok))
 
     ok = True
-    for _ in range(500):
+    for _ in range(500 // n):
         dim = int(rng.integers(1, 8))
         lam = float(rng.uniform(0.05, 3.0))
         h = ScaledL1(lam, dim) if rng.uniform() < 0.5 else ScaledL2(lam)
-        mu = float(rng.uniform(0.01, 3.0))
-        y = 5 * rng.standard_normal(dim)
+        mu = rng.uniform(0.01, 3.0, n)
+        y = 5 * rng.standard_normal((n, dim))
         e = moreau_eval(h, mu, y)
-        if np.linalg.norm(e.grad) > h.lipschitz_const + 1e-10:
-            ok = False
-        if np.linalg.norm(y - e.prox_point) > mu * h.lipschitz_const + 1e-10:
-            ok = False
+        ok &= not np.any(_norm(e.grad) > h.lipschitz_const + 1e-10)
+        ok &= not np.any(_norm(y - e.prox_point) > mu * h.lipschitz_const + 1e-10)
     results.append(_result("envelope gradient bound", ok))
 
     ok = True
-    for _ in range(300):
-        dim = int(rng.integers(1, 6))
-        for h in random_terms(rng, dim):
-            mu1 = float(rng.uniform(0.1, 2.0))
-            mu2 = float(rng.uniform(0.01, 1.0)) * mu1
-            y = 3 * rng.standard_normal(dim)
-            if moreau_eval(h, mu2, y).value < moreau_eval(h, mu1, y).value - 1e-10:
-                ok = False
+    for h, y in term_stacks(1500):
+        mu1 = rng.uniform(0.1, 2.0, n)
+        mu2 = rng.uniform(0.01, 1.0, n) * mu1
+        ok &= not np.any(moreau_eval(h, mu2, y).value < moreau_eval(h, mu1, y).value - 1e-10)
     results.append(_result("envelope monotone in mu", ok))
 
     worst = -np.inf
-    for _ in range(300):
-        dim = int(rng.integers(1, 6))
-        for h in random_terms(rng, dim):
-            mu = float(rng.uniform(0.05, 2.0))
-            y1 = 3 * rng.standard_normal(dim)
-            y2 = 3 * rng.standard_normal(dim)
-            g1 = moreau_eval(h, mu, y1).grad
-            g2 = moreau_eval(h, mu, y2).grad
-            worst = max(worst, float(np.linalg.norm(g1 - g2) - np.linalg.norm(y1 - y2) / mu))
+    for h, y in term_stacks(1500, 2):  # y1, y2 as one stack
+        mu = rng.uniform(0.05, 2.0, n)
+        g = moreau_eval(h, np.broadcast_to(mu, (2, n)), y).grad
+        worst = mf.sup(worst, _norm(g[0] - g[1]) - _norm(y[0] - y[1]) / mu)
     results.append(_result("envelope gradient 1/mu-Lipschitz", worst <= 1e-12,
                            f"max ||g1 - g2|| - ||y1 - y2|| / mu = {worst:.2e}"))
 
     ok = True
-    for _ in range(400):
-        dim = int(rng.integers(1, 6))
-        for h in random_terms(rng, dim):
-            mu1 = float(rng.uniform(0.05, 2.0))
-            mu2 = float(rng.uniform(0.01, 1.0)) * mu1
-            y = 3 * rng.standard_normal(dim)
-            if not moreau_envelope_inequality_check(h, mu1, mu2, y):
-                ok = False
+    for h, y in term_stacks(2000):
+        mu1 = rng.uniform(0.05, 2.0, n)
+        mu2 = rng.uniform(0.01, 1.0, n) * mu1
+        ok &= bool(np.all(moreau_envelope_inequality_check(h, mu1, mu2, y)))
     results.append(_result("two-parameter envelope inequality", ok))
     return results
 

@@ -12,6 +12,13 @@ is differentiable with gradient (y - prox_{mu h}(y)) / mu, and the
 gradient is (1/mu)-Lipschitz.  For indicators the envelope equals the
 scaled squared distance dist^2(y, C) / (2 mu); it is computed in that
 form directly to avoid cancellation at small mu.
+
+:func:`prox`, :func:`moreau_eval`, :func:`moreau_envelope_inequality_check`
+and every term's ``prox`` take one vector ``y`` or a stack ``(..., m)`` of
+them, with ``mu`` a scalar or an array of the stack's leading shape (one mu
+per row).  Each row of a stacked result equals the one-row call bit for
+bit; one vector's envelope value is a Python float and its inequality
+verdict a bool.
 """
 
 from __future__ import annotations
@@ -25,9 +32,14 @@ from .errors import ParameterError, ShapeMismatchError
 from .manifolds import ManifoldPoint, TangentVector, check_tangent, proj
 
 
+def _sq(y: np.ndarray):
+    """Squared Euclidean norm over the last axis, one BLAS dot per row: a scalar for one vector."""
+    return y.dot(y) if y.ndim == 1 else np.vecdot(y, y)
+
+
 def _norm(y: np.ndarray):
     """Euclidean norm over the last axis, one BLAS dot per row: a scalar for one vector."""
-    return np.sqrt(y.dot(y) if y.ndim == 1 else np.vecdot(y, y))
+    return np.sqrt(_sq(y))
 
 
 def _rows(values):
@@ -43,6 +55,35 @@ def _finite(field: str, value) -> np.ndarray:
     return value
 
 
+def _mu(mu, y: np.ndarray, name: str = "mu"):
+    """``mu`` for the (stack of) vectors ``y``: a scalar, or one entry per row as an array of y's leading shape.
+
+    A scalar is returned as given and a 0-d array as a Python float.  Raises ParameterError (field "mu")
+    unless every entry is finite and positive, and ShapeMismatchError for an array of another shape.
+    """
+    if isinstance(mu, (int, float)):  # the solvers' path: no array conversion
+        ok = 0 < mu < math.inf  # NaN fails every comparison
+    else:
+        mu = np.asarray(mu, dtype=float)
+        if mu.ndim == 0:
+            mu = mu.item()
+        elif mu.shape != y.shape[:-1]:
+            raise ShapeMismatchError(f"{name} has shape {mu.shape}; one per row of y needs {y.shape[:-1]}")
+        ok = np.all((0 < mu) & (mu < math.inf))
+    if not ok:
+        raise ParameterError(f"{name} must be finite and positive", field="mu")
+    return mu
+
+
+def _checked(mu, y, what: str):
+    """(mu, y) checked as :func:`_mu` does, with y as a float array; ParameterError unless y is finite."""
+    y = np.asarray(y, dtype=float)
+    mu = _mu(mu, y)
+    if not np.isfinite(y).all():
+        raise ParameterError(f"{what} input must be finite")
+    return mu, y
+
+
 class NonsmoothTerm:
     """Base class: a convex h with exact prox.
 
@@ -52,7 +93,9 @@ class NonsmoothTerm:
     projection the indicator solver uses.
     ``value`` and ``prox`` also accept a stack ``(..., m)`` of vectors and
     act on each row, each result equal to the call on that row alone, bit
-    for bit; one vector's ``value`` is a Python float.
+    for bit; one vector's ``value`` is a Python float.  ``prox`` takes
+    ``mu`` as a scalar or as an array of the stack's leading shape, one mu
+    per row.
     """
 
     @property
@@ -94,6 +137,8 @@ class ScaledL1(NonsmoothTerm):
 
     def prox(self, mu, y):
         t = mu * self.lam
+        if type(t) is np.ndarray:  # one mu per row
+            t = t[..., None]
         return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
 
     def in_subdifferential(self, y, z, tol=1e-8):
@@ -248,31 +293,32 @@ class MoreauEval:
     prox_point: np.ndarray
 
 
-def prox(h: NonsmoothTerm, mu: float, y) -> np.ndarray:
-    """Exact minimizer of h(z) + ||z - y||^2 / (2 mu)."""
-    if mu <= 0:
-        raise ParameterError("mu must be positive")
-    y = np.asarray(y, dtype=float)
-    if not np.all(np.isfinite(y)):
-        raise ParameterError("prox input must be finite")
+def prox(h: NonsmoothTerm, mu, y) -> np.ndarray:
+    """Exact minimizer of h(z) + ||z - y||^2 / (2 mu), per row for a stack y with a scalar or per-row mu.
+
+    Raises ParameterError unless every mu is finite and positive and y is finite.
+    """
+    mu, y = _checked(mu, y, "prox")
     return h.prox(mu, y)
 
 
-def moreau_eval(h: NonsmoothTerm, mu: float, y) -> MoreauEval:
-    """Evaluate the Moreau envelope of h at y: value, gradient, prox point."""
-    if mu <= 0:
-        raise ParameterError("mu must be positive")
-    y = np.asarray(y, dtype=float)
+def moreau_eval(h: NonsmoothTerm, mu, y) -> MoreauEval:
+    """Evaluate the Moreau envelope of h at y: value, gradient, prox point.
+
+    For a stack y each field holds one entry per row (values an array); mu is a scalar or one per row.
+    Raises ParameterError unless every mu is finite and positive and y is finite.
+    """
+    mu, y = _checked(mu, y, "moreau_eval")
     p = h.prox(mu, y)
     diff = y - p
-    if isinstance(h, IndicatorTerm):
-        value = float(diff @ diff) / (2.0 * mu)
-    else:
-        value = h.value(p) + float(diff @ diff) / (2.0 * mu)
-    return MoreauEval(value=value, grad=diff / mu, prox_point=p)
+    value = _sq(diff) / (2.0 * mu)
+    if not isinstance(h, IndicatorTerm):
+        value = h.value(p) + value
+    grad = diff / (mu[..., None] if type(mu) is np.ndarray else mu)
+    return MoreauEval(value=_rows(value), grad=grad, prox_point=p)
 
 
-def moreau_envelope_inequality_check(h: NonsmoothTerm, mu1: float, mu2: float, y) -> bool:
+def moreau_envelope_inequality_check(h: NonsmoothTerm, mu1, mu2, y):
     """Check the two-parameter envelope comparison inequality at y.
 
     For 0 < mu2 <= mu1 the envelope satisfies
@@ -281,24 +327,29 @@ def moreau_envelope_inequality_check(h: NonsmoothTerm, mu1: float, mu2: float, y
 
     with the right-hand side specialized to l_h^2 for Lipschitz h and to
     (1/2)(1/mu2 - 1/mu1) dist^2(y, C) for indicators.  Returns whether
-    every applicable form holds with slack 1e-10.
+    every applicable form holds with slack 1e-10: a bool for one vector,
+    one verdict per row for a stack, with mu1 and mu2 scalars or per row.
+
+    Raises:
+        ParameterError: a mu is not finite and positive, mu2 > mu1 in some
+            row, or y is not finite.
     """
-    if not 0 < mu2 <= mu1:
-        raise ParameterError("need 0 < mu2 <= mu1")
+    y = np.asarray(y, dtype=float)
+    mu1, mu2 = _mu(mu1, y, "mu1"), _mu(mu2, y, "mu2")
+    if not np.all(mu2 <= mu1):
+        raise ParameterError("need 0 < mu2 <= mu1", field="mu")
     slack = 1e-10
     e1 = moreau_eval(h, mu1, y)
     e2 = moreau_eval(h, mu2, y)
-    g1_sq = float(e1.grad @ e1.grad)
-    rhs = e1.value + 0.5 * ((mu1 - mu2) / mu2) * mu1 * g1_sq
+    rhs = e1.value + 0.5 * ((mu1 - mu2) / mu2) * mu1 * _sq(e1.grad)
     ok = e2.value <= rhs + slack
     if isinstance(h, IndicatorTerm):
-        dist_sq = float(np.sum((np.asarray(y, dtype=float) - e1.prox_point) ** 2))
-        rhs_ind = e1.value + 0.5 * (1.0 / mu2 - 1.0 / mu1) * dist_sq
-        ok = ok and e2.value <= rhs_ind + slack
+        rhs_ind = e1.value + 0.5 * (1.0 / mu2 - 1.0 / mu1) * _sq(y - e1.prox_point)
+        ok &= e2.value <= rhs_ind + slack
     elif h.lipschitz_const > 0:
         rhs_lip = e1.value + 0.5 * ((mu1 - mu2) / mu2) * mu1 * h.lipschitz_const**2
-        ok = ok and e2.value <= rhs_lip + slack
-    return bool(ok)
+        ok &= e2.value <= rhs_lip + slack
+    return _rows(ok)
 
 
 def smoothed_grad(problem, X: np.ndarray, mu: float, egrad: np.ndarray):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -5,8 +6,8 @@ import numpy as np
 import pytest
 
 import manismooth as ms
-from manismooth.checks import GRID_BLOCK, grid_argmin_1d, random_terms
-from manismooth.errors import ParameterError
+from manismooth.checks import GRID_BLOCK, check_smoothing, grid_argmin_1d, random_terms
+from manismooth.errors import ParameterError, ShapeMismatchError
 from manismooth.smoothing import IndicatorTerm
 
 
@@ -32,6 +33,35 @@ def test_prox_rejects_bad_mu():
         ms.prox(ms.ScaledL2(1.0), 0.0, np.ones(2))
     with pytest.raises(ParameterError):
         ms.moreau_eval(ms.ScaledL2(1.0), -1.0, np.ones(2))
+    # every non-finite or non-positive mu, as a scalar, a 0-d array or one entry of a per-row mu
+    h, y, rows = ms.ScaledL1(1.0, 2), np.ones(2), np.ones((3, 2))
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf, np.float64(np.nan), np.array(np.inf)):
+        per_row = np.array([0.5, bad, 0.5])
+        for call in (
+            lambda: ms.prox(h, bad, y), lambda: ms.prox(h, per_row, rows),
+            lambda: ms.moreau_eval(h, bad, y), lambda: ms.moreau_eval(h, per_row, rows),
+            lambda: ms.moreau_envelope_inequality_check(h, bad, 0.5, y),
+            lambda: ms.moreau_envelope_inequality_check(h, 1.0, bad, y),
+            lambda: ms.moreau_envelope_inequality_check(h, per_row, 0.1, rows),
+            lambda: ms.moreau_envelope_inequality_check(h, 1.0, per_row, rows),
+        ):
+            with pytest.raises(ParameterError) as err:
+                call()
+            assert err.value.field == "mu"
+
+
+def test_moreau_eval_rejects_a_non_finite_input_as_prox_does():
+    for y in ([np.nan, 1.0], [np.inf, 0.0], [[1.0, 2.0], [0.0, -np.inf]]):
+        for call in (ms.prox, ms.moreau_eval):
+            with pytest.raises(ParameterError, match="input must be finite"):
+                call(ms.ScaledL2(1.0), 0.5, y)
+
+
+def test_per_row_mu_must_have_the_stack_leading_shape():
+    with pytest.raises(ShapeMismatchError):
+        ms.prox(ms.ScaledL1(1.0, 2), np.full(3, 0.5), np.ones((2, 2)))
+    with pytest.raises(ShapeMismatchError):
+        ms.moreau_eval(ms.ScaledL2(1.0), np.full(2, 0.5), np.ones(2))
 
 
 def test_moreau_eval_examples():
@@ -196,6 +226,37 @@ def test_value_of_a_stack_equals_per_row():
                 assert np.array_equal(prox_row, h.prox(mu, y))
 
 
+def test_stacks_with_one_mu_per_row_equal_the_one_row_calls():
+    # every term (and l2 at lam = 0), at member rows, a zero row and a row the l2 prox maps to 0: each row
+    # of prox, moreau_eval and the inequality check with one mu per row is the one-row call bit for bit,
+    # and a scalar mu over the stack gives the same as before
+    rng = np.random.default_rng(13)
+    for dim in (1, 3, 5):
+        for h in [*random_terms(rng, dim), ms.ScaledL2(0.0)]:
+            rows = 2 * rng.standard_normal((7, dim))
+            rows[3] = 0.0
+            rows[4] *= 1e-3
+            if isinstance(h, IndicatorTerm):
+                rows[:3] = h.project(rows[:3])
+            mu1 = rng.uniform(0.05, 2.0, 7)
+            mu2 = rng.uniform(0.01, 1.0, 7) * mu1
+            proxes, env = ms.prox(h, mu1, rows), ms.moreau_eval(h, mu1, rows)
+            verdicts = ms.moreau_envelope_inequality_check(h, mu1, mu2, rows)
+            assert env.value.shape == verdicts.shape == (7,) and verdicts.dtype == bool
+            for i, y in enumerate(rows):
+                one = ms.moreau_eval(h, float(mu1[i]), y)
+                assert type(one.value) is float and env.value[i] == one.value
+                assert np.array_equal(env.grad[i], one.grad) and np.array_equal(env.prox_point[i], one.prox_point)
+                assert np.array_equal(proxes[i], ms.prox(h, float(mu1[i]), y))
+                one_verdict = ms.moreau_envelope_inequality_check(h, float(mu1[i]), float(mu2[i]), y)
+                assert type(one_verdict) is bool and verdicts[i] == one_verdict
+            scalar, scalar_proxes = ms.moreau_eval(h, 0.7, rows), ms.prox(h, 0.7, rows)
+            for i, y in enumerate(rows):
+                one = ms.moreau_eval(h, 0.7, y)
+                assert scalar.value[i] == one.value and np.array_equal(scalar.grad[i], one.grad)
+                assert np.array_equal(scalar_proxes[i], h.prox(0.7, y))
+
+
 def whole_grid_argmin(h_value, mu, y, lo, hi, res=1e-4):
     """The grid oracle by its definition: one evaluation over the whole grid z_i = lo + i res."""
     zs = lo + np.arange(math.ceil((hi + res - lo) / res)) * res
@@ -279,6 +340,19 @@ def test_grid_oracle_rejects_an_empty_grid(lo, hi, res):
         grid_argmin_1d(np.abs, 1.0, 0.0, lo, hi, res)
 
 
+@pytest.mark.parametrize("mu", [np.nan, 0.0, -1.0, np.inf])
+def test_grid_oracle_rejects_a_bad_mu(mu):
+    with pytest.raises(ParameterError, match="finite mu > 0"):
+        grid_argmin_1d(np.abs, mu, 0.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1e296, 1e296), (0.0, 1e4 + 0.5)])
+def test_grid_oracle_rejects_a_grid_beyond_its_bound(lo, hi):
+    # the span overflows to inf, is finite but ~1e300 points, or is just over GRID_MAX
+    with pytest.raises(ParameterError, match="more than GRID_MAX"):
+        grid_argmin_1d(np.abs, 1.0, 0.0, lo, hi)
+
+
 def test_grid_oracle_rejects_a_step_lost_in_rounding():
     # hi + res == hi at 1e20, so np.arange(lo, hi + res, res) is empty
     with pytest.raises(ParameterError, match="grid is empty"):
@@ -299,3 +373,14 @@ def test_grid_oracle_holds_blocks_not_whole_grid_temporaries(span):
     finally:
         tracemalloc.stop()
     assert peak - grid < 1_000_000
+
+
+@pytest.mark.parametrize("cls, failing", [
+    (ms.ScaledL1, {"prox vs 1-D grid oracle", "prox optimality", "envelope gradient bound"}),
+    (ms.ScaledL2, {"prox optimality", "envelope gradient bound"}),
+])
+def test_smoothing_battery_catches_a_prox_with_its_threshold_scaled_by_1_01(monkeypatch, cls, failing):
+    # a prox 1% off must fail exactly these properties, however the battery evaluates them
+    exact = cls.prox
+    monkeypatch.setattr(cls, "prox", lambda h, mu, y: exact(dataclasses.replace(h, lam=1.01 * h.lam), mu, y))
+    assert {r.name for r in check_smoothing() if not r.passed} == failing
