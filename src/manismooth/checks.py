@@ -5,10 +5,15 @@ and reports one (name, passed, detail) triple per property.  These
 batteries are the library's implementation of the invariants the analysis
 rests on (prox and Moreau-envelope properties, the two sequence lemmas,
 retraction bounds, momentum tangency, truncation and the exact
-schedules); the pytest suite runs them through ``check --suite all``, and
-acceptance criteria 02, 03 and 06 re-run the prox/envelope, lemma and
-truncation/schedule properties at their own seeds and sizes.  The oracles
-the batteries share with worked-example tests (:func:`grid_argmin_1d`,
+schedules); the pytest suite runs them through ``check --suite all``.
+Six are stated once, as functions of their instance, size and random
+stream that return the measured quantity, the limit left to the caller;
+the batteries call them, as do acceptance criteria 02
+(:func:`prox_oracle_gap`, :func:`envelope_gradient_excess`,
+:func:`envelope_inequality_failures`), 03 (:func:`lemma_failures`), 04
+(:func:`smooth_min_grad`) and 06 (:func:`indicator_invariants`).  The
+oracles the batteries share with worked-example tests
+(:func:`grid_argmin_1d`, :func:`oracle_cases`,
 :func:`largest_premise_solution`, :func:`random_terms`, ``DESCRIPTORS``)
 live here once, as do the executable inequality checks: the two sequence
 lemmas, which hold for every admissible input, and
@@ -189,76 +194,116 @@ def random_terms(rng, dim):
     return [
         ScaledL1(float(rng.uniform(0.1, 2.0)), dim),
         ScaledL2(float(rng.uniform(0.1, 2.0))),
-        IndicatorBall(rng.standard_normal(dim), float(rng.uniform(0.5, 2.0))),
+        IndicatorBall(rng.standard_normal(dim), float(rng.uniform(0.3, 2.0))),
         IndicatorBox(-rng.uniform(0.5, 2.0, dim), rng.uniform(0.5, 2.0, dim)),
         IndicatorSingleton(rng.standard_normal(dim)),
     ]
 
 
+def term_stacks(rng, rows, *lead):
+    """(h, y) per term instance for ``rows`` rows: y a stack of ENVELOPE_ROWS rows of 3 N(0, I), dims 1..5."""
+    for _ in range(rows // (5 * ENVELOPE_ROWS)):
+        dim = int(rng.integers(1, 6))
+        for h in random_terms(rng, dim):
+            yield h, 3 * rng.standard_normal((*lead, ENVELOPE_ROWS, dim))
+
+
+ORACLE_KINDS = (ScaledL1, ScaledL2, IndicatorBox, IndicatorBall)  # every kind oracle_cases can draw
+
+
+def oracle_cases(rng, count, kinds):
+    """``count`` seeded 1-D prox cases (h, elementwise h_value, mu, y, span), h of a kind drawn from ``kinds``.
+
+    lam ~ U(0.1, 2), mu ~ U(0.05, 2), y ~ U(-3, 3); a box is [lo, lo + U(0.1, 1)] with lo ~ U(y - 1, y), a
+    ball has center ~ U(y - 0.9, y + 0.9) and radius ~ U(0.1, 1).  The oracle's grid spans y +- span.
+    """
+    for _ in range(count):
+        lam, mu, y = float(rng.uniform(0.1, 2.0)), float(rng.uniform(0.05, 2.0)), float(rng.uniform(-3, 3))
+        kind = kinds[0] if len(kinds) == 1 else kinds[rng.integers(len(kinds))]
+        if kind is IndicatorBox:
+            lo = float(rng.uniform(y - 1.0, y))
+            hi = lo + float(rng.uniform(0.1, 1.0))
+            h = kind(np.array([lo]), np.array([hi]))
+            h_value = lambda z, lo=lo, hi=hi: np.where((z >= lo) & (z <= hi), 0.0, np.inf)
+        elif kind is IndicatorBall:
+            c, r = float(rng.uniform(y - 0.9, y + 0.9)), float(rng.uniform(0.1, 1.0))
+            h = kind(np.array([c]), r)
+            h_value = lambda z, c=c, r=r: np.where(np.abs(z - c) <= r, 0.0, np.inf)
+        else:  # lam |z| in one dimension
+            h = ScaledL1(lam, 1) if kind is ScaledL1 else ScaledL2(lam)
+            h_value = lambda z, lam=lam: lam * np.abs(z)
+        yield h, h_value, mu, y, 3 * mu * lam + 1
+
+
+def prox_oracle_gap(rng, count, kinds):
+    """Largest |prox_{mu h}(y) - grid_argmin_1d| over ``oracle_cases(rng, count, kinds)``."""
+    return max((abs(float(prox(h, mu, np.array([y]))[0]) - grid_argmin_1d(h_value, mu, y, y - span, y + span))
+                for h, h_value, mu, y, span in oracle_cases(rng, count, kinds)))
+
+
+def envelope_gradient_excess(rng, rows):
+    """Largest ||grad h_mu(y)|| - l_h and ||y - prox_{mu h}(y)|| - mu l_h over ``rows`` seeded rows.
+
+    Each stack of ENVELOPE_ROWS rows has its own scaled l1 or l2 term on R^1..R^7, lam ~ U(0.05, 3), and
+    each row its own mu ~ U(5e-4, 3) and y ~ 5 N(0, I).
+    """
+    worst = -math.inf
+    for _ in range(rows // ENVELOPE_ROWS):
+        dim = int(rng.integers(1, 8))
+        lam = float(rng.uniform(0.05, 3.0))
+        h = ScaledL1(lam, dim) if rng.uniform() < 0.5 else ScaledL2(lam)
+        mu = rng.uniform(5e-4, 3.0, ENVELOPE_ROWS)
+        y = 5 * rng.standard_normal((ENVELOPE_ROWS, dim))
+        e, lip = moreau_eval(h, mu, y), h.lipschitz_const
+        worst = mf.sup(worst, np.maximum(_norm(e.grad) - lip, _norm(y - e.prox_point) - mu * lip))
+    return worst
+
+
+def envelope_inequality_failures(rng, rows):
+    """Rows of ``term_stacks(rng, rows)`` failing the two-parameter envelope inequality.
+
+    Each row has its own mu1 ~ U(0.05, 2) and mu2 ~ U(0.01, 1) mu1.
+    """
+    failures = 0
+    for h, y in term_stacks(rng, rows):
+        mu1 = rng.uniform(0.05, 2.0, ENVELOPE_ROWS)
+        mu2 = rng.uniform(0.01, 1.0, ENVELOPE_ROWS) * mu1
+        failures += int(np.count_nonzero(~moreau_envelope_inequality_check(h, mu1, mu2, y)))
+    return failures
+
+
 def check_smoothing() -> list[CheckResult]:
     rng = np.random.default_rng(54321)
-    results = []
+    gap = prox_oracle_gap(rng, 300, (ScaledL1,))
+    results = [_result("prox vs 1-D grid oracle", gap <= 1e-3, f"max gap {gap:.2e}")]
 
-    worst = 0.0
-    for _ in range(300):
-        lam = float(rng.uniform(0.1, 2.0))
-        mu = float(rng.uniform(0.05, 2.0))
-        y = float(rng.uniform(-3, 3))
-        span = 3 * mu * lam + 1
-        zstar = grid_argmin_1d(lambda z: lam * np.abs(z), mu, y, y - span, y + span)
-        worst = max(worst, abs(float(prox(ScaledL1(lam, 1), mu, np.array([y]))[0]) - zstar))
-    results.append(_result("prox vs 1-D grid oracle", worst <= 1e-3, f"max gap {worst:.2e}"))
-
-    def term_stacks(rows, *lead):
-        """(h, y) per term instance for ``rows`` rows: y a stack of ENVELOPE_ROWS rows of 3 N(0, I), dims 1..5."""
-        for _ in range(rows // (5 * ENVELOPE_ROWS)):
-            dim = int(rng.integers(1, 6))
-            for h in random_terms(rng, dim):
-                yield h, 3 * rng.standard_normal((*lead, ENVELOPE_ROWS, dim))
-
-    # properties 2-6: each row of a stack has its own mu (or mu1, mu2) and y; one library call per stack
+    # prox optimality, monotonicity and the 1/mu-Lipschitz gradient: each row of a stack has its own mu (or
+    # mu1, mu2) and y; one library call per stack
     n = ENVELOPE_ROWS
     ok = True
-    for h, y in term_stacks(1000):
+    for h, y in term_stacks(rng, 1000):
         mu = rng.uniform(0.05, 2.0, n)
         z = prox(h, mu, y)
         cand = z + 0.5 * rng.standard_normal((20, *z.shape))  # 20 candidates per row
         ok &= not np.any(h.value(cand) + _sq(cand - y) / (2 * mu) < h.value(z) + _sq(z - y) / (2 * mu) - 1e-12)
     results.append(_result("prox optimality", ok))
+    results.append(_result("envelope gradient bound", envelope_gradient_excess(rng, 500) <= 1e-10))
 
     ok = True
-    for _ in range(500 // n):
-        dim = int(rng.integers(1, 8))
-        lam = float(rng.uniform(0.05, 3.0))
-        h = ScaledL1(lam, dim) if rng.uniform() < 0.5 else ScaledL2(lam)
-        mu = rng.uniform(0.01, 3.0, n)
-        y = 5 * rng.standard_normal((n, dim))
-        e = moreau_eval(h, mu, y)
-        ok &= not np.any(_norm(e.grad) > h.lipschitz_const + 1e-10)
-        ok &= not np.any(_norm(y - e.prox_point) > mu * h.lipschitz_const + 1e-10)
-    results.append(_result("envelope gradient bound", ok))
-
-    ok = True
-    for h, y in term_stacks(1500):
+    for h, y in term_stacks(rng, 1500):
         mu1 = rng.uniform(0.1, 2.0, n)
         mu2 = rng.uniform(0.01, 1.0, n) * mu1
         ok &= not np.any(moreau_eval(h, mu2, y).value < moreau_eval(h, mu1, y).value - 1e-10)
     results.append(_result("envelope monotone in mu", ok))
 
     worst = -np.inf
-    for h, y in term_stacks(1500, 2):  # y1, y2 as one stack
+    for h, y in term_stacks(rng, 1500, 2):  # y1, y2 as one stack
         mu = rng.uniform(0.05, 2.0, n)
         g = moreau_eval(h, np.broadcast_to(mu, (2, n)), y).grad
         worst = mf.sup(worst, _norm(g[0] - g[1]) - _norm(y[0] - y[1]) / mu)
     results.append(_result("envelope gradient 1/mu-Lipschitz", worst <= 1e-12,
                            f"max ||g1 - g2|| - ||y1 - y2|| / mu = {worst:.2e}"))
-
-    ok = True
-    for h, y in term_stacks(2000):
-        mu1 = rng.uniform(0.05, 2.0, n)
-        mu2 = rng.uniform(0.01, 1.0, n) * mu1
-        ok &= bool(np.all(moreau_envelope_inequality_check(h, mu1, mu2, y)))
-    results.append(_result("two-parameter envelope inequality", ok))
+    results.append(_result("two-parameter envelope inequality", envelope_inequality_failures(rng, 2000) == 0))
     return results
 
 
@@ -284,7 +329,8 @@ def lemma_seq_bound_check(b: Sequence[float], p: float):
     if not np.all((0 < p) & (p < 1)):
         raise ParameterError("need p in (0, 1)")
     partial = np.cumsum(b, axis=-1)
-    lhs = np.sum(b / partial ** (np.expand_dims(p, -1) if b.ndim > 1 else p), axis=-1)
+    terms = partial ** (np.expand_dims(p, -1) if b.ndim > 1 else p)
+    lhs = np.sum(np.divide(b, terms, out=terms), axis=-1)
     rhs = partial[..., -1] ** (1.0 - p) / (1.0 - p)
     return _rows(lhs <= rhs + 1e-12)
 
@@ -327,29 +373,33 @@ def largest_premise_solution(c, d, e, alpha, beta):
     return _rows(lo)
 
 
-def check_lemmas() -> list[CheckResult]:
-    # each block of LEMMA_ROWS rows is drawn as stacks and checked in one
-    # stacked call; a row of length n is zero past n, which adds nothing to
-    # either side of the sequence bound
-    rng = np.random.default_rng(7)
-    bad = 0
-    for _ in range(10_000 // LEMMA_ROWS):
+def lemma_failures(rng, rows):
+    """Failures of the sequence partial-sum bound and of the implicit power bound, on ``rows`` seeded rows each.
+
+    Each block of LEMMA_ROWS rows is drawn as stacks and checked in one call; a sequence row of length
+    n ~ U{1..39} is zero past n, which adds nothing to either side of its bound.
+    """
+    seq = 0
+    for _ in range(rows // LEMMA_ROWS):
         n = rng.integers(1, 40, LEMMA_ROWS)
         b = rng.uniform(0.0, 5.0, (LEMMA_ROWS, 39))
         b[np.arange(39) >= n[:, None]] = 0.0
         b[:, 0] = rng.uniform(0.01, 5.0, LEMMA_ROWS)
         p = rng.uniform(0.02, 0.98, LEMMA_ROWS)
-        bad += int(np.count_nonzero(~lemma_seq_bound_check(b, p)))
-    results = [_result("sequence partial-sum bound", bad == 0, f"{bad} failures")]
-
-    bad = 0
+        seq += int(np.count_nonzero(~lemma_seq_bound_check(b, p)))
+    imp = 0
     lo, hi = [0.05, 0.05, 0.0, 0.05, 0.05], [5.0, 5.0, 5.0, 0.95, 0.95]
-    for _ in range(10_000 // LEMMA_ROWS):
+    for _ in range(rows // LEMMA_ROWS):
         c, d, e, al, be = rng.uniform(lo, hi, (LEMMA_ROWS, 5)).T
         x = largest_premise_solution(c, d, e, al, be)
-        bad += int(np.count_nonzero(~lemma_implicit_bound_check(c, d, e, al, be, x)))
-    results.append(_result("implicit power bound", bad == 0, f"{bad} failures"))
-    return results
+        imp += int(np.count_nonzero(~lemma_implicit_bound_check(c, d, e, al, be, x)))
+    return seq, imp
+
+
+def check_lemmas() -> list[CheckResult]:
+    seq, imp = lemma_failures(np.random.default_rng(7), 10_000)
+    return [_result("sequence partial-sum bound", seq == 0, f"{seq} failures"),
+            _result("implicit power bound", imp == 0, f"{imp} failures")]
 
 
 # --------------------------------------------------- retraction smoothness
@@ -397,6 +447,27 @@ def retr_smooth_constant_check(
 # ------------------------------------------------------------------ solver
 
 
+def smooth_min_grad(problem, K, seed, every):
+    """Smallest ||grad F_mu|| over the diagnostics rows (every ``every`` steps) of a K-step Lipschitz run; its state."""
+    state, trace = solver_lipschitz.run(problem, None, seed=seed, K=K, trace_every=every, diagnostics=True)
+    return min(r.norm_grad_Fmu for r in trace), state
+
+
+def indicator_invariants(state, problem, config, K):
+    """Take K indicator steps from ``state``: ||delta|| at the start and after each step, and the largest
+    relative deviation of mu_k, tau_k and a_k from their schedule formulas (NaN if any is NaN)."""
+    om = config.omega
+    norms, got, ref = [np.linalg.norm(state.delta)], [], []
+    for _ in range(K):
+        r = solver_indicator.step(state, problem, config)
+        norms.append(np.linalg.norm(state.delta))
+        got += r.mu, r.tau, r.a
+        ref += (float(max(r.k, 1)) ** (-om), config.c_tau * float(r.k + 1) ** (-om),
+                min(1.0, config.c_a * float(r.k + 1) ** (-2 * om)))
+    ref = np.array(ref)
+    return np.array(norms), float(np.max(np.abs(np.array(got) - ref) / ref, initial=0.0))
+
+
 def check_solver() -> list[CheckResult]:
     results = []
     problem = make_sparse_pca(n=10, p=2, N=5, lam=0.05, seed=11)
@@ -418,9 +489,7 @@ def check_solver() -> list[CheckResult]:
                            all(t > 0 for t in taus) and all(a >= b for a, b in zip(taus, taus[1:]))))
     results.append(_result("momentum tangent at iterate", max(tang) <= 1e-8, f"max violation {max(tang):.2e}"))
 
-    smooth = make_sparse_pca(n=10, p=1, N=1, lam=0.0, seed=13)
-    _, tr = solver_lipschitz.run(smooth, None, seed=5, K=1500, trace_every=10, diagnostics=True)
-    best = min(r.norm_grad_Fmu for r in tr)
+    best, _ = smooth_min_grad(make_sparse_pca(n=10, p=1, N=1, lam=0.0, seed=13), K=1500, seed=5, every=10)
     results.append(_result("deterministic smooth sanity", best <= 5e-2, f"min grad {best:.2e}"))
 
     _, t1 = solver_lipschitz.run(problem, None, seed=8, K=200, trace_every=10)
@@ -434,35 +503,20 @@ def check_solver() -> list[CheckResult]:
     config = solver_indicator.default_config(cproblem, theta=1.0, safety=2.0, samples=120, seed=31)
     cstate = solver_indicator.init(cproblem, mf.random_point(cproblem.manifold, np.random.default_rng(9)), config, 9)
     radius = config.trunc_radius
-    norms = [np.linalg.norm(cstate.delta)]
-    reports = []
-    for _ in range(600):
-        reports.append(solver_indicator.step(cstate, cproblem, config))
-        norms.append(np.linalg.norm(cstate.delta))
-    results.append(_result("truncation radius respected", max(norms) <= radius + 1e-12,
-                           f"max ||delta|| {max(norms):.6e} vs radius {radius:.6e}"))
+    norms, deviation = indicator_invariants(cstate, cproblem, config, K=600)
+    results.append(_result("truncation radius respected", norms.max() <= radius + 1e-12,
+                           f"max ||delta|| {norms.max():.6e} vs radius {radius:.6e}"))
 
     # the run above never reaches its radius; at 0.1 the truncation binds,
     # so it must both fire (a truncated delta has norm radius, to rounding)
     # and hold after every step
     tight = dataclasses.replace(config, trunc_radius=0.1)
     tstate = solver_indicator.init(cproblem, mf.random_point(cproblem.manifold, np.random.default_rng(9)), tight, 9)
-    norms = [np.linalg.norm(tstate.delta)]
-    for _ in range(600):
-        solver_indicator.step(tstate, cproblem, tight)
-        norms.append(np.linalg.norm(tstate.delta))
-    fired = sum(abs(nrm - 0.1) <= 1e-12 for nrm in norms)
-    results.append(_result("truncation fires and holds at a binding radius", fired >= 1 and max(norms) <= 0.1 + 1e-12,
-                           f"bound at {fired} of {len(norms)} checks, max ||delta|| {max(norms):.6e} vs radius 0.1"))
-
-    om = config.omega
-    sched_ok = all(
-        r.mu == float(max(r.k, 1)) ** (-om)
-        and r.tau == config.c_tau * float(r.k + 1) ** (-om)
-        and r.a == min(1.0, config.c_a * float(r.k + 1) ** (-2 * om))
-        for r in reports
-    )
-    results.append(_result("indicator schedules exact", sched_ok))
+    norms, _ = indicator_invariants(tstate, cproblem, tight, K=600)
+    fired = np.count_nonzero(np.abs(norms - 0.1) <= 1e-12)
+    results.append(_result("truncation fires and holds at a binding radius", fired >= 1 and norms.max() <= 0.1 + 1e-12,
+                           f"bound at {fired} of {len(norms)} checks, max ||delta|| {norms.max():.6e} vs radius 0.1"))
+    results.append(_result("indicator schedules exact", deviation == 0.0))
 
     xs = mf.ManifoldPoint(cproblem.manifold, cstate.x)
     mu = 0.37

@@ -365,9 +365,12 @@ def smoothed_grad(problem, X: np.ndarray, mu: float, egrad: np.ndarray):
             gradient fails the tangent check (it is not finite).
     """
     y = problem.c_eval(X)
-    if not np.all(np.isfinite(y)):
-        raise ParameterError("c(x) must be finite")
-    e = moreau_eval(problem.h, mu, y)
+    try:
+        e = moreau_eval(problem.h, mu, y)  # checks mu, then that c(x) is finite
+    except ParameterError:
+        if np.isfinite(y).all():
+            raise
+        raise ParameterError("c(x) must be finite") from None
     kind = problem.manifold.kind
     rgrad = proj(kind, X, egrad + problem.c_jac_t(X, e.grad))
     check_tangent(kind, X, rgrad)

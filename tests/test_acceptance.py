@@ -15,14 +15,17 @@ from manismooth import solver_indicator as si
 from manismooth import solver_lipschitz as sl
 from manismooth.cli import main as cli_main
 from manismooth.checks import (
-    grid_argmin_1d,
-    largest_premise_solution,
-    lemma_implicit_bound_check,
-    lemma_seq_bound_check,
+    ORACLE_KINDS,
+    envelope_gradient_excess,
+    envelope_inequality_failures,
+    indicator_invariants,
+    lemma_failures,
+    prox_oracle_gap,
     retr_smooth_constant_check,
+    smooth_min_grad,
 )
 from manismooth.harness import fit_rate
-from manismooth.smoothing import IndicatorTerm, smoothed_objective_grad
+from manismooth.smoothing import smoothed_objective_grad
 
 
 def verdict(num, ok, detail):
@@ -123,78 +126,22 @@ def test_criterion_01_gradient_formula(pca_rate, sphere_generic):
 
 
 def test_criterion_02_moreau_machinery():
+    # the prox oracle over all four 1-D kinds and the gradient bound on l1/l2 stacks; the inequality on all
+    # five term kinds, 20,000 rows so that 12,000 of them are l1, l2 or ball
     t0 = time.monotonic()
     rng = np.random.default_rng(202)
-
-    worst_prox = 0.0
-    for _ in range(1000):
-        lam = float(rng.uniform(0.1, 2.0))
-        mu = float(rng.uniform(0.05, 1.5))
-        y = float(rng.uniform(-3.0, 3.0))
-        kind = rng.integers(4)
-        if kind == 0:
-            h = ms.ScaledL1(lam, 1)
-            h_value = lambda z: lam * np.abs(z)
-        elif kind == 1:
-            h = ms.ScaledL2(lam)
-            h_value = lambda z: lam * np.abs(z)
-        elif kind == 2:
-            lo_b = float(rng.uniform(y - 1.0, y))
-            hi_b = lo_b + float(rng.uniform(0.1, 1.0))
-            h = ms.IndicatorBox(np.array([lo_b]), np.array([hi_b]))
-            h_value = lambda z: np.where((z >= lo_b) & (z <= hi_b), 0.0, np.inf)
-        else:
-            c0 = float(rng.uniform(y - 0.9, y + 0.9))
-            r0 = float(rng.uniform(0.1, 1.0))
-            h = ms.IndicatorBall(np.array([c0]), r0)
-            h_value = lambda z: np.where(np.abs(z - c0) <= r0, 0.0, np.inf)
-        span = 3.0 * mu * max(lam, 1e-3) + 1.0
-        oracle = grid_argmin_1d(h_value, mu, y, y - span, y + span)
-        got = float(ms.prox(h, mu, np.array([y]))[0])
-        worst_prox = max(worst_prox, abs(got - oracle))
-
-    bound_ok = True
-    ineq_ok = True
-    for _ in range(10_000):
-        dim = int(rng.integers(1, 5))
-        roll = rng.integers(3)
-        if roll == 0:
-            h = ms.ScaledL1(float(rng.uniform(0.1, 2.0)), dim)
-        elif roll == 1:
-            h = ms.ScaledL2(float(rng.uniform(0.1, 2.0)))
-        else:
-            h = ms.IndicatorBall(rng.standard_normal(dim), float(rng.uniform(0.3, 2.0)))
-        mu1 = float(rng.uniform(0.05, 2.0))
-        mu2 = mu1 * float(rng.uniform(0.01, 1.0))
-        y = 3.0 * rng.standard_normal(dim)
-        if not ms.moreau_envelope_inequality_check(h, mu1, mu2, y):
-            ineq_ok = False
-        if not isinstance(h, IndicatorTerm):
-            e = ms.moreau_eval(h, mu2, y)
-            if np.linalg.norm(e.grad) > h.lipschitz_const + 1e-10:
-                bound_ok = False
+    gap = prox_oracle_gap(rng, 1000, ORACLE_KINDS)
+    excess = envelope_gradient_excess(rng, 10_000)
+    ineq_fail = envelope_inequality_failures(rng, 20_000)
     elapsed = time.monotonic() - t0
-    verdict(2, worst_prox <= 1e-3 and ineq_ok and bound_ok and elapsed < 30.0,
-            f"prox oracle gap {worst_prox:.2e} (limit 1e-3), inequality {'ok' if ineq_ok else 'VIOLATED'}, "
-            f"gradient bound {'ok' if bound_ok else 'VIOLATED'}, {elapsed:.1f}s")
+    verdict(2, gap <= 1e-3 and ineq_fail == 0 and excess <= 1e-10 and elapsed < 30.0,
+            f"prox oracle gap {gap:.2e} (limit 1e-3) over 1000 cases, inequality failures {ineq_fail}/20000, "
+            f"gradient bound excess {excess:.1e} (limit 1e-10) over 10000 rows, {elapsed:.1f}s")
 
 
 def test_criterion_03_analysis_lemmas():
-    # the sequence rows are drawn one at a time (length, entries, b_1, p),
-    # zero-padded and checked in one stacked call; the implicit-bound rows
-    # are one uniform(lo, hi, (rows, 5)) draw
     t0 = time.monotonic()
-    rng = np.random.default_rng(303)
-    b, p = np.zeros((10_000, 39)), np.empty(10_000)
-    for row in range(10_000):
-        n = int(rng.integers(1, 40))
-        b[row, :n] = rng.uniform(0.0, 5.0, n)
-        b[row, 0] = rng.uniform(0.01, 5.0)
-        p[row] = rng.uniform(0.02, 0.98)
-    seq_fail = int(np.count_nonzero(~lemma_seq_bound_check(b, p)))
-    c, d, e, alpha, beta = rng.uniform([0.05, 0.05, 0.0, 0.05, 0.05], [5.0, 5.0, 5.0, 0.95, 0.95], (10_000, 5)).T
-    x = largest_premise_solution(c, d, e, alpha, beta)
-    imp_fail = int(np.count_nonzero(~lemma_implicit_bound_check(c, d, e, alpha, beta, x)))
+    seq_fail, imp_fail = lemma_failures(np.random.default_rng(303), 10_000)
     elapsed = time.monotonic() - t0
     verdict(3, seq_fail == 0 and imp_fail == 0 and elapsed < 10.0,
             f"sequence-bound failures {seq_fail}/10000, implicit-bound failures {imp_fail}/10000, {elapsed:.1f}s")
@@ -202,8 +149,7 @@ def test_criterion_03_analysis_lemmas():
 
 def test_criterion_04_deterministic_sanity(pca_small):
     t0 = time.monotonic()
-    state, trace = sl.run(pca_small, None, seed=1, K=5000, trace_every=1, diagnostics=True)
-    best = min(r.norm_grad_Fmu for r in trace)
+    best, state = smooth_min_grad(pca_small, K=5000, seed=1, every=1)
     # eigendecomposition oracle: recover the covariance through the public
     # full-gradient evaluator at identity-block points, then diagonalize
     n, p = 20, 2
@@ -239,25 +185,12 @@ def test_criterion_06_indicator_invariants(binding_sphere):
     problem, config = binding_sphere
     t0 = time.monotonic()
     x0 = ms.random_point(problem.manifold, np.random.default_rng(606))
-    state = si.init(problem, x0, config, seed=606)
-    om = config.omega
-    trunc_ok = True
-    sched_ok = True
-    for _ in range(20_000):
-        report = si.step(state, problem, config)
-        if np.linalg.norm(state.delta) > config.trunc_radius + 1e-12:
-            trunc_ok = False
-        k = report.k
-        mu_ref = float(max(k, 1)) ** (-om)
-        tau_ref = config.c_tau * float(k + 1) ** (-om)
-        a_ref = min(1.0, config.c_a * float(k + 1) ** (-2.0 * om))
-        for got, ref in ((report.mu, mu_ref), (report.tau, tau_ref), (report.a, a_ref)):
-            if abs(got - ref) > 1e-15 * abs(ref):
-                sched_ok = False
+    norms, deviation = indicator_invariants(si.init(problem, x0, config, seed=606), problem, config, K=20_000)
     elapsed = time.monotonic() - t0
-    verdict(6, trunc_ok and sched_ok,
-            f"truncation {'held' if trunc_ok else 'VIOLATED'} for 20000 iterations, "
-            f"schedules {'exact' if sched_ok else 'DRIFTED'} to 1e-15 relative, {elapsed:.0f}s")
+    radius = config.trunc_radius
+    verdict(6, norms.max() <= radius + 1e-12 and deviation <= 1e-15,
+            f"max ||delta|| {norms.max():.6e} vs radius {radius:.6e} over 20000 iterations, "
+            f"worst schedule deviation {deviation:.1e} (limit 1e-15 relative), {elapsed:.0f}s")
 
 
 def test_criterion_07_feasibility_decay(binding_sphere, decay_runs):

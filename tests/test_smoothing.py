@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 import manismooth as ms
-from manismooth.checks import GRID_BLOCK, check_smoothing, grid_argmin_1d, random_terms
+from manismooth.checks import (
+    GRID_BLOCK,
+    ORACLE_KINDS,
+    check_smoothing,
+    grid_argmin_1d,
+    oracle_cases,
+    prox_oracle_gap,
+    random_terms,
+)
 from manismooth.errors import ParameterError, ShapeMismatchError
 from manismooth.smoothing import IndicatorTerm
 
@@ -186,6 +194,20 @@ def test_smoothed_objective_feasible_indicator():
     np.testing.assert_allclose(g.data, expected.data, atol=1e-13)
 
 
+def test_smoothed_objective_grad_names_a_non_finite_c_x():
+    # a finite linear map whose products overflow c(x) = B x to inf; a bad mu beside it still names c(x),
+    # and a bad mu at a finite c(x) names mu
+    ball = ms.IndicatorBall(np.zeros(2), 1.0)
+    wide = ms.make_constrained_sphere(4, 2, 3, ball, seed=7, quad_weight=0.0, linear_map=np.full((2, 4), 1e308))
+    x = ms.ManifoldPoint(wide.manifold, np.full(wide.manifold.shape, 0.5))
+    for mu in (0.3, 0.0, np.nan):
+        with np.errstate(over="ignore"), pytest.raises(ParameterError, match=r"^c\(x\) must be finite$"):
+            ms.smoothed_objective_grad(wide, x, mu)
+    with pytest.raises(ParameterError) as err:
+        ms.smoothed_objective_grad(ms.make_constrained_sphere(4, 2, 3, ball, seed=7), x, 0.0)
+    assert err.value.field == "mu"
+
+
 def test_indicator_projection_of_a_stack_equals_per_row():
     center = np.array([0.5, -0.2, 0.1])
     sets = [ms.IndicatorBall(center, 0.7), ms.IndicatorBox(center - 0.3, center + 0.4),
@@ -270,33 +292,17 @@ def assert_same_grid_point(h_value, mu, y, lo, hi, res=1e-4):
 
 
 def test_grid_oracle_is_the_whole_grid_argmin_on_the_battery_draws():
-    rng = np.random.default_rng(54321)  # the smoothing battery's 300 oracle draws, spans up to 13
-    for _ in range(300):
-        lam = float(rng.uniform(0.1, 2.0))
-        mu = float(rng.uniform(0.05, 2.0))
-        y = float(rng.uniform(-3, 3))
-        span = 3 * mu * lam + 1
-        assert_same_grid_point(lambda z: lam * np.abs(z), mu, y, y - span, y + span)
-
-
-@pytest.mark.parametrize("kind", ["box", "ball"])
-def test_grid_oracle_is_the_whole_grid_argmin_on_indicators(kind):
-    # acceptance criterion 02's indicator draws: h is +inf on the part of the grid off the set
-    rng = np.random.default_rng(202)
-    for _ in range(100):
-        lam = float(rng.uniform(0.1, 2.0))
-        mu = float(rng.uniform(0.05, 1.5))
-        y = float(rng.uniform(-3.0, 3.0))
-        if kind == "box":
-            lo_b = float(rng.uniform(y - 1.0, y))
-            hi_b = lo_b + float(rng.uniform(0.1, 1.0))
-            h_value = lambda z: np.where((z >= lo_b) & (z <= hi_b), 0.0, np.inf)
-        else:
-            c0 = float(rng.uniform(y - 0.9, y + 0.9))
-            r0 = float(rng.uniform(0.1, 1.0))
-            h_value = lambda z: np.where(np.abs(z - c0) <= r0, 0.0, np.inf)
-        span = 3.0 * mu * lam + 1.0
+    # the smoothing battery's 300 oracle cases, spans up to 13
+    for _, h_value, mu, y, span in oracle_cases(np.random.default_rng(54321), 300, (ms.ScaledL1,)):
         assert_same_grid_point(h_value, mu, y, y - span, y + span)
+
+
+@pytest.mark.parametrize("kind", [ms.IndicatorBox, ms.IndicatorBall], ids=["box", "ball"])
+def test_grid_oracle_is_the_whole_grid_argmin_on_indicators(kind):
+    # acceptance criterion 02's oracle cases of this kind: h is +inf on the part of the grid off the set
+    for h, h_value, mu, y, span in oracle_cases(np.random.default_rng(202), 1000, ORACLE_KINDS):
+        if type(h) is kind:
+            assert_same_grid_point(h_value, mu, y, y - span, y + span)
 
 
 def test_grid_oracle_on_an_all_infinite_grid_gives_its_first_point():
@@ -380,7 +386,9 @@ def test_grid_oracle_holds_blocks_not_whole_grid_temporaries(span):
     (ms.ScaledL2, {"prox optimality", "envelope gradient bound"}),
 ])
 def test_smoothing_battery_catches_a_prox_with_its_threshold_scaled_by_1_01(monkeypatch, cls, failing):
-    # a prox 1% off must fail exactly these properties, however the battery evaluates them
+    # a prox 1% off must fail exactly these properties, however the battery evaluates them; the battery's
+    # oracle draws l1 only, and acceptance criterion 02's oracle call, over every 1-D kind, catches both
     exact = cls.prox
     monkeypatch.setattr(cls, "prox", lambda h, mu, y: exact(dataclasses.replace(h, lam=1.01 * h.lam), mu, y))
     assert {r.name for r in check_smoothing() if not r.passed} == failing
+    assert prox_oracle_gap(np.random.default_rng(202), 1000, ORACLE_KINDS) > 1e-3
