@@ -184,6 +184,8 @@ def validate_config(cfg: dict) -> dict:
         _require(cfg, "diagnostics", bool, "")
     if "output_dir" in cfg and not _require(cfg, "output_dir", str, ""):
         raise ConfigError("output_dir", "must not be empty; use \".\" for the working directory")
+    if "\0" in cfg.get("output_dir", ""):  # no path holds it, and the OS calls raise ValueError, not OSError
+        raise ConfigError("output_dir", "must not contain a NUL byte")
     solver = cfg.get("solver", {})
     if not isinstance(solver, dict):
         raise ConfigError("solver", "must be an object")

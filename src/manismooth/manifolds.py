@@ -480,11 +480,12 @@ def tangent_blocks(desc: ManifoldDescriptor, rng: np.random.Generator, samples: 
 
 
 def estimate_retraction_constants(
-    desc: ManifoldDescriptor, samples: int, rng_seed: int
+    desc: ManifoldDescriptor, samples: int, rng_seed: int | np.random.Generator
 ) -> RetractionConstants:
     """Empirical retraction constants from seeded sampling.
 
-    Draws ``samples`` pairs (x, u) with ||u|| <= 1 and returns
+    Draws ``samples`` pairs (x, u) with ||u|| <= 1 from ``default_rng(rng_seed)``,
+    which advances a Generator in place, and returns
 
         alpha = max ||R_x(u) - x|| / ||u||,
         beta  = max ||R_x(u) - x - u|| / ||u||^2.

@@ -313,9 +313,9 @@ def test_run_huge_dimension_names_its_field(tmp_path, capsys, make, field, value
 
 
 def test_run_unwritable_output_names_its_setting(tmp_path, monkeypatch, capsys):
-    # the directory cannot be created under a file, and a directory in the
-    # place of trace.csv cannot be written; each exits 2 naming the setting,
-    # and with --seeds an unwritable root is reported once, before any seed runs
+    # the directory cannot be created under a file, and a directory in the place of trace.csv cannot be
+    # written; each exits 2 naming the setting, and with --seeds an unwritable root, or one no path can
+    # hold (a NUL byte), is reported once, before any seed runs
     cfg_path = write_config(tmp_path, pca_config(tmp_path / "out"))
     (tmp_path / "out" / "trace.csv").mkdir(parents=True)
     assert main(["run", "--config", str(cfg_path)]) == 2
@@ -325,6 +325,10 @@ def test_run_unwritable_output_names_its_setting(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", str(cfg_path), "--seeds", "1,2,3"]) == 2
     err = capsys.readouterr().err
     assert err.count("config error: MANISMOOTH_OUT: ") == 1 and "seed " not in err and "Traceback" not in err
+    monkeypatch.delenv("MANISMOOTH_OUT")
+    assert main(["run", "--config", str(write_config(tmp_path, pca_config("out\x00x"))), "--seeds", "1,2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: output_dir: ") == 1 and "seed " not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("solver", [{"c_tau": 0.5, "theta": 3}, {"theta": None}])

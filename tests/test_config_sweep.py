@@ -49,7 +49,7 @@ BASES = {
 }
 MISSING = object()
 VALUES = {"missing": MISSING, "null": None, "bool": True, "string": "x", "list": [1.0], "zero": 0, "minus_one": -1,
-          "huge": 1e308, "tiny": 5e-324}
+          "huge": 1e308, "tiny": 5e-324, "nul": "a\x00b"}
 # for values whose arithmetic overflows on purpose; any other RuntimeWarning fails the case
 OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 

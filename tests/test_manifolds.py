@@ -278,18 +278,18 @@ def test_tangent_blocks_follow_the_one_at_a_time_stream(desc):
 
 
 def test_retraction_caps_name_the_first_failing_manifold(monkeypatch):
-    # an estimate over the cap on the sphere and on Stiefel: the report names
-    # the sphere and its constants, not the last failure seen
+    # alpha over the cap on the sphere and on Stiefel, in the estimate (int seed) or the fresh samples (the
+    # battery's Generator): the report names the sphere and its constants, not the last failure seen
     estimate = mf.estimate_retraction_constants
-
-    def inflated(desc, samples, seed):
-        rc = estimate(desc, samples, seed)
-        return mf.RetractionConstants(rc.alpha + (3.0 if desc.kind != "oblique" else 0.0), rc.beta)
-
-    monkeypatch.setattr(mf, "estimate_retraction_constants", inflated)
-    caps = {r.name: r for r in check_manifold()}["retraction constant caps"]
-    assert not caps.passed
-    assert caps.detail.startswith("sphere: estimated alpha=4.000, beta=")
+    for inflate, detail in ((int, "sphere: estimated alpha=4.000, beta="),
+                            (np.random.Generator, "sphere: fresh samples reach alpha=")):
+        def inflated(desc, samples, seed):
+            rc = estimate(desc, samples, seed)
+            over = isinstance(seed, inflate) and desc.kind != "oblique"
+            return mf.RetractionConstants(rc.alpha + (3.0 if over else 0.0), rc.beta)
+        monkeypatch.setattr(mf, "estimate_retraction_constants", inflated)
+        caps = {r.name: r for r in check_manifold()}["retraction constant caps"]
+        assert not caps.passed and caps.detail.startswith(detail), caps
 
 
 class _ScriptedGenerator:

@@ -381,14 +381,24 @@ def test_grid_oracle_holds_blocks_not_whole_grid_temporaries(span):
     assert peak - grid < 1_000_000
 
 
-@pytest.mark.parametrize("cls, failing", [
-    (ms.ScaledL1, {"prox vs 1-D grid oracle", "prox optimality", "envelope gradient bound"}),
-    (ms.ScaledL2, {"prox optimality", "envelope gradient bound"}),
+@pytest.mark.parametrize("cls, nan, failing", [
+    (ms.ScaledL1, False, {"prox vs 1-D grid oracle", "prox optimality", "envelope gradient bound"}),
+    (ms.ScaledL2, False, {"prox optimality", "envelope gradient bound"}),
+    (ms.ScaledL2, True, {"prox optimality", "envelope gradient bound", "envelope monotone in mu",
+                         "envelope gradient 1/mu-Lipschitz", "two-parameter envelope inequality"}),
 ])
-def test_smoothing_battery_catches_a_prox_with_its_threshold_scaled_by_1_01(monkeypatch, cls, failing):
-    # a prox 1% off must fail exactly these properties, however the battery evaluates them; the battery's
-    # oracle draws l1 only, and acceptance criterion 02's oracle call, over every 1-D kind, catches both
+def test_smoothing_battery_catches_a_prox_with_its_threshold_scaled_by_1_01(monkeypatch, cls, nan, failing):
+    # a prox 1% off, or NaN in one row of each stack, fails exactly these properties; the battery's oracle
+    # draws l1 only, and criterion 02's, over every 1-D kind, catches all three (a NaN gap fails its limit)
     exact = cls.prox
-    monkeypatch.setattr(cls, "prox", lambda h, mu, y: exact(dataclasses.replace(h, lam=1.01 * h.lam), mu, y))
+
+    def patched(h, mu, y):
+        if not nan:
+            return exact(dataclasses.replace(h, lam=1.01 * h.lam), mu, y)
+        z = exact(h, mu, y)
+        z[0] = np.nan  # the first row of a stack, the first entry of one vector
+        return z
+
+    monkeypatch.setattr(cls, "prox", patched)
     assert {r.name for r in check_smoothing() if not r.passed} == failing
-    assert prox_oracle_gap(np.random.default_rng(202), 1000, ORACLE_KINDS) > 1e-3
+    assert not prox_oracle_gap(np.random.default_rng(202), 1000, ORACLE_KINDS) <= 1e-3
