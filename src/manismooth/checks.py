@@ -419,9 +419,9 @@ def retr_smooth_constant_check(problem, mu: float, samples: int, seed: int) -> t
                                      lambda rng: (rng.uniform(0.05, 1.0),)):
         Y = mf.retr(kind, X, U)
         mf.check_point(kind, Y)
-        (fx, gx), (fy, gy) = problem.full_value_egrad(X), problem.full_value_egrad(Y)
+        (fx, gx), fy = problem.full_value_egrad(X), problem.full_value_egrad(Y)[0]
         cx, ex, rgrad = smoothed_grad(problem, X, mu, gx)
-        ey = smoothed_grad(problem, Y, mu, gy)[1]
+        ey = moreau_eval(problem.h, mu, problem.c_eval(Y))  # F_mu(Y) needs no gradient at Y
         lin = np.sum(rgrad * U, axis=(-2, -1))
         empirical = _peak(empirical, 2.0 * mu * (fy + ey.value - (fx + ex.value) - lin) / mf.squares(mf.fro(U)))
         if indicator:

@@ -25,7 +25,7 @@ the run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -84,10 +84,10 @@ def start(problem: StochasticProblem, x0: ManifoldPoint, seed, k: int, radius: f
 
 
 def step(
-    state: SolverState, problem: StochasticProblem, mu: float, schedule: Callable[[], tuple[float, float]],
+    state: SolverState, problem: StochasticProblem, mu: float, schedule: Callable[[int, float], tuple[float, float]],
     radius: float | None = None,
 ) -> TraceRecord:
-    """Advance the state by one iteration at smoothing level mu; ``schedule()`` gives (tau_k, a_{k+1}).
+    """Advance the state by one iteration at smoothing level mu; ``schedule(k, energy)`` gives (tau_k, a_{k+1}).
 
         G_k         = delta_k + P_{T_{x_k}}( Dc(x_k)^T (c(x_k) - prox_{mu h}(c(x_k))) / mu )
         x_{k+1}     = R_{x_k}(-tau_k G_k)
@@ -96,7 +96,7 @@ def step(
     with one fresh sample xi for both gradients; the transport to x_{k+1}
     is the tangent projection there.  For an indicator the residual
     c(x) - prox_{mu h}(c(x)) is c(x) - P_C(c(x)).  ||G_k||^2 is added to
-    ``state.energy`` before ``schedule`` is called.  With a ``radius``,
+    ``state.energy`` before ``schedule`` is called with it.  With a ``radius``,
     delta_{k+1} is scaled back onto that ball.  The new iterate and
     momentum are wrapped, and so checked, as one ``ManifoldPoint`` and one
     ``TangentVector``; the state keeps their read-only data.  The returned
@@ -108,27 +108,29 @@ def step(
         DegenerateRetractionError: the retraction target is degenerate.
         ParameterError: x_{k+1} or delta_{k+1} fails its check.
     """
-    k, X, desc = state.k, state.x, problem.manifold
+    k, X, delta, desc = state.k, state.x, state.delta, problem.manifold
     kind = desc.kind
     y = problem.c_eval(X)
     diff = y - problem.h.prox(mu, y)  # = mu * grad h_mu(c(x))
-    G = state.delta + proj(kind, X, problem.c_jac_t(X, diff / mu))
+    G = delta + proj(kind, X, problem.c_jac_t(X, diff / mu))
     norm_G = _norm(G)
     if not math.isfinite(norm_G):
         raise NumericalFailureError("non-finite search direction", k)
     state.energy += norm_G * norm_G
-    tau, a_next = schedule()
+    tau, a_next = schedule(k, state.energy)
     if not math.isfinite(tau):
         raise NumericalFailureError("non-finite stepsize", k)
     X_next = retr(kind, X, (-tau) * G)
     xi = int(state.rng.integers(problem.num_samples))
     g_new = proj(kind, X_next, problem.sample_egrad(X_next, xi))
     g_old = proj(kind, X, problem.sample_egrad(X, xi))
-    delta_next = _truncate(g_new + (1.0 - a_next) * proj(kind, X_next, state.delta - g_old), radius, k)
+    delta_next = g_new + (1.0 - a_next) * proj(kind, X_next, delta - g_old)
+    if radius is not None:
+        delta_next = _truncate(delta_next, radius, k)
     x = ManifoldPoint(desc, X_next)
     state.x = x.data
     state.delta = TangentVector(desc, x, delta_next).data
-    state.k += 1
+    state.k = k + 1
     return TraceRecord(k=k, mu=mu, tau=tau, a=a_next, norm_G=norm_G, infeas=_norm(diff))
 
 
@@ -187,8 +189,9 @@ def run(
                 if diagnostics:
                     f, egrad = problem.full_value_egrad(X)
                     _, env, rgrad = smoothed_grad(problem, X, record.mu, egrad)
-                    record = replace(record, obj_smooth=f + env.value,
-                                     norm_grad_Fmu=_norm(rgrad), norm_eps=_norm(delta - proj(kind, X, egrad)))
+                    record.obj_smooth = f + env.value
+                    record.norm_grad_Fmu = _norm(rgrad)
+                    record.norm_eps = _norm(delta - proj(kind, X, egrad))
                 trace.append(record)
         except (ParameterError, DegenerateRetractionError) as exc:
             # the inputs were validated before the loop, so the row's own arithmetic broke a check

@@ -26,14 +26,19 @@ single point is just the stack with no leading axes.  The column-wise
 kernels read <x_j, v_j> per column from one helper, which at p = 1 takes
 one BLAS dot per matrix and at p > 1 sums each column; the two round
 differently, and the choice rests on the shape alone.  The one-matrix rule:
-a product of two plain matrices goes through ``ndarray.dot``, a product
-with a stack through ``@`` (both by the private ``_mm``, so each formula is
-written once).  ``dot`` calls the BLAS routine ``@`` calls and gives the
-same bits, without the gufunc dispatch ``@`` spends on stacks.
-``test_one_matrix_products_equal_matmul`` and
+each kernel picks its matrix product once per call from its operands'
+shapes, ``ndarray.dot`` (``_dot``) when every operand is one matrix and
+``np.matmul`` (``_matmul``, what ``@`` calls) when one is a stack, and
+writes its formula once with the product it picked; the problem
+families' evaluators pick theirs the same way.  ``dot`` calls the BLAS
+routine ``@`` calls and gives the same bits, without the gufunc dispatch
+``@`` spends on stacks.  ``test_one_matrix_products_equal_matmul`` and
 ``test_stacked_kernels_equal_per_slice`` in ``tests/test_manifolds.py``
 pin both at the benchmark's shapes (St(50, 3), St(1000, 10), S^49,
-Ob(50, 3)) as well as at small ones.  The checks reject NaN and infinite
+Ob(50, 3)) as well as at small ones, and
+``test_one_matrix_equals_its_slice_of_a_stack_bit_for_bit`` in
+``tests/test_problems.py`` compares bytes, kernels and evaluators
+together, and the checks' messages.  The checks reject NaN and infinite
 data, so a ``ManifoldPoint`` or ``TangentVector`` always holds finite
 values; nothing here repairs data that fails them.  The
 sampling estimators draw their points and tangents with
@@ -46,7 +51,8 @@ stacks of at most ``SAMPLE_BLOCK``; :func:`points_from` and
 The Stiefel ``normalize`` calls the two LAPACK gufuncs that
 ``np.linalg.qr`` wraps, ``qr_r_raw`` (geqrf) and ``qr_reduced`` (orgqr),
 on a float64 copy of its input, reads diag(R) from the factored copy and
-fixes the signs of Q in place.  That skips ``np.linalg.qr``'s type
+fixes the signs of Q in place; ``retr`` hands them X + V, an array of its
+own, without that copy.  That skips ``np.linalg.qr``'s type
 dispatch, its ``triu`` of R and both of its ``errstate`` blocks (on numpy
 2.4.6 the gufuncs raise nothing for a NaN, infinite, huge, subnormal, zero
 or rank-one target), and gives the same Q bit for bit.  The gufuncs live in
@@ -57,7 +63,9 @@ the sign fix: a numpy release that renames them fails at import, and one
 that changes their results fails that test.  For one matrix,
 ``check_point`` and ``check_tangent`` take their norms as Python floats
 and compare those, cheaper than numpy-scalar comparisons; a stack takes
-the array path and fails with the same message.
+the array path and fails with the same message.  ``ManifoldPoint`` and
+``TangentVector`` set each field once in their own ``__init__`` and check
+in ``__post_init__``, once per construction.
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function of its inputs.
@@ -67,7 +75,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.linalg import _umath_linalg  # private: the LAPACK QR gufuncs behind np.linalg.qr
@@ -108,7 +116,7 @@ class ManifoldDescriptor:
         elif not self.n >= self.p >= 1:
             raise ParameterError(f"{self.kind} requires n >= p >= 1, got n={self.n}, p={self.p}")
 
-    @property
+    @cached_property  # not a field; after the first read, a plain attribute read on the step's path
     def shape(self) -> tuple[int, int]:
         return (self.n, self.p)
 
@@ -141,11 +149,17 @@ def _as_matrix(desc: ManifoldDescriptor, data, what: str) -> np.ndarray:
         if arr.shape != desc.shape:
             raise ShapeMismatchError(f"{what}: expected shape {desc.shape}, got {arr.shape}")
         out = np.array(arr, copy=True)
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True, eq=False)
+_set = object.__setattr__  # how the constructors of the frozen classes below set their fields
+
+
+# The typed values write their own __init__: each field is set once, the data as
+# its read-only copy, where the generated one would set the data twice.
+# __post_init__ is the check, run once per construction.
+@dataclass(frozen=True, eq=False, init=False)
 class ManifoldPoint:
     """A point on a manifold, stored in its ambient embedding.
 
@@ -156,12 +170,16 @@ class ManifoldPoint:
     descriptor: ManifoldDescriptor
     data: np.ndarray
 
+    def __init__(self, descriptor: ManifoldDescriptor, data):
+        _set(self, "descriptor", descriptor)
+        _set(self, "data", _as_matrix(descriptor, data, "point"))
+        self.__post_init__()
+
     def __post_init__(self):
-        object.__setattr__(self, "data", _as_matrix(self.descriptor, self.data, "point"))
         check_point(self.descriptor.kind, self.data)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TangentVector:
     """An element of the tangent space at ``base``."""
 
@@ -169,10 +187,15 @@ class TangentVector:
     base: ManifoldPoint
     data: np.ndarray
 
-    def __post_init__(self):
-        if self.base.descriptor is not self.descriptor and self.base.descriptor != self.descriptor:
+    def __init__(self, descriptor: ManifoldDescriptor, base: ManifoldPoint, data):
+        if base.descriptor is not descriptor and base.descriptor != descriptor:
             raise ShapeMismatchError("tangent vector descriptor differs from base point's")
-        object.__setattr__(self, "data", _as_matrix(self.descriptor, self.data, "tangent"))
+        _set(self, "descriptor", descriptor)
+        _set(self, "base", base)
+        _set(self, "data", _as_matrix(descriptor, data, "tangent"))
+        self.__post_init__()
+
+    def __post_init__(self):
         check_tangent(self.descriptor.kind, self.base.data, self.data)
 
     def norm(self) -> float:
@@ -210,9 +233,9 @@ def _inner(A: np.ndarray, B: np.ndarray):
     return np.vecdot(A.reshape(*A.shape[:-2], n * p), B.reshape(*B.shape[:-2], n * p))
 
 
-def _mm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``A @ B``.  Two plain matrices take ``ndarray.dot``: the same BLAS call and bits, without matmul's stack dispatch."""
-    return A.dot(B) if A.ndim == 2 and B.ndim == 2 else A @ B
+# the two matrix products of the one-matrix rule (module docstring)
+_dot = np.ndarray.dot
+_matmul = np.matmul
 
 
 def _lift(s):
@@ -260,8 +283,9 @@ def _columns(X: np.ndarray, V: np.ndarray):
 def proj(kind: str, X: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Tangent projection at X; ``proj(kind, Y, V)`` is also the vector transport into T_Y M."""
     if kind == STIEFEL:
-        s = _mm(X.mT, V)
-        return V - _mm(X, (s + s.mT) / 2.0)
+        mm = _dot if X.ndim == 2 and V.ndim == 2 else _matmul
+        s = mm(X.mT, V)
+        return V - mm(X, (s + s.mT) / 2.0)
     return V - X * _columns(X, V)
 
 
@@ -274,12 +298,17 @@ def normalize(kind: str, Y: np.ndarray) -> np.ndarray:
             infinite Y is not caught here: its result is not finite, and
             the point check rejects it.
     """
+    return _normalized(kind, np.array(Y, dtype=np.float64) if kind == STIEFEL else Y)
+
+
+def _normalized(kind: str, Y: np.ndarray) -> np.ndarray:
+    """:func:`normalize` of a float64 Y that the call may overwrite: the Stiefel QR factors Y in place."""
     if kind == STIEFEL:
-        R = np.array(Y, dtype=np.float64)  # geqrf overwrites it with R above the diagonal, reflectors below
-        Q = _umath_linalg.qr_reduced(R, _umath_linalg.qr_r_raw(R))
-        diag = R.diagonal(0, -2, -1)
-        if any(abs(r) < 1e-12 for r in diag.ravel().tolist()):
-            raise DegenerateRetractionError("rank-deficient Stiefel target")
+        Q = _umath_linalg.qr_reduced(Y, _umath_linalg.qr_r_raw(Y))  # geqrf leaves R above Y's diagonal
+        diag = Y.diagonal(0, -2, -1)
+        for r in diag.ravel().tolist():  # a loop, not any() over a generator, on the step's path
+            if abs(r) < 1e-12:
+                raise DegenerateRetractionError("rank-deficient Stiefel target")
         Q *= np.copysign(1.0, diag)[..., None, :]
         return Q
     nrms = np.sqrt(_columns(Y, Y))
@@ -293,7 +322,7 @@ def retr(kind: str, X: np.ndarray, V: np.ndarray) -> np.ndarray:
     """First-order retraction R_X(V) on raw arrays; X itself where V = 0 (per slice of a stack)."""
     if not np.count_nonzero(V):  # V.any(), without its Python-level wrapper
         return X
-    Y = normalize(kind, X + V)
+    Y = _normalized(kind, X + V)  # the sum is this call's own, so the QR factors it without normalize's copy
     if V.ndim > 2:
         still = ~V.any(axis=(-2, -1))
         if still.any():
@@ -311,7 +340,7 @@ def check_point(kind: str, X: np.ndarray) -> None:
     """
     one = X.ndim == 2  # one point: compare Python floats, cheaper than any numpy-scalar comparison
     if kind == STIEFEL:
-        err = (_norm if one else fro)(_mm(X.mT, X) - _identity(X.shape[-1]))
+        err = (_norm if one else fro)((_dot if one else _matmul)(X.mT, X) - _identity(X.shape[-1]))
         tol = _POINT_TOL_STIEFEL
     else:
         s = _columns(X, X)
@@ -336,7 +365,7 @@ def check_tangent(kind: str, X: np.ndarray, V: np.ndarray) -> None:
     one = X.ndim == V.ndim == 2  # one vector: the same test on Python floats
     norm = _norm if one else fro
     if kind == STIEFEL:
-        s = _mm(X.mT, V)
+        s = (_dot if one else _matmul)(X.mT, V)
         err = norm(s + s.mT)
     else:
         s = _columns(X, V)

@@ -30,9 +30,10 @@ from .manifolds import (
     ManifoldPoint,
     RetractionConstants,
     TangentVector,
+    _dot,
     _inner,
     _lift,
-    _mm,
+    _matmul,
     check_point,
     check_tangent,
     fro,
@@ -137,23 +138,25 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((N, n))
     cov = A.T @ A / N
+    m = n * p
 
     def sample_egrad(xd, i):
         a = A[i][..., None]
-        return _mm(-a, _mm(a.mT, xd))  # a k = 1 product, not a broadcast multiply
+        mm = _dot if a.ndim == 2 and xd.ndim == 2 else _matmul
+        return mm(-a, mm(a.mT, xd))  # a k = 1 product, not a broadcast multiply
 
     def full_egrad(xd):
-        return -_mm(cov, xd)  # negating the product, not the n x n covariance
+        return -(_dot if xd.ndim == 2 else _matmul)(cov, xd)  # negating the product, not the n x n covariance
 
     def full_value_egrad(xd):
         g = full_egrad(xd)
         return 0.5 * np.sum(xd * g, axis=(-2, -1)), g
 
     def c_eval(xd):
-        return xd.reshape(*xd.shape[:-2], n * p).copy()
+        return xd.reshape(xd.shape[:-2] + (m,)).copy()
 
     def c_jac_t(xd, v):
-        return v.reshape(*v.shape[:-1], n, p)
+        return v.reshape(v.shape[:-1] + (n, p))
 
     return StochasticProblem(
         manifold=stiefel(n, p),
@@ -163,7 +166,7 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
         full_egrad=full_egrad,
         c_eval=c_eval,
         c_jac_t=c_jac_t,
-        m=n * p,
+        m=m,
         h=h,
         name="sparse_pca",
     )
@@ -204,27 +207,32 @@ def make_constrained_sphere(
     W = quad_weight * rng.standard_normal((m, n)) / np.sqrt(n)
 
     b_col = b[:, None]
+    AT, BT, WT = A.T, B.T, W.T
 
     def sample_egrad(xd, i):
         a = A[i][..., None]
         return _lift(_inner(a, xd) - b[i]) * a
 
-    def residual(xd):
-        return _mm(A, xd) - b_col
+    def residual(xd, mm):
+        return mm(A, xd) - b_col
 
     def full_value_egrad(xd):
-        r = residual(xd)
-        return 0.5 * np.vecdot(r[..., 0], r[..., 0]) / N, _mm(A.T, r) / N
+        mm = _dot if xd.ndim == 2 else _matmul
+        r = residual(xd, mm)
+        return 0.5 * np.vecdot(r[..., 0], r[..., 0]) / N, mm(AT, r) / N
 
     def full_egrad(xd):
-        return _mm(A.T, residual(xd)) / N
+        mm = _dot if xd.ndim == 2 else _matmul
+        return mm(AT, residual(xd, mm)) / N
 
     def c_eval(xd):
-        return (_mm(B, xd) + _mm(W, xd * xd))[..., 0]
+        mm = _dot if xd.ndim == 2 else _matmul
+        return (mm(B, xd) + mm(W, xd * xd))[..., 0]
 
     def c_jac_t(xd, v):
         v = v[..., None]
-        return _mm(B.T, v) + 2.0 * xd * _mm(W.T, v)
+        mm = _dot if v.ndim == 2 else _matmul
+        return mm(BT, v) + 2.0 * xd * mm(WT, v)
 
     return StochasticProblem(
         manifold=sphere(n),

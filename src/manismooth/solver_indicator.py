@@ -94,6 +94,11 @@ class IndicatorConfig:
         """Smoothing level mu_k = max(k, 1)^{-omega}."""
         return float(max(k, 1)) ** (-self.omega)
 
+    def schedule(self, k: int, energy: float) -> tuple[float, float]:
+        """(tau_k, a_{k+1}) = (c_tau (k+1)^{-omega}, min(1, c_a (k+1)^{-2 omega})); the energy plays no part."""
+        omega = self.omega
+        return self.c_tau * float(k + 1) ** (-omega), min(1.0, self.c_a * float(k + 1) ** (-2.0 * omega))
+
     def pick(self, K: int, rng: np.random.Generator) -> int:
         """Index of the certificate's iterate, drawn from floor(K/2) .. K with probability proportional to tau_k.
 
@@ -222,10 +227,7 @@ def init(
 
 def step(state: driver.SolverState, problem: StochasticProblem, config: IndicatorConfig) -> TraceRecord:
     """Advance the state by exactly one iteration of :func:`driver.step`; its record carries dist(c(x_k), C)."""
-    k, omega = state.k, config.omega
-    tau = config.c_tau * float(k + 1) ** (-omega)
-    a_next = min(1.0, config.c_a * float(k + 1) ** (-2.0 * omega))
-    return driver.step(state, problem, config.mu(k), lambda: (tau, a_next), config.trunc_radius)
+    return driver.step(state, problem, config.mu(state.k), config.schedule, config.trunc_radius)
 
 
 def run(

@@ -58,15 +58,15 @@ def init(problem: StochasticProblem, x0: ManifoldPoint, seed: int | np.random.Ge
     return driver.start(problem, x0, seed, k=1)
 
 
+def _schedule(k: int, energy: float) -> tuple[float, float]:
+    """(tau_k, a_{k+1}) at iteration k, ``energy`` being sum_{i<=k} ||G_i||^2; tau_k = 0 while it is 0."""
+    a_next = momentum_weight(k)
+    return (energy / a_next) ** (-1.0 / 3.0) if energy > 0.0 else 0.0, a_next
+
+
 def step(state: driver.SolverState, problem: StochasticProblem) -> TraceRecord:
     """Advance the state by exactly one iteration of :func:`driver.step`."""
-    k = state.k
-    a_next = momentum_weight(k)
-
-    def schedule() -> tuple[float, float]:
-        return (state.energy / a_next) ** (-1.0 / 3.0) if state.energy > 0.0 else 0.0, a_next
-
-    return driver.step(state, problem, smoothing_level(k), schedule)
+    return driver.step(state, problem, smoothing_level(state.k), _schedule)
 
 
 def run(

@@ -1,3 +1,5 @@
+import csv
+import io
 import re
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from manismooth.errors import InsufficientDataError, ParameterError, TraceFormat
 from manismooth.harness import (
     TRACE_COLUMNS,
     TraceRecord,
+    _fmt,
     fit_rate,
     read_summary_json,
     read_trace_csv,
@@ -161,6 +164,26 @@ def test_trace_csv_roundtrip(tmp_path):
     write_trace_csv(trace, path)
     back = read_trace_csv(path)
     assert back == trace
+
+
+def test_trace_csv_writes_the_bytes_of_csv_writer(tmp_path):
+    # each row is joined and written as one string; the file must hold exactly what
+    # csv.writer wrote: \r\n line ends, and empty, unquoted fields where a row has no diagnostics
+    trace = [
+        TraceRecord(k=0, mu=1.0, tau=0.5, a=1.0, norm_G=0.123456789012345678, infeas=1e-300),
+        TraceRecord(k=np.int64(20), mu=20.0 ** (-1 / 3), tau=-0.0, a=np.float64(0.25), norm_G=float("inf"),
+                    obj_smooth=-1.5, norm_grad_Fmu=float("nan"), infeas=0.0, norm_eps=5e-324),
+        TraceRecord(k=21, mu=0.3, tau=0.3, a=0.2, norm_G=2.0, obj_smooth=None, norm_grad_Fmu=0.7, infeas=3.0),
+    ]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(TRACE_COLUMNS)
+    for rec in trace:
+        writer.writerow([_fmt(getattr(rec, column)) for column in TRACE_COLUMNS])
+    assert path.read_bytes() == expected.getvalue().encode()
+    assert path.read_bytes().count(b"\r\n") == 4 and b",,,1e-300,\r\n" in path.read_bytes()
 
 
 def test_readme_lists_the_trace_columns():

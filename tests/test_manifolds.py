@@ -234,7 +234,7 @@ def test_one_matrix_products_equal_matmul(desc):
         pairs = [(X.mT, V), (X.mT, X), (X, S), (a.mT, X), (cov, X), (data, x), (data.T, data.dot(x) - 0.5),
                  (data[:10], x), (data[:10], x * x), (data[:10].T, v)]
         for A, B in pairs:
-            assert np.array_equal(mf._mm(A, B), A @ B)
+            assert np.array_equal(mf._dot(A, B), A @ B)
         s = X.mT @ V
         if desc.kind == mf.STIEFEL:
             assert np.array_equal(mf.proj(desc.kind, X, V), V - X @ ((s + s.mT) / 2.0))

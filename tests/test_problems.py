@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import manismooth as ms
+from manismooth import manifolds as mf
 from manismooth.errors import ParameterError
 
 
@@ -255,6 +258,60 @@ def test_stacked_evaluators_equal_per_point(which, request):
                   p.c_jac_t(X[s], V[s])]
         for got, want in zip(stacked, single):
             assert np.array_equal(got[s], want)
+
+
+ONE_MATRIX_CASES = {
+    **BENCH_PROBLEMS,
+    # the evaluators do not read the manifold, so sparse PCA's serve Ob(20, 3) points as well
+    "pca-Ob(20,3)": lambda: dataclasses.replace(ms.make_sparse_pca(20, 3, 50, 0.1, seed=5), manifold=ms.oblique(20, 3)),
+}
+
+
+def _outcome(check, *args):
+    """None if the check passes, else its message."""
+    try:
+        check(*args)
+    except ParameterError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("which", list(ONE_MATRIX_CASES))
+def test_one_matrix_equals_its_slice_of_a_stack_bit_for_bit(which):
+    # a one-matrix call takes ndarray.dot and its own branches where a stack takes @: each
+    # kernel and evaluator on the step's path gives the bytes of that matrix's slice of the
+    # stacked call, and each check the verdict and message of its one-slice stack
+    p = ONE_MATRIX_CASES[which]()
+    kind = p.manifold.kind
+    rng = np.random.default_rng(29)
+    X = mf.normalize(kind, rng.standard_normal((7, *p.manifold.shape)))
+    G = rng.standard_normal(X.shape)
+    V = mf.proj(kind, X, G)
+    step = 0.3 * V
+    step[4] = 0.0  # retr keeps X itself there
+    idx = rng.integers(p.num_samples, size=7)
+    Y = rng.standard_normal((7, p.m))
+    stacked = [mf.proj(kind, X, G), mf.retr(kind, X, step), p.sample_egrad(X, idx), p.c_eval(X), p.c_jac_t(X, Y)]
+    for s in range(7):
+        single = [mf.proj(kind, X[s], G[s]), mf.retr(kind, X[s], step[s]), p.sample_egrad(X[s], int(idx[s])),
+                  p.c_eval(X[s]), p.c_jac_t(X[s], Y[s])]
+        for got, want in zip(stacked, single):
+            assert got[s].shape == want.shape and got[s].tobytes() == want.tobytes()
+    off = X.copy()
+    off[1] *= 1.0 + 1e-6
+    off[3, 0, 0] = np.nan
+    off[5] *= 1.0 + 1e-13  # within every tolerance
+    bent = V.copy()
+    bent[2] += 1e-6 * X[2]
+    bent[3, -1, -1] = np.nan
+    bent[6] *= 1e12  # tangent: the tolerance grows with the norm
+    for s in range(7):
+        point = _outcome(mf.check_point, kind, off[s])
+        assert point == _outcome(mf.check_point, kind, off[s:s + 1])
+        assert (point is None) == (s not in (1, 3))
+        tangent = _outcome(mf.check_tangent, kind, X[s], bent[s])
+        assert tangent == _outcome(mf.check_tangent, kind, X[s:s + 1], bent[s:s + 1])
+        assert (tangent is None) == (s not in (2, 3))
 
 
 def _family_data(which):
