@@ -419,7 +419,7 @@ def retr_smooth_constant_check(problem, mu: float, samples: int, seed: int) -> t
                                      lambda rng: (rng.uniform(0.05, 1.0),)):
         Y = mf.retr(kind, X, U)
         mf.check_point(kind, Y)
-        (fx, gx), fy = problem.full_value_egrad(X), problem.full_value_egrad(Y)[0]
+        (fx, gx), fy = problem.full_value_egrad(X), problem.full_value(Y)
         cx, ex, rgrad = smoothed_grad(problem, X, mu, gx)
         ey = moreau_eval(problem.h, mu, problem.c_eval(Y))  # F_mu(Y) needs no gradient at Y
         lin = np.sum(rgrad * U, axis=(-2, -1))

@@ -20,12 +20,18 @@ each failing seed is named and the rest still run, and the exit code is
 the worst (3 over 2; 1, a seed that raised or whose process died, over both).
 stdout carries machine-readable output only; diagnostics go to stderr.
 The environment variable MANISMOOTH_OUT overrides the output directory.
+
+A process of its own enters through :func:`entry` (the ``manismooth``
+console script and ``python -m manismooth.cli``), which freezes the heap
+the imports built before the command runs; :func:`main`, called
+in-process as the tests call it, freezes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -388,5 +394,18 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def entry() -> int:
+    """:func:`main` in a process of its own, with the import-time heap frozen first.
+
+    ``gc.freeze()`` moves the ~22,000 objects the imports left into the
+    permanent generation, as CPython advises before a fork without exec:
+    no later collection walks them, so a forked seed process
+    (:mod:`.seedpool`) does not copy their pages when it collects, and
+    the collection at interpreter exit skips them.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

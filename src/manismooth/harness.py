@@ -12,6 +12,7 @@ File formats (schema ``SCHEMA_VERSION``):
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import operator
@@ -149,20 +150,43 @@ def _fmt(v) -> str:
 
 
 _row = operator.attrgetter(*TRACE_COLUMNS)
+_FLOATS = {float, np.float64}  # np.float64 subclasses float, so float.__repr__ reads its value
+TRACE_BLOCK = 256  # rows formatted per write: it bounds the text held at once, which sets the run's peak memory
+
+
+def _column_text(values: tuple):
+    """The ``_fmt`` string of each value, one C-level call per value where a column holds one kind of value.
+
+    A column of floats is ``float.__repr__`` of each, a column of ``int``
+    ``int.__repr__``, a column of None empty fields; any other mix takes
+    ``_fmt`` value by value.
+    """
+    kinds = set(map(type, values))
+    if kinds <= _FLOATS:
+        return map(float.__repr__, values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    if kinds == {type(None)}:
+        return itertools.repeat("", len(values))
+    return map(_fmt, values)
 
 
 def write_trace_csv(trace: Sequence[TraceRecord], path) -> None:
     """Write trace records in the fixed column order (header mandatory).
 
-    Each row is joined and written as one string, the bytes ``csv.writer``
-    writes (lines end in ``\r\n``; no column name or number needs quoting,
-    and a row has more fields than one, so no empty field is quoted) at
-    about half its cost per row.
+    The records are formatted a column at a time, ``TRACE_BLOCK`` rows
+    at a time (:func:`_column_text`), and each block is joined and
+    written as one string: the bytes ``csv.writer`` writes from the
+    ``_fmt`` of each field (lines end in ``\r\n``; no column name or
+    number needs quoting, and a row has more fields than one, so no empty
+    field is quoted) without a Python call per field.
     """
+    records = iter(trace)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
-        for rec in trace:
-            fh.write(",".join(map(_fmt, _row(rec))) + "\r\n")
+        while block := list(itertools.islice(records, TRACE_BLOCK)):
+            columns = map(_column_text, zip(*map(_row, block)))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def _parse(column: str, text: str):

@@ -60,12 +60,17 @@ numpy's private ``numpy.linalg._umath_linalg``, verified on numpy 2.4.6
 only; ``test_normalize_stiefel_is_numpy_qr_with_sign_fix`` in
 ``tests/test_manifolds.py`` pins ``normalize`` to ``np.linalg.qr`` plus
 the sign fix: a numpy release that renames them fails at import, and one
-that changes their results fails that test.  For one matrix,
-``check_point`` and ``check_tangent`` take their norms as Python floats
-and compare those, cheaper than numpy-scalar comparisons; a stack takes
-the array path and fails with the same message.  ``ManifoldPoint`` and
-``TangentVector`` set each field once in their own ``__init__`` and check
-in ``__post_init__``, once per construction.
+that changes their results fails that test.  ``retr`` tests V = 0 with
+the C ``count_nonzero`` of the private ``numpy._core.multiarray``, which
+``np.count_nonzero`` wraps in array-function dispatch;
+``test_retr_zero_test_is_numpys_count_nonzero`` pins it the same way.
+For one matrix, ``check_point`` and ``check_tangent`` take their norms
+as Python floats and compare those, cheaper than numpy-scalar
+comparisons; a stack takes the array path and fails with the same
+message.  ``check_tangent`` takes V's norm before any product with X, so
+a NaN or infinite V is rejected without the product's warning.
+``ManifoldPoint`` and ``TangentVector`` set each field once in their own
+``__init__`` and check in ``__post_init__``, once per construction.
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function of its inputs.
@@ -78,6 +83,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero as _count_nonzero  # private: the C function np.count_nonzero wraps
 from numpy.linalg import _umath_linalg  # private: the LAPACK QR gufuncs behind np.linalg.qr
 
 from .errors import DegenerateRetractionError, ParameterError, ShapeMismatchError
@@ -320,7 +326,7 @@ def _normalized(kind: str, Y: np.ndarray) -> np.ndarray:
 
 def retr(kind: str, X: np.ndarray, V: np.ndarray) -> np.ndarray:
     """First-order retraction R_X(V) on raw arrays; X itself where V = 0 (per slice of a stack)."""
-    if not np.count_nonzero(V):  # V.any(), without its Python-level wrapper
+    if not _count_nonzero(V):  # V.any(), without a Python-level wrapper
         return X
     Y = _normalized(kind, X + V)  # the sum is this call's own, so the QR factors it without normalize's copy
     if V.ndim > 2:
@@ -364,21 +370,30 @@ def check_tangent(kind: str, X: np.ndarray, V: np.ndarray) -> None:
     """
     one = X.ndim == V.ndim == 2  # one vector: the same test on Python floats
     norm = _norm if one else fro
+    # the norm comes first: a NaN or infinite V (a NaN or infinite norm) is rejected before
+    # the product with X, whose 0 x inf would warn, and its violation is reported as NaN
+    nrm = norm(V)
+    if one:
+        if not nrm < math.inf:
+            raise ParameterError(f"vector is not tangent (violation nan, norm {nrm:.3e})")
+    else:
+        nonfinite = ~(nrm < np.inf)
+        if _any(nonfinite):
+            worst = np.max(nrm, where=nonfinite, initial=0.0)
+            raise ParameterError(f"vector is not tangent (violation nan, norm {worst:.3e})")
     if kind == STIEFEL:
         s = (_dot if one else _matmul)(X.mT, V)
         err = norm(s + s.mT)
     else:
         s = _columns(X, V)
         err = abs(s) if s.ndim == 0 else np.abs(s).max(axis=(-2, -1))
-    nrm = norm(V)
     if one:
-        err, nrm = float(err), float(nrm)
-        if (err > _TANGENT_TOL and err > _TANGENT_TOL * nrm) or err != err or nrm != nrm or nrm == math.inf:
+        err = float(err)
+        if (err > _TANGENT_TOL and err > _TANGENT_TOL * nrm) or err != err:
             raise ParameterError(f"vector is not tangent (violation {err:.3e}, norm {nrm:.3e})")
         return
-    # err > tol max(1, ||V||), or a NaN/infinite entry: a non-finite V has a NaN or
-    # infinite norm, a non-finite X an infinite or NaN err (NaN != NaN)
-    bad = ((err > _TANGENT_TOL) & (err > _TANGENT_TOL * nrm)) | (err != err) | (nrm != nrm) | (nrm == np.inf)
+    # err > tol max(1, ||V||), or a non-finite X, whose err is infinite or NaN (NaN != NaN)
+    bad = ((err > _TANGENT_TOL) & (err > _TANGENT_TOL * nrm)) | (err != err)
     if _any(bad):
         raise ParameterError(
             f"vector is not tangent (violation {np.max(err, where=bad, initial=0.0):.3e}, "

@@ -78,11 +78,14 @@ class ProblemConstants:
 class StochasticProblem:
     """Finite-sum smooth part + nonlinear map + nonsmooth term.
 
-    Five evaluators: the stochastic gradient oracle ``sample_egrad`` (the
+    Six evaluators: the stochastic gradient oracle ``sample_egrad`` (the
     only per-sample evaluator; no step asks for a sample value),
     ``full_value_egrad`` (f and grad f from one pass over the data, for
     diagnostics and estimators), ``full_egrad`` (grad f alone, for the
-    certificate) and ``c_eval``/``c_jac_t``.  They take and return raw
+    certificate), ``full_value`` (f alone, for the estimators' retracted
+    points; by default the value of ``full_value_egrad``, and a family
+    that has a cheaper path supplies its own, equal bit for bit) and
+    ``c_eval``/``c_jac_t``.  They take and return raw
     ndarrays shaped like point data; sample indices are 0-based ints in
     range(num_samples).
 
@@ -111,6 +114,12 @@ class StochasticProblem:
     m: int
     h: NonsmoothTerm
     name: str = "custom"
+    full_value: Callable[[np.ndarray], float] | None = None
+
+    def __post_init__(self):
+        if self.full_value is None:
+            value_egrad = self.full_value_egrad  # not self, which the closure would hold in a cycle
+            object.__setattr__(self, "full_value", lambda xd: value_egrad(xd)[0])
 
     def check_index(self, i: int) -> None:
         if not 0 <= i < self.num_samples:
@@ -216,10 +225,16 @@ def make_constrained_sphere(
     def residual(xd, mm):
         return mm(A, xd) - b_col
 
+    def value(r):
+        return 0.5 * np.vecdot(r[..., 0], r[..., 0]) / N
+
+    def full_value(xd):
+        return value(residual(xd, _dot if xd.ndim == 2 else _matmul))
+
     def full_value_egrad(xd):
         mm = _dot if xd.ndim == 2 else _matmul
         r = residual(xd, mm)
-        return 0.5 * np.vecdot(r[..., 0], r[..., 0]) / N, mm(AT, r) / N
+        return value(r), mm(AT, r) / N
 
     def full_egrad(xd):
         mm = _dot if xd.ndim == 2 else _matmul
@@ -245,6 +260,7 @@ def make_constrained_sphere(
         m=m,
         h=set_term,
         name="constrained_sphere",
+        full_value=full_value,
     )
 
 
@@ -295,7 +311,7 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
         L_tilde = sup(L_tilde, fro(gr_i - moved) / nz)
         # retraction-smoothness quotient of f along the same pair
         lin = np.sum(gr_full * Z, axis=(-2, -1))
-        L_retr = sup(L_retr, 2.0 * (problem.full_value_egrad(Y)[0] - f_x - lin) / squares(nz))
+        L_retr = sup(L_retr, 2.0 * (problem.full_value(Y) - f_x - lin) / squares(nz))
 
         Jx = _jacobian(problem, X)
         Jy = _jacobian(problem, Y)

@@ -3,7 +3,10 @@
 CLI seeds share nothing (each builds its own problem), so they run in
 parallel: :func:`seed_results` shares them out over W = min(seeds, usable
 CPUs) processes, the calling one and W - 1 children forked from it after
-import, so no child imports numpy again.  Processes do not share a GIL,
+import, so no child imports numpy again.  Under the command's entry
+(:func:`.cli.entry`) the heap the imports built is frozen before the
+fork, so no collection in a child walks it and no child copies its pages
+for a collection's writes.  Processes do not share a GIL,
 which is why a thread pool lost to running the seeds one after another.
 Each process runs at T // W of the T OpenBLAS threads in effect (at least
 one): OpenBLAS workers spin after each threaded call, so uncapped

@@ -239,6 +239,9 @@ class IndicatorBall(IndicatorTerm):
     def project(self, y):
         y = np.asarray(y, dtype=float)
         d = y - self.center
+        if y.ndim == 1:  # one vector, the solver's: the same test on a Python float, without masks
+            nrm = math.sqrt(d.dot(d))
+            return y.copy() if nrm <= self.radius else self._onto_sphere(d, self.radius / nrm)
         nrm = _norm(d)
         inside = nrm <= self.radius
         n_inside = np.count_nonzero(inside)
@@ -246,8 +249,12 @@ class IndicatorBall(IndicatorTerm):
             return y.copy()
         if n_inside:  # only an inside row can have a zero norm: keep it out of the division
             nrm = np.where(inside, self.radius, nrm)
-        moved = self.center + (self.radius / nrm)[..., None] * d
+        moved = self._onto_sphere(d, (self.radius / nrm)[..., None])
         return np.where(inside[..., None], y, moved) if n_inside else moved
+
+    def _onto_sphere(self, d, scale):
+        """center + scale d, the boundary point along d for scale = radius / ||d|| (one per row of a stack)."""
+        return self.center + scale * d
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import errno
+import gc
 import inspect
 import json
 import math
@@ -143,6 +144,40 @@ def test_run_byte_identical_traces(tmp_path, monkeypatch):
     a = (tmp_path / "a" / "trace.csv").read_bytes()
     b = (tmp_path / "b" / "trace.csv").read_bytes()
     assert a == b
+
+
+ENTRY_PROBE = """
+import atexit, gc, importlib, runpy, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+how, sys.argv = sys.argv[1], ["manismooth", *sys.argv[2:]]
+if how == "-m":
+    runpy.run_module("manismooth.cli", run_name="__main__", alter_sys=True)  # what python -m runs
+else:
+    module, function = how.split(":")  # what the console script pip writes runs
+    sys.exit(getattr(importlib.import_module(module), function)())
+"""
+
+
+def test_entry_freezes_the_import_time_heap_and_main_does_not(tmp_path, capsys):
+    # a process of its own (python -m manismooth.cli, the console script) freezes the heap
+    # before the command runs; main called in-process, as every other test calls it, does not
+    pyproject = (Path(cli.__file__).resolve().parents[2] / "pyproject.toml").read_text()
+    script = next(line for line in pyproject.splitlines() if line.startswith("manismooth = "))
+    target = script.split("=", 1)[1].strip().strip('"')
+    assert target == "manismooth.cli:entry"
+    trace = tmp_path / "trace.csv"
+    write_trace_csv([TraceRecord(k=k, mu=1.0, tau=0.1, a=1.0, norm_G=(k + 1) ** -0.5, infeas=0.0) for k in range(60)],
+                    trace)
+    argv = ["report", "--trace", str(trace), "--field", "norm_G", "--from", "1", "--to", "50"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    for how in ("-m", target):
+        done = subprocess.run([sys.executable, "-c", ENTRY_PROBE, how, *argv], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["field"] == "norm_G"
+        assert int(done.stderr.split("frozen ")[1]) > 10_000, how  # the ~22,000 objects the imports left
+    assert main(argv) == 0 and json.loads(capsys.readouterr().out)["field"] == "norm_G"
+    assert gc.get_freeze_count() == 0
 
 
 def test_run_thread_count_moves_only_the_diagnostics(tmp_path):

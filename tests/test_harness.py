@@ -16,6 +16,7 @@ from manismooth.checks import (
 )
 from manismooth.errors import InsufficientDataError, ParameterError, TraceFormatError
 from manismooth.harness import (
+    TRACE_BLOCK,
     TRACE_COLUMNS,
     TraceRecord,
     _fmt,
@@ -184,6 +185,31 @@ def test_trace_csv_writes_the_bytes_of_csv_writer(tmp_path):
         writer.writerow([_fmt(getattr(rec, column)) for column in TRACE_COLUMNS])
     assert path.read_bytes() == expected.getvalue().encode()
     assert path.read_bytes().count(b"\r\n") == 4 and b",,,1e-300,\r\n" in path.read_bytes()
+
+
+def test_trace_csv_formats_columns_in_blocks_as_csv_writer_would(tmp_path):
+    # rows without diagnostics, as every run without them writes, formatted a column at a time:
+    # numpy scalars, -0.0, nan, inf, subnormals and an int in a float column each fall back to or
+    # match _fmt, in both of two blocks and across their seam
+    special = [
+        dict(k=np.int64(1), mu=np.float64(0.1), tau=-0.0, a=1, norm_G=float("nan"), infeas=5e-324),
+        dict(k=2, mu=0.3, tau=float("inf"), a=np.float64(-0.0), norm_G=2.5e-310, infeas=-float("inf")),
+        dict(k=3, mu=1e16, tau=1e-5, a=0.2, norm_G=np.float64("nan"), infeas=np.float64(5e-324)),
+    ]
+    plain = [dict(k=k, mu=k ** -0.5, tau=0.1 / k, a=1.0, norm_G=1.0 / 3.0, infeas=0.0) for k in range(4, 10)]
+    rows = plain + special + [plain[0]] * (TRACE_BLOCK - len(plain) - 2) + special + plain
+    trace = [TraceRecord(**row) for row in rows]
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(TRACE_COLUMNS)
+    for rec in trace:
+        writer.writerow([_fmt(getattr(rec, column)) for column in TRACE_COLUMNS])
+    assert path.read_bytes() == expected.getvalue().encode()
+    lines = path.read_bytes().split(b"\r\n")
+    assert len(lines) == len(trace) + 2 and lines[-1] == b""
+    assert lines[len(plain) + 1] == b"1,0.1,-0.0,1,nan,,,5e-324,"  # the int in column a stays an int
 
 
 def test_readme_lists_the_trace_columns():

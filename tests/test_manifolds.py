@@ -453,6 +453,41 @@ def test_one_matrix_checks_reject_what_the_stacked_checks_reject(desc, how):
     assert str(single.value) == str(stacked.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("desc", DESCRIPTORS, ids=lambda d: d.kind)
+def test_check_tangent_rejects_a_non_finite_tangent_without_a_warning(desc, bad):
+    # no warning filter: the suite turns warnings into errors, so a RuntimeWarning from
+    # the product with X (0 x inf) would replace the ParameterError; the norm comes first
+    rng = np.random.default_rng(15)
+    x = ms.random_point(desc, rng).data
+    v = mf.proj(desc.kind, x, rng.standard_normal(desc.shape))
+    v[0, 0] = bad
+    a, b = (ms.random_point(desc, rng).data for _ in range(2))
+    zero = np.zeros(desc.shape)
+    messages = []
+    for args in ((x, v), (np.stack([a, x, b]), np.stack([zero, v, zero]))):
+        with pytest.raises(ParameterError) as err:
+            mf.check_tangent(desc.kind, *args)
+        messages.append(str(err.value))
+    norm = "nan" if bad != bad else "inf"
+    assert messages == [f"vector is not tangent (violation nan, norm {norm})"] * 2
+
+
+@pytest.mark.parametrize(
+    "V",
+    [np.zeros((50, 3)), np.eye(50, 3), np.full((4, 1), np.nan), np.array([[-0.0], [0.0]]), np.zeros((32, 50, 3)),
+     np.eye(50, 3)[None].repeat(5, axis=0)],
+    ids=["zero", "eye", "nan", "signed-zeros", "zero-stack", "stack"],
+)
+def test_retr_zero_test_is_numpys_count_nonzero(V):
+    # retr tests V = 0 with the C function behind np.count_nonzero, imported by its private
+    # name: a numpy release that renames it fails at import, and one that changes it fails here
+    assert type(mf._count_nonzero).__name__ == "builtin_function_or_method"
+    assert mf._count_nonzero(V) == np.count_nonzero(V) == np.count_nonzero(V.ravel())
+    X = np.eye(*V.shape[-2:]) if V.ndim == 2 else np.broadcast_to(np.eye(*V.shape[-2:]), V.shape).copy()
+    assert (mf.retr(mf.STIEFEL, X, V) is X) == (not V.any())
+
+
 def test_as_matrix_copies_float64_data_once_keeping_its_layout():
     desc = ms.stiefel(6, 2)
     x = ms.random_point(desc, np.random.default_rng(14)).data

@@ -361,6 +361,17 @@ def test_full_value_egrad_equals_the_separate_formulas(which, stack):
     assert _same_bytes(p.full_egrad(X), egrad(X))
 
 
+@pytest.mark.parametrize("stack", [0, 7], ids=["point", "stack7"])
+@pytest.mark.parametrize("which", list(BENCH_PROBLEMS))
+def test_full_value_is_the_value_of_full_value_egrad(which, stack):
+    # the constrained sphere's value path skips A^T r; sparse PCA takes the default, the
+    # value of full_value_egrad; either way the estimators read the same bits
+    p, _, _ = _family_data(which)
+    X = _points(p, np.random.default_rng(13), stack)
+    assert _same_bytes(p.full_value(X), p.full_value_egrad(X)[0])
+    assert (p.full_value.__name__ == "full_value") == (p.name == "constrained_sphere")
+
+
 @pytest.mark.parametrize("stack", [0, 32], ids=["point", "stack32"])
 @pytest.mark.parametrize("which", ["pca-St(50,3)", "pca-St(1000,10)"])
 def test_sparse_pca_sample_gradient_equals_the_broadcast_product(which, stack):

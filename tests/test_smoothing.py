@@ -225,6 +225,33 @@ def test_indicator_projection_of_a_stack_equals_per_row():
         assert inside.any() and not inside.all()  # the center row is in every set
 
 
+def test_ball_projection_of_one_vector_is_its_row_of_a_stack_bit_for_bit():
+    # one vector takes Python-float tests, a stack its masks; both scale d by radius / ||d||
+    # with one formula, so a row projects to the same bytes alone as in any stack
+    m, radius = 10, 0.5
+    center = np.full(m, 0.25)
+    ball = ms.IndicatorBall(center, radius)
+    rng = np.random.default_rng(21)
+    on = center.copy()
+    on[0] += radius  # ||d|| = radius exactly: the boundary is inside
+    past = on.copy()
+    past[0] = np.nextafter(past[0], np.inf)
+    rows = {"inside": center + 0.1 * rng.standard_normal(m) / np.sqrt(m), "boundary": on, "centre": center.copy(),
+            "just outside": past, "outside": center + 3.0 * rng.standard_normal(m),
+            "far": center + 1e150 * rng.standard_normal(m)}
+    assert [math.sqrt((y - center) @ (y - center)) <= radius for y in rows.values()] == [True] * 3 + [False] * 3
+    mixed = np.stack(list(rows.values()))
+    stacks = [mixed, mixed[3:], mixed[:3], mixed.reshape(2, 3, m)[::-1]]
+    for stack in stacks:
+        projected = ball.project(stack)
+        for index in np.ndindex(stack.shape[:-1]):
+            alone = ball.project(stack[index])
+            assert alone.dtype == projected.dtype and alone.tobytes() == projected[index].tobytes(), index
+    for name in ("boundary", "centre"):
+        assert ball.project(rows[name]).tobytes() == rows[name].tobytes()
+    assert np.linalg.norm(ball.project(rows["outside"]) - center) == pytest.approx(radius, rel=1e-15)
+
+
 def test_value_of_a_stack_equals_per_row():
     # every term (and l2 at lam = 0), at member and non-member rows, a zero
     # row, a row the l2 prox maps to 0, and a one-row stack: each row of
