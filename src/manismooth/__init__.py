@@ -25,8 +25,8 @@ Library layout:
   certificate, whose index it draws before the first step by the
   solver's rule over every back-half index, from a stream of its own
   spawned from the run's seed) and the certificate witness, which reads
-  no random stream; a solver hands in only its schedules, truncation
-  radius and certificate draw rule.  State and the kept iterate are plain ndarrays;
+  no random stream; a solver is one ``driver.Policy`` (first k, schedules,
+  certificate draw rule, truncation radius).  State and the kept iterate are plain ndarrays;
   typed values are built only to check each new iterate and momentum,
   and for x0, its first sample and the certificate's point,
 - ``harness``: run records (iterations, certificates, rate fits),

@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import manifolds as mf
-from . import solver_indicator, solver_lipschitz
+from . import driver, solver_indicator, solver_lipschitz
 from .errors import ParameterError
 from .problems import estimate_constants, make_constrained_sphere, make_sparse_pca, retr_smooth_bound
 from .smoothing import (
@@ -464,7 +464,8 @@ def check_solver() -> list[CheckResult]:
     def tangency(s):
         return float(np.linalg.norm((s.x.T @ s.delta) + (s.delta.T @ s.x)))
 
-    state = solver_lipschitz.init(problem, mf.random_point(problem.manifold, np.random.default_rng(30)), seed=3)
+    x0 = mf.random_point(problem.manifold, np.random.default_rng(30))
+    state = driver.start(problem, x0, 3, solver_lipschitz.POLICY)
     taus, tang = [], [tangency(state)]
     for _ in range(500):
         taus.append(solver_lipschitz.step(state, problem).tau)
@@ -485,7 +486,7 @@ def check_solver() -> list[CheckResult]:
     ball = IndicatorBall(np.full(4, 0.3), 0.8)
     cproblem = make_constrained_sphere(n=8, m=4, N=6, set_term=ball, seed=21)
     config = solver_indicator.default_config(cproblem, theta=1.0, safety=2.0, samples=120, seed=31)
-    cstate = solver_indicator.init(cproblem, mf.random_point(cproblem.manifold, np.random.default_rng(9)), config, 9)
+    cstate = driver.start(cproblem, mf.random_point(cproblem.manifold, np.random.default_rng(9)), 9, config)
     radius = config.trunc_radius
     norms, deviation = indicator_invariants(cstate, cproblem, config, K=600)
     results.append(_result("truncation radius respected", norms.max() <= radius + 1e-12,
@@ -495,7 +496,7 @@ def check_solver() -> list[CheckResult]:
     # so it must both fire (a truncated delta has norm radius, to rounding)
     # and hold after every step
     tight = dataclasses.replace(config, trunc_radius=0.1)
-    tstate = solver_indicator.init(cproblem, mf.random_point(cproblem.manifold, np.random.default_rng(9)), tight, 9)
+    tstate = driver.start(cproblem, mf.random_point(cproblem.manifold, np.random.default_rng(9)), 9, tight)
     norms, _ = indicator_invariants(tstate, cproblem, tight, K=600)
     fired = np.count_nonzero(np.abs(norms - 0.1) <= 1e-12)
     results.append(_result("truncation fires and holds at a binding radius", fired >= 1 and norms.max() <= 0.1 + 1e-12,

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import solver_indicator, solver_lipschitz
+from . import driver, solver_indicator, solver_lipschitz
 from .driver import K_MAX
 from .errors import (
     ConfigError,
@@ -221,26 +221,22 @@ def _execute(cfg: dict, seed: int, out_dir: Path) -> None:
     diagnostics = cfg.get("diagnostics", False)
     run_seed = derive_seed(seed, "sampling")
     t_start = time.monotonic()
-    solver_params: dict = {}
-    if algorithm == "lipschitz":
-        state, trace = solver_lipschitz.run(
-            problem, None, run_seed, K, trace_every=trace_every, diagnostics=diagnostics
-        )
-        cert = solver_lipschitz.certificate(state, problem)
-    else:
+    solver, policy, solver_params = solver_lipschitz, solver_lipschitz.POLICY, {}
+    if algorithm == "indicator":
         # the solver_indicator.BOUNDS fields are default_config's keywords; a null one means "not supplied"
         scfg = {k: v for k, v in cfg.get("solver", {}).items() if v is not None}
         try:
-            config = solver_indicator.default_config(problem, seed=derive_seed(seed, "probe"), **scfg)
+            policy = solver_indicator.default_config(problem, seed=derive_seed(seed, "probe"), **scfg)
         except ParameterError as exc:
             if exc.field is None:
                 raise
             raise ConfigError(f"solver.{exc.field}", str(exc)) from None
-        state, trace = solver_indicator.run(
-            problem, None, config, run_seed, K, trace_every=trace_every, diagnostics=diagnostics
-        )
-        cert = solver_indicator.certificate(state, problem, config)
-        solver_params = {**dataclasses.asdict(config), "omega": config.omega, "k_tilde": config.k_tilde}
+        solver = solver_indicator
+        solver_params = {**dataclasses.asdict(policy), "omega": policy.omega, "k_tilde": policy.k_tilde}
+    state, trace = driver.run(
+        problem, None, run_seed, K, policy, step=solver.step, trace_every=trace_every, diagnostics=diagnostics
+    )
+    cert = solver.certificate(state, problem, policy)
     fits = []
     for field in ("norm_G", "norm_grad_Fmu") if K > 100 else ():  # the fit window is [100, K]
         try:

@@ -17,10 +17,11 @@ so the penalty stays finite.
 The certificate's iterate is drawn from k = floor(K/2) .. K, x_K
 included, with probability proportional to tau_k
 (:meth:`IndicatorConfig.pick`, exact rejection sampling), from the run's
-own certificate stream.  This module holds these schedules and
-that rule, the one table of the solver numbers' bounds (:data:`BOUNDS`)
-and the parameter assembly; the state, iteration, loop, tracing, the
-certificate's draw and kept iterate and its witness are :mod:`.driver`'s.
+own certificate stream.  This module holds these schedules and that
+rule, which :class:`IndicatorConfig` carries as its own policy, the one
+table of the solver numbers' bounds (:data:`BOUNDS`) and the parameter
+assembly; all else (state, iteration, h check, loop, tracing,
+certificate draw, kept iterate, witness) is :mod:`.driver`'s.
 """
 
 from __future__ import annotations
@@ -58,12 +59,13 @@ def _check_bound(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class IndicatorConfig:
-    """Solver parameters under the error bound condition.
+    """Solver parameters under the error bound condition, and the solver's :class:`.driver.Policy`.
 
     theta/zeta are the error-bound exponent and modulus; c_tau and c_a
     scale the stepsize and momentum schedules; trunc_radius bounds the
     momentum estimator (any value above the true gradient-norm bound is
-    admissible).
+    admissible).  As a policy it starts at k0 = 0 and truncates to
+    ``radius`` = trunc_radius, neither a field: ``asdict`` stays the five numbers.
     """
 
     theta: float
@@ -71,6 +73,7 @@ class IndicatorConfig:
     c_tau: float
     c_a: float
     trunc_radius: float
+    k0 = 0
 
     def __post_init__(self):
         for name in ("theta", "zeta", "c_tau", "c_a", "trunc_radius"):
@@ -112,6 +115,11 @@ class IndicatorConfig:
             k = int(rng.integers(lo, K + 1))
             if rng.random() < ((lo + 1) / (k + 1)) ** self.omega:
                 return k
+
+    @property
+    def radius(self) -> float:
+        """The momentum's truncation radius, trunc_radius."""
+        return self.trunc_radius
 
     @property
     def k_tilde(self) -> int:
@@ -216,18 +224,9 @@ def _stepsize_constant(
     return c_tau
 
 
-def init(
-    problem: StochasticProblem, x0: ManifoldPoint, config: IndicatorConfig, seed: int | np.random.Generator
-) -> driver.SolverState:
-    """Initial state at x0: one truncated sample gradient drawn from ``default_rng(seed)``."""
-    if not isinstance(problem.h, IndicatorTerm):
-        raise ParameterError("this solver requires an indicator nonsmooth term")
-    return driver.start(problem, x0, seed, k=0, radius=config.trunc_radius)
-
-
 def step(state: driver.SolverState, problem: StochasticProblem, config: IndicatorConfig) -> TraceRecord:
     """Advance the state by exactly one iteration of :func:`driver.step`; its record carries dist(c(x_k), C)."""
-    return driver.step(state, problem, config.mu(state.k), config.schedule, config.trunc_radius)
+    return driver.step(state, problem, config)
 
 
 def run(
@@ -240,13 +239,7 @@ def run(
     diagnostics: bool = False,
 ) -> tuple[driver.SolverState, list[TraceRecord]]:
     """Execute K iterations (k = 0 .. K-1) with :func:`driver.run`; x_K is a certificate candidate too."""
-    return driver.run(
-        problem, x0, seed, K,
-        init=lambda x, rng: init(problem, x, config, rng),
-        step=lambda state: step(state, problem, config),
-        pick=lambda draw: config.pick(K, draw),
-        trace_every=trace_every, diagnostics=diagnostics,
-    )
+    return driver.run(problem, x0, seed, K, config, step=step, trace_every=trace_every, diagnostics=diagnostics)
 
 
 def feasibility_decay_series(trace: list[TraceRecord], config: IndicatorConfig) -> list[tuple[int, float]]:
@@ -261,7 +254,7 @@ def certificate(state: driver.SolverState, problem: StochasticProblem, config: I
     The witness pair is y = P_C(c(x)), z = (c(x) - y) / mu_k at the
     selected iterate, with the exact normal-cone membership test.
     """
-    return driver.certificate(state, problem, config.mu)
+    return driver.certificate(state, problem, config)
 
 
 def error_bound_probe(problem: StochasticProblem, samples: int, seed: int) -> tuple[float, float]:

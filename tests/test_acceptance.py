@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import manismooth as ms
+from manismooth import driver
 from manismooth import solver_indicator as si
 from manismooth import solver_lipschitz as sl
 from manismooth.cli import main as cli_main
@@ -185,7 +186,7 @@ def test_criterion_06_indicator_invariants(binding_sphere):
     problem, config = binding_sphere
     t0 = time.monotonic()
     x0 = ms.random_point(problem.manifold, np.random.default_rng(606))
-    norms, deviation = indicator_invariants(si.init(problem, x0, config, seed=606), problem, config, K=20_000)
+    norms, deviation = indicator_invariants(driver.start(problem, x0, 606, config), problem, config, K=20_000)
     elapsed = time.monotonic() - t0
     radius = config.trunc_radius
     verdict(6, norms.max() <= radius + 1e-12 and deviation <= 1e-15,

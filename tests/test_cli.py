@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from manismooth import cli, seedpool, solver_indicator
+from manismooth import cli, seedpool, solver_indicator, solver_lipschitz
 from manismooth.cli import main
 from manismooth.errors import ConfigError, NumericalFailureError
 from manismooth.harness import TraceRecord, read_summary_json, read_trace_csv, write_trace_csv
@@ -93,6 +93,22 @@ def test_run_indicator_writes_outputs(tmp_path):
     assert summary["certificate"]["membership_ok"] is True
     assert summary["config"]["solver_resolved"]["theta"] == 1.0
     assert "k_tilde" in summary["config"]["solver_resolved"]
+
+
+@pytest.mark.parametrize("make", [pca_config, sphere_config], ids=["lipschitz", "indicator"])
+def test_run_steps_through_the_solver_module(tmp_path, monkeypatch, make):
+    # each iteration of a CLI run is one call of its solver module's step, where a profiler wraps it
+    calls = {}
+    for solver in (solver_lipschitz, solver_indicator):
+
+        def counting(*args, name=solver.__name__, original=solver.step):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(solver, "step", counting)
+    cfg = make(tmp_path / "out")
+    assert main(["run", "--config", str(write_config(tmp_path, cfg))]) == 0
+    assert calls == {f"manismooth.solver_{cfg['algorithm']}": cfg["max_iters"]}
 
 
 def test_run_missing_theta_names_field(tmp_path, capsys):

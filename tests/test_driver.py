@@ -9,7 +9,8 @@ import manismooth as ms
 from manismooth import driver
 from manismooth import solver_indicator as si
 from manismooth import solver_lipschitz as sl
-from manismooth.errors import InsufficientDataError
+from manismooth.errors import InsufficientDataError, ParameterError
+from manismooth.manifolds import _norm, retr
 from manismooth.smoothing import smoothed_grad
 
 
@@ -69,6 +70,42 @@ def test_each_step_draws_one_sample_for_both_gradients(solver):
     assert drawn[1::2] == drawn[2::2]
 
 
+@pytest.mark.parametrize("K", [40, 400])
+@pytest.mark.parametrize("solver", [sl, si], ids=["lipschitz", "indicator"])
+def test_a_run_reads_its_stream_for_exactly_k_plus_one_samples(solver, K):
+    # O(1) samples per iteration, read off the stream itself: past the start point, a run with
+    # diagnostics leaves its generator where exactly K + 1 sample-index draws leave a fresh one
+    p, args, *_ = _solver_case(solver)
+    state, _ = solver.run(p, None, *args, seed=3, K=K, trace_every=7, diagnostics=True)
+    ref = np.random.default_rng(3)
+    ref.spawn(1)
+    ms.random_point(p.manifold, ref)
+    for _ in range(K + 1):
+        ref.integers(p.num_samples)
+    assert state.rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_h_zero_reduces_to_riemannian_storm():
+    # at h = 0 (an l1 weight of 0) the smoothing residual vanishes, so G_k is the momentum the step
+    # started from and x_{k+1} = R_{x_k}(-tau_k delta_k): Riemannian STORM with the adaptive stepsize
+    p = ms.make_sparse_pca(10, 2, 8, 0.0, seed=5)
+    steps = []
+
+    def recording(state, problem, policy):
+        X, delta = state.x, state.delta
+        record = sl.step(state, problem, policy)
+        steps.append((record, X, delta, state.x))
+        return record
+
+    state, _ = driver.run(p, None, 1, 200, sl.POLICY, step=recording)
+    assert len(steps) == 200
+    for record, X, delta, X_next in steps:
+        assert record.infeas == 0.0
+        assert record.norm_G == _norm(delta)
+        assert np.array_equal(X_next, retr(p.manifold.kind, X, -record.tau * delta))
+    assert sl.certificate(state, p).feas_residual == 0.0
+
+
 def test_truncation_check_allows_rounding_relative_to_the_radius():
     # at radius 1e5 the rounding of (radius / ||v||) v alone can exceed
     # radius + 1e-12, so an absolute slack failed this run at iteration 1;
@@ -77,7 +114,7 @@ def test_truncation_check_allows_rounding_relative_to_the_radius():
     A = 1e7 * np.random.default_rng(0).standard_normal((12, 8))
     p = dataclasses.replace(p, sample_egrad=lambda xd, i: A[i][..., None].copy())
     config = si.IndicatorConfig(theta=1.0, zeta=1.0, c_tau=1e-9, c_a=0.5, trunc_radius=1e5)
-    state = si.init(p, ms.random_point(p.manifold, np.random.default_rng(1)), config, seed=2)
+    state = driver.start(p, ms.random_point(p.manifold, np.random.default_rng(1)), 2, config)
     norms = []
     for _ in range(200):
         si.step(state, p, config)
@@ -105,13 +142,13 @@ def test_both_solvers_keep_the_direction_energy_on_the_driver_state(solver):
 
 
 def _solver_case(solver):
-    """A small instance of one solver: (problem, extra run arguments, pick rule, mu, first candidate index(K))."""
+    """A small instance of one solver: (problem, extra run arguments, policy, first candidate index(K))."""
     if solver is sl:
         p = ms.make_sparse_pca(10, 2, 8, 0.15, seed=5)
-        return p, (), sl.pick, sl.smoothing_level, lambda K: (K + 1) // 2
+        return p, (), sl.POLICY, lambda K: (K + 1) // 2
     p = ms.make_constrained_sphere(10, 4, 12, ms.IndicatorBall(np.full(4, 0.35), 0.7), seed=3)
     config = si.IndicatorConfig(theta=1.0, zeta=1.0, c_tau=0.01, c_a=0.5, trunc_radius=10.0)
-    return p, (config,), config.pick, config.mu, lambda K: K // 2
+    return p, (config,), config, lambda K: K // 2
 
 
 @pytest.mark.parametrize("solver", [sl, si], ids=["lipschitz", "indicator"])
@@ -119,21 +156,21 @@ def test_the_kept_iterate_gives_the_certificate_of_keeping_every_candidate(solve
     # the reference keeps every back-half iterate (x_K included), draws the pick from the
     # seed's spawned stream after the run, and gives the witness at the drawn one
     K = 60
-    p, args, pick, mu, lo = _solver_case(solver)
+    p, args, policy, lo = _solver_case(solver)
     state, _ = solver.run(p, None, *args, seed=4, K=K, trace_every=K)
     cert = solver.certificate(state, p, *args)
 
     rng = np.random.default_rng(4)
-    ref = solver.init(p, ms.random_point(p.manifold, rng), *args, rng)
+    ref = driver.start(p, ms.random_point(p.manifold, rng), rng, policy)
     snaps = {}
     for _ in range(K):
         snaps[ref.k] = ref.x
         solver.step(ref, p, *args)
     snaps[ref.k] = ref.x
     snaps = {k: X for k, X in snaps.items() if lo(K) <= k <= K}
-    i_K = pick(K, np.random.default_rng(4).spawn(1)[0])
+    i_K = policy.pick(K, np.random.default_rng(4).spawn(1)[0])
     X = snaps[i_K]
-    c, env, resid = smoothed_grad(p, X, mu(i_K), p.full_egrad(X))
+    c, env, resid = smoothed_grad(p, X, policy.mu(i_K), p.full_egrad(X))
     ok = p.h.in_subdifferential(env.prox_point, env.grad, tol=1e-8)
 
     assert np.array_equal(state.x, ref.x)
@@ -154,6 +191,18 @@ def test_the_certificate_reads_nothing_from_the_run_stream(solver):
     before = state.rng.bit_generator.state
     assert solver.certificate(state, p, *args).membership_ok
     assert state.rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("solver", [sl, si], ids=["lipschitz", "indicator"])
+def test_each_policy_rejects_the_other_kind_of_h(solver):
+    # a policy's radius names the kind of h it solves: an indicator exactly when it is set
+    p, *_ = _solver_case(si if solver is sl else sl)
+    _, args, policy, _ = _solver_case(solver)
+    need = "an indicator nonsmooth term" if solver is si else "a Lipschitz nonsmooth term"
+    with pytest.raises(ParameterError, match=need):
+        driver.start(p, ms.random_point(p.manifold, np.random.default_rng(2)), 0, policy)
+    with pytest.raises(ParameterError, match=need):
+        solver.run(p, None, *args, seed=0, K=5)
 
 
 def test_the_lipschitz_pick_reaches_every_back_half_index():
@@ -181,8 +230,7 @@ def test_the_indicator_pick_is_proportional_to_the_stepsize():
 def test_a_pick_outside_the_run_keeps_nothing():
     # an index the run never reaches keeps no iterate, and the certificate reports the missing one
     p = ms.make_sparse_pca(10, 2, 8, 0.15, seed=5)
-    state, _ = driver.run(p, None, 1, 20, init=lambda x, rng: sl.init(p, x, rng), step=lambda s: sl.step(s, p),
-                          pick=lambda draw: 50, trace_every=20, diagnostics=False)
+    state, _ = driver.run(p, None, 1, 20, dataclasses.replace(sl.POLICY, pick=lambda K, draw: 50), trace_every=20)
     assert state.k == 21 and state.kept is None
     with pytest.raises(InsufficientDataError):
         sl.certificate(state, p)
@@ -193,15 +241,14 @@ def test_the_certificate_index_does_not_depend_on_the_step_stream():
     # its sample moves every sample after the first step but not the certificate's index
     p = ms.make_sparse_pca(10, 2, 8, 0.15, seed=5)
 
-    def greedy_step(state):
-        record = sl.step(state, p)
+    def greedy_step(state, problem, policy):
+        record = sl.step(state, problem, policy)
         state.rng.integers(p.num_samples)
         return record
 
     certs = []
-    for step in (lambda state: sl.step(state, p), greedy_step):
-        state, _ = driver.run(p, None, 1, 200, init=lambda x, rng: sl.init(p, x, rng), step=step,
-                              pick=lambda draw: sl.pick(200, draw), trace_every=200, diagnostics=False)
+    for step in (sl.step, greedy_step):
+        state, _ = driver.run(p, None, 1, 200, sl.POLICY, step=step, trace_every=200)
         certs.append((state.x, sl.certificate(state, p)))
     (x_plain, plain), (x_greedy, greedy) = certs
     assert not np.array_equal(x_plain, x_greedy)

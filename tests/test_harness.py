@@ -218,6 +218,25 @@ def test_readme_lists_the_trace_columns():
     assert columns and columns.group(1) == ", ".join(TRACE_COLUMNS)
 
 
+def test_readme_ledger_names_only_tests_that_exist():
+    # every criterion or test the claims table names is one the suite runs, and each row names one or says so
+    tests = Path(__file__).parent
+    readme = (tests.parent / "README.md").read_text()
+    section = readme.split("### What the paper claims and what reads it", 1)[1]
+    rows = section.split("\n\n")[2].splitlines()[2:]  # the table, past its header and rule
+    assert len(rows) >= 8 and all(row.startswith("|") for row in rows)
+    acceptance = (tests / "test_acceptance.py").read_text()
+    for row in rows:
+        read_by = row.split("|")[2]
+        criteria = re.findall(r"criterion (\d\d)", read_by)
+        named = re.findall(r"`tests/(\w+\.py)::(\w+)`", read_by)
+        assert criteria or named or read_by.strip() == "not read yet", row
+        for num in criteria:
+            assert re.search(rf"^def test_criterion_{num}_", acceptance, re.M), num
+        for module, name in named:
+            assert re.search(rf"^def {name}\(", (tests / module).read_text(), re.M), name
+
+
 def test_trace_csv_header_only(tmp_path):
     path = tmp_path / "empty.csv"
     write_trace_csv([], path)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import manismooth as ms
+from manismooth import driver
 from manismooth import solver_indicator as si
 from manismooth.errors import ParameterError, ProbeInconclusiveError
 
@@ -121,13 +122,13 @@ def test_default_config_rejects_lipschitz_problem():
 
 def test_init_truncates(problem, config):
     x0 = ms.random_point(problem.manifold, np.random.default_rng(0))
-    state = si.init(problem, x0, config, seed=5)
+    state = driver.start(problem, x0, 5, config)
     assert state.k == 0
     assert np.linalg.norm(state.delta) <= config.trunc_radius + 1e-12
 
     tiny = si.IndicatorConfig(theta=1.0, zeta=config.zeta, c_tau=config.c_tau,
                               c_a=config.c_a, trunc_radius=1e-3)
-    state2 = si.init(problem, x0, tiny, seed=5)
+    state2 = driver.start(problem, x0, 5, tiny)
     assert np.linalg.norm(state2.delta) == pytest.approx(1e-3, rel=1e-12)
 
 
@@ -143,8 +144,8 @@ def test_momentum_resets_when_a_hits_one(problem):
     cfg = si.IndicatorConfig(theta=1.0, zeta=1.0, c_tau=0.01, c_a=50.0,
                              trunc_radius=100.0)
     x0 = ms.random_point(problem.manifold, np.random.default_rng(1))
-    state = si.init(problem, x0, cfg, seed=7)
-    probe = si.init(problem, x0, cfg, seed=7)  # same stream, to predict the draw
+    state = driver.start(problem, x0, 7, cfg)
+    probe = driver.start(problem, x0, 7, cfg)  # same stream, to predict the draw
     report = si.step(state, problem, cfg)
     assert report.a == 1.0
     xi = int(probe.rng.integers(problem.num_samples))
@@ -158,7 +159,7 @@ def test_feasible_iterate_keeps_momentum_direction():
     p = ms.make_constrained_sphere(5, 5, 4, ball, seed=9, quad_weight=0.0, linear_map=np.eye(5))
     cfg = si.IndicatorConfig(theta=1.0, zeta=0.5, c_tau=0.1, c_a=0.5, trunc_radius=10.0)
     x0 = ms.random_point(p.manifold, np.random.default_rng(2))
-    state = si.init(p, x0, cfg, seed=3)
+    state = driver.start(p, x0, 3, cfg)
     delta_before = state.delta
     report = si.step(state, p, cfg)
     assert report.infeas == 0.0
@@ -199,7 +200,7 @@ def test_feasibility_series_reads_the_traced_rows(problem, config):
     # the series of a trace_every=1 run is the one of a hand-stepped loop from the same start
     x0 = ms.random_point(problem.manifold, np.random.default_rng(41))
     _, trace = si.run(problem, x0, config, seed=42, K=60, trace_every=1)
-    state = si.init(problem, x0, config, np.random.default_rng(42))
+    state = driver.start(problem, x0, np.random.default_rng(42), config)
     records = [si.step(state, problem, config) for _ in range(60)]
     assert records == trace
     expo = 2.0 * config.omega / config.theta

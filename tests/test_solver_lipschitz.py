@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import manismooth as ms
+from manismooth import driver
 from manismooth import solver_lipschitz as sl
 from manismooth.errors import InsufficientDataError, ParameterError
 from manismooth.manifolds import tangent_project, vector_transport
@@ -16,7 +17,7 @@ def pca():
 def test_init_single_sample_equals_full_gradient():
     p = ms.make_sparse_pca(6, 1, 1, 0.0, seed=1)
     x0 = ms.random_point(p.manifold, np.random.default_rng(0))
-    state = sl.init(p, x0, seed=3)
+    state = driver.start(p, x0, 3, sl.POLICY)
     full = tangent_project(x0, p.full_egrad(x0.data))
     np.testing.assert_allclose(state.delta, full.data, atol=1e-14)
     assert state.k == 1 and state.energy == 0.0
@@ -24,24 +25,16 @@ def test_init_single_sample_equals_full_gradient():
 
 def test_init_deterministic(pca):
     x0 = ms.random_point(pca.manifold, np.random.default_rng(1))
-    a = sl.init(pca, x0, seed=9)
-    b = sl.init(pca, x0, seed=9)
+    a = driver.start(pca, x0, 9, sl.POLICY)
+    b = driver.start(pca, x0, 9, sl.POLICY)
     np.testing.assert_array_equal(a.delta, b.delta)
-
-
-def test_init_rejects_indicator_problem():
-    ball = ms.IndicatorBall(np.zeros(3), 1.0)
-    p = ms.make_constrained_sphere(5, 3, 4, ball, seed=2)
-    x0 = ms.random_point(p.manifold, np.random.default_rng(2))
-    with pytest.raises(ParameterError):
-        sl.init(p, x0, seed=0)
 
 
 def test_stepsize_rule_first_iteration():
     # ||G_1||^2 = 4 gives a_2 = 1 and tau_1 = 4^{-1/3}
     p = ms.make_sparse_pca(4, 1, 1, 0.0, seed=7)
     x0 = ms.random_point(p.manifold, np.random.default_rng(3))
-    state = sl.init(p, x0, seed=1)
+    state = driver.start(p, x0, 1, sl.POLICY)
     # rescale delta so that ||G_1|| = 2 exactly (h contributes nothing at lam=0)
     state.delta = (2.0 / np.linalg.norm(state.delta)) * state.delta
     report = sl.step(state, p)
@@ -74,7 +67,7 @@ def test_zero_direction_takes_zero_step():
         name="flat",
     )
     x0 = ms.random_point(p.manifold, np.random.default_rng(4))
-    state = sl.init(p, x0, seed=0)
+    state = driver.start(p, x0, 0, sl.POLICY)
     report = sl.step(state, p)
     assert report.tau == 0.0
     np.testing.assert_array_equal(state.x, x0.data)
@@ -85,7 +78,7 @@ def test_deterministic_momentum_collapse():
     # G_k is exactly the smoothed-objective gradient
     p = ms.make_sparse_pca(8, 2, 1, 0.0, seed=11)
     x0 = ms.random_point(p.manifold, np.random.default_rng(5))
-    state = sl.init(p, x0, seed=6)
+    state = driver.start(p, x0, 6, sl.POLICY)
     for _ in range(100):
         x_before = ms.ManifoldPoint(p.manifold, state.x)
         k_before = state.k
@@ -179,7 +172,7 @@ def test_certificate_membership_and_bound(pca):
 
 def test_certificate_requires_snapshots(pca):
     x0 = ms.random_point(pca.manifold, np.random.default_rng(6))
-    state = sl.init(pca, x0, seed=1)
+    state = driver.start(pca, x0, 1, sl.POLICY)
     with pytest.raises(InsufficientDataError):
         sl.certificate(state, pca)
 
