@@ -399,7 +399,7 @@ def entry() -> int:
     (:mod:`.seedpool`) does not copy their pages when it collects, and
     the collection at interpreter exit skips them.
     """
-    gc.freeze()
+    gc.freeze()  # BENCH_fast_paths.json "gc_freeze"
     return main()
 
 

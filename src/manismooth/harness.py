@@ -185,7 +185,7 @@ def write_trace_csv(trace: Sequence[TraceRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\r\n")
         while block := list(itertools.islice(records, TRACE_BLOCK)):
-            columns = map(_column_text, zip(*map(_row, block)))
+            columns = map(_column_text, zip(*map(_row, block)))  # BENCH_fast_paths.json "trace_columns"
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 

@@ -57,13 +57,12 @@ dispatch, its ``triu`` of R and both of its ``errstate`` blocks (on numpy
 2.4.6 the gufuncs raise nothing for a NaN, infinite, huge, subnormal, zero
 or rank-one target), and gives the same Q bit for bit.  The gufuncs live in
 numpy's private ``numpy.linalg._umath_linalg``, verified on numpy 2.4.6
-only; ``test_normalize_stiefel_is_numpy_qr_with_sign_fix`` in
-``tests/test_manifolds.py`` pins ``normalize`` to ``np.linalg.qr`` plus
-the sign fix: a numpy release that renames them fails at import, and one
-that changes their results fails that test.  ``retr`` tests V = 0 with
-the C ``count_nonzero`` of the private ``numpy._core.multiarray``, which
-``np.count_nonzero`` wraps in array-function dispatch;
-``test_retr_zero_test_is_numpys_count_nonzero`` pins it the same way.
+only, so their import is guarded: without them ``normalize`` and ``retr``
+take ``np.linalg.qr`` plus the same sign fix, rank check and error.
+``test_normalize_stiefel_is_numpy_qr_with_sign_fix`` in
+``tests/test_manifolds.py`` pins the private path to that, bit for bit, and
+``test_qr_fallback_writes_the_private_paths_bytes_and_errors`` runs the
+fallback in a process without the gufuncs.
 For one matrix, ``check_point`` and ``check_tangent`` take their norms
 as Python floats and compare those, cheaper than numpy-scalar
 comparisons; a stack takes the array path and fails with the same
@@ -83,10 +82,13 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from numpy._core.multiarray import count_nonzero as _count_nonzero  # private: the C function np.count_nonzero wraps
-from numpy.linalg import _umath_linalg  # private: the LAPACK QR gufuncs behind np.linalg.qr
 
 from .errors import DegenerateRetractionError, ParameterError, ShapeMismatchError
+
+try:  # private: the LAPACK QR gufuncs behind np.linalg.qr (BENCH_fast_paths.json "qr_gufuncs")
+    from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
+except ImportError:  # a numpy that moved them: _normalized takes np.linalg.qr, the same Q
+    _qr_r_raw = _qr_reduced = None
 
 SPHERE = "sphere"
 STIEFEL = "stiefel"
@@ -122,7 +124,8 @@ class ManifoldDescriptor:
         elif not self.n >= self.p >= 1:
             raise ParameterError(f"{self.kind} requires n >= p >= 1, got n={self.n}, p={self.p}")
 
-    @cached_property  # not a field; after the first read, a plain attribute read on the step's path
+    # not a field; after the first read, a plain attribute read (BENCH_fast_paths.json "shape_cached_property")
+    @cached_property
     def shape(self) -> tuple[int, int]:
         return (self.n, self.p)
 
@@ -148,8 +151,9 @@ _FLOAT64 = np.dtype(np.float64)
 
 
 def _as_matrix(desc: ManifoldDescriptor, data, what: str) -> np.ndarray:
+    # the one copy the general path makes, without its conversions (BENCH_fast_paths.json "as_matrix_fast_path")
     if type(data) is np.ndarray and data.dtype is _FLOAT64 and data.shape == desc.shape:
-        out = data.copy(order="K")  # the one copy the general path makes, without its conversions
+        out = data.copy(order="K")
     else:
         arr = _as_2d(data)
         if arr.shape != desc.shape:
@@ -233,13 +237,14 @@ class RetractionConstants:
 
 def _inner(A: np.ndarray, B: np.ndarray):
     """<A, B> per matrix of two stacks ``(..., n, p)``: one BLAS dot each, a scalar for two matrices."""
-    if A.ndim == 2 and B.ndim == 2:  # the same dot as np.vecdot, without the stack machinery
+    # two matrices: np.vecdot's dot without its stack machinery (BENCH_fast_paths.json "inner_two_matrix_dot")
+    if A.ndim == 2 and B.ndim == 2:
         return A.ravel().dot(B.ravel())
     *_, n, p = A.shape
     return np.vecdot(A.reshape(*A.shape[:-2], n * p), B.reshape(*B.shape[:-2], n * p))
 
 
-# the two matrix products of the one-matrix rule (module docstring)
+# the two matrix products of the one-matrix rule (module docstring; BENCH_fast_paths.json "dot_matmul_pick")
 _dot = np.ndarray.dot
 _matmul = np.matmul
 
@@ -281,7 +286,8 @@ def _columns(X: np.ndarray, V: np.ndarray):
     """
     if X.shape[-1] != 1:
         return np.sum(X * V, axis=-2, keepdims=True)
-    if X.ndim == 2 and V.ndim == 2:  # _inner's one-matrix dot, called here directly on the step's path
+    # _inner's one-matrix dot, called here directly on the step's path (BENCH_fast_paths.json "columns_one_matrix_dot")
+    if X.ndim == 2 and V.ndim == 2:
         return X.ravel().dot(V.ravel())
     return _inner(X, V)[..., None, None]
 
@@ -310,9 +316,13 @@ def normalize(kind: str, Y: np.ndarray) -> np.ndarray:
 def _normalized(kind: str, Y: np.ndarray) -> np.ndarray:
     """:func:`normalize` of a float64 Y that the call may overwrite: the Stiefel QR factors Y in place."""
     if kind == STIEFEL:
-        Q = _umath_linalg.qr_reduced(Y, _umath_linalg.qr_r_raw(Y))  # geqrf leaves R above Y's diagonal
-        diag = Y.diagonal(0, -2, -1)
-        for r in diag.ravel().tolist():  # a loop, not any() over a generator, on the step's path
+        if _qr_reduced is None:
+            Q, R = np.linalg.qr(Y)
+            diag = R.diagonal(0, -2, -1)
+        else:
+            Q = _qr_reduced(Y, _qr_r_raw(Y))  # geqrf leaves R above Y's diagonal
+            diag = Y.diagonal(0, -2, -1)
+        for r in diag.ravel().tolist():  # a loop, not np.any (BENCH_fast_paths.json "diag_loop")
             if abs(r) < 1e-12:
                 raise DegenerateRetractionError("rank-deficient Stiefel target")
         Q *= np.copysign(1.0, diag)[..., None, :]
@@ -326,7 +336,7 @@ def _normalized(kind: str, Y: np.ndarray) -> np.ndarray:
 
 def retr(kind: str, X: np.ndarray, V: np.ndarray) -> np.ndarray:
     """First-order retraction R_X(V) on raw arrays; X itself where V = 0 (per slice of a stack)."""
-    if not _count_nonzero(V):  # V.any(), without a Python-level wrapper
+    if not np.count_nonzero(V):
         return X
     Y = _normalized(kind, X + V)  # the sum is this call's own, so the QR factors it without normalize's copy
     if V.ndim > 2:
@@ -344,7 +354,7 @@ def check_point(kind: str, X: np.ndarray) -> None:
             its manifold (1e-12 sphere/oblique, 1e-10 Stiefel, Frobenius),
             or has a NaN or infinite entry.
     """
-    one = X.ndim == 2  # one point: compare Python floats, cheaper than any numpy-scalar comparison
+    one = X.ndim == 2  # one point: compare Python floats (BENCH_fast_paths.json "check_float_branches")
     if kind == STIEFEL:
         err = (_norm if one else fro)((_dot if one else _matmul)(X.mT, X) - _identity(X.shape[-1]))
         tol = _POINT_TOL_STIEFEL
@@ -368,7 +378,7 @@ def check_tangent(kind: str, X: np.ndarray, V: np.ndarray) -> None:
     Raises:
         ParameterError: some V is not tangent, or its norm is NaN or infinite.
     """
-    one = X.ndim == V.ndim == 2  # one vector: the same test on Python floats
+    one = X.ndim == V.ndim == 2  # one vector: Python floats (BENCH_fast_paths.json "check_float_branches")
     norm = _norm if one else fro
     # the norm comes first: a NaN or infinite V (a NaN or infinite norm) is rejected before
     # the product with X, whose 0 x inf would warn, and its violation is reported as NaN
@@ -455,18 +465,9 @@ def random_tangent(x: ManifoldPoint, rng: np.random.Generator, norm: float | Non
     return (norm / fro(v.data)) * v  # numpy division: a zero projection gives NaN, which the check rejects
 
 
-def sup(current: float, values) -> float:
-    """max(current, v) over the values in order, as a running Python ``max``: NaN values are skipped."""
-    return max(current, float(np.fmax.reduce(values, axis=None, initial=-np.inf)))
-
-
-def squares(values: np.ndarray) -> np.ndarray:
-    """``float(v) ** 2`` per entry (C ``pow``), the rounding the estimates are defined with.
-
-    numpy's ``v ** 2`` squares by multiplication, which rounds differently
-    in about one case in a thousand.
-    """
-    return np.array([float(v) ** 2 for v in values])
+def _peak(current: float, values) -> float:
+    """The running max of the sampled estimators and batteries: max(current, max(values)), NaN if any value is."""
+    return float(np.max(values, initial=current))
 
 
 def points_from(kind: str, G: np.ndarray) -> np.ndarray:
@@ -546,7 +547,7 @@ def estimate_retraction_constants(
         Y = retr(desc.kind, X, U)
         check_point(desc.kind, Y)
         nu = fro(U)
-        alpha = sup(alpha, fro(Y - X) / nu)
-        beta = sup(beta, fro(Y - X - U) / squares(nu))
+        alpha = _peak(alpha, fro(Y - X) / nu)
+        beta = _peak(beta, fro(Y - X - U) / (nu * nu))
     return RetractionConstants(alpha=max(alpha, 1e-12), beta=max(beta, 1e-12))
 

@@ -34,15 +34,14 @@ from .manifolds import (
     _inner,
     _lift,
     _matmul,
+    _peak,
     check_point,
     check_tangent,
     fro,
     proj,
     retr,
     sphere,
-    squares,
     stiefel,
-    sup,
     tangent_blocks,
     tangent_project,
 )
@@ -295,10 +294,10 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
 
     for X, Z, (idx, _) in tangent_blocks(problem.manifold, rng, samples, draw):
         f_x, g_full = problem.full_value_egrad(X)
-        L_f = sup(L_f, fro(g_full))
+        L_f = _peak(L_f, fro(g_full))
         gr_full = proj(kind, X, g_full)
         gr_i = proj(kind, X, problem.sample_egrad(X, idx))
-        sigma = sup(sigma, fro(gr_i - gr_full))
+        sigma = _peak(sigma, fro(gr_i - gr_full))
 
         Y = retr(kind, X, Z)
         check_point(kind, Y)
@@ -308,17 +307,17 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
         for at, v in ((X, gr_full), (X, gr_i), (Y, gy_i), (X, moved)):
             check_tangent(kind, at, v)
         nz = fro(Z)
-        L_tilde = sup(L_tilde, fro(gr_i - moved) / nz)
+        L_tilde = _peak(L_tilde, fro(gr_i - moved) / nz)
         # retraction-smoothness quotient of f along the same pair
         lin = np.sum(gr_full * Z, axis=(-2, -1))
-        L_retr = sup(L_retr, 2.0 * (problem.full_value(Y) - f_x - lin) / squares(nz))
+        L_retr = _peak(L_retr, 2.0 * (problem.full_value(Y) - f_x - lin) / (nz * nz))
 
         Jx = _jacobian(problem, X)
         Jy = _jacobian(problem, Y)
-        L_c = sup(L_c, _spectral_norm(Jx))
+        L_c = _peak(L_c, _spectral_norm(Jx))
         step = fro(Y - X)
         far = step > 1e-12
-        L_grad_c = sup(L_grad_c, np.broadcast_to(_spectral_norm(Jx - Jy), step.shape)[far] / step[far])
+        L_grad_c = _peak(L_grad_c, np.broadcast_to(_spectral_norm(Jx - Jy), step.shape)[far] / step[far])
     return ProblemConstants(
         L_f=L_f, L_c=L_c, L_grad_c=L_grad_c, L_tilde=L_tilde, sigma=sigma, L_retr=max(L_retr, 0.0)
     )

@@ -58,19 +58,16 @@ def _finite(field: str, value) -> np.ndarray:
 def _mu(mu, y: np.ndarray, name: str = "mu"):
     """``mu`` for the (stack of) vectors ``y``: a scalar, or one entry per row as an array of y's leading shape.
 
-    A scalar is returned as given and a 0-d array as a Python float.  Raises ParameterError (field "mu")
+    A scalar (or 0-d array) is returned as a Python float.  Raises ParameterError (field "mu")
     unless every entry is finite and positive, and ShapeMismatchError for an array of another shape.
+    Off the solver step, which calls ``h.prox`` directly (BENCH_fast_paths.json "mu_scalar_branch").
     """
-    if isinstance(mu, (int, float)):  # the solvers' path: no array conversion
-        ok = 0 < mu < math.inf  # NaN fails every comparison
-    else:
-        mu = np.asarray(mu, dtype=float)
-        if mu.ndim == 0:
-            mu = mu.item()
-        elif mu.shape != y.shape[:-1]:
-            raise ShapeMismatchError(f"{name} has shape {mu.shape}; one per row of y needs {y.shape[:-1]}")
-        ok = np.all((0 < mu) & (mu < math.inf))
-    if not ok:
+    mu = np.asarray(mu, dtype=float)
+    if mu.ndim == 0:
+        mu = mu.item()
+    elif mu.shape != y.shape[:-1]:
+        raise ShapeMismatchError(f"{name} has shape {mu.shape}; one per row of y needs {y.shape[:-1]}")
+    if not np.all((0 < mu) & (mu < math.inf)):  # NaN fails every comparison
         raise ParameterError(f"{name} must be finite and positive", field="mu")
     return mu
 
@@ -239,7 +236,7 @@ class IndicatorBall(IndicatorTerm):
     def project(self, y):
         y = np.asarray(y, dtype=float)
         d = y - self.center
-        if y.ndim == 1:  # one vector, the solver's: the same test on a Python float, without masks
+        if y.ndim == 1:  # the solver's one vector: a Python-float test (BENCH_fast_paths.json "ball_one_vector")
             nrm = math.sqrt(d.dot(d))
             return y.copy() if nrm <= self.radius else self._onto_sphere(d, self.radius / nrm)
         nrm = _norm(d)

@@ -35,7 +35,7 @@ import numpy as np
 from . import driver
 from .errors import ParameterError, ProbeInconclusiveError
 from .harness import Certificate, TraceRecord
-from .manifolds import ManifoldPoint, check_tangent, estimate_retraction_constants, fro, point_blocks, proj, sup
+from .manifolds import ManifoldPoint, _peak, check_tangent, estimate_retraction_constants, fro, point_blocks, proj
 from .problems import ProblemConstants, StochasticProblem, estimate_constants, retr_smooth_bound
 from .smoothing import IndicatorTerm
 
@@ -200,7 +200,7 @@ def _stepsize_constant(
     rng = np.random.default_rng(seed + 2)
     max_dist = 0.0
     for X in point_blocks(problem.manifold, rng, samples):
-        max_dist = sup(max_dist, problem.h.distance(problem.c_eval(X)))
+        max_dist = _peak(max_dist, problem.h.distance(problem.c_eval(X)))
 
     L_c = safety * consts.L_c
     L_gc = safety * consts.L_grad_c

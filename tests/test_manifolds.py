@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -361,11 +366,14 @@ def test_checks_reject_non_finite_data(desc, bad):
         ms.retract(x, eta)
 
 
-@pytest.mark.parametrize("shape", [(50, 3), (1000, 10), (6, 2), (32, 50, 3)], ids=lambda s: "x".join(map(str, s)))
+QR_SHAPES = [(50, 3), (1000, 10), (6, 2), (32, 50, 3)]
+
+
+@pytest.mark.parametrize("shape", QR_SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_normalize_stiefel_is_numpy_qr_with_sign_fix(shape):
     # normalize calls numpy's private LAPACK QR gufuncs directly; this pins it to
     # np.linalg.qr followed by the sign fix, bit for bit, and fails loudly if a
-    # numpy release renames or changes those gufuncs
+    # numpy release changes those gufuncs (one that moves them takes the fallback)
     Y = np.random.default_rng(11).standard_normal(shape)
     given = Y.copy()
     q, r = np.linalg.qr(Y)
@@ -375,6 +383,57 @@ def test_normalize_stiefel_is_numpy_qr_with_sign_fix(shape):
     assert got.tobytes() == want.tobytes()
     assert Y.tobytes() == given.tobytes()  # LAPACK factors a copy, never the caller's array
     assert mf.normalize(mf.STIEFEL, np.asfortranarray(Y)).tobytes() == want.tobytes()
+
+
+# a child process without numpy's private QR gufuncs: the import guard leaves them None, and normalize
+# and retr take np.linalg.qr; the child reads its inputs from argv[1] (named n... for normalize, r... for
+# retr) and saves what it gets, or the error's message, to argv[2]
+QR_FALLBACK_PROBE = """
+import sys
+import numpy as np
+import numpy.linalg
+sys.modules["numpy.linalg._umath_linalg"] = None  # importing it now raises ImportError
+from manismooth import manifolds as mf
+from manismooth.errors import DegenerateRetractionError
+assert mf._qr_r_raw is None and mf._qr_reduced is None
+out = {}
+with np.load(sys.argv[1]) as given:
+    inputs = dict(given)
+for name, Y in inputs.items():
+    try:
+        out[name] = mf.normalize(mf.STIEFEL, Y) if name[0] == "n" else mf.retr(mf.STIEFEL, *Y)
+    except DegenerateRetractionError as exc:
+        out[name] = np.array(str(exc))
+np.savez(sys.argv[2], **out)
+"""
+
+
+def test_qr_fallback_writes_the_private_paths_bytes_and_errors(tmp_path):
+    inputs = {}
+    for i, shape in enumerate(QR_SHAPES):
+        Y = np.random.default_rng(11).standard_normal(shape)
+        X = mf.normalize(mf.STIEFEL, np.random.default_rng(12).standard_normal(shape))
+        inputs[f"n{i}"], inputs[f"r{i}"] = Y, np.stack([X, mf.proj(mf.STIEFEL, X, Y)])
+    # rank-deficient targets: zero, rank one, and a stack of zeros
+    inputs["n_zero"], inputs["n_rank_one"] = np.zeros((5, 2)), np.outer(np.arange(1.0, 7.0), [1.0, 2.0])
+    inputs["n_zero_stack"] = np.zeros((3, 4, 2))
+    np.savez(tmp_path / "in.npz", **inputs)
+    src = str(Path(mf.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", QR_FALLBACK_PROBE, str(tmp_path / "in.npz"), str(tmp_path / "out.npz")],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert mf._qr_r_raw is not None  # this process has the private path
+    with np.load(tmp_path / "out.npz") as out:
+        child = dict(out)
+    assert sorted(child) == sorted(inputs)
+    for name, Y in inputs.items():
+        if name.startswith("n_"):
+            with pytest.raises(DegenerateRetractionError) as err:
+                mf.normalize(mf.STIEFEL, Y)
+            assert str(child[name]) == str(err.value) == "rank-deficient Stiefel target"
+        else:
+            want = mf.normalize(mf.STIEFEL, Y) if name[0] == "n" else mf.retr(mf.STIEFEL, *Y)
+            assert child[name].dtype == want.dtype and child[name].tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the non-finite entries are on purpose
@@ -479,11 +538,8 @@ def test_check_tangent_rejects_a_non_finite_tangent_without_a_warning(desc, bad)
      np.eye(50, 3)[None].repeat(5, axis=0)],
     ids=["zero", "eye", "nan", "signed-zeros", "zero-stack", "stack"],
 )
-def test_retr_zero_test_is_numpys_count_nonzero(V):
-    # retr tests V = 0 with the C function behind np.count_nonzero, imported by its private
-    # name: a numpy release that renames it fails at import, and one that changes it fails here
-    assert type(mf._count_nonzero).__name__ == "builtin_function_or_method"
-    assert mf._count_nonzero(V) == np.count_nonzero(V) == np.count_nonzero(V.ravel())
+def test_retr_returns_x_exactly_when_v_has_no_nonzero_entry(V):
+    # signed zeros count as zero, a NaN as nonzero; a stack is X itself only when every slice is zero
     X = np.eye(*V.shape[-2:]) if V.ndim == 2 else np.broadcast_to(np.eye(*V.shape[-2:]), V.shape).copy()
     assert (mf.retr(mf.STIEFEL, X, V) is X) == (not V.any())
 

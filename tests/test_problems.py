@@ -182,6 +182,21 @@ def test_estimate_constants_deterministic(csphere):
     assert a == b
 
 
+def test_estimate_constants_refuses_a_nan_quotient_naming_the_constant(pca):
+    # f is NaN at one retracted point of the first block, so one L_retr quotient is NaN: the running
+    # max keeps it, and ProblemConstants' check names L_retr (a max that skipped it returned a number)
+    calls = []
+
+    def full_value(Y):
+        values = pca.full_value(Y)
+        calls.append(len(values))
+        return np.where(np.arange(len(values)) == 5, NAN, values) if len(calls) == 1 else values
+
+    with pytest.raises(ParameterError, match="L_retr must be nonnegative") as info:
+        ms.estimate_constants(dataclasses.replace(pca, full_value=full_value), 100, seed=11)
+    assert info.value.field == "L_retr" and len(calls) > 1
+
+
 def linear_objective_sphere(n, N, seed):
     """Per-sample linear objective f_i(x) = a_i^T x on the sphere.
 

@@ -133,11 +133,14 @@ def test_init_truncates(problem, config):
 
 
 def test_schedule_examples():
-    # theta = 1, c_tau = 0.5: tau_0 = 0.5, tau_7 = 0.25
-    cfg = si.IndicatorConfig(theta=1.0, zeta=1.0, c_tau=0.5, c_a=1.0, trunc_radius=1.0)
-    om = cfg.omega
-    assert cfg.c_tau * (0 + 1) ** (-om) == pytest.approx(0.5, rel=1e-15)
-    assert cfg.c_tau * (7 + 1) ** (-om) == pytest.approx(0.25, rel=1e-15)
+    # theta = 1 (omega = 1/3), c_tau = 0.5, c_a = 2: tau_0 = 0.5, tau_7 = 0.5 / 2 = 0.25, a_1 = min(1, 2) = 1,
+    # a_8 = 2 / 4 = 0.5; mu_0 = mu_1 = 1 (clamped), mu_8 = 0.5, mu_27 = 1/3; the energy plays no part
+    cfg = si.IndicatorConfig(theta=1.0, zeta=1.0, c_tau=0.5, c_a=2.0, trunc_radius=1.0)
+    for k, tau, a in ((0, 0.5, 1.0), (7, 0.25, 0.5)):
+        for energy in (0.0, 123.0):
+            assert cfg.schedule(k, energy) == (pytest.approx(tau, rel=1e-15), pytest.approx(a, rel=1e-15))
+    for k, mu in ((0, 1.0), (1, 1.0), (8, 0.5), (27, 1.0 / 3.0)):
+        assert cfg.mu(k) == pytest.approx(mu, rel=1e-15)
 
 
 def test_momentum_resets_when_a_hits_one(problem):
