@@ -413,7 +413,7 @@ def retr_smooth_constant_check(problem, mu: float, samples: int, seed: int) -> t
     kind, indicator = problem.manifold.kind, isinstance(problem.h, IndicatorTerm)
     empirical, max_dist = -math.inf, 0.0
     for X, U, _ in mf.tangent_blocks(problem.manifold, np.random.default_rng(seed), samples,
-                                     lambda rng: (rng.uniform(0.05, 1.0),)):
+                                     lambda rng, size: (rng.uniform(0.05, 1.0, size),)):
         Y = mf.retr(kind, X, U)
         mf.check_point(kind, Y)
         (fx, gx), fy = problem.full_value_egrad(X), problem.full_value(Y)

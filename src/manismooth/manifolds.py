@@ -41,12 +41,11 @@ Ob(50, 3)) as well as at small ones, and
 together, and the checks' messages.  The checks reject NaN and infinite
 data, so a ``ManifoldPoint`` or ``TangentVector`` always holds finite
 values; nothing here repairs data that fails them.  The
-sampling estimators draw their points and tangents with
-:func:`point_blocks` and :func:`tangent_blocks`, which make the same
-generator calls in the same order as
-:func:`random_point`/:func:`random_tangent` and hand the draws back in
-stacks of at most ``SAMPLE_BLOCK``; :func:`points_from` and
-:func:`tangents_from` turn a stack of Gaussian draws into checked samples.
+sampling estimators draw each pass whole, :func:`point_blocks` as one
+Gaussian stack and :func:`tangent_blocks` as three, and hand it back in
+slices of at most ``SAMPLE_BLOCK`` that :func:`points_from` and
+:func:`tangents_from` turn into checked samples, so no result depends on
+the block size.
 
 The Stiefel ``normalize`` calls the two LAPACK gufuncs that
 ``np.linalg.qr`` wraps, ``qr_r_raw`` (geqrf) and ``qr_reduced`` (orgqr),
@@ -98,10 +97,10 @@ OBLIQUE = "oblique"
 _POINT_TOL_COLUMNS = 1e-12
 _POINT_TOL_STIEFEL = 1e-10
 _TANGENT_TOL = 1e-10
-# Points per stacked block of the sampling estimators.  Their maxima are
-# exact over any split, so results do not depend on it.  Larger blocks
-# amortize more per-call overhead but hold larger temporaries (the stacked
-# Jacobians of c), which raise the estimators' peak memory.
+# Points per stacked block of the sampling estimators.  A pass is drawn
+# whole and its maxima are exact over any split, so results do not depend
+# on it.  Larger blocks amortize more per-call overhead but hold larger
+# temporaries (the stacked Jacobians of c), which raise the peak memory.
 SAMPLE_BLOCK = 32
 
 
@@ -490,38 +489,36 @@ def tangents_from(kind: str, X: np.ndarray, G: np.ndarray, norm=None) -> np.ndar
 
 
 def point_blocks(desc: ManifoldDescriptor, rng: np.random.Generator, samples: int):
-    """Yield the points of ``samples`` :func:`random_point` calls as checked stacks ``(b, n, p)``, b <= SAMPLE_BLOCK.
+    """Yield ``samples`` random points as checked stacks ``(b, n, p)``, b <= SAMPLE_BLOCK.
 
-    One ``standard_normal((b, n, p))`` call draws the same stream as b
-    calls of ``standard_normal((n, p))``.
+    The pass is one ``standard_normal((samples, n, p))`` draw, the stream
+    of ``samples`` :func:`random_point` calls.
     """
+    G = rng.standard_normal((samples, *desc.shape))
     for start in range(0, samples, SAMPLE_BLOCK):
-        yield points_from(desc.kind, rng.standard_normal((min(SAMPLE_BLOCK, samples - start), *desc.shape)))
+        yield points_from(desc.kind, G[start:start + SAMPLE_BLOCK])
 
 
 def tangent_blocks(desc: ManifoldDescriptor, rng: np.random.Generator, samples: int, draw):
-    """Yield checked stacks ``(X, U, drawn)`` covering ``samples`` draws of
+    """Yield checked stacks ``(X, U, drawn)`` of ``samples`` random pairs (x, u), at most SAMPLE_BLOCK per stack.
 
-        x = random_point(desc, rng); *extra, t = draw(rng); u = random_tangent(x, rng, norm=t)
-
-    in that generator order.  ``draw(rng)`` returns a tuple whose last
-    entry is the norm of u; ``drawn`` holds one array per entry.  A block
-    holds at most SAMPLE_BLOCK pairs.
+    The pass draws, in this order, ``standard_normal((samples, n, p))``
+    for the points, ``draw(rng, samples)`` (a tuple of arrays whose last
+    holds the norms of the u) and ``standard_normal((samples, n, p))`` for
+    the tangents.  Each stack is :func:`points_from`/:func:`tangents_from`
+    of one slice of them, and ``drawn`` that slice of each drawn array.
 
     Raises:
         ParameterError: a rescaled tangent fails its check, as in
             :func:`random_tangent`.
     """
-    kind = desc.kind
+    shape = (samples, *desc.shape)
+    points, drawn, tangents = rng.standard_normal(shape), draw(rng, samples), rng.standard_normal(shape)
     for start in range(0, samples, SAMPLE_BLOCK):
-        points, values, tangents = [], [], []
-        for _ in range(min(SAMPLE_BLOCK, samples - start)):
-            points.append(rng.standard_normal(desc.shape))
-            values.append(draw(rng))
-            tangents.append(rng.standard_normal(desc.shape))
-        X = points_from(kind, np.array(points))
-        drawn = tuple(np.array(column) for column in zip(*values))
-        yield X, tangents_from(kind, X, np.array(tangents), drawn[-1]), drawn
+        block = slice(start, start + SAMPLE_BLOCK)
+        X = points_from(desc.kind, points[block])
+        values = tuple(column[block] for column in drawn)
+        yield X, tangents_from(desc.kind, X, tangents[block], values[-1]), values
 
 
 def estimate_retraction_constants(
@@ -529,8 +526,8 @@ def estimate_retraction_constants(
 ) -> RetractionConstants:
     """Empirical retraction constants from seeded sampling.
 
-    Draws ``samples`` pairs (x, u) with ||u|| <= 1 from ``default_rng(rng_seed)``,
-    which advances a Generator in place, and returns
+    Draws ``samples`` pairs (x, u) with ||u|| ~ U(1e-4, 1), one :func:`tangent_blocks` pass,
+    from ``default_rng(rng_seed)``, which advances a Generator in place, and returns
 
         alpha = max ||R_x(u) - x|| / ||u||,
         beta  = max ||R_x(u) - x - u|| / ||u||^2.
@@ -543,7 +540,7 @@ def estimate_retraction_constants(
     rng = np.random.default_rng(rng_seed)
     alpha = 0.0
     beta = 0.0
-    for X, U, _ in tangent_blocks(desc, rng, samples, lambda rng: (rng.uniform(1e-4, 1.0),)):
+    for X, U, _ in tangent_blocks(desc, rng, samples, lambda rng, size: (rng.uniform(1e-4, 1.0, size),)):
         Y = retr(desc.kind, X, U)
         check_point(desc.kind, Y)
         nu = fro(U)

@@ -279,9 +279,9 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
     Maximizes the relevant quotient over ``samples`` random points (and
     retracted pairs / sample indices where applicable).  Estimates are
     lower bounds on the true suprema; multiply by a safety factor.  The
-    samples are evaluated in stacked blocks (see
-    :func:`.manifolds.tangent_blocks`); every value equals that of the
-    one-sample-at-a-time loop.
+    points, then the sample indices and step norms, then the tangents are
+    drawn as one :func:`.manifolds.tangent_blocks` pass and evaluated in
+    its stacked blocks.
     """
     if samples < 100:
         raise ParameterError("samples must be >= 100")
@@ -289,8 +289,8 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
     kind = problem.manifold.kind
     L_f = sigma = L_tilde = L_c = L_grad_c = L_retr = 0.0
 
-    def draw(rng):
-        return rng.integers(problem.num_samples), rng.uniform(0.05, 0.5)
+    def draw(rng, size):
+        return rng.integers(problem.num_samples, size=size), rng.uniform(0.05, 0.5, size)
 
     for X, Z, (idx, _) in tangent_blocks(problem.manifold, rng, samples, draw):
         f_x, g_full = problem.full_value_egrad(X)

@@ -145,11 +145,11 @@ def default_config(
     the one of the smoothed objective (indicator form); the momentum
     constant follows c_a = (3/4) c_tau^2 + 1/(32 Lt^2) with c_tau as
     supplied or derived, and trunc_radius is L_f.  All estimated
-    constants are inflated by ``safety``.  zeta comes from the error bound
-    probe.  A supplied value skips the sampling passes only it needs: the
-    retraction constants and the max-dist pass when c_tau is given, the
-    problem constants when c_a and trunc_radius are given too, and the
-    probe when zeta is given.  Each pass draws max(100, samples) points.
+    constants are inflated by ``safety``.  zeta is the error bound probe's
+    modulus at theta.  A supplied value skips the sampling passes only it
+    needs: the retraction constants and the max-dist pass when c_tau is
+    given, the problem constants when c_a and trunc_radius are given too,
+    and the probe when zeta is given.  Each pass draws max(100, samples) points.
 
     Raises:
         ParameterError: a given number is outside its :data:`BOUNDS` (checked
@@ -185,7 +185,7 @@ def default_config(
             trunc_radius = safety * consts.L_f
     if zeta is None:
         try:
-            zeta, _ = error_bound_probe(problem, samples, seed + 3)
+            zeta, _ = error_bound_probe(problem, samples, seed + 3, theta)
             _check_bound("zeta", zeta)
         except (ParameterError, ProbeInconclusiveError) as exc:  # an overflowed check, nothing to fit, or zeta = 0
             raise ParameterError(f"error bound probe: {exc}; supply zeta explicitly", field="zeta") from None
@@ -257,14 +257,15 @@ def certificate(state: driver.SolverState, problem: StochasticProblem, config: I
     return driver.certificate(state, problem, config)
 
 
-def error_bound_probe(problem: StochasticProblem, samples: int, seed: int) -> tuple[float, float]:
-    """Estimate the error bound modulus and exponent by sampling.
+def error_bound_probe(problem: StochasticProblem, samples: int, seed: int,
+                      theta: float | None = None) -> tuple[float, float]:
+    """Estimate the error bound modulus and exponent by sampling, as (zeta, theta_fit).
 
     Samples manifold points, keeps the infeasible ones, and fits
-    log ||grad g|| against log dist(c(x), C) for the exponent; the
-    modulus is the worst-case ratio at the fitted exponent.  Diagnostic
-    only; a vanishing penalty gradient at an infeasible point honestly
-    yields a zero modulus.
+    log ||grad g|| against log dist(c(x), C) for the exponent theta_fit;
+    zeta is min ||grad g|| / dist^theta over them, at ``theta`` if given,
+    else at theta_fit.  A vanishing penalty gradient at an infeasible
+    point honestly yields a zero modulus.
 
     Raises:
         ParameterError: ``samples`` is below 100.
@@ -294,5 +295,5 @@ def error_bound_probe(problem: StochasticProblem, samples: int, seed: int) -> tu
     if mask.sum() < 2:
         raise ProbeInconclusiveError("penalty gradient vanishes at nearly all infeasible samples")
     theta_fit = float(np.polyfit(np.log(dists[mask]), np.log(gnorms[mask]), 1)[0])
-    zeta_hat = float(np.min(gnorms / dists**theta_fit))
+    zeta_hat = float(np.min(gnorms / dists ** (theta_fit if theta is None else theta)))
     return zeta_hat, theta_fit

@@ -2,12 +2,14 @@
 
 The sampled estimators (``estimate_constants``,
 ``estimate_retraction_constants``, ``error_bound_probe`` and the
-``default_config`` that assembles them) were recorded from the
-one-sample-at-a-time implementation; the stacked-block implementation
-must reproduce every value exactly, so the values are stored as
+``default_config`` that assembles them) draw each pass as whole stacks
+(see :func:`manismooth.manifolds.tangent_blocks`) and evaluate it in
+blocks of ``SAMPLE_BLOCK``; a refactor must reproduce every value
+exactly, whatever the block size, so the values are stored as
 ``float.hex`` strings and compared for equality, not to a tolerance.
 
-Regenerate only for an intended change of behaviour:
+Regenerate only for an intended change of behaviour; the run prints each
+value that moved, old -> new:
 
     PYTHONPATH=src python tests/test_golden_estimates.py
 """
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 
 import manismooth as ms
+from manismooth import manifolds as mf
 from manismooth import solver_indicator as si
 from manismooth.checks import DESCRIPTORS
 from manismooth.cli import build_problem
@@ -101,5 +104,24 @@ def test_golden_estimate(name):
     assert _hex(CASES[name]()) == json.loads(GOLDEN.read_text())[name]
 
 
+def test_estimates_do_not_depend_on_the_block_size(monkeypatch):
+    problem = build_problem(SPHERE_SEEDS, 1000)
+    seed = derive_seed(1000, "probe")
+    estimates = []
+    for block in (7, 32, 1000):
+        monkeypatch.setattr(mf, "SAMPLE_BLOCK", block)
+        estimates.append([_hex(ms.estimate_constants(problem, 200, seed)),
+                          _hex(ms.estimate_retraction_constants(problem.manifold, 200, seed + 1)),
+                          _hex(si.default_config(problem, theta=1, seed=seed))])
+    assert estimates[0] == estimates[1] == estimates[2]
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({name: _hex(make()) for name, make in sorted(CASES.items())}, indent=1) + "\n")
+    recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    golden = {name: _hex(make()) for name, make in sorted(CASES.items())}
+    for name, fields in golden.items():
+        for field, new in fields.items():
+            old = recorded.get(name, {}).get(field)
+            if old != new:
+                print(f"{name} {field}: {old and float.fromhex(old)!r} -> {float.fromhex(new)!r}")
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")

@@ -1,10 +1,12 @@
 """Pinned golden traces for both solvers.
 
 Two short seeded runs with diagnostics on, one per solver, K = 1200.
-The recorded trace rows, certificate and (for the indicator solver)
-estimated configuration were produced before the solvers moved onto a
-shared ndarray driver, when the driver still renormalised the iterate at
-k = 1000; the runs now cross that index without it and still agree.  Any
+The Lipschitz rows and certificate were produced before the solvers
+moved onto a shared ndarray driver, when the driver still renormalised
+the iterate at k = 1000; the run now crosses that index without it and
+still agrees.  The indicator block (estimated configuration, rows and
+certificate) was re-recorded when the estimators' sampled passes became
+whole stacked draws and zeta came to be taken at the supplied theta.  Any
 refactor of the solver code must reproduce them to 1e-10 relative.
 
 Regenerate only for an intended change of behaviour:
@@ -12,7 +14,7 @@ Regenerate only for an intended change of behaviour:
     PYTHONPATH=src python tests/test_golden_traces.py
 
 A rerun keeps every recorded value that still agrees within REL_TOL, so
-it rewrites only what moved.
+it rewrites only what moved, and prints each moved value, old -> new.
 """
 
 import dataclasses
@@ -90,7 +92,18 @@ def test_indicator_golden_trace():
     _assert_close(indicator_run(), json.loads(GOLDEN.read_text())["indicator"], "indicator")
 
 
+def _changes(got, want, where):
+    """(where, recorded, new) for each value of got that differs from the recorded want."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        return [c for key, value in got.items() for c in _changes(value, want.get(key), f"{where}.{key}")]
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        return [c for i, (g, w) in enumerate(zip(got, want)) for c in _changes(g, w, f"{where}[{i}]")]
+    return [] if got == want else [(where, want, got)]
+
+
 if __name__ == "__main__":
     recorded = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
-    runs = {"lipschitz": lipschitz_run(), "indicator": indicator_run()}
-    GOLDEN.write_text(json.dumps(_keep_agreeing(runs, recorded), indent=1) + "\n")
+    runs = _keep_agreeing({"lipschitz": lipschitz_run(), "indicator": indicator_run()}, recorded)
+    for where, old, new in _changes(runs, recorded, "golden"):
+        print(f"{where}: {old} -> {new}")
+    GOLDEN.write_text(json.dumps(runs, indent=1) + "\n")

@@ -250,34 +250,44 @@ def test_one_matrix_products_equal_matmul(desc):
         assert not _verdict(mf.check_tangent, desc.kind, X, V + X)
 
 
-def _one_at_a_time(desc, rng, samples, draw):
-    out = []
-    for _ in range(samples):
-        x = ms.random_point(desc, rng)
-        *extra, t = draw(rng)
-        out.append((x.data, ms.random_tangent(x, rng, norm=t).data, (*extra, t)))
-    return out
+class _CountingGenerator:
+    """A Generator that counts the calls made to it."""
 
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
 
-def _blocked(desc, rng, samples, draw):
-    out = []
-    for X, U, drawn in mf.tangent_blocks(desc, rng, samples, draw):
-        out.extend((X[s], U[s], tuple(col[s] for col in drawn)) for s in range(len(X)))
-    return out
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
 
 
 @pytest.mark.parametrize("desc", DESCRIPTORS, ids=lambda d: d.kind)
-def test_tangent_blocks_follow_the_one_at_a_time_stream(desc):
-    def draw(rng):
-        return rng.integers(7), rng.uniform(0.05, 0.5)
+def test_tangent_blocks_slice_one_pass_of_three_stacked_draws(desc):
+    def draw(rng, size):
+        return (rng.uniform(0.05, 0.5, size),)
 
     samples = 2 * mf.SAMPLE_BLOCK + 5
-    want = _one_at_a_time(desc, np.random.default_rng(4), samples, draw)
-    got = _blocked(desc, np.random.default_rng(4), samples, draw)
-    assert len(got) == samples
-    for (gx, gu, gd), (wx, wu, wd) in zip(got, want):
-        assert np.array_equal(gx, wx) and np.array_equal(gu, wu) and gd == wd
-    points = np.concatenate(list(mf.point_blocks(desc, np.random.default_rng(4), samples)))
+    counting = _CountingGenerator(4)
+    blocks = list(mf.tangent_blocks(desc, counting, samples, draw))
+    assert counting.calls == 3
+    rng = np.random.default_rng(4)
+    points = rng.standard_normal((samples, *desc.shape))
+    (norms,) = draw(rng, samples)
+    X_all = mf.points_from(desc.kind, points)
+    U_all = mf.tangents_from(desc.kind, X_all, rng.standard_normal((samples, *desc.shape)), norms)
+    assert [len(X) for X, _, _ in blocks] == [mf.SAMPLE_BLOCK, mf.SAMPLE_BLOCK, 5]
+    for start, (X, U, (t,)) in zip(range(0, samples, mf.SAMPLE_BLOCK), blocks):
+        block = slice(start, start + mf.SAMPLE_BLOCK)
+        assert np.array_equal(X, X_all[block]) and np.array_equal(U, U_all[block])
+        assert np.array_equal(t, norms[block])
+    counting = _CountingGenerator(4)
+    points = np.concatenate(list(mf.point_blocks(desc, counting, samples)))
+    assert counting.calls == 1
     rng = np.random.default_rng(4)
     assert np.array_equal(points, [ms.random_point(desc, rng).data for _ in range(samples)])
 
@@ -298,18 +308,30 @@ def test_retraction_caps_name_the_first_failing_manifold(monkeypatch):
 
 
 class _ScriptedGenerator:
-    """A Generator stand-in: each standard_normal call returns the next scripted draw."""
+    """A Generator stand-in: standard_normal((..., n, p)) returns the next scripted n x p draws, one per matrix."""
 
     def __init__(self, normals):
         self.normals = normals
-        self.calls = 0
+        self.used = 0
 
     def standard_normal(self, shape):
-        self.calls += 1
-        return self.normals[self.calls - 1].reshape(shape)
+        count = int(np.prod(shape[:-2]))
+        self.used += count
+        return np.array(self.normals[self.used - count:self.used]).reshape(shape)
 
-    def uniform(self, low, high):
-        return 0.25
+    def uniform(self, low, high, size=None):
+        return 0.25 if size is None else np.full(size, 0.25)
+
+
+def _one_at_a_time(desc, rng, samples):
+    for _ in range(samples):
+        x = ms.random_point(desc, rng)
+        ms.random_tangent(x, rng, norm=rng.uniform(0.0, 1.0))
+
+
+def _stacked(desc, rng, samples):
+    for _ in mf.tangent_blocks(desc, rng, samples, lambda rng, size: (rng.uniform(0.0, 1.0, size),)):
+        pass
 
 
 # rescaling the zero projection divides by zero on purpose
@@ -317,25 +339,23 @@ _ZERO_STREAM = pytest.param("zero", marks=pytest.mark.filterwarnings("ignore::Ru
 
 
 @pytest.mark.parametrize("stream", ["rounding", _ZERO_STREAM])
-@pytest.mark.parametrize("sampler", [_one_at_a_time, _blocked], ids=["random_tangent", "tangent_blocks"])
+@pytest.mark.parametrize("sampler", [_one_at_a_time, _stacked], ids=["random_tangent", "tangent_blocks"])
 def test_samplers_reject_a_vanishing_tangent(sampler, stream):
     # the tangent draw of pair 3 is normal to the sphere: its projection is
     # rounding noise, which fails the tangent check once rescaled to norm 0.25,
     # or exactly zero, which rescales to NaN
     desc = ms.sphere(5)
-    normals = list(np.random.default_rng(6).standard_normal((10, 5, 1)))
+    normals = np.random.default_rng(6).standard_normal((10, 5, 1))
+    points, tangents = normals[:5], normals[5:]
     if stream == "rounding":
-        normals.insert(7, 2.5 * normals[6])
+        tangents[3] = 2.5 * points[3]
     else:
         e1 = np.eye(5)[:, :1]
-        normals[6] = 2.0 * e1
-        normals.insert(7, 3.0 * e1)
-
-    def draw(rng):
-        return (rng.uniform(0.0, 1.0),)
-
+        points[3], tangents[3] = 2.0 * e1, 3.0 * e1
+    # one pair at a time draws point, tangent, point, ...; a stacked pass draws every point, then every tangent
+    script = [v for pair in zip(points, tangents) for v in pair] if sampler is _one_at_a_time else list(normals)
     with pytest.raises(ParameterError, match="not tangent"):
-        sampler(desc, _ScriptedGenerator(normals), 5, draw)
+        sampler(desc, _ScriptedGenerator(script), 5)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the non-finite entries are on purpose

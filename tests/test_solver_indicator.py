@@ -264,6 +264,21 @@ def test_error_bound_probe_off_center_ball_on_sphere():
     assert abs(theta_fit - theta2) / max(abs(theta_fit), abs(theta2)) < 0.2
 
 
+def test_zeta_is_taken_at_the_supplied_theta():
+    # a ball tangent to the sphere at e1: over the probe's own samples the fitted
+    # exponent is 0.387, and the modulus at it overstates the one at theta = 1 or 1.5
+    e1 = np.eye(10)[0]
+    p = ms.make_constrained_sphere(10, 10, 20, ms.IndicatorBall(1.5 * e1, 0.5), seed=3, quad_weight=0.0,
+                                   linear_map=np.eye(10))
+    zeta_fit, theta_fit = si.error_bound_probe(p, 200, seed=2027)
+    assert (round(zeta_fit, 3), round(theta_fit, 3)) == (0.513, 0.387)
+    for theta, zeta in ((1.0, 0.346), (1.5, 0.252)):
+        assert si.error_bound_probe(p, 200, 2027, theta) == (pytest.approx(zeta, abs=5e-4), theta_fit)
+        # default_config probes with 200 samples at seed + 3, and skips every other pass
+        config = si.default_config(p, theta=theta, seed=2024, c_tau=1.0, c_a=1.0, trunc_radius=1.0)
+        assert config.zeta == si.error_bound_probe(p, 200, 2027, theta)[0]
+
+
 def test_error_bound_probe_center_ball_degenerate():
     # ball centered at the origin: the penalty gradient is identically zero on
     # the sphere (the violation direction is normal), so the probe cannot fit
