@@ -6,13 +6,15 @@ Library layout:
   for projection, retraction, transport and the point/tangent checks,
   which reject non-finite data, all accepting ``(..., n, p)`` stacks;
   their validating typed shells;
-  the blocked sampling the constant estimators share; retraction
-  constants),
+  the blocked sampling the constant estimators share, which retracts
+  and checks each sampled pair once; retraction constants),
 - ``smoothing``: proximal operators, Moreau envelopes, the exact
   subgradient (normal-cone) membership tests, the smoothed objective
   and its Riemannian gradient,
-- ``problems``: stochastic problem container plus two seeded synthetic
-  families and empirical constant estimation,
+- ``problems``: stochastic problem container (one full-data evaluator,
+  f and grad f from one pass, whose two halves are derived unless a
+  problem supplies cheaper ones) plus two seeded synthetic families and
+  empirical constant estimation,
 - ``solver_lipschitz``: recursive-momentum solver with adaptive
   stepsize for Lipschitz nonsmooth terms,
 - ``solver_indicator``: truncated-momentum quadratic-penalty solver for
@@ -26,7 +28,7 @@ Library layout:
   solver's rule over every back-half index, from a stream of its own
   spawned from the run's seed) and the certificate witness, which reads
   no random stream; a solver is one ``driver.Policy`` (first k, schedules,
-  certificate draw rule, truncation radius).  State and the kept iterate are plain ndarrays;
+  certificate draw rule, ``trunc_radius``).  State and the kept iterate are plain ndarrays;
   typed values are built only to check each new iterate and momentum,
   and for x0, its first sample and the certificate's point,
 - ``harness``: run records (iterations, certificates, rate fits),

@@ -406,16 +406,14 @@ def retr_smooth_constant_check(problem, mu: float, samples: int, seed: int) -> t
     problem and retraction constants (inflated by 2), in the Lipschitz-h or indicator-h form of the
     composite smoothness constant as appropriate.
     """
-    if samples < 100:
-        raise ParameterError("samples must be >= 100")
+    if samples < mf.MIN_SAMPLES:
+        raise ParameterError(f"samples must be >= {mf.MIN_SAMPLES}")
     consts = estimate_constants(problem, samples, seed)
     rc = mf.estimate_retraction_constants(problem.manifold, samples, seed + 1)
-    kind, indicator = problem.manifold.kind, isinstance(problem.h, IndicatorTerm)
+    indicator = isinstance(problem.h, IndicatorTerm)
     empirical, max_dist = -math.inf, 0.0
-    for X, U, _ in mf.tangent_blocks(problem.manifold, np.random.default_rng(seed), samples,
-                                     lambda rng, size: (rng.uniform(0.05, 1.0, size),)):
-        Y = mf.retr(kind, X, U)
-        mf.check_point(kind, Y)
+    for X, U, Y, _ in mf.tangent_blocks(problem.manifold, np.random.default_rng(seed), samples,
+                                        lambda rng, size: (rng.uniform(0.05, 1.0, size),)):
         (fx, gx), fy = problem.full_value_egrad(X), problem.full_value(Y)
         cx, ex, rgrad = smoothed_grad(problem, X, mu, gx)
         ey = moreau_eval(problem.h, mu, problem.c_eval(Y))  # F_mu(Y) needs no gradient at Y

@@ -47,15 +47,15 @@ class Policy:
     """One solver's rules; the driver reads these five attributes and nothing else (``IndicatorConfig`` has them).
 
     ``k0`` is the first k, ``mu(k)`` gives mu_k, ``schedule(k, energy)`` gives (tau_k, a_{k+1}) at energy
-    sum_{i<=k} ||G_i||^2 and ``pick(K, rng)`` the certificate's index.  ``radius`` truncates the momentum
-    (None: never), and so names the kind of h: an indicator exactly when it is set.
+    sum_{i<=k} ||G_i||^2 and ``pick(K, rng)`` the certificate's index.  ``trunc_radius`` truncates the
+    momentum (None: never), and so names the kind of h: an indicator exactly when it is set.
     """
 
     k0: int
     mu: Callable[[int], float]
     schedule: Callable[[int, float], tuple[float, float]]
     pick: Callable[[int, np.random.Generator], int]
-    radius: float | None = None
+    trunc_radius: float | None = None
 
 
 @dataclass
@@ -94,7 +94,7 @@ def start(problem: StochasticProblem, x0: ManifoldPoint, seed, policy: Policy) -
     The sample gradient is truncated to the policy's radius when it has one.  Raises ParameterError
     unless h is an indicator exactly when the policy has a radius, and x0 lives on the problem manifold.
     """
-    k, radius = policy.k0, policy.radius
+    k, radius = policy.k0, policy.trunc_radius
     if isinstance(problem.h, IndicatorTerm) != (radius is not None):
         need = "an indicator nonsmooth term" if radius is not None else "a Lipschitz nonsmooth term, not an indicator"
         raise ParameterError(f"this solver requires {need}")
@@ -145,7 +145,7 @@ def step(state: SolverState, problem: StochasticProblem, policy: Policy) -> Trac
     g_new = proj(kind, X_next, problem.sample_egrad(X_next, xi))
     g_old = proj(kind, X, problem.sample_egrad(X, xi))
     delta_next = g_new + (1.0 - a_next) * proj(kind, X_next, delta - g_old)
-    delta_next = _truncate(delta_next, policy.radius, k)
+    delta_next = _truncate(delta_next, policy.trunc_radius, k)
     x = ManifoldPoint(desc, X_next)
     state.x = x.data
     state.delta = TangentVector(desc, x, delta_next).data

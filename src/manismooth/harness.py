@@ -189,10 +189,13 @@ def write_trace_csv(trace: Sequence[TraceRecord], path) -> None:
             fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
+_OPTIONAL_COLUMNS = frozenset(f.name for f in fields(TraceRecord) if f.default is None)
+
+
 def _parse(column: str, text: str):
     if column == "k":
         return int(text)
-    if column in ("obj_smooth", "norm_grad_Fmu", "norm_eps") and not text:
+    if column in _OPTIONAL_COLUMNS and not text:
         return None
     return float(text)
 

@@ -44,8 +44,8 @@ values; nothing here repairs data that fails them.  The
 sampling estimators draw each pass whole, :func:`point_blocks` as one
 Gaussian stack and :func:`tangent_blocks` as three, and hand it back in
 slices of at most ``SAMPLE_BLOCK`` that :func:`points_from` and
-:func:`tangents_from` turn into checked samples, so no result depends on
-the block size.
+:func:`tangents_from` turn into checked samples (each pair retracted and
+checked once), so no result depends on the block size.
 
 The Stiefel ``normalize`` calls the two LAPACK gufuncs that
 ``np.linalg.qr`` wraps, ``qr_r_raw`` (geqrf) and ``qr_reduced`` (orgqr),
@@ -102,6 +102,8 @@ _TANGENT_TOL = 1e-10
 # on it.  Larger blocks amortize more per-call overhead but hold larger
 # temporaries (the stacked Jacobians of c), which raise the peak memory.
 SAMPLE_BLOCK = 32
+# The fewest points a sampled pass of an estimator or probe may draw.
+MIN_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -418,6 +420,12 @@ def tangent_project(x: ManifoldPoint, v) -> TangentVector:
     return TangentVector(x.descriptor, x, proj(x.descriptor.kind, x.data, v))
 
 
+def _check_based(x: ManifoldPoint, v: TangentVector) -> None:
+    """Raise ShapeMismatchError unless v is based at x: the same point, or one with equal data."""
+    if v.base is not x and v.base.data is not x.data and not np.array_equal(v.base.data, x.data):
+        raise ShapeMismatchError("tangent vector is not based at the given point")
+
+
 def retract(x: ManifoldPoint, eta: TangentVector) -> ManifoldPoint:
     """First-order retraction of a tangent vector into the manifold.
 
@@ -425,9 +433,7 @@ def retract(x: ManifoldPoint, eta: TangentVector) -> ManifoldPoint:
     Sphere and oblique: each column of X + eta normalized (the sphere is
     Ob(n, 1)).  See :func:`normalize` for the degenerate cases.
     """
-    if eta.base is not x and eta.base.data is not x.data:
-        if not np.array_equal(eta.base.data, x.data):
-            raise ShapeMismatchError("tangent vector is not based at the given point")
+    _check_based(x, eta)
     y = retr(x.descriptor.kind, x.data, eta.data)
     return x if y is x.data else ManifoldPoint(x.descriptor, y)
 
@@ -436,12 +442,14 @@ def vector_transport(x: ManifoldPoint, y: ManifoldPoint, xi: TangentVector) -> T
     """Projection-based transport of a tangent vector at x into T_y M.
 
     Linear in xi and nonexpansive (an orthogonal projection); equals the
-    identity when y = x and xi is tangent there.
+    identity when y = x and xi is tangent there.  Raises ShapeMismatchError,
+    as :func:`retract` does, unless xi is based at x.
     """
     if x.descriptor != y.descriptor:
         raise ShapeMismatchError("transport endpoints live on different manifolds")
     if xi.descriptor != x.descriptor:
         raise ShapeMismatchError("transported vector lives on a different manifold")
+    _check_based(x, xi)
     return tangent_project(y, xi.data)
 
 
@@ -500,25 +508,31 @@ def point_blocks(desc: ManifoldDescriptor, rng: np.random.Generator, samples: in
 
 
 def tangent_blocks(desc: ManifoldDescriptor, rng: np.random.Generator, samples: int, draw):
-    """Yield checked stacks ``(X, U, drawn)`` of ``samples`` random pairs (x, u), at most SAMPLE_BLOCK per stack.
+    """Yield checked stacks ``(X, U, Y, drawn)`` of ``samples`` random pairs (x, u), at most SAMPLE_BLOCK per stack.
 
     The pass draws, in this order, ``standard_normal((samples, n, p))``
     for the points, ``draw(rng, samples)`` (a tuple of arrays whose last
     holds the norms of the u) and ``standard_normal((samples, n, p))`` for
     the tangents.  Each stack is :func:`points_from`/:func:`tangents_from`
-    of one slice of them, and ``drawn`` that slice of each drawn array.
+    of one slice of them, ``Y`` its retraction ``retr(kind, X, U)``, which
+    has passed :func:`check_point`, and ``drawn`` that slice of each drawn
+    array.
 
     Raises:
         ParameterError: a rescaled tangent fails its check, as in
-            :func:`random_tangent`.
+            :func:`random_tangent`, or a retracted point fails its check.
+        DegenerateRetractionError: a retraction target is degenerate.
     """
-    shape = (samples, *desc.shape)
+    kind, shape = desc.kind, (samples, *desc.shape)
     points, drawn, tangents = rng.standard_normal(shape), draw(rng, samples), rng.standard_normal(shape)
     for start in range(0, samples, SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)
-        X = points_from(desc.kind, points[block])
+        X = points_from(kind, points[block])
         values = tuple(column[block] for column in drawn)
-        yield X, tangents_from(desc.kind, X, tangents[block], values[-1]), values
+        U = tangents_from(kind, X, tangents[block], values[-1])
+        Y = retr(kind, X, U)
+        check_point(kind, Y)
+        yield X, U, Y, values
 
 
 def estimate_retraction_constants(
@@ -535,14 +549,12 @@ def estimate_retraction_constants(
     The returned values are lower bounds on the true suprema; callers
     should multiply by a safety factor.
     """
-    if samples < 100:
-        raise ParameterError("samples must be >= 100")
+    if samples < MIN_SAMPLES:
+        raise ParameterError(f"samples must be >= {MIN_SAMPLES}")
     rng = np.random.default_rng(rng_seed)
     alpha = 0.0
     beta = 0.0
-    for X, U, _ in tangent_blocks(desc, rng, samples, lambda rng, size: (rng.uniform(1e-4, 1.0, size),)):
-        Y = retr(desc.kind, X, U)
-        check_point(desc.kind, Y)
+    for X, U, Y, _ in tangent_blocks(desc, rng, samples, lambda rng, size: (rng.uniform(1e-4, 1.0, size),)):
         nu = fro(U)
         alpha = _peak(alpha, fro(Y - X) / nu)
         beta = _peak(beta, fro(Y - X - U) / (nu * nu))

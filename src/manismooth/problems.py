@@ -19,13 +19,14 @@ Both fix data only; they solve nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
 from .errors import ParameterError, ShapeMismatchError
 from .manifolds import (
+    MIN_SAMPLES,
     ManifoldDescriptor,
     ManifoldPoint,
     RetractionConstants,
@@ -35,11 +36,9 @@ from .manifolds import (
     _lift,
     _matmul,
     _peak,
-    check_point,
     check_tangent,
     fro,
     proj,
-    retr,
     sphere,
     stiefel,
     tangent_blocks,
@@ -68,25 +67,28 @@ class ProblemConstants:
     L_retr: float
 
     def __post_init__(self):
-        for name in ("L_f", "L_c", "L_grad_c", "L_tilde", "sigma", "L_retr"):
-            if not getattr(self, name) >= 0:  # NaN fails every comparison
-                raise ParameterError(f"{name} must be nonnegative", field=name)
+        for f in fields(self):
+            if not getattr(self, f.name) >= 0:  # NaN fails every comparison
+                raise ParameterError(f"{f.name} must be nonnegative", field=f.name)
 
 
 @dataclass(frozen=True)
 class StochasticProblem:
     """Finite-sum smooth part + nonlinear map + nonsmooth term.
 
-    Six evaluators: the stochastic gradient oracle ``sample_egrad`` (the
-    only per-sample evaluator; no step asks for a sample value),
-    ``full_value_egrad`` (f and grad f from one pass over the data, for
-    diagnostics and estimators), ``full_egrad`` (grad f alone, for the
-    certificate), ``full_value`` (f alone, for the estimators' retracted
-    points; by default the value of ``full_value_egrad``, and a family
-    that has a cheaper path supplies its own, equal bit for bit) and
-    ``c_eval``/``c_jac_t``.  They take and return raw
-    ndarrays shaped like point data; sample indices are 0-based ints in
-    range(num_samples).
+    Four required evaluators: the stochastic gradient oracle
+    ``sample_egrad`` (the only per-sample evaluator; no step asks for a
+    sample value), ``full_value_egrad`` (f and grad f from one pass over
+    the data, the one full-data evaluator) and ``c_eval``/``c_jac_t``.
+    Evaluators take and return raw ndarrays shaped like point data;
+    sample indices are 0-based ints in range(num_samples).  Two optional
+    halves default to the value and the gradient of ``full_value_egrad``:
+    ``full_value`` (f alone, for the estimators' retracted points) and
+    ``full_egrad`` (grad f alone, for the certificate); a family with a
+    cheaper path supplies its own, equal bit for bit.  The halves are
+    derived at construction, so a ``dataclasses.replace`` that swaps
+    ``full_value_egrad`` keeps the old ones unless it also passes
+    ``full_value=None, full_egrad=None``, which derives them again.
 
     Every evaluator also accepts a stack of points ``(..., n, p)``:
     ``sample_egrad`` then takes an index array of the stack's leading
@@ -107,18 +109,20 @@ class StochasticProblem:
     num_samples: int
     sample_egrad: Callable[[np.ndarray, int], np.ndarray]
     full_value_egrad: Callable[[np.ndarray], tuple[float, np.ndarray]]
-    full_egrad: Callable[[np.ndarray], np.ndarray]
     c_eval: Callable[[np.ndarray], np.ndarray]
     c_jac_t: Callable[[np.ndarray, np.ndarray], np.ndarray]
     m: int
     h: NonsmoothTerm
     name: str = "custom"
     full_value: Callable[[np.ndarray], float] | None = None
+    full_egrad: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
+        value_egrad = self.full_value_egrad  # not self, which the closures would hold in a cycle
         if self.full_value is None:
-            value_egrad = self.full_value_egrad  # not self, which the closure would hold in a cycle
             object.__setattr__(self, "full_value", lambda xd: value_egrad(xd)[0])
+        if self.full_egrad is None:
+            object.__setattr__(self, "full_egrad", lambda xd: value_egrad(xd)[1])
 
     def check_index(self, i: int) -> None:
         if not 0 <= i < self.num_samples:
@@ -153,11 +157,8 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
         mm = _dot if a.ndim == 2 and xd.ndim == 2 else _matmul
         return mm(-a, mm(a.mT, xd))  # a k = 1 product, not a broadcast multiply
 
-    def full_egrad(xd):
-        return -(_dot if xd.ndim == 2 else _matmul)(cov, xd)  # negating the product, not the n x n covariance
-
     def full_value_egrad(xd):
-        g = full_egrad(xd)
+        g = -(_dot if xd.ndim == 2 else _matmul)(cov, xd)  # negating the product, not the n x n covariance
         return 0.5 * np.sum(xd * g, axis=(-2, -1)), g
 
     def c_eval(xd):
@@ -171,7 +172,6 @@ def make_sparse_pca(n: int, p: int, N: int, lam: float, seed: int) -> Stochastic
         num_samples=N,
         sample_egrad=sample_egrad,
         full_value_egrad=full_value_egrad,
-        full_egrad=full_egrad,
         c_eval=c_eval,
         c_jac_t=c_jac_t,
         m=m,
@@ -235,10 +235,6 @@ def make_constrained_sphere(
         r = residual(xd, mm)
         return value(r), mm(AT, r) / N
 
-    def full_egrad(xd):
-        mm = _dot if xd.ndim == 2 else _matmul
-        return mm(AT, residual(xd, mm)) / N
-
     def c_eval(xd):
         mm = _dot if xd.ndim == 2 else _matmul
         return (mm(B, xd) + mm(W, xd * xd))[..., 0]
@@ -253,7 +249,6 @@ def make_constrained_sphere(
         num_samples=N,
         sample_egrad=sample_egrad,
         full_value_egrad=full_value_egrad,
-        full_egrad=full_egrad,
         c_eval=c_eval,
         c_jac_t=c_jac_t,
         m=m,
@@ -283,8 +278,8 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
     drawn as one :func:`.manifolds.tangent_blocks` pass and evaluated in
     its stacked blocks.
     """
-    if samples < 100:
-        raise ParameterError("samples must be >= 100")
+    if samples < MIN_SAMPLES:
+        raise ParameterError(f"samples must be >= {MIN_SAMPLES}")
     rng = np.random.default_rng(seed)
     kind = problem.manifold.kind
     L_f = sigma = L_tilde = L_c = L_grad_c = L_retr = 0.0
@@ -292,15 +287,13 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
     def draw(rng, size):
         return rng.integers(problem.num_samples, size=size), rng.uniform(0.05, 0.5, size)
 
-    for X, Z, (idx, _) in tangent_blocks(problem.manifold, rng, samples, draw):
+    for X, Z, Y, (idx, _) in tangent_blocks(problem.manifold, rng, samples, draw):
         f_x, g_full = problem.full_value_egrad(X)
         L_f = _peak(L_f, fro(g_full))
         gr_full = proj(kind, X, g_full)
         gr_i = proj(kind, X, problem.sample_egrad(X, idx))
         sigma = _peak(sigma, fro(gr_i - gr_full))
 
-        Y = retr(kind, X, Z)
-        check_point(kind, Y)
         # average-smoothness quotient, transporting the far gradient back to x
         gy_i = proj(kind, Y, problem.sample_egrad(Y, idx))
         moved = proj(kind, X, gy_i)

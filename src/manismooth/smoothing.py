@@ -240,14 +240,9 @@ class IndicatorBall(IndicatorTerm):
             nrm = math.sqrt(d.dot(d))
             return y.copy() if nrm <= self.radius else self._onto_sphere(d, self.radius / nrm)
         nrm = _norm(d)
-        inside = nrm <= self.radius
-        n_inside = np.count_nonzero(inside)
-        if n_inside == inside.size:
-            return y.copy()
-        if n_inside:  # only an inside row can have a zero norm: keep it out of the division
-            nrm = np.where(inside, self.radius, nrm)
-        moved = self._onto_sphere(d, (self.radius / nrm)[..., None])
-        return np.where(inside[..., None], y, moved) if n_inside else moved
+        inside = nrm <= self.radius  # only an inside row can have a zero norm: keep it out of the division
+        moved = self._onto_sphere(d, (self.radius / np.where(inside, self.radius, nrm))[..., None])
+        return np.where(inside[..., None], y, moved)
 
     def _onto_sphere(self, d, scale):
         """center + scale d, the boundary point along d for scale = radius / ||d|| (one per row of a stack)."""

@@ -27,7 +27,7 @@ certificate draw, kept iterate, witness) is :mod:`.driver`'s.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +35,8 @@ import numpy as np
 from . import driver
 from .errors import ParameterError, ProbeInconclusiveError
 from .harness import Certificate, TraceRecord
-from .manifolds import ManifoldPoint, _peak, check_tangent, estimate_retraction_constants, fro, point_blocks, proj
+from .manifolds import (MIN_SAMPLES, ManifoldPoint, _peak, check_tangent, estimate_retraction_constants, fro,
+                        point_blocks, proj)
 from .problems import ProblemConstants, StochasticProblem, estimate_constants, retr_smooth_bound
 from .smoothing import IndicatorTerm
 
@@ -64,8 +65,8 @@ class IndicatorConfig:
     theta/zeta are the error-bound exponent and modulus; c_tau and c_a
     scale the stepsize and momentum schedules; trunc_radius bounds the
     momentum estimator (any value above the true gradient-norm bound is
-    admissible).  As a policy it starts at k0 = 0 and truncates to
-    ``radius`` = trunc_radius, neither a field: ``asdict`` stays the five numbers.
+    admissible) and is the policy's truncation radius.  As a policy it
+    starts at k0 = 0, not a field: ``asdict`` stays the five numbers.
     """
 
     theta: float
@@ -76,8 +77,8 @@ class IndicatorConfig:
     k0 = 0
 
     def __post_init__(self):
-        for name in ("theta", "zeta", "c_tau", "c_a", "trunc_radius"):
-            _check_bound(name, getattr(self, name))
+        for f in fields(self):
+            _check_bound(f.name, getattr(self, f.name))
         try:
             self.k_tilde
         except ArithmeticError:  # zeta^2 or c_tau zeta^2 leaves the float range, or 8 omega / (c_tau zeta^2) overflows
@@ -117,11 +118,6 @@ class IndicatorConfig:
                 return k
 
     @property
-    def radius(self) -> float:
-        """The momentum's truncation radius, trunc_radius."""
-        return self.trunc_radius
-
-    @property
     def k_tilde(self) -> int:
         """Burn-in index after which the feasibility decay bound applies."""
         return math.ceil(8.0 * self.omega / (self.c_tau * self.zeta**2))
@@ -149,7 +145,7 @@ def default_config(
     modulus at theta.  A supplied value skips the sampling passes only it
     needs: the retraction constants and the max-dist pass when c_tau is
     given, the problem constants when c_a and trunc_radius are given too,
-    and the probe when zeta is given.  Each pass draws max(100, samples) points.
+    and the probe when zeta is given.  Each pass draws max(MIN_SAMPLES, samples) points.
 
     Raises:
         ParameterError: a given number is outside its :data:`BOUNDS` (checked
@@ -160,7 +156,7 @@ def default_config(
     for name, value in given.items():
         if value is not None:
             _check_bound(name, value)
-    samples = max(100, samples)
+    samples = max(MIN_SAMPLES, samples)
     if not isinstance(problem.h, IndicatorTerm):
         raise ParameterError("problem.h must be an indicator variant")
     if c_tau is None or c_a is None or trunc_radius is None:
@@ -274,8 +270,8 @@ def error_bound_probe(problem: StochasticProblem, samples: int, seed: int,
     """
     if not isinstance(problem.h, IndicatorTerm):
         raise ParameterError("error bound probe requires an indicator problem")
-    if samples < 100:
-        raise ParameterError("samples must be >= 100")
+    if samples < MIN_SAMPLES:
+        raise ParameterError(f"samples must be >= {MIN_SAMPLES}")
     rng = np.random.default_rng(seed)
     kind = problem.manifold.kind
     dists, gnorms = [], []

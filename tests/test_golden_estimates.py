@@ -27,6 +27,7 @@ from manismooth import solver_indicator as si
 from manismooth.checks import DESCRIPTORS
 from manismooth.cli import build_problem
 from manismooth.rng import derive_seed
+from test_acceptance import build_binding_sphere_problem
 
 GOLDEN = Path(__file__).with_name("golden_estimates.json")
 
@@ -60,6 +61,13 @@ def _golden_indicator():
     return ms.make_constrained_sphere(10, 4, 12, ms.IndicatorBall(np.full(4, 0.35), 0.7), seed=3)
 
 
+def _binding_config():
+    # the constants of acceptance criteria 06-08: the ``binding_sphere`` fixture's probe and default_config
+    problem = build_binding_sphere_problem()
+    zeta_probe, _ = si.error_bound_probe(problem, 300, seed=17)
+    return si.default_config(problem, theta=1.0, safety=2.0, zeta=0.3 * zeta_probe, samples=150, seed=23)
+
+
 def _fields(obj) -> dict:
     return dataclasses.asdict(obj) if dataclasses.is_dataclass(obj) else dict(zip(("zeta", "theta"), obj))
 
@@ -77,6 +85,9 @@ def _cases() -> dict:
             _golden_indicator(), theta=1.0, safety=2.0, samples=120, seed=8),
         "default_config/box": lambda: si.default_config(_box(), theta=2.0, safety=1.5, samples=130, seed=3),
         "default_config/singleton": lambda: si.default_config(_singleton(), theta=1.0, seed=4),
+        "error_bound_probe/binding_sphere/300/17": (
+            lambda: si.error_bound_probe(build_binding_sphere_problem(), 300, 17)),
+        "default_config/binding_sphere": _binding_config,
     }
     for desc in DESCRIPTORS:
         cases[f"estimate_retraction_constants/{desc.kind}/500/99"] = (

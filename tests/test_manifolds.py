@@ -128,6 +128,18 @@ def test_vector_transport_examples():
     np.testing.assert_allclose(same.data, xi.data, atol=1e-15)
 
 
+def test_vector_transport_rejects_a_vector_based_elsewhere():
+    # as retract does: a vector is based at x when its base is x or a point with x's data
+    d = ms.sphere(3)
+    e1 = ms.ManifoldPoint(d, np.array([1.0, 0.0, 0.0]))
+    e2 = ms.ManifoldPoint(d, np.array([0.0, 1.0, 0.0]))
+    at_e2 = ms.TangentVector(d, e2, np.array([0.0, 0.0, 1.0]))  # tangent at e1 too, but based at e2
+    with pytest.raises(ShapeMismatchError, match="tangent vector is not based at the given point"):
+        ms.vector_transport(e1, e2, at_e2)
+    at_copy = ms.TangentVector(d, ms.ManifoldPoint(d, e1.data), np.array([0.0, 0.0, 1.0]))
+    assert ms.vector_transport(e1, e2, at_copy).data.tobytes() == at_e2.data.tobytes()
+
+
 def test_sphere_alpha_at_most_one():
     # dense sampling oracle for ||(x+u)/||x+u|| - x|| <= ||u||
     rc = ms.estimate_retraction_constants(ms.sphere(4), 2000, 8)
@@ -280,10 +292,11 @@ def test_tangent_blocks_slice_one_pass_of_three_stacked_draws(desc):
     (norms,) = draw(rng, samples)
     X_all = mf.points_from(desc.kind, points)
     U_all = mf.tangents_from(desc.kind, X_all, rng.standard_normal((samples, *desc.shape)), norms)
-    assert [len(X) for X, _, _ in blocks] == [mf.SAMPLE_BLOCK, mf.SAMPLE_BLOCK, 5]
-    for start, (X, U, (t,)) in zip(range(0, samples, mf.SAMPLE_BLOCK), blocks):
+    assert [len(X) for X, _, _, _ in blocks] == [mf.SAMPLE_BLOCK, mf.SAMPLE_BLOCK, 5]
+    for start, (X, U, Y, (t,)) in zip(range(0, samples, mf.SAMPLE_BLOCK), blocks):
         block = slice(start, start + mf.SAMPLE_BLOCK)
         assert np.array_equal(X, X_all[block]) and np.array_equal(U, U_all[block])
+        assert Y.tobytes() == mf.retr(desc.kind, X_all[block], U_all[block]).tobytes()
         assert np.array_equal(t, norms[block])
     counting = _CountingGenerator(4)
     points = np.concatenate(list(mf.point_blocks(desc, counting, samples)))

@@ -55,7 +55,8 @@ def seen_through(problem, P):
         problem,
         sample_egrad=lambda X, i: P(problem.sample_egrad(P.T(X), i)),
         full_value_egrad=full_value_egrad,
-        full_egrad=lambda X: P(problem.full_egrad(P.T(X))),
+        full_value=None,
+        full_egrad=None,
         c_eval=lambda X: problem.c_eval(P.T(X)),
         c_jac_t=lambda X, v: P(problem.c_jac_t(P.T(X), v)),
     )

@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,8 +208,8 @@ def linear_objective_sphere(n, N, seed):
     A = np.random.default_rng(seed).standard_normal((N, n))
     a_mean = A.mean(axis=0)
 
-    def full_egrad(xd):
-        return np.broadcast_to(a_mean[:, None], xd.shape).copy()
+    def full_value_egrad(xd):
+        return np.vecdot(a_mean, xd[..., 0]), np.broadcast_to(a_mean[:, None], xd.shape).copy()
 
     def c_eval(xd):
         return xd[..., 0].copy()
@@ -219,8 +221,7 @@ def linear_objective_sphere(n, N, seed):
         manifold=ms.sphere(n),
         num_samples=N,
         sample_egrad=lambda xd, i: A[i][..., None].copy(),
-        full_value_egrad=lambda xd: (np.vecdot(a_mean, xd[..., 0]), full_egrad(xd)),
-        full_egrad=full_egrad,
+        full_value_egrad=full_value_egrad,
         c_eval=c_eval,
         c_jac_t=c_jac_t,
         m=n,
@@ -387,6 +388,28 @@ def test_full_value_is_the_value_of_full_value_egrad(which, stack):
     assert (p.full_value.__name__ == "full_value") == (p.name == "constrained_sphere")
 
 
+@pytest.mark.parametrize("stack", [0, 7], ids=["point", "stack7"])
+@pytest.mark.parametrize("which", list(BENCH_PROBLEMS))
+def test_full_egrad_is_the_gradient_of_full_value_egrad(which, stack):
+    # neither family supplies full_egrad: the certificate reads the gradient of the one full-data evaluator
+    p, _, _ = _family_data(which)
+    X = _points(p, np.random.default_rng(14), stack)
+    assert _same_bytes(p.full_egrad(X), p.full_value_egrad(X)[1])
+    assert p.full_egrad.__name__ == "<lambda>"
+
+
+def test_replace_derives_the_halves_only_when_they_are_cleared(pca):
+    X = ms.random_point(pca.manifold, np.random.default_rng(15)).data
+
+    def flat(xd):
+        return 1.5, np.zeros_like(xd)
+
+    kept = dataclasses.replace(pca, full_value_egrad=flat)
+    assert kept.full_value is pca.full_value and kept.full_egrad is pca.full_egrad
+    derived = dataclasses.replace(pca, full_value_egrad=flat, full_value=None, full_egrad=None)
+    assert derived.full_value(X) == 1.5 and _same_bytes(derived.full_egrad(X), np.zeros_like(X))
+
+
 @pytest.mark.parametrize("stack", [0, 32], ids=["point", "stack32"])
 @pytest.mark.parametrize("which", ["pca-St(50,3)", "pca-St(1000,10)"])
 def test_sparse_pca_sample_gradient_equals_the_broadcast_product(which, stack):
@@ -400,3 +423,19 @@ def test_sparse_pca_sample_gradient_equals_the_broadcast_product(which, stack):
         idx = int(rng.integers(p.num_samples))
         a = A[idx][:, None]
     assert _same_bytes(p.sample_egrad(X, idx), -a * (a.mT @ X))
+
+
+def test_readme_lists_the_required_and_optional_evaluators():
+    # the evaluator contract names every field without a default, and the two optional halves
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    required = re.search(r"A `StochasticProblem` requires four plain-ndarray evaluators,\s+(.*?),\s+beside\s+(.*?)\.",
+                         readme, re.S)
+    optional = re.search(r"Two optional halves, (.*?), default", readme, re.S)
+    assert required and optional
+    evaluators, others = (re.findall(r"`(\w+)", group) for group in required.groups())
+    fields = dataclasses.fields(ms.StochasticProblem)
+    evaluator_fields = [f.name for f in fields if f.type.startswith("Callable")]
+    without_default = [f.name for f in fields if f.default is dataclasses.MISSING]
+    assert evaluators == [name for name in without_default if name in evaluator_fields] and len(evaluators) == 4
+    assert sorted(evaluators + others) == sorted(without_default)
+    assert re.findall(r"`(\w+)", optional.group(1)) == [f.name for f in fields if f.default is None]

@@ -252,6 +252,25 @@ def test_ball_projection_of_one_vector_is_its_row_of_a_stack_bit_for_bit():
     assert np.linalg.norm(ball.project(rows["outside"]) - center) == pytest.approx(radius, rel=1e-15)
 
 
+@pytest.mark.parametrize("case", ["all inside", "mixed", "all outside"])
+def test_ball_projection_of_a_stack_is_a_new_array_of_the_one_vector_rows(case):
+    # one np.where for every mix of rows: the centre row (zero norm) is never divided by,
+    # and the result never shares the input's memory, whose rows are the one-vector calls' bytes
+    center = np.array([0.3, -0.1, 0.2, 0.0])
+    ball = ms.IndicatorBall(center, 0.6)
+    rng = np.random.default_rng(31)
+    inside = np.vstack([center, center + 0.1 * rng.standard_normal((2, 4))])
+    outside = center + 2.0 * rng.standard_normal((3, 4))
+    stack = {"all inside": inside, "mixed": np.vstack([inside, outside])[[3, 0, 4, 1, 5, 2]],
+             "all outside": outside}[case]
+    assert list(ball.contains(stack)) == {"all inside": [True] * 3, "mixed": [False, True] * 3,
+                                          "all outside": [False] * 3}[case]
+    projected = ball.project(stack)
+    assert not np.shares_memory(projected, stack)
+    for y, got in zip(stack, projected):
+        assert got.tobytes() == ball.project(y).tobytes()
+
+
 def test_value_of_a_stack_equals_per_row():
     # every term (and l2 at lam = 0), at member and non-member rows, a zero
     # row, a row the l2 prox maps to 0, and a one-row stack: each row of

@@ -59,7 +59,6 @@ def test_zero_direction_takes_zero_step():
         num_samples=1,
         sample_egrad=lambda xd, i: np.zeros((4, 1)),
         full_value_egrad=lambda xd: (0.0, np.zeros((4, 1))),
-        full_egrad=lambda xd: np.zeros((4, 1)),
         c_eval=lambda xd: xd.ravel().copy(),
         c_jac_t=lambda xd, v: v.reshape(4, 1),
         m=4,
