@@ -19,7 +19,9 @@ transport, and estimates of the two Lipschitz-type retraction constants
 Each formula exists once, as an ndarray kernel (``proj``, ``normalize``,
 ``retr``, ``fro`` and the checks ``check_point``/``check_tangent``) that
 the solver steps call directly; the typed functions are validating
-shells over the kernels.  Every kernel also accepts stacks: arrays of
+shells over the kernels, and ``_check_based`` is their one rule for what
+combines (``+``, ``-``, retract, transport); :func:`random_tangent` wraps
+:func:`tangents_from`.  Every kernel also accepts stacks: arrays of
 shape ``(..., n, p)`` hold one point or vector per leading index, and
 each result slice is bit-identical to the call on that slice alone, so a
 single point is just the stack with no leading axes.  The column-wise
@@ -210,12 +212,14 @@ class TangentVector:
         check_tangent(self.descriptor.kind, self.base.data, self.data)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
+        return _norm(self.data)
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
+        _check_based(self.base, other)
         return TangentVector(self.descriptor, self.base, self.data + other.data)
 
     def __sub__(self, other: "TangentVector") -> "TangentVector":
+        _check_based(self.base, other)
         return TangentVector(self.descriptor, self.base, self.data - other.data)
 
     def __mul__(self, scalar: float) -> "TangentVector":
@@ -421,7 +425,9 @@ def tangent_project(x: ManifoldPoint, v) -> TangentVector:
 
 
 def _check_based(x: ManifoldPoint, v: TangentVector) -> None:
-    """Raise ShapeMismatchError unless v is based at x: the same point, or one with equal data."""
+    """Raise ShapeMismatchError unless v lives on x's manifold (checked first) and is based at x or equal data."""
+    if v.descriptor is not x.descriptor and v.descriptor != x.descriptor:
+        raise ShapeMismatchError("tangent vector lives on a different manifold")
     if v.base is not x and v.base.data is not x.data and not np.array_equal(v.base.data, x.data):
         raise ShapeMismatchError("tangent vector is not based at the given point")
 
@@ -431,7 +437,7 @@ def retract(x: ManifoldPoint, eta: TangentVector) -> ManifoldPoint:
 
     Stiefel: Q factor of the thin QR of X + eta with positive-diagonal R.
     Sphere and oblique: each column of X + eta normalized (the sphere is
-    Ob(n, 1)).  See :func:`normalize` for the degenerate cases.
+    Ob(n, 1)).  See :func:`normalize` for the degenerate cases, ``_check_based`` for the eta it takes.
     """
     _check_based(x, eta)
     y = retr(x.descriptor.kind, x.data, eta.data)
@@ -442,13 +448,11 @@ def vector_transport(x: ManifoldPoint, y: ManifoldPoint, xi: TangentVector) -> T
     """Projection-based transport of a tangent vector at x into T_y M.
 
     Linear in xi and nonexpansive (an orthogonal projection); equals the
-    identity when y = x and xi is tangent there.  Raises ShapeMismatchError,
-    as :func:`retract` does, unless xi is based at x.
+    identity when y = x and xi is tangent there.  Raises ShapeMismatchError
+    if y is on another manifold, or by ``_check_based`` as :func:`retract` does.
     """
     if x.descriptor != y.descriptor:
         raise ShapeMismatchError("transport endpoints live on different manifolds")
-    if xi.descriptor != x.descriptor:
-        raise ShapeMismatchError("transported vector lives on a different manifold")
     _check_based(x, xi)
     return tangent_project(y, xi.data)
 
@@ -459,17 +463,15 @@ def random_point(desc: ManifoldDescriptor, rng: np.random.Generator) -> Manifold
 
 
 def random_tangent(x: ManifoldPoint, rng: np.random.Generator, norm: float | None = None) -> TangentVector:
-    """Random tangent vector at x, optionally rescaled to a given norm.
+    """Random tangent vector at x, optionally rescaled to a given norm: :func:`tangents_from` of one draw.
 
     Raises:
         ParameterError: the rescaled draw fails the tangent check, which
             happens only if the Gaussian draw is (nearly) normal to the
             manifold, an event of probability about 1e-14.
     """
-    v = tangent_project(x, rng.standard_normal(x.descriptor.shape))
-    if norm is None:
-        return v
-    return (norm / fro(v.data)) * v  # numpy division: a zero projection gives NaN, which the check rejects
+    desc = x.descriptor
+    return TangentVector(desc, x, tangents_from(desc.kind, x.data, rng.standard_normal(desc.shape), norm))
 
 
 def _peak(current: float, values) -> float:
@@ -487,11 +489,12 @@ def points_from(kind: str, G: np.ndarray) -> np.ndarray:
 def tangents_from(kind: str, X: np.ndarray, G: np.ndarray, norm=None) -> np.ndarray:
     """The projection at each point of X of its Gaussian draw in G, rescaled to ``norm`` if given, checked.
 
-    With a norm (one, or one per draw) this is :func:`random_tangent` per draw.
+    X and G are one matrix or stacks ``(b, n, p)`` and ``norm`` one value or one per draw; each slice
+    of a stacked call is bit-identical to the call on that slice, and one matrix is :func:`random_tangent`.
     """
     V = proj(kind, X, G)
     if norm is not None:
-        V = (norm / fro(V))[:, None, None] * V  # a zero projection gives NaN, which the check rejects
+        V = _lift(norm / fro(V)) * V  # numpy division: a zero projection gives NaN, which the check rejects
     check_tangent(kind, X, V)
     return V
 

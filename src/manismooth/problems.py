@@ -124,14 +124,11 @@ class StochasticProblem:
         if self.full_egrad is None:
             object.__setattr__(self, "full_egrad", lambda xd: value_egrad(xd)[1])
 
-    def check_index(self, i: int) -> None:
-        if not 0 <= i < self.num_samples:
-            raise IndexError(f"sample index {i} out of range(0, {self.num_samples})")
-
 
 def sample_riemannian_grad(problem: StochasticProblem, x: ManifoldPoint, i: int) -> TangentVector:
     """Riemannian gradient of the i-th sample function at x."""
-    problem.check_index(i)
+    if not 0 <= i < problem.num_samples:
+        raise IndexError(f"sample index {i} out of range(0, {problem.num_samples})")
     if x.descriptor != problem.manifold:
         raise ShapeMismatchError("point does not live on the problem manifold")
     return tangent_project(x, problem.sample_egrad(x.data, i))

@@ -140,6 +140,31 @@ def test_vector_transport_rejects_a_vector_based_elsewhere():
     assert ms.vector_transport(e1, e2, at_copy).data.tobytes() == at_e2.data.tobytes()
 
 
+def test_arithmetic_and_retract_reject_a_vector_on_another_manifold_or_base():
+    # + and - follow the rule of retract and transport: a sum is defined only inside one tangent
+    # space, so (0,0,1) at e1 plus (0,0,2) at e2 raises, and so does a vector on Ob(3, 1) at e1's data
+    d = ms.sphere(3)
+    e1 = ms.ManifoldPoint(d, np.array([1.0, 0.0, 0.0]))
+    e2 = ms.ManifoldPoint(d, np.array([0.0, 1.0, 0.0]))
+    at_e1 = ms.TangentVector(d, e1, np.array([0.0, 0.0, 1.0]))
+    at_e2 = ms.TangentVector(d, e2, np.array([0.0, 0.0, 2.0]))
+    ob = ms.ManifoldPoint(ms.oblique(3, 1), e1.data)  # e1's data on Ob(3, 1), another manifold
+    at_ob = ms.TangentVector(ob.descriptor, ob, np.array([0.0, 0.0, 2.0]))
+    for combine in (lambda u, v: u + v, lambda u, v: u - v):
+        with pytest.raises(ShapeMismatchError, match="tangent vector is not based at the given point"):
+            combine(at_e1, at_e2)
+        with pytest.raises(ShapeMismatchError, match="tangent vector lives on a different manifold"):
+            combine(at_e1, at_ob)
+    with pytest.raises(ShapeMismatchError, match="tangent vector lives on a different manifold"):
+        ms.retract(e1, at_ob)
+    with pytest.raises(ShapeMismatchError, match="tangent vector lives on a different manifold"):
+        ms.vector_transport(e1, e2, at_ob)
+    at_copy = ms.TangentVector(d, ms.ManifoldPoint(d, e1.data), np.array([0.0, 0.0, 2.0]))
+    assert (at_e1 + at_copy).data.ravel().tolist() == [0.0, 0.0, 3.0]
+    assert (at_e1 - at_copy).data.ravel().tolist() == [0.0, 0.0, -1.0]
+    assert (at_e1 + at_copy).base is e1
+
+
 def test_sphere_alpha_at_most_one():
     # dense sampling oracle for ||(x+u)/||x+u|| - x|| <= ||u||
     rc = ms.estimate_retraction_constants(ms.sphere(4), 2000, 8)
@@ -195,12 +220,21 @@ def test_stacked_kernels_equal_per_slice(desc):
     Y = mf.retr(desc.kind, X, V)
     assert Y[4] is not X[4] and np.array_equal(Y[4], X[4])
     W = rng.standard_normal(X.shape)
-    stacked = (mf.proj(desc.kind, X, W), mf.normalize(desc.kind, X + W), Y, mf.fro(V))
+    norms = rng.uniform(0.5, 2.0, len(X))
+    stacked = (mf.proj(desc.kind, X, W), mf.normalize(desc.kind, X + W), Y, mf.fro(V),
+               mf.tangents_from(desc.kind, X, W), mf.tangents_from(desc.kind, X, W, norms))
     for s in range(len(X)):
         single = (mf.proj(desc.kind, X[s], W[s]), mf.normalize(desc.kind, X[s] + W[s]),
-                  mf.retr(desc.kind, X[s], V[s]), mf.fro(V[s]))
+                  mf.retr(desc.kind, X[s], V[s]), mf.fro(V[s]),
+                  mf.tangents_from(desc.kind, X[s], W[s]), mf.tangents_from(desc.kind, X[s], W[s], norms[s]))
         for got, want in zip(stacked, single):
             assert np.array_equal(got[s], want)
+        # random_tangent is tangents_from of its one Gaussian draw, byte for byte
+        x = ms.ManifoldPoint(desc, X[s])
+        for norm in (None, float(norms[s])):
+            typed = ms.random_tangent(x, np.random.default_rng(s), norm)
+            raw = mf.tangents_from(desc.kind, X[s], np.random.default_rng(s).standard_normal(desc.shape), norm)
+            assert typed.base is x and typed.data.tobytes() == raw.tobytes()
     mf.check_point(desc.kind, X)
     mf.check_tangent(desc.kind, X, V)
     X[7] *= 1.1
