@@ -18,10 +18,11 @@ anchor = ms.random_point(anchor_problem.manifold, rng)
 ball = ms.IndicatorBall(anchor_problem.c_eval(anchor.data), 0.15)
 problem = ms.make_constrained_sphere(16, 4, 80, ball, seed=5)
 
-zeta_hat, theta_hat = si.error_bound_probe(problem, 300, seed=11)
-print(f"error bound probe: zeta_hat = {zeta_hat:.3f}, fitted exponent = {theta_hat:.2f}")
+theta = 1.0  # the config's exponent, so zeta is taken at the theta it is used with
+zeta_hat, theta_hat = si.error_bound_probe(problem, 300, seed=11, theta=theta)
+print(f"error bound probe: zeta_hat = {zeta_hat:.3f} at theta = {theta:g}, fitted exponent = {theta_hat:.2f}")
 
-config = si.default_config(problem, theta=1.0, safety=2.0, zeta=0.5 * zeta_hat, seed=13)
+config = si.default_config(problem, theta=theta, safety=2.0, zeta=0.5 * zeta_hat, seed=13)
 print(f"config: c_tau = {config.c_tau:.4g}, c_a = {config.c_a:.4g}, "
       f"trunc radius = {config.trunc_radius:.3f}, omega = {config.omega:.3f}, "
       f"burn-in K~ = {config.k_tilde}")

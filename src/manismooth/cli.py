@@ -55,6 +55,7 @@ from .errors import (
 from .harness import TRACE_COLUMNS, fit_rate, read_trace_csv, summary_dict, write_summary_json, write_trace_csv
 from .problems import make_constrained_sphere, make_sparse_pca
 from .rng import derive_seed
+from .seedpool import seed_results
 from .smoothing import IndicatorBall, IndicatorBox, IndicatorSingleton
 
 ALGORITHMS = ("lipschitz", "indicator")
@@ -311,14 +312,8 @@ def cmd_run(args) -> int:
     def run_one(s: int) -> tuple[int, str]:
         return _run_seed(cfg, s, out_root / f"seed_{s}" if args.seeds is not None else out_root, out_field)
 
-    if len(seeds) == 1:
-        results = [run_one(seeds[0])]
-    else:
-        from .seedpool import seed_results  # only several seeds pay the pool's import
-
-        results = seed_results(run_one, seeds)
     code = 0
-    for s, (seed_code, message) in zip(seeds, results):
+    for s, (seed_code, message) in zip(seeds, seed_results(run_one, seeds)):
         if message:
             print(f"seed {s}: {message}" if args.seeds is not None else message, file=sys.stderr)
         code = max(code, seed_code, key=SEVERITY.index)

@@ -52,14 +52,13 @@ checked once), so no result depends on the block size.
 The Stiefel ``normalize`` calls the two LAPACK gufuncs that
 ``np.linalg.qr`` wraps, ``qr_r_raw`` (geqrf) and ``qr_reduced`` (orgqr),
 on a float64 copy of its input, reads diag(R) from the factored copy and
-fixes the signs of Q in place; ``retr`` hands them X + V, an array of its
-own, without that copy.  That skips ``np.linalg.qr``'s type
+fixes the signs of Q in place.  That skips ``np.linalg.qr``'s type
 dispatch, its ``triu`` of R and both of its ``errstate`` blocks (on numpy
 2.4.6 the gufuncs raise nothing for a NaN, infinite, huge, subnormal, zero
 or rank-one target), and gives the same Q bit for bit.  The gufuncs live in
 numpy's private ``numpy.linalg._umath_linalg``, verified on numpy 2.4.6
-only, so their import is guarded: without them ``normalize`` and ``retr``
-take ``np.linalg.qr`` plus the same sign fix, rank check and error.
+only, so their import is guarded: without them ``normalize`` takes
+``np.linalg.qr`` plus the same sign fix, rank check and error.
 ``test_normalize_stiefel_is_numpy_qr_with_sign_fix`` in
 ``tests/test_manifolds.py`` pins the private path to that, bit for bit, and
 ``test_qr_fallback_writes_the_private_paths_bytes_and_errors`` runs the
@@ -69,8 +68,8 @@ as Python floats and compare those, cheaper than numpy-scalar
 comparisons; a stack takes the array path and fails with the same
 message.  ``check_tangent`` takes V's norm before any product with X, so
 a NaN or infinite V is rejected without the product's warning.
-``ManifoldPoint`` and ``TangentVector`` set each field once in their own
-``__init__`` and check in ``__post_init__``, once per construction.
+The ``__post_init__`` of ``ManifoldPoint`` and ``TangentVector`` replaces
+the data with its read-only copy and checks it, once per construction.
 
 All values are immutable after construction and safe to share across
 threads; every operation is a pure function of its inputs.
@@ -88,7 +87,7 @@ from .errors import DegenerateRetractionError, ParameterError, ShapeMismatchErro
 
 try:  # private: the LAPACK QR gufuncs behind np.linalg.qr (BENCH_fast_paths.json "qr_gufuncs")
     from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
-except ImportError:  # a numpy that moved them: _normalized takes np.linalg.qr, the same Q
+except ImportError:  # a numpy that moved them: normalize takes np.linalg.qr, the same Q
     _qr_r_raw = _qr_reduced = None
 
 SPHERE = "sphere"
@@ -166,13 +165,10 @@ def _as_matrix(desc: ManifoldDescriptor, data, what: str) -> np.ndarray:
     return out
 
 
-_set = object.__setattr__  # how the constructors of the frozen classes below set their fields
+_set = object.__setattr__  # how __post_init__ below replaces a frozen field
 
 
-# The typed values write their own __init__: each field is set once, the data as
-# its read-only copy, where the generated one would set the data twice.
-# __post_init__ is the check, run once per construction.
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class ManifoldPoint:
     """A point on a manifold, stored in its ambient embedding.
 
@@ -183,16 +179,12 @@ class ManifoldPoint:
     descriptor: ManifoldDescriptor
     data: np.ndarray
 
-    def __init__(self, descriptor: ManifoldDescriptor, data):
-        _set(self, "descriptor", descriptor)
-        _set(self, "data", _as_matrix(descriptor, data, "point"))
-        self.__post_init__()
-
     def __post_init__(self):
+        _set(self, "data", _as_matrix(self.descriptor, self.data, "point"))
         check_point(self.descriptor.kind, self.data)
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class TangentVector:
     """An element of the tangent space at ``base``."""
 
@@ -200,15 +192,10 @@ class TangentVector:
     base: ManifoldPoint
     data: np.ndarray
 
-    def __init__(self, descriptor: ManifoldDescriptor, base: ManifoldPoint, data):
-        if base.descriptor is not descriptor and base.descriptor != descriptor:
-            raise ShapeMismatchError("tangent vector descriptor differs from base point's")
-        _set(self, "descriptor", descriptor)
-        _set(self, "base", base)
-        _set(self, "data", _as_matrix(descriptor, data, "tangent"))
-        self.__post_init__()
-
     def __post_init__(self):
+        if self.base.descriptor is not self.descriptor and self.base.descriptor != self.descriptor:
+            raise ShapeMismatchError("tangent vector descriptor differs from base point's")
+        _set(self, "data", _as_matrix(self.descriptor, self.data, "tangent"))
         check_tangent(self.descriptor.kind, self.base.data, self.data)
 
     def norm(self) -> float:
@@ -315,12 +302,8 @@ def normalize(kind: str, Y: np.ndarray) -> np.ndarray:
             infinite Y is not caught here: its result is not finite, and
             the point check rejects it.
     """
-    return _normalized(kind, np.array(Y, dtype=np.float64) if kind == STIEFEL else Y)
-
-
-def _normalized(kind: str, Y: np.ndarray) -> np.ndarray:
-    """:func:`normalize` of a float64 Y that the call may overwrite: the Stiefel QR factors Y in place."""
     if kind == STIEFEL:
+        Y = np.array(Y, dtype=np.float64)  # the QR factors its own copy in place
         if _qr_reduced is None:
             Q, R = np.linalg.qr(Y)
             diag = R.diagonal(0, -2, -1)
@@ -343,7 +326,7 @@ def retr(kind: str, X: np.ndarray, V: np.ndarray) -> np.ndarray:
     """First-order retraction R_X(V) on raw arrays; X itself where V = 0 (per slice of a stack)."""
     if not np.count_nonzero(V):
         return X
-    Y = _normalized(kind, X + V)  # the sum is this call's own, so the QR factors it without normalize's copy
+    Y = normalize(kind, X + V)
     if V.ndim > 2:
         still = ~V.any(axis=(-2, -1))
         if still.any():

@@ -84,9 +84,9 @@ class StochasticProblem:
     sample indices are 0-based ints in range(num_samples).  Two optional
     halves default to the value and the gradient of ``full_value_egrad``:
     ``full_value`` (f alone, for the estimators' retracted points) and
-    ``full_egrad`` (grad f alone, for the certificate); a family with a
-    cheaper path supplies its own, equal bit for bit.  The halves are
-    derived at construction, so a ``dataclasses.replace`` that swaps
+    ``full_egrad`` (grad f alone, for the certificate).  Neither built-in
+    family supplies its own; one that does must give the same bits.  The
+    halves are derived at construction, so a ``dataclasses.replace`` that swaps
     ``full_value_egrad`` keeps the old ones unless it also passes
     ``full_value=None, full_egrad=None``, which derives them again.
 
@@ -218,19 +218,10 @@ def make_constrained_sphere(
         a = A[i][..., None]
         return _lift(_inner(a, xd) - b[i]) * a
 
-    def residual(xd, mm):
-        return mm(A, xd) - b_col
-
-    def value(r):
-        return 0.5 * np.vecdot(r[..., 0], r[..., 0]) / N
-
-    def full_value(xd):
-        return value(residual(xd, _dot if xd.ndim == 2 else _matmul))
-
     def full_value_egrad(xd):
         mm = _dot if xd.ndim == 2 else _matmul
-        r = residual(xd, mm)
-        return value(r), mm(AT, r) / N
+        r = mm(A, xd) - b_col
+        return 0.5 * np.vecdot(r[..., 0], r[..., 0]) / N, mm(AT, r) / N
 
     def c_eval(xd):
         mm = _dot if xd.ndim == 2 else _matmul
@@ -251,7 +242,6 @@ def make_constrained_sphere(
         m=m,
         h=set_term,
         name="constrained_sphere",
-        full_value=full_value,
     )
 
 

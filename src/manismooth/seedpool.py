@@ -16,7 +16,8 @@ children started).  Where ``os.fork`` or numpy's bundled OpenBLAS is
 missing, W = 1 and the seeds run one after another in the calling
 process.  ``run_one`` returns every seed's failure, so the pool only
 carries outcomes and reports a process that died before its share was done.
-Only ``run`` with several seeds imports this module.
+``run`` hands every seed list here, a single seed included, which runs with
+W = 1.
 """
 
 from __future__ import annotations

@@ -692,15 +692,6 @@ cli.main(["run", "--config", {str(cfg_path)!r}, "--seeds", "1,2"])
         pytest.fail(f"child {child} outlived the command")
 
 
-def test_run_with_one_seed_does_not_import_the_seed_pool(tmp_path):
-    # a fresh interpreter shows what a one-seed run loads
-    path = write_config(tmp_path, pca_config(str(tmp_path / "out")))
-    code = f"import sys; from manismooth import cli; cli.main(['run', '--config', {str(path)!r}]); " \
-           "sys.exit('manismooth.seedpool' in sys.modules)"
-    src = str(Path(cli.__file__).resolve().parents[1])
-    assert subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, timeout=120).returncode == 0
-
-
 def test_blas_thread_hook_round_trips():
     # numpy's Linux wheels bundle OpenBLAS; without the hook every test marked FORKS is skipped
     get_threads, set_threads = seedpool.blas_threads()
