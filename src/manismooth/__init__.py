@@ -12,8 +12,8 @@ Library layout:
   subgradient (normal-cone) membership tests, the smoothed objective
   and its Riemannian gradient,
 - ``problems``: stochastic problem container (one full-data evaluator,
-  f and grad f from one pass, whose two halves are derived unless a
-  problem supplies cheaper ones) plus two seeded synthetic families and
+  f and grad f from one pass, whose gradient half is derived unless a
+  problem supplies a cheaper one) plus two seeded synthetic families and
   empirical constant estimation,
 - ``solver_lipschitz``: recursive-momentum solver with adaptive
   stepsize for Lipschitz nonsmooth terms,

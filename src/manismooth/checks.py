@@ -414,7 +414,7 @@ def retr_smooth_constant_check(problem, mu: float, samples: int, seed: int) -> t
     empirical, max_dist = -math.inf, 0.0
     for X, U, Y, _ in mf.tangent_blocks(problem.manifold, np.random.default_rng(seed), samples,
                                         lambda rng, size: (rng.uniform(0.05, 1.0, size),)):
-        (fx, gx), fy = problem.full_value_egrad(X), problem.full_value(Y)
+        (fx, gx), fy = problem.full_value_egrad(X), problem.full_value_egrad(Y)[0]
         cx, ex, rgrad = smoothed_grad(problem, X, mu, gx)
         ey = moreau_eval(problem.h, mu, problem.c_eval(Y))  # F_mu(Y) needs no gradient at Y
         lin = np.sum(rgrad * U, axis=(-2, -1))

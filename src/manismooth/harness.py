@@ -96,8 +96,8 @@ def fit_rate(
     values, accumulated from the start of the trace; mode "raw" fits the
     field values themselves.  Needs at least 10 in-window records with
     the field present, and every in-window value of the fitted series
-    finite; otherwise InsufficientDataError names the field (and the
-    first non-finite k).
+    finite and positive (the fit takes its log); otherwise
+    InsufficientDataError names the field (and the first such k).
     """
     if mode not in ("mean_sq", "raw"):
         raise ParameterError(f"unknown fit mode {mode!r}")
@@ -121,12 +121,12 @@ def fit_rate(
             val = v
         if not k_lo <= rec.k <= k_hi:
             continue
-        if not math.isfinite(val):
+        if not (math.isfinite(val) and val > 0):
             series = "running mean of squares" if mode == "mean_sq" else "value"
-            raise InsufficientDataError(f"field {field!r}: the {series} at k = {rec.k} is {val}, not finite")
-        if val > 0:
-            ks.append(rec.k)
-            ys.append(val)
+            fault = "not finite" if not math.isfinite(val) else "not positive"
+            raise InsufficientDataError(f"field {field!r}: the {series} at k = {rec.k} is {val}, {fault}")
+        ks.append(rec.k)
+        ys.append(val)
     if len(ks) < 10:
         raise InsufficientDataError(
             f"need >= 10 records with field {field!r} in window [{k_lo}, {k_hi}], got {len(ks)}"

@@ -49,13 +49,12 @@ from .smoothing import IndicatorTerm, NonsmoothTerm, ScaledL1
 
 @dataclass(frozen=True)
 class ProblemConstants:
-    """Empirical problem constants, all six estimated together by
+    """Empirical problem constants, all five estimated together by
     :func:`estimate_constants`; lower bounds on the true suprema.
 
     ``L_f``: max gradient norm of f.  ``L_c`` / ``L_grad_c``: Lipschitz
     moduli of c and of its Jacobian.  ``L_tilde``: average-smoothness
-    modulus of the sample gradients along retracted pairs.  ``sigma``:
-    max deviation of a sample gradient from the full one.  ``L_retr``:
+    modulus of the sample gradients along retracted pairs.  ``L_retr``:
     retraction-smoothness constant of f.
     """
 
@@ -63,7 +62,6 @@ class ProblemConstants:
     L_c: float
     L_grad_c: float
     L_tilde: float
-    sigma: float
     L_retr: float
 
     def __post_init__(self):
@@ -81,14 +79,13 @@ class StochasticProblem:
     sample value), ``full_value_egrad`` (f and grad f from one pass over
     the data, the one full-data evaluator) and ``c_eval``/``c_jac_t``.
     Evaluators take and return raw ndarrays shaped like point data;
-    sample indices are 0-based ints in range(num_samples).  Two optional
-    halves default to the value and the gradient of ``full_value_egrad``:
-    ``full_value`` (f alone, for the estimators' retracted points) and
-    ``full_egrad`` (grad f alone, for the certificate).  Neither built-in
-    family supplies its own; one that does must give the same bits.  The
-    halves are derived at construction, so a ``dataclasses.replace`` that swaps
-    ``full_value_egrad`` keeps the old ones unless it also passes
-    ``full_value=None, full_egrad=None``, which derives them again.
+    sample indices are 0-based ints in range(num_samples).  One optional
+    half, ``full_egrad`` (grad f alone, for the certificate), defaults to
+    the gradient of ``full_value_egrad``.  Neither built-in family supplies
+    its own; one that does must give the same bits.  The half is derived at
+    construction, so a ``dataclasses.replace`` that swaps
+    ``full_value_egrad`` keeps the old one unless it also passes
+    ``full_egrad=None``, which derives it again.
 
     Every evaluator also accepts a stack of points ``(..., n, p)``:
     ``sample_egrad`` then takes an index array of the stack's leading
@@ -114,13 +111,10 @@ class StochasticProblem:
     m: int
     h: NonsmoothTerm
     name: str = "custom"
-    full_value: Callable[[np.ndarray], float] | None = None
     full_egrad: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        value_egrad = self.full_value_egrad  # not self, which the closures would hold in a cycle
-        if self.full_value is None:
-            object.__setattr__(self, "full_value", lambda xd: value_egrad(xd)[0])
+        value_egrad = self.full_value_egrad  # not self, which the closure would hold in a cycle
         if self.full_egrad is None:
             object.__setattr__(self, "full_egrad", lambda xd: value_egrad(xd)[1])
 
@@ -269,7 +263,7 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
         raise ParameterError(f"samples must be >= {MIN_SAMPLES}")
     rng = np.random.default_rng(seed)
     kind = problem.manifold.kind
-    L_f = sigma = L_tilde = L_c = L_grad_c = L_retr = 0.0
+    L_f = L_tilde = L_c = L_grad_c = L_retr = 0.0
 
     def draw(rng, size):
         return rng.integers(problem.num_samples, size=size), rng.uniform(0.05, 0.5, size)
@@ -279,7 +273,6 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
         L_f = _peak(L_f, fro(g_full))
         gr_full = proj(kind, X, g_full)
         gr_i = proj(kind, X, problem.sample_egrad(X, idx))
-        sigma = _peak(sigma, fro(gr_i - gr_full))
 
         # average-smoothness quotient, transporting the far gradient back to x
         gy_i = proj(kind, Y, problem.sample_egrad(Y, idx))
@@ -290,7 +283,7 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
         L_tilde = _peak(L_tilde, fro(gr_i - moved) / nz)
         # retraction-smoothness quotient of f along the same pair
         lin = np.sum(gr_full * Z, axis=(-2, -1))
-        L_retr = _peak(L_retr, 2.0 * (problem.full_value(Y) - f_x - lin) / (nz * nz))
+        L_retr = _peak(L_retr, 2.0 * (problem.full_value_egrad(Y)[0] - f_x - lin) / (nz * nz))
 
         Jx = _jacobian(problem, X)
         Jy = _jacobian(problem, Y)
@@ -298,9 +291,7 @@ def estimate_constants(problem: StochasticProblem, samples: int, seed: int) -> P
         step = fro(Y - X)
         far = step > 1e-12
         L_grad_c = _peak(L_grad_c, np.broadcast_to(_spectral_norm(Jx - Jy), step.shape)[far] / step[far])
-    return ProblemConstants(
-        L_f=L_f, L_c=L_c, L_grad_c=L_grad_c, L_tilde=L_tilde, sigma=sigma, L_retr=max(L_retr, 0.0)
-    )
+    return ProblemConstants(L_f=L_f, L_c=L_c, L_grad_c=L_grad_c, L_tilde=L_tilde, L_retr=max(L_retr, 0.0))
 
 
 def retr_smooth_bound(consts: ProblemConstants, rc: RetractionConstants, level: float, safety: float) -> float:

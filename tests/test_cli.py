@@ -864,11 +864,12 @@ def test_report_field_that_is_not_a_column_exits_2(tmp_path, capsys, field):
 
 @pytest.mark.parametrize(
     "value, mode",
-    [(math.inf, "mean_sq"), (1e308, "mean_sq"), (math.nan, "raw")],
-    ids=["inf", "square-overflows", "nan"],
+    [(math.inf, "mean_sq"), (1e308, "mean_sq"), (math.nan, "raw"), (-0.5, "raw"), (0.0, "raw")],
+    ids=["inf", "square-overflows", "nan", "negative", "zero"],
 )
 def test_report_non_finite_series_exits_2_naming_field_and_k(tmp_path, capsys, value, mode):
-    # 1e308 is finite, but its square overflows the running mean of squares
+    # 1e308 is finite, but its square overflows the running mean of squares; the fit takes the log of
+    # each value, so a value <= 0 is refused too
     trace = [TraceRecord(k=k, mu=1.0, tau=0.1, a=0.5, norm_G=value if k == 20 else 1.0 / k, infeas=0.0)
              for k in range(1, 40)]
     path = tmp_path / "trace.csv"
@@ -876,6 +877,7 @@ def test_report_non_finite_series_exits_2_naming_field_and_k(tmp_path, capsys, v
     assert main(["report", "--trace", str(path), "--field", "norm_G", "--from", "1", "--to", "39", "--mode", mode]) == 2
     out, err = capsys.readouterr()
     assert out == "" and "'norm_G'" in err and "k = 20" in err
+    assert err.rstrip().endswith("not positive" if value <= 0 else "not finite")
 
 
 @pytest.mark.parametrize("k_lo", ["0", "-5"])

@@ -124,7 +124,7 @@ def test_non_finite_parameters_are_refused_naming_the_field(field, build):
     assert info.value.field == field
 
 
-CONSTANT_FIELDS = ("L_f", "L_c", "L_grad_c", "L_tilde", "sigma", "L_retr")
+CONSTANT_FIELDS = ("L_f", "L_c", "L_grad_c", "L_tilde", "L_retr")
 
 
 @pytest.mark.parametrize("field", CONSTANT_FIELDS)
@@ -175,7 +175,7 @@ def test_estimate_constants_identity_map(pca):
     consts = ms.estimate_constants(pca, 100, seed=11)
     assert consts.L_grad_c == 0.0  # identity map has constant Jacobian
     assert consts.L_c == pytest.approx(1.0, abs=1e-12)
-    assert consts.L_f > 0 and consts.sigma > 0 and consts.L_tilde > 0
+    assert consts.L_f > 0 and consts.L_tilde > 0
 
 
 def test_estimate_constants_deterministic(csphere):
@@ -185,18 +185,19 @@ def test_estimate_constants_deterministic(csphere):
 
 
 def test_estimate_constants_refuses_a_nan_quotient_naming_the_constant(pca):
-    # f is NaN at one retracted point of the first block, so one L_retr quotient is NaN: the running
-    # max keeps it, and ProblemConstants' check names L_retr (a max that skipped it returned a number)
+    # f is NaN at one retracted point of the first block (the evaluator's second call), so one L_retr
+    # quotient is NaN: the running max keeps it, and ProblemConstants' check names L_retr (a max that
+    # skipped it returned a number)
     calls = []
 
-    def full_value(Y):
-        values = pca.full_value(Y)
+    def full_value_egrad(X):
+        values, grads = pca.full_value_egrad(X)
         calls.append(len(values))
-        return np.where(np.arange(len(values)) == 5, NAN, values) if len(calls) == 1 else values
+        return (np.where(np.arange(len(values)) == 5, NAN, values) if len(calls) == 2 else values), grads
 
     with pytest.raises(ParameterError, match="L_retr must be nonnegative") as info:
-        ms.estimate_constants(dataclasses.replace(pca, full_value=full_value), 100, seed=11)
-    assert info.value.field == "L_retr" and len(calls) > 1
+        ms.estimate_constants(dataclasses.replace(pca, full_value_egrad=full_value_egrad), 100, seed=11)
+    assert info.value.field == "L_retr" and len(calls) > 2
 
 
 def linear_objective_sphere(n, N, seed):
@@ -379,16 +380,6 @@ def test_full_value_egrad_equals_the_separate_formulas(which, stack):
 
 @pytest.mark.parametrize("stack", [0, 7], ids=["point", "stack7"])
 @pytest.mark.parametrize("which", list(BENCH_PROBLEMS))
-def test_full_value_is_the_value_of_full_value_egrad(which, stack):
-    # neither family supplies full_value: the estimators read the value of the one full-data evaluator
-    p, _, _ = _family_data(which)
-    X = _points(p, np.random.default_rng(13), stack)
-    assert _same_bytes(p.full_value(X), p.full_value_egrad(X)[0])
-    assert p.full_value.__name__ == "<lambda>"
-
-
-@pytest.mark.parametrize("stack", [0, 7], ids=["point", "stack7"])
-@pytest.mark.parametrize("which", list(BENCH_PROBLEMS))
 def test_full_egrad_is_the_gradient_of_full_value_egrad(which, stack):
     # neither family supplies full_egrad: the certificate reads the gradient of the one full-data evaluator
     p, _, _ = _family_data(which)
@@ -404,9 +395,9 @@ def test_replace_derives_the_halves_only_when_they_are_cleared(pca):
         return 1.5, np.zeros_like(xd)
 
     kept = dataclasses.replace(pca, full_value_egrad=flat)
-    assert kept.full_value is pca.full_value and kept.full_egrad is pca.full_egrad
-    derived = dataclasses.replace(pca, full_value_egrad=flat, full_value=None, full_egrad=None)
-    assert derived.full_value(X) == 1.5 and _same_bytes(derived.full_egrad(X), np.zeros_like(X))
+    assert kept.full_egrad is pca.full_egrad
+    derived = dataclasses.replace(pca, full_value_egrad=flat, full_egrad=None)
+    assert _same_bytes(derived.full_egrad(X), np.zeros_like(X))
 
 
 @pytest.mark.parametrize("stack", [0, 32], ids=["point", "stack32"])
@@ -425,11 +416,11 @@ def test_sparse_pca_sample_gradient_equals_the_broadcast_product(which, stack):
 
 
 def test_readme_lists_the_required_and_optional_evaluators():
-    # the evaluator contract names every field without a default, and the two optional halves
+    # the evaluator contract names every field without a default, and the one optional half
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     required = re.search(r"A `StochasticProblem` requires four plain-ndarray evaluators,\s+(.*?),\s+beside\s+(.*?)\.",
                          readme, re.S)
-    optional = re.search(r"Two optional halves, (.*?), default", readme, re.S)
+    optional = re.search(r"One optional half, (.*?), defaults", readme, re.S)
     assert required and optional
     evaluators, others = (re.findall(r"`(\w+)", group) for group in required.groups())
     fields = dataclasses.fields(ms.StochasticProblem)
