@@ -166,6 +166,8 @@ def build_problem(cfg: dict, seed: int):
     make, args = _problem_maker(cfg)
     try:
         return make(seed=derive_seed(seed, "data"), **args)
+    except ParameterError as exc:  # a quad_weight the drawn W overflows: _problem_maker cannot foresee it
+        raise ConfigError(f"problem.{exc.field}", str(exc)) from None
     except MemoryError as exc:  # numpy refuses an allocation beyond the machine at once
         raise ConfigError(
             f"problem.{'N' if args['N'] >= args['n'] else 'n'}",
@@ -267,7 +269,7 @@ def _run_seed(cfg: dict, seed: int, out_dir: Path, out_field: str) -> tuple[int,
     except OSError as exc:  # creating the output directory or writing into it
         return 2, f"config error: {out_field}: {exc}"
     except (NumericalFailureError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        # LinAlgError: an estimator's SVD met a non-finite Jacobian of c
+        # LinAlgError: an estimator's SVD met a non-finite Jacobian of c, which no built-in family builds
         return 3, f"numerical failure: {exc}"
     except Exception:  # a bug: its traceback names it, and the other seeds still run
         import traceback

@@ -58,7 +58,7 @@ class Policy:
     trunc_radius: float | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverState:
     """Mutable solver state: counter k, iterate and momentum (ndarrays), sampling stream, energy sum_i ||G_i||^2.
 

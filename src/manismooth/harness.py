@@ -50,7 +50,7 @@ class TraceRecord:
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Certificate:
     """Stationarity witness (y, z) at a randomly selected iterate."""
 

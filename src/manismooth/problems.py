@@ -70,7 +70,7 @@ class ProblemConstants:
                 raise ParameterError(f"{f.name} must be nonnegative", field=f.name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StochasticProblem:
     """Finite-sum smooth part + nonlinear map + nonsmooth term.
 
@@ -193,8 +193,6 @@ def make_constrained_sphere(
             raise ParameterError("need N >= 1, n >= 2, m >= 1", field=field)
     if not isinstance(set_term, IndicatorTerm):
         raise ParameterError("set_term must be an indicator variant")
-    if not np.isfinite(quad_weight):
-        raise ParameterError("quad_weight must be finite", field="quad_weight")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((N, n))
     b = rng.standard_normal(N)
@@ -203,7 +201,11 @@ def make_constrained_sphere(
         raise ShapeMismatchError(f"linear_map must have shape ({m}, {n})")
     if not np.all(np.isfinite(B)):
         raise ParameterError("linear_map must be finite", field="linear_map")
-    W = quad_weight * rng.standard_normal((m, n)) / np.sqrt(n)
+    with np.errstate(over="ignore"):  # a finite quad_weight may still overflow W, or 2 W in c's Jacobian
+        W = quad_weight * rng.standard_normal((m, n)) / np.sqrt(n)
+        finite = np.all(np.isfinite(2.0 * W))
+    if not finite:
+        raise ParameterError("quad_weight must be finite, as must c's Jacobian B + 2 W diag(x)", field="quad_weight")
 
     b_col = b[:, None]
     AT, BT, WT = A.T, B.T, W.T

@@ -221,7 +221,7 @@ class IndicatorTerm(NonsmoothTerm):
         return bool(self.contains(y, tol=tol) and _norm(self.project(y + z) - y) <= tol * (1.0 + _norm(y)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndicatorBall(IndicatorTerm):
     """Indicator of the closed Euclidean ball {y : ||y - center|| <= radius}."""
 
@@ -249,7 +249,7 @@ class IndicatorBall(IndicatorTerm):
         return self.center + scale * d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndicatorBox(IndicatorTerm):
     """Indicator of the box {y : lower <= y <= upper} (finite bounds)."""
 
@@ -270,7 +270,7 @@ class IndicatorBox(IndicatorTerm):
         return np.clip(np.asarray(y, dtype=float), self.lower, self.upper)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndicatorSingleton(IndicatorTerm):
     """Indicator of the single point {target}."""
 
@@ -283,7 +283,7 @@ class IndicatorSingleton(IndicatorTerm):
         return np.broadcast_to(self.target, np.shape(y)).copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MoreauEval:
     """Envelope value, gradient, and prox point at one input."""
 

@@ -301,6 +301,7 @@ def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
         # c_tau (k + 1)^-omega underflows to 0 at every iteration; the certificate's draw must not
         ("solver", {"theta": 1, "zeta": 1e154, "c_tau": 5e-324, "c_a": 0.5, "trunc_radius": 1.0}, 0, None),
         ("algorithm", "lipschitz", 2, "problem.family"),
+        ("problem.quad_weight", 1e308, 2, "problem.quad_weight"),  # W overflows: refused where it is built
     ],
 )
 def test_run_extreme_values_exit_cleanly(tmp_path, capsys, field, value, code, names):

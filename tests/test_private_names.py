@@ -1,4 +1,5 @@
-"""No module of the package imports a private numpy name without a fallback.
+"""Source-level checks: no module imports a private numpy name without a fallback, and every file parses
+under the declared Python floor.
 
 A private name (a dotted path with a component that starts with ``_``,
 dunders aside) may move in any numpy release; imported bare, its absence
@@ -15,6 +16,8 @@ import pytest
 import manismooth
 
 SOURCES = sorted(Path(manismooth.__file__).resolve().parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+PYTHON_FLOOR = (3, 10)  # pyproject.toml's requires-python
 
 
 def _private(dotted: str) -> bool:
@@ -70,3 +73,16 @@ def test_no_private_numpy_import_without_a_fallback(path):
 ])
 def test_the_guard_flags_only_unguarded_private_imports(source, found):
     assert unguarded_private_imports(source) == found
+
+
+@pytest.mark.parametrize("path", sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_source_parses_at_the_python_floor(path):
+    # ast.parse with feature_version refuses the grammar newer releases added, such as except*
+    ast.parse(path.read_text(), filename=str(path), feature_version=PYTHON_FLOOR)
+
+
+def test_the_floor_is_the_declared_one():
+    assert f'requires-python = ">={PYTHON_FLOOR[0]}.{PYTHON_FLOOR[1]}"' in (ROOT / "pyproject.toml").read_text()
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass", feature_version=PYTHON_FLOOR)

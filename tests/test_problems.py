@@ -100,6 +100,7 @@ def test_constrained_sphere_requires_indicator():
 
 NAN = float("nan")
 BALL = ms.IndicatorBall(np.zeros(2), 1.0)
+BALL1 = ms.IndicatorBall(np.zeros(1), 1.0)
 
 
 @pytest.mark.parametrize("field, build", [
@@ -116,9 +117,14 @@ BALL = ms.IndicatorBall(np.zeros(2), 1.0)
     ("lam", lambda: ms.make_sparse_pca(5, 2, 4, NAN, seed=0)),
     ("quad_weight", lambda: ms.make_constrained_sphere(3, 2, 4, BALL, seed=0, quad_weight=NAN)),
     ("linear_map", lambda: ms.make_constrained_sphere(3, 2, 4, BALL, seed=0, linear_map=np.full((2, 3), NAN))),
+    pytest.param("quad_weight", lambda: ms.make_constrained_sphere(2, 1, 3, BALL1, seed=0, quad_weight=1e308),
+                 id="quad_weight-W-overflows"),
+    pytest.param("quad_weight", lambda: ms.make_constrained_sphere(2, 1, 3, BALL1, seed=4, quad_weight=1e308),
+                 id="quad_weight-2W-overflows"),
 ])
 def test_non_finite_parameters_are_refused_naming_the_field(field, build):
-    # a NaN lam once surfaced only as a non-finite search direction at iteration 1
+    # a NaN lam once surfaced only as a non-finite search direction at iteration 1.  A finite quad_weight of 1e308
+    # overflows W at seed 0, and at seed 4 only 2 W in c's Jacobian, on which an estimator's SVD once failed
     with pytest.raises(ParameterError, match=f"{field} must be finite") as info:
         build()
     assert info.value.field == field
