@@ -234,8 +234,9 @@ def prox_oracle_gap(rng, count, kinds):
 
 
 def envelope_gradient_excess(rng, rows):
-    """Largest ||grad h_mu(y)|| - l_h and ||y - prox_{mu h}(y)|| - mu l_h over ``rows`` seeded rows.
+    """Largest ||grad h_mu(y)|| - l_h over ``rows`` seeded rows.
 
+    The bound ||y - prox_{mu h}(y)|| <= mu l_h is the same inequality multiplied by mu, so it is not measured apart.
     Each stack of ENVELOPE_ROWS rows has its own scaled l1 or l2 term on R^1..R^7, lam ~ U(0.05, 3), and
     each row its own mu ~ U(5e-4, 3) and y ~ 5 N(0, I).
     """
@@ -246,8 +247,7 @@ def envelope_gradient_excess(rng, rows):
         h = ScaledL1(lam, dim) if rng.uniform() < 0.5 else ScaledL2(lam)
         mu = rng.uniform(5e-4, 3.0, ENVELOPE_ROWS)
         y = 5 * rng.standard_normal((ENVELOPE_ROWS, dim))
-        e, lip = moreau_eval(h, mu, y), h.lipschitz_const
-        worst = mf._peak(worst, np.maximum(_norm(e.grad) - lip, _norm(y - e.prox_point) - mu * lip))
+        worst = mf._peak(worst, _norm(moreau_eval(h, mu, y).grad) - h.lipschitz_const)
     return worst
 
 

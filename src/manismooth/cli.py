@@ -262,8 +262,9 @@ def _execute(cfg: dict, seed: int, out_dir: Path) -> None:
 
 def _run_seed(cfg: dict, seed: int, out_dir: Path, out_field: str) -> tuple[int, str]:
     """Run one seed: (exit code, the message naming its failure, or "" on success); it never raises an Exception."""
-    try:
-        _execute(cfg, seed, out_dir)
+    try:  # no numpy warning: every value a seed keeps is refused where it is made, naming its field or iteration
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _execute(cfg, seed, out_dir)
     except (ConfigError, ParameterError, ShapeMismatchError) as exc:
         return 2, f"config error: {exc}"
     except OSError as exc:  # creating the output directory or writing into it

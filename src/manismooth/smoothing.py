@@ -85,20 +85,16 @@ class NonsmoothTerm:
     """Base class: a convex h with exact prox.
 
     Subclasses implement ``value``, ``prox`` and ``in_subdifferential``,
-    an exact membership test that reads no random stream; the indicator
-    of a set is an :class:`IndicatorTerm`, which also exposes the set
-    projection the indicator solver uses.
+    an exact membership test that reads no random stream; a Lipschitz
+    term also defines ``lipschitz_const``, its l2 Lipschitz modulus l_h.
+    The indicator of a set is an :class:`IndicatorTerm`, which also
+    exposes the set projection the indicator solver uses.
     ``value`` and ``prox`` also accept a stack ``(..., m)`` of vectors and
     act on each row, each result equal to the call on that row alone, bit
     for bit; one vector's ``value`` is a Python float.  ``prox`` takes
     ``mu`` as a scalar or as an array of the stack's leading shape, one mu
     per row.
     """
-
-    @property
-    def lipschitz_const(self) -> float:
-        """l2 Lipschitz modulus of h (0 sentinel for indicators)."""
-        return 0.0
 
     def value(self, y: np.ndarray) -> float:
         raise NotImplementedError
@@ -212,13 +208,13 @@ class IndicatorTerm(NonsmoothTerm):
         return self.residual(y)[1]
 
     def in_subdifferential(self, y, z, tol=1e-8):
-        """Whether z lies in the normal cone N_C(y): y in C and P_C(y + z) = y (the projection theorem).
+        """Whether z lies in the normal cone N_C(y): P_C(y + z) = y, by the projection theorem.
 
-        Both hold to ``tol`` relative to 1 + ||y||, the measure of :meth:`contains`.
+        It holds to ``tol`` relative to 1 + ||y||, the measure of :meth:`contains`; since
+        dist(y, C) <= ||P_C(y + z) - y||, it puts y in C to the same tolerance.
         """
         y = np.asarray(y, dtype=float)
-        z = np.asarray(z, dtype=float)
-        return bool(self.contains(y, tol=tol) and _norm(self.project(y + z) - y) <= tol * (1.0 + _norm(y)))
+        return bool(_norm(self.project(y + np.asarray(z, dtype=float)) - y) <= tol * (1.0 + _norm(y)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,10 +320,11 @@ def moreau_envelope_inequality_check(h: NonsmoothTerm, mu1, mu2, y):
 
         h_{mu2}(y) <= h_{mu1}(y) + (1/2) ((mu1 - mu2)/mu2) mu1 ||grad h_{mu1}(y)||^2
 
-    with the right-hand side specialized to l_h^2 for Lipschitz h and to
-    (1/2)(1/mu2 - 1/mu1) dist^2(y, C) for indicators.  Returns whether
-    every applicable form holds with slack 1e-10: a bool for one vector,
-    one verdict per row for a stack, with mu1 and mu2 scalars or per row.
+    (for an indicator with equality, both sides dist^2(y, C) / (2 mu2); for
+    a Lipschitz h it implies the form with l_h^2, since ||grad h_{mu1}|| <= l_h).
+    Returns whether it holds with slack 1e-10 relative to 1 + the right-hand
+    side: a bool for one vector, one verdict per row for a stack, with mu1
+    and mu2 scalars or per row.
 
     Raises:
         ParameterError: a mu is not finite and positive, mu2 > mu1 in some
@@ -337,18 +334,9 @@ def moreau_envelope_inequality_check(h: NonsmoothTerm, mu1, mu2, y):
     mu1, mu2 = _mu(mu1, y, "mu1"), _mu(mu2, y, "mu2")
     if not np.all(mu2 <= mu1):
         raise ParameterError("need 0 < mu2 <= mu1", field="mu")
-    slack = 1e-10
     e1 = moreau_eval(h, mu1, y)
-    e2 = moreau_eval(h, mu2, y)
     rhs = e1.value + 0.5 * ((mu1 - mu2) / mu2) * mu1 * _sq(e1.grad)
-    ok = e2.value <= rhs + slack
-    if isinstance(h, IndicatorTerm):
-        rhs_ind = e1.value + 0.5 * (1.0 / mu2 - 1.0 / mu1) * _sq(y - e1.prox_point)
-        ok &= e2.value <= rhs_ind + slack
-    elif h.lipschitz_const > 0:
-        rhs_lip = e1.value + 0.5 * ((mu1 - mu2) / mu2) * mu1 * h.lipschitz_const**2
-        ok &= e2.value <= rhs_lip + slack
-    return _rows(ok)
+    return _rows(moreau_eval(h, mu2, y).value <= rhs + 1e-10 * (1.0 + rhs))
 
 
 def smoothed_grad(problem, X: np.ndarray, mu: float, egrad: np.ndarray):

@@ -54,10 +54,6 @@ def sphere_config(out_dir, **overrides):
     return cfg
 
 
-# for cases that overflow on purpose; any other RuntimeWarning fails the suite
-OVERFLOWS = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
-
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -290,11 +286,11 @@ def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
     "field, value, code, names",
     [
         ("problem.set", {"kind": "singleton", "target": 0.0}, 0, None),
-        pytest.param("problem.quad_weight", 1e200, 2, "solver.c_tau", marks=OVERFLOWS),
+        ("problem.quad_weight", 1e200, 2, "solver.c_tau"),
         ("solver.safety", 1e300, 2, "solver.c_tau"),
         ("solver.c_tau", 1e300, 2, "solver.c_tau"),
         ("solver", {"theta": 1, "safety": 1e300, "c_tau": 0.01, "c_a": 0.001}, 0, None),
-        pytest.param("solver", {"theta": 1, "c_tau": 1e300, "c_a": 0.001}, 3, "(iteration 0)", marks=OVERFLOWS),
+        ("solver", {"theta": 1, "c_tau": 1e300, "c_a": 0.001}, 3, "(iteration 0)"),
         ("problem.N", 10**12, 2, "problem.N"),
         ("problem.set.radius", 1e6, 2, "solver.zeta: error bound probe: all sampled points are feasible; supply zeta"),
         ("solver.safety", None, 0, None),  # null means not supplied, as for the derived constants
@@ -302,6 +298,9 @@ def test_run_malformed_field_names_field(tmp_path, capsys, field, value):
         ("solver", {"theta": 1, "zeta": 1e154, "c_tau": 5e-324, "c_a": 0.5, "trunc_radius": 1.0}, 0, None),
         ("algorithm", "lipschitz", 2, "problem.family"),
         ("problem.quad_weight", 1e308, 2, "problem.quad_weight"),  # W overflows: refused where it is built
+        # c overflows in the probe (1e150) or the constants (1e300): refused there, with no numpy warning
+        ("problem.quad_weight", 1e150, 2, "solver.zeta"),
+        ("problem.quad_weight", 1e300, 2, "solver.c_tau"),
     ],
 )
 def test_run_extreme_values_exit_cleanly(tmp_path, capsys, field, value, code, names):
@@ -319,6 +318,25 @@ def test_run_extreme_values_exit_cleanly(tmp_path, capsys, field, value, code, n
         assert read_summary_json(tmp_path / "out" / "summary.json")["certificate"]["membership_ok"] is True
     else:
         assert names in err
+
+
+def test_run_in_a_process_of_its_own_prints_each_seed_error_and_no_warning(tmp_path):
+    # the clean-stderr contract through cli.entry and the forked seed processes, where no test filter
+    # turns a numpy warning into an error: at quad_weight 1e300 the sphere_seeds instance's c values
+    # overflow in the constants, and each seed prints its one line naming solver.c_tau
+    problem = {"family": "constrained_sphere", "n": 50, "m": 10, "N": 1000, "quad_weight": 1e300,
+               "set": {"kind": "ball", "center": [0.2] * 10, "radius": 0.5}}
+    cfg = {"problem": problem, "algorithm": "indicator", "seed": 1000, "max_iters": 2000, "trace_every": 1,
+           "diagnostics": False, "solver": {"theta": 1}, "output_dir": str(tmp_path / "out")}
+    path = write_config(tmp_path, cfg)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "manismooth.cli", "run", "--config", str(path), "--seeds", "1000,1001"]
+    done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 2, done.stderr
+    for seed, line in zip((1000, 1001), lines):
+        assert line.startswith(f"seed {seed}: config error: solver.c_tau: "), done.stderr
 
 
 @pytest.mark.parametrize(

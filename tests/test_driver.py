@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 import tracemalloc
 
@@ -9,7 +10,7 @@ import manismooth as ms
 from manismooth import driver
 from manismooth import solver_indicator as si
 from manismooth import solver_lipschitz as sl
-from manismooth.errors import InsufficientDataError, ParameterError
+from manismooth.errors import InsufficientDataError, NumericalFailureError, ParameterError
 from manismooth.manifolds import _norm, retr
 from manismooth.smoothing import smoothed_grad
 
@@ -234,6 +235,26 @@ def test_a_pick_outside_the_run_keeps_nothing():
     assert state.k == 21 and state.kept is None
     with pytest.raises(InsufficientDataError):
         sl.certificate(state, p)
+
+
+def test_a_pick_of_the_last_iterate_keeps_x_k_after_the_loop():
+    # the indicator's candidates run to K, the iterate no step starts from: the run keeps it after its loop
+    K = 30
+    p, (config,), *_ = _solver_case(si)
+    policy = driver.Policy(k0=config.k0, mu=config.mu, schedule=config.schedule, pick=lambda K, rng: K,
+                           trunc_radius=config.trunc_radius)
+    state, trace = driver.run(p, None, 4, K, policy)
+    assert state.kept[0] == K and state.kept[1] is state.x
+    assert driver.certificate(state, p, policy).i_K == K
+    assert trace == si.run(p, None, config, seed=4, K=K)[1]
+
+
+def test_a_non_finite_stepsize_names_its_iteration():
+    p = ms.make_sparse_pca(10, 2, 8, 0.15, seed=5)
+    policy = dataclasses.replace(sl.POLICY, schedule=lambda k, energy: (math.nan, 1.0))
+    with pytest.raises(NumericalFailureError, match=r"^non-finite stepsize \(iteration 1\)$") as failure:
+        driver.run(p, None, 1, 5, policy)
+    assert failure.value.iteration == 1
 
 
 def test_the_certificate_index_does_not_depend_on_the_step_stream():

@@ -7,6 +7,7 @@ import pytest
 
 import manismooth as ms
 from manismooth.checks import (
+    ENVELOPE_ROWS,
     GRID_BLOCK,
     ORACLE_KINDS,
     check_smoothing,
@@ -14,6 +15,7 @@ from manismooth.checks import (
     oracle_cases,
     prox_oracle_gap,
     random_terms,
+    term_stacks,
 )
 from manismooth.errors import ParameterError, ShapeMismatchError
 from manismooth.smoothing import IndicatorTerm
@@ -116,6 +118,77 @@ def test_envelope_inequality_equal_mu():
 def test_envelope_inequality_rejects_bad_order():
     with pytest.raises(ParameterError):
         ms.moreau_envelope_inequality_check(ms.ScaledL2(1.0), 0.5, 1.0, np.ones(2))
+
+
+def test_envelope_inequality_holds_far_from_the_origin():
+    # for an indicator both sides are dist^2(y, C) / (2 mu2), so once they pass about 1e6 an absolute
+    # slack left the verdict to rounding: here the two sides are one ulp apart
+    ball = ms.IndicatorBall(np.zeros(2), 1.0)
+    assert ms.moreau_envelope_inequality_check(ball, 1.0, 0.0016, np.array([-52.1, 41.0])) is True
+    rng = np.random.default_rng(39)
+    for h, y in term_stacks(rng, 25_000):  # every term kind, y 100 times the battery's
+        mu1 = rng.uniform(0.05, 2.0, ENVELOPE_ROWS)
+        mu2 = rng.uniform(0.01, 1.0, ENVELOPE_ROWS) * mu1
+        assert ms.moreau_envelope_inequality_check(h, mu1, mu2, 100 * y).all(), h
+
+
+def three_form_inequality(h, mu1, mu2, y):
+    """The envelope inequality in its general form and in the form special to h, each with its own slack.
+
+    The special form has l_h^2 in place of ||grad h_{mu1}(y)||^2 for a Lipschitz h, and
+    (1/2)(1/mu2 - 1/mu1) dist^2(y, C) as its increment for an indicator.
+    """
+    e1, e2 = ms.moreau_eval(h, mu1, y), ms.moreau_eval(h, mu2, y)
+    general = e1.value + 0.5 * ((mu1 - mu2) / mu2) * mu1 * np.sum(e1.grad**2, axis=-1)
+    if isinstance(h, IndicatorTerm):
+        special = e1.value + 0.5 * (1.0 / mu2 - 1.0 / mu1) * np.sum((y - e1.prox_point) ** 2, axis=-1)
+    else:
+        special = e1.value + 0.5 * ((mu1 - mu2) / mu2) * mu1 * h.lipschitz_const**2
+    return (e2.value <= general + 1e-10 * (1.0 + general)) & (e2.value <= special + 1e-10 * (1.0 + special))
+
+
+def test_envelope_inequality_in_its_general_form_gives_the_three_form_verdicts():
+    # for an indicator the special form is the same number, and for a Lipschitz h it follows
+    # from ||grad h_{mu1}|| <= l_h; so on the battery's rows the verdicts are the same
+    rng = np.random.default_rng(3939)
+    for h, y in term_stacks(rng, 25_000):
+        mu1 = rng.uniform(0.05, 2.0, ENVELOPE_ROWS)
+        mu2 = rng.uniform(0.01, 1.0, ENVELOPE_ROWS) * mu1
+        assert np.array_equal(ms.moreau_envelope_inequality_check(h, mu1, mu2, y),
+                              three_form_inequality(h, mu1, mu2, y)), h
+
+
+def two_condition_normal_cone(h, y, z, tol=1e-8):
+    """z in N_C(y) as two conditions, each to tol relative to 1 + ||y||: y in C, and P_C(y + z) = y."""
+    scale = tol * (1.0 + np.linalg.norm(y))
+    return bool(np.linalg.norm(y - h.project(y)) <= scale and np.linalg.norm(h.project(y + z) - y) <= scale)
+
+
+@pytest.mark.parametrize("h", [
+    ms.IndicatorBall(np.array([0.3, -0.2, 0.1]), 0.8),
+    ms.IndicatorBox(np.array([-0.5, -1.0, 0.2]), np.array([0.5, 0.0, 0.9])),
+    ms.IndicatorSingleton(np.array([0.3, -0.2, 0.1])),
+], ids=["ball", "box", "singleton"])
+def test_normal_cone_by_the_projection_theorem_gives_the_two_condition_verdicts(h):
+    # ||P_C(y + z) - y|| >= dist(y, C), so the one condition puts y in C to the same tolerance;
+    # y on the boundary (with z outward, outward plus a small tangential part, or random),
+    # y inside C, and y 1e-9 (within the tolerance) or 1e-6 outside it
+    rng = np.random.default_rng(39)
+    verdicts = []
+    while len(verdicts) < 6000:
+        w = 3.0 * rng.standard_normal(3)
+        if h.contains(w):
+            continue
+        p = h.project(w)
+        out = (w - p) / np.linalg.norm(w - p)
+        inside = h.project(p + 0.3 * rng.uniform() * rng.standard_normal(3))  # in C, often off the boundary
+        for y in (p, p + 1e-9 * out, p + 1e-6 * out, 0.5 * (p + inside), inside):
+            for z in (rng.uniform(0.1, 3.0) * out, out + 1e-6 * rng.standard_normal(3), rng.standard_normal(3),
+                      np.zeros(3)):
+                verdict = h.in_subdifferential(y, z)
+                assert verdict is two_condition_normal_cone(h, y, z), (y, z)
+                verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_subgradient_membership_scaled_l1():
